@@ -24,6 +24,7 @@ from .variability import (
 from .transfer import (
     TileLayout,
     TransferOutcome,
+    TransferPlan,
     WeightRangeSnapshot,
     apply_stuck,
     from_conductance,
@@ -43,7 +44,6 @@ from .training import (
     sample_epsilon,
     train_hardware_aware,
     train_regular,
-    transfer_network,
 )
 from .datasets import LabeledSet, make_half_moons
 from .experiments import (

@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.special import expit
 
 from . import nn
 from .datasets import LabeledSet, make_half_moons
-from .training import TrainingConfig, SourceToggles, train_hardware_aware, train_regular, transfer_network
-from .transfer import TileLayout, layouts_for_architecture
+from .training import TrainingConfig, SourceToggles, train_hardware_aware, train_regular
+from .transfer import TileLayout, TransferOutcome, TransferPlan, crossbar_to_layer, layouts_for_architecture
 from .variability import VariabilityModel, load_model, make_synthetic_model
 
 __all__ = [
@@ -43,6 +44,12 @@ __all__ = [
 _STREAM_EVAL = 100
 _STREAM_HEATMAP = 101
 _STREAM_DATASET = 102
+
+# Transfers drawn and forwarded together by evaluate_transfers.  Part of the
+# stream contract (chunk k always draws transfers k*CHUNK onwards from its
+# own stream), so it is fixed rather than configurable; it also bounds the
+# memory of a chunk's stacked forward pass.
+CHUNK = 32
 
 DEFAULT_BIN_EDGES = (100.0, 95.0, 90.0, 80.0, 70.0, 60.0, 50.0)
 
@@ -73,6 +80,26 @@ def _transfer_rng(seed: int, tag: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag, int(index)]))
 
 
+def _sum_jobs(job, count: int, workers: int) -> np.ndarray:
+    """Sum of the integer arrays ``job(i)`` for i in range(count), computed
+    on up to ``workers`` threads.  Integer sums do not depend on the order
+    the jobs finish in, so the result is the same for any worker count."""
+    if workers <= 1:
+        return sum(map(job, range(count)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(job, range(count)))
+
+
+def _predict_transferred(outcomes: list[TransferOutcome], X) -> np.ndarray:
+    """Class labels, shape ``(n, points)``, of ``n`` transferred networks
+    given as per-layer ``(n, fan_in + 1, fan_out)`` crossbar stacks."""
+    a = np.asarray(X, dtype=float)
+    for outcome in outcomes:
+        m = outcome.phi_prime
+        a = expit(a @ m[:, :-1] + m[:, -1:])
+    return a[..., 0] > 0.5
+
+
 def evaluate_transfers(
     net: nn.DenseNet,
     model: VariabilityModel,
@@ -86,30 +113,28 @@ def evaluate_transfers(
 ) -> RobustnessReport:
     """Correct-classification counts per test point over N transfers.
 
-    Each transfer index derives its own RNG stream from the master seed, and
-    counts are integer sums, so the result is identical for any worker
-    count or scheduling order.
+    Transfers are drawn in fixed chunks of :data:`CHUNK`: chunk ``k`` holds
+    transfers ``k*CHUNK`` up to the next chunk (the last one may be
+    shorter), is drawn by one :meth:`TransferPlan.sample` call from its own
+    stream ``SeedSequence([seed, 100, k])`` and is classified in one stacked
+    forward pass.  Counts are integer sums over chunks, so the result is
+    identical for any worker count or scheduling order.  Drawing a chunk at
+    once gives a different Monte-Carlo sample for a given seed than drawing
+    its transfers one by one (each from its own stream), as versions before
+    the chunked engine did.
     """
     if transfers < 1:
         raise ValueError(f"transfers must be >= 1, got {transfers}")
+    plan = TransferPlan(layouts, model, x, y)
     X = test_set.points
     labels = np.asarray(test_set.labels)
 
-    def count_range(i0: int, i1: int) -> np.ndarray:
-        local = np.zeros(len(labels), dtype=np.int64)
-        for i in range(i0, i1):
-            rng = _transfer_rng(seed, _STREAM_EVAL, i)
-            perturbed = transfer_network(net, layouts, model, x, y, rng)
-            local += nn.predict(perturbed, X) == labels
-        return local
+    def count_chunk(k: int) -> np.ndarray:
+        n = min(CHUNK, transfers - k * CHUNK)
+        outcomes = plan.sample(net, n, _transfer_rng(seed, _STREAM_EVAL, k))
+        return np.sum(_predict_transferred(outcomes, X) == labels, axis=0)
 
-    if workers <= 1:
-        counts = count_range(0, transfers)
-    else:
-        bounds = np.linspace(0, transfers, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(count_range, bounds[:-1], bounds[1:])
-        counts = sum(parts)
+    counts = _sum_jobs(count_chunk, -(-transfers // CHUNK), workers)
     return RobustnessReport(counts=counts, transfers=transfers)
 
 
@@ -211,25 +236,23 @@ def heatmap(
     repetition is one network instance classifying the plane).  Outcomes
     are binary, so the standard deviation is exactly
     sqrt(mean * (1 - mean)).
+
+    Repetition ``i`` is one transfer drawn from its own stream
+    ``SeedSequence([seed, 101, i])``, so the grid is the same for any
+    worker count.  The whole grid is forwarded per repetition, which costs
+    far more than the draw, so repetitions are not batched.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    plan = TransferPlan(layouts, model, x, y)
     pts = grid.points()
 
-    def count_range(i0: int, i1: int) -> np.ndarray:
-        local = np.zeros(pts.shape[0], dtype=np.int64)
-        for i in range(i0, i1):
-            rng = _transfer_rng(seed, _STREAM_HEATMAP, i)
-            perturbed = transfer_network(net, layouts, model, x, y, rng)
-            local += nn.predict(perturbed, pts)
-        return local
+    def classify(i: int) -> np.ndarray:
+        outcomes = plan.sample(net, 1, _transfer_rng(seed, _STREAM_HEATMAP, i))
+        layers = [nn.LayerParams(*crossbar_to_layer(o.phi_prime[0])) for o in outcomes]
+        return nn.predict(nn.DenseNet(layers), pts)
 
-    if workers <= 1:
-        ones = count_range(0, repetitions)
-    else:
-        bounds = np.linspace(0, repetitions, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ones = sum(pool.map(count_range, bounds[:-1], bounds[1:]))
+    ones = _sum_jobs(classify, repetitions, workers)
 
     mean = (ones / repetitions).reshape(grid.ny, grid.nx)
     std = np.sqrt(mean * (1.0 - mean))
@@ -356,10 +379,10 @@ def write_curve_csv(path: Path, thresholds: np.ndarray, shares: np.ndarray) -> N
 
 def write_heatmap_csv(path: Path, hm: HeatmapGrid) -> None:
     xs, ys = hm.grid.centers()
+    xs = xs.tolist()
     lines = ["x,y,mean,std"]
-    for j, yv in enumerate(ys.tolist()):
-        for i, xv in enumerate(xs.tolist()):
-            lines.append(f"{xv!r},{yv!r},{hm.mean[j, i]!r},{hm.std[j, i]!r}")
+    for yv, means, stds in zip(ys.tolist(), hm.mean.tolist(), hm.std.tolist()):
+        lines += [f"{xv!r},{yv!r},{m!r},{s!r}" for xv, m, s in zip(xs, means, stds)]
     path.write_text("\n".join(lines) + "\n")
 
 

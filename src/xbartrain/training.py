@@ -18,11 +18,11 @@ import numpy as np
 from . import nn
 from .transfer import (
     TileLayout,
+    TransferPlan,
     WeightRangeSnapshot,
     crossbar_to_layer,
     layer_to_crossbar,
     layouts_for_architecture,
-    simulate_transfer,
 )
 from .variability import (
     BiasDisturbanceDb,
@@ -40,7 +40,6 @@ __all__ = [
     "effective_net",
     "hw_forward",
     "masked_backward",
-    "transfer_network",
     "train_hardware_aware",
     "train_regular",
 ]
@@ -121,17 +120,21 @@ def sample_epsilon(
 ) -> EpsilonSample:
     """Simulate one transfer of every layer (bias row included) and return
     the additive noise relative to the current weights."""
+    return _epsilon(net, TransferPlan(layouts, model, x, y), rng)
+
+
+def _epsilon(net: nn.DenseNet, plan: TransferPlan, rng: np.random.Generator) -> EpsilonSample:
     weight_eps, bias_eps, weight_mask, bias_mask, snapshots = [], [], [], [], []
-    for layer, layout in zip(net.layers, layouts):
+    for k, layer in enumerate(net.layers):
         aug = layer_to_crossbar(layer.weights, layer.bias)
         snapshots.append(WeightRangeSnapshot.of_matrix(aug))
-        outcome = simulate_transfer(aug, layout, model, x, y, rng)
-        eps_w, eps_b = crossbar_to_layer(outcome.phi_prime - aug)
-        mask_w, mask_b = crossbar_to_layer(outcome.stuck_mask)
+        outcome = plan.sample_matrix(aug, k, 1, rng)
+        eps_w, eps_b = crossbar_to_layer(outcome.phi_prime[0] - aug)
+        mask_w, mask_b = crossbar_to_layer(outcome.stuck_mask[0])
         weight_eps.append(eps_w)
         bias_eps.append(eps_b)
-        weight_mask.append(mask_w.astype(bool))
-        bias_mask.append(mask_b.astype(bool))
+        weight_mask.append(mask_w)
+        bias_mask.append(mask_b)
     return EpsilonSample(weight_eps, bias_eps, weight_mask, bias_mask, snapshots)
 
 
@@ -157,24 +160,6 @@ def masked_backward(net: nn.DenseNet, cache, y, sample: EpsilonSample):
         (np.where(mw, 0.0, gw), np.where(mb, 0.0, gb))
         for (gw, gb), mw, mb in zip(grads, sample.weight_mask, sample.bias_mask)
     ]
-
-
-def transfer_network(
-    net: nn.DenseNet,
-    layouts: list[TileLayout],
-    model: VariabilityModel,
-    x: float,
-    y: float,
-    rng: np.random.Generator,
-) -> nn.DenseNet:
-    """One simulated transfer of a whole network; returns the perturbed net."""
-    layers = []
-    for layer, layout in zip(net.layers, layouts):
-        aug = layer_to_crossbar(layer.weights, layer.bias)
-        outcome = simulate_transfer(aug, layout, model, x, y, rng)
-        w, b = crossbar_to_layer(outcome.phi_prime)
-        layers.append(nn.LayerParams(w, b))
-    return nn.DenseNet(layers)
 
 
 def _effective_model(model: VariabilityModel, sources: SourceToggles) -> VariabilityModel:
@@ -242,12 +227,12 @@ def train_hardware_aware(
     y = config.lrs_fraction if config.sources.stuck else 0.0
     if not config.sources.any_active(x, y):
         return _train(config, train_set, None, batch_hook)
-    eff_model = _effective_model(model, config.sources)
     layouts = layouts_for_architecture(config.architecture, *config.tile)
+    plan = TransferPlan(layouts, _effective_model(model, config.sources), x, y)
     noise_rng = _stream(config.seed, _STREAM_NOISE)
 
     def sampler(net):
-        return sample_epsilon(net, layouts, eff_model, x, y, noise_rng)
+        return _epsilon(net, plan, noise_rng)
 
     return _train(config, train_set, sampler, batch_hook)
 

@@ -10,6 +10,7 @@ programming pass of the crossbar.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -18,13 +19,15 @@ import numpy as np
 from .variability import ConductanceRange
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .variability import StuckModel, VariabilityModel
+    from .nn import DenseNet
+    from .variability import BiasLookup, StuckModel, VariabilityModel
 
 __all__ = [
     "ConductanceRange",
     "WeightRangeSnapshot",
     "TileLayout",
     "TransferOutcome",
+    "TransferPlan",
     "split_signed",
     "to_conductance",
     "from_conductance",
@@ -65,6 +68,8 @@ class WeightRangeSnapshot:
         absmax = max(abs(lo), abs(hi))
         if absmax == 0.0:
             raise ValueError("cannot snapshot an all-zero weight matrix")
+        if not math.isfinite(absmax):
+            raise ValueError("cannot snapshot a weight matrix with non-finite entries")
         return cls(lo, hi, absmax)
 
 
@@ -120,7 +125,8 @@ def _nd_grid(n_rows: int, n_cols: int, tile_rows: int, tile_cols: int) -> np.nda
 
 @dataclass(frozen=True)
 class TransferOutcome:
-    """One simulated transfer: perturbed weights and the stuck positions."""
+    """Simulated transfers of one matrix: perturbed weights and the stuck
+    positions, shaped like the matrix, or ``(n, *shape)`` for ``n`` draws."""
 
     phi_prime: np.ndarray
     stuck_mask: np.ndarray
@@ -143,6 +149,10 @@ def to_conductance(phi_component, snap: WeightRangeSnapshot, crange: Conductance
     phi = np.asarray(phi_component, dtype=float)
     if np.any(phi < 0):
         raise ValueError("weight components must be non-negative; split the matrix first")
+    return _scale(phi, snap, crange)
+
+
+def _scale(phi, snap: WeightRangeSnapshot, crange: ConductanceRange):
     return phi / snap.phi_absmax * (crange.g_max - crange.g_min) + crange.g_min
 
 
@@ -159,6 +169,10 @@ def from_conductance(
     g_minus = np.asarray(g_minus, dtype=float)
     if not (np.all(np.isfinite(g_plus)) and np.all(np.isfinite(g_minus))):
         raise ValueError("conductances must be finite")
+    return _unscale(g_plus, g_minus, snap, crange)
+
+
+def _unscale(g_plus, g_minus, snap: WeightRangeSnapshot, crange: ConductanceRange):
     delta = g_plus - g_minus
     lo = crange.g_min - crange.g_max
     hi = crange.g_max - crange.g_min
@@ -181,29 +195,40 @@ def perturb_conductance(g, n_d, model: "VariabilityModel", rng: np.random.Genera
         raise ValueError(
             f"target conductances must lie within [{model.range.g_min}, {model.range.g_max}] uS"
         )
+    return _perturb(g, model.bias_db.lookup(n_d), model, 1, rng)[0]
+
+
+def _perturb(g, bias: "BiasLookup", model: "VariabilityModel", n: int, rng: np.random.Generator):
+    """``n`` noisy copies of ``g``, shape ``(n, *g.shape)``; draws z1, z2,
+    then the disturbance picks."""
+    shape = (n, *g.shape)
     noisy = (
         g
-        + rng.standard_normal(g.shape) * model.std_model.abs_std(g)
+        + rng.standard_normal(shape) * model.std_model.abs_std(g)
         + model.offset_model.abs_mu(g)
-        + rng.standard_normal(g.shape) * model.offset_model.abs_sigma(g)
-        + model.bias_db.sample_matrix(n_d, rng)
+        + rng.standard_normal(shape) * model.offset_model.abs_sigma(g)
+        + bias.sample(rng, n)
     )
     return np.maximum(noisy, 0.0)
 
 
 def _stuck_components(shape, x: float, y: float, stuck_model: "StuckModel", rng: np.random.Generator):
-    """Select and draw stuck values for one polarity: (mask, values)."""
+    """Select and draw stuck values for one polarity: (mask, values).
+
+    HRS is ``u < x`` and LRS is ``x <= u < x + y``; as ``x <= x + y``, the
+    stuck mask is ``u < x + y`` and LRS is the mask without HRS.
+    """
     u = rng.random(shape)
     hrs = u < x
-    lrs = (u >= x) & (u < x + y)
+    stuck = u < x + y
     values = np.zeros(shape)
-    n_hrs = int(hrs.sum())
-    n_lrs = int(lrs.sum())
+    n_hrs = np.count_nonzero(hrs)
+    n_lrs = np.count_nonzero(stuck) - n_hrs
     if n_hrs:
         values[hrs] = stuck_model.sample_hrs(rng, size=n_hrs)
     if n_lrs:
-        values[lrs] = stuck_model.sample_lrs(rng, size=n_lrs)
-    return hrs | lrs, values
+        values[stuck ^ hrs] = stuck_model.sample_lrs(rng, size=n_lrs)
+    return stuck, values
 
 
 def _check_fractions(x: float, y: float):
@@ -235,6 +260,80 @@ def apply_stuck(
     )
 
 
+class TransferPlan:
+    """The transfer pipeline for a fixed set of crossbars, ready to sample.
+
+    Built once per ``(layouts, model, x, y)``: the stuck fractions and the
+    finiteness of the model are checked and every layout's n_d matrices are
+    resolved against the bias database here, so sampling repeats none of
+    that.  Drawing is vectorized over transfers: :meth:`sample` returns
+    ``n`` whole-network transfers as ``(n, fan_in + 1, fan_out)`` stacks
+    per layer.
+
+    Stream contract: each layer draws, in layer order, the stuck selection
+    and values of the plus then the minus components, then the tuning
+    normal, offset normal and disturbance picks of the plus then the minus
+    components.  With ``n = 1`` this consumes the generator exactly as the
+    per-matrix pipeline always has, so training draws (one transfer per
+    batch) are unchanged.  With ``n > 1`` each draw is made for all ``n``
+    transfers at once, so the result is a different Monte-Carlo sample than
+    ``n`` successive single transfers from the same generator.
+    """
+
+    def __init__(self, layouts, model: "VariabilityModel", x: float, y: float):
+        _check_fractions(x, y)
+        model.check_finite()
+        self.layouts = tuple(layouts)
+        self.model = model
+        self.x = x
+        self.y = y
+        self._bias = [
+            (model.bias_db.lookup(layout.nd_plus), model.bias_db.lookup(layout.nd_minus))
+            for layout in self.layouts
+        ]
+
+    def sample(self, net: "DenseNet", n: int, rng: np.random.Generator) -> list[TransferOutcome]:
+        """``n`` simulated transfers of every layer (bias row included),
+        one :class:`TransferOutcome` of ``(n, fan_in + 1, fan_out)`` arrays
+        per layer."""
+        if len(net.layers) != len(self.layouts):
+            raise ValueError(f"{len(net.layers)} layers but {len(self.layouts)} layouts")
+        return [
+            self.sample_matrix(layer_to_crossbar(layer.weights, layer.bias), k, n, rng)
+            for k, layer in enumerate(net.layers)
+        ]
+
+    def sample_matrix(self, phi, k: int, n: int, rng: np.random.Generator) -> TransferOutcome:
+        """``n`` simulated transfers of one crossbar matrix onto layout ``k``.
+
+        split -> to_conductance -> stuck substitution -> tuning/bias noise
+        -> from_conductance.  Stuck components keep their substituted
+        values and are exempt from the tuning and disturbance noise (a
+        stuck device is never tuned).
+        """
+        layout = self.layouts[k]
+        phi = np.asarray(phi, dtype=float)
+        if phi.shape != layout.weight_shape:
+            raise ValueError(f"phi shape {phi.shape} does not match layout {layout.weight_shape}")
+        model = self.model
+        snap = WeightRangeSnapshot.of_matrix(phi)
+        plus, minus = split_signed(phi)
+        g_plus = _scale(plus, snap, model.range)
+        g_minus = _scale(minus, snap, model.range)
+
+        shape = (n, *phi.shape)
+        mask_p, vals_p = _stuck_components(shape, self.x, self.y, model.stuck_model, rng)
+        mask_m, vals_m = _stuck_components(shape, self.x, self.y, model.stuck_model, rng)
+        bias_p, bias_m = self._bias[k]
+        noisy_p = _perturb(g_plus, bias_p, model, n, rng)
+        noisy_m = _perturb(g_minus, bias_m, model, n, rng)
+
+        final_p = np.where(mask_p, vals_p, noisy_p)
+        final_m = np.where(mask_m, vals_m, noisy_m)
+        phi_prime = _unscale(final_p, final_m, snap, model.range)
+        return TransferOutcome(phi_prime=phi_prime, stuck_mask=mask_p | mask_m)
+
+
 def simulate_transfer(
     phi,
     layout: TileLayout,
@@ -243,31 +342,10 @@ def simulate_transfer(
     y: float,
     rng: np.random.Generator,
 ) -> TransferOutcome:
-    """One Monte-Carlo draw of the full transfer pipeline for one matrix.
-
-    split -> to_conductance -> stuck substitution -> tuning/bias noise ->
-    from_conductance.  Stuck components keep their substituted values and
-    are exempt from the tuning and disturbance noise (a stuck device is
-    never tuned).
-    """
-    _check_fractions(x, y)
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != layout.weight_shape:
-        raise ValueError(f"phi shape {phi.shape} does not match layout {layout.weight_shape}")
-    snap = WeightRangeSnapshot.of_matrix(phi)
-    plus, minus = split_signed(phi)
-    g_plus = to_conductance(plus, snap, model.range)
-    g_minus = to_conductance(minus, snap, model.range)
-
-    mask_p, vals_p = _stuck_components(g_plus.shape, x, y, model.stuck_model, rng)
-    mask_m, vals_m = _stuck_components(g_minus.shape, x, y, model.stuck_model, rng)
-    noisy_p = perturb_conductance(g_plus, layout.nd_plus, model, rng)
-    noisy_m = perturb_conductance(g_minus, layout.nd_minus, model, rng)
-
-    final_p = np.where(mask_p, vals_p, noisy_p)
-    final_m = np.where(mask_m, vals_m, noisy_m)
-    phi_prime = from_conductance(final_p, final_m, snap, model.range)
-    return TransferOutcome(phi_prime=phi_prime, stuck_mask=mask_p | mask_m)
+    """One Monte-Carlo draw of the full transfer pipeline for one matrix
+    (see :meth:`TransferPlan.sample_matrix`)."""
+    outcome = TransferPlan([layout], model, x, y).sample_matrix(phi, 0, 1, rng)
+    return TransferOutcome(phi_prime=outcome.phi_prime[0], stuck_mask=outcome.stuck_mask[0])
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,6 +40,7 @@ __all__ = [
     "LinearStdModel",
     "OffsetModel",
     "BiasDisturbanceDb",
+    "BiasLookup",
     "StuckModel",
     "VariabilityModel",
     "GroupFit",
@@ -216,13 +218,38 @@ class BiasDisturbanceDb:
         Entries with n_d == 0 are exactly zero (the last-programmed device
         sees no subsequent pulses).
         """
+        return self.lookup(n_d).sample(rng)[0]
+
+    def lookup(self, n_d) -> "BiasLookup":
+        """Validate an n_d matrix once and resolve the group each entry
+        draws from, for repeated sampling at that matrix."""
         n_d = np.asarray(n_d)
         if np.any(n_d < 0):
             raise ValueError("n_d entries must be >= 0")
         key_idx = np.searchsorted(self._mids, n_d, side="left")
-        picks = rng.integers(0, self._lengths[key_idx])
-        out = self._table[key_idx, picks]
-        out[n_d == 0] = 0.0
+        return BiasLookup(self._table, key_idx, self._lengths[key_idx], n_d == 0)
+
+
+@dataclass(frozen=True)
+class BiasLookup:
+    """A disturbance database resolved against one n_d matrix.
+
+    ``key_idx`` is the table row of each entry, ``lengths`` its group size
+    and ``zero`` marks the n_d == 0 entries, whose draws are exactly zero.
+    """
+
+    table: np.ndarray
+    key_idx: np.ndarray
+    lengths: np.ndarray
+    zero: np.ndarray
+
+    def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
+        """An ``(n, *shape)`` stack of ``n`` draws of one disturbance per
+        entry; it consumes ``rng`` exactly as ``n`` single draws."""
+        # A stacked upper bound draws faster than integers(..., size=...).
+        picks = rng.integers(0, self.lengths[None].repeat(n, axis=0))
+        out = self.table[self.key_idx, picks]
+        out[:, self.zero] = 0.0
         return out
 
 
@@ -280,6 +307,23 @@ class VariabilityModel:
                 f"LRS stuck conductances must exceed g_max={self.range.g_max} uS; "
                 f"got {min(bad)} uS"
             )
+
+    def check_finite(self) -> None:
+        """Raise ValueError naming the first sub-model with a non-finite
+        parameter.  Sampling assumes finite parameters and does not check
+        its draws."""
+        scalars = {
+            "range": (self.range.g_min, self.range.g_max),
+            "std_model": (self.std_model.slope, self.std_model.intercept),
+            "offset_model": (self.offset_model.mu_off, self.offset_model.sigma_off),
+            "stuck_model": (self.stuck_model.hrs_low, self.stuck_model.hrs_high,
+                            *self.stuck_model.lrs_samples),
+        }
+        for name, values in scalars.items():
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} parameters must be finite")
+        if not np.all(np.isfinite(self.bias_db._table)):
+            raise ValueError("bias_db disturbances must be finite")
 
 
 # ---------------------------------------------------------------------------

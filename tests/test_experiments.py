@@ -6,6 +6,7 @@ import pytest
 from xbartrain import nn
 from xbartrain.datasets import LabeledSet, make_half_moons
 from xbartrain.experiments import (
+    CHUNK,
     ConfigError,
     GridSpec,
     RobustnessReport,
@@ -17,6 +18,7 @@ from xbartrain.experiments import (
     robustness_curve,
     robustness_table,
     run_experiment,
+    write_heatmap_csv,
 )
 from xbartrain.transfer import layouts_for_architecture
 
@@ -67,6 +69,16 @@ class TestEvaluateTransfers:
         r4 = evaluate_transfers(net, synthetic_model, LAYOUTS, **kwargs, workers=4)
         assert r1.counts.tobytes() == r2.counts.tobytes()
         assert r1.counts.tobytes() == r4.counts.tobytes()
+
+    def test_partial_chunk_counts_worker_independent(self, synthetic_model):
+        net = symmetric_net()
+        test_set = make_half_moons(40, noise_std=0.1, seed=27)
+        kwargs = dict(x=0.005, y=0.005, test_set=test_set, transfers=CHUNK + 3, seed=4)
+        reports = [evaluate_transfers(net, synthetic_model, LAYOUTS, **kwargs, workers=w)
+                   for w in (1, 2, 3)]
+        assert reports[0].counts.max() <= CHUNK + 3
+        for r in reports[1:]:
+            assert r.counts.tobytes() == reports[0].counts.tobytes()
 
     def test_invalid_transfers(self, synthetic_model):
         net = symmetric_net()
@@ -184,6 +196,23 @@ class TestHeatmap:
         for cx, cy in [(0.0, 1.0), (1.0, -0.5)]:
             core = (((pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2) < 0.35**2).reshape(grid.ny, grid.nx)
             assert hm_h.std[core].mean() <= hm_r.std[core].mean()
+
+    def test_csv_fields_are_plain_floats(self, synthetic_model, tmp_path):
+        net = symmetric_net()
+        grid = GridSpec(nx=7, ny=4)
+        hm = heatmap(net, synthetic_model, LAYOUTS, 0.01, 0.01, grid, repetitions=9, seed=7)
+        path = tmp_path / "heatmap.csv"
+        write_heatmap_csv(path, hm)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "x,y,mean,std"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 7 * 4
+        for row in rows:
+            assert len(row) == 4
+            assert not any(field.startswith("np.") for field in row)
+        values = np.array([[float(field) for field in row] for row in rows])
+        assert np.array_equal(values[:, 2], hm.mean.ravel())
+        assert np.array_equal(values[:, 3], hm.std.ravel())
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

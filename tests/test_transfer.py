@@ -4,6 +4,7 @@ import pytest
 from xbartrain.transfer import (
     ConductanceRange,
     TileLayout,
+    TransferPlan,
     WeightRangeSnapshot,
     apply_stuck,
     crossbar_to_layer,
@@ -15,6 +16,7 @@ from xbartrain.transfer import (
     split_signed,
     to_conductance,
 )
+from xbartrain import nn
 from xbartrain.variability import (
     BiasDisturbanceDb,
     LinearStdModel,
@@ -298,6 +300,17 @@ class TestSimulateTransfer:
         with pytest.raises(ValueError, match="zero"):
             simulate_transfer(np.zeros((3, 8)), layout, zero_model, 0.0, 0.0, np.random.default_rng(0))
 
+    def test_non_finite_inputs_rejected(self, zero_model):
+        layout = TileLayout.for_weight_matrix(3, 8)
+        phi = symmetric_matrix((3, 8), seed=9)
+        phi[1, 2] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            simulate_transfer(phi, layout, zero_model, 0.0, 0.0, np.random.default_rng(0))
+        model = model_with(stuck=StuckModel(10.0, 100.0, (np.nan,)))
+        with pytest.raises(ValueError, match="stuck_model"):
+            simulate_transfer(symmetric_matrix((3, 8), seed=9), layout, model, 0.0, 1.0,
+                              np.random.default_rng(0))
+
     def test_stuck_values_exempt_from_noise(self):
         # With certain LRS substitution and a single-value LRS list, the
         # final conductances are exactly the substituted values even though
@@ -311,6 +324,73 @@ class TestSimulateTransfer:
             np.full(phi.shape, 900.0), np.full(phi.shape, 900.0), snap, ConductanceRange()
         )
         assert np.allclose(out.phi_prime, expected, atol=1e-12)
+
+
+class TestTransferPlan:
+    LAYOUT = TileLayout.for_weight_matrix(3, 8)
+
+    def test_single_draw_matches_simulate_transfer_stream(self, synthetic_model):
+        phi = np.random.default_rng(12).normal(size=(3, 8))
+        plan = TransferPlan([self.LAYOUT], synthetic_model, 0.2, 0.3)
+        rng_a, rng_b = np.random.default_rng(13), np.random.default_rng(13)
+        for _ in range(20):
+            a = plan.sample_matrix(phi, 0, 1, rng_a)
+            b = simulate_transfer(phi, self.LAYOUT, synthetic_model, 0.2, 0.3, rng_b)
+            assert a.phi_prime.shape == (1, 3, 8)
+            assert a.phi_prime[0].tobytes() == b.phi_prime.tobytes()
+            assert np.array_equal(a.stuck_mask[0], b.stuck_mask)
+        assert rng_a.random() == rng_b.random()
+
+    def test_zero_noise_rows_equal_deterministic_conversion(self, zero_model):
+        phi = np.random.default_rng(14).normal(size=(3, 8))
+        out = TransferPlan([self.LAYOUT], zero_model, 0.0, 0.0).sample_matrix(
+            phi, 0, 40, np.random.default_rng(0))
+        snap = WeightRangeSnapshot.of_matrix(phi)
+        plus, minus = split_signed(phi)
+        expected = from_conductance(
+            to_conductance(plus, snap, RANGE), to_conductance(minus, snap, RANGE), snap, RANGE
+        )
+        assert out.phi_prime.shape == (40, 3, 8)
+        for row in out.phi_prime:
+            assert np.array_equal(row, expected)
+        assert not out.stuck_mask.any()
+
+    def test_all_hrs_rows(self, synthetic_model):
+        phi = symmetric_matrix((3, 8), seed=15)
+        out = TransferPlan([self.LAYOUT], synthetic_model, 1.0, 0.0).sample_matrix(
+            phi, 0, 50, np.random.default_rng(1))
+        assert out.stuck_mask.all()
+        # Both components are HRS draws in [10, 100] uS, so delta_g lies in
+        # [-90, 90] and phi' in its affine image (phi_min = -phi_max here).
+        snap = WeightRangeSnapshot.of_matrix(phi)
+        bound = 90.0 / 300.0 * snap.phi_max
+        assert np.abs(out.phi_prime).max() <= bound + 1e-9
+
+    def test_stuck_mask_frequency_matches_binomial(self, synthetic_model):
+        x = y = 0.005
+        phi = np.random.default_rng(16).normal(size=(3, 8))
+        out = TransferPlan([self.LAYOUT], synthetic_model, x, y).sample_matrix(
+            phi, 0, 2000, np.random.default_rng(17))
+        p = 1.0 - (1.0 - (x + y)) ** 2
+        se = np.sqrt(p * (1 - p) / out.stuck_mask.size)
+        assert abs(out.stuck_mask.mean() - p) < 3 * se
+
+    def test_sample_shapes_per_layer(self, synthetic_model):
+        net = nn.DenseNet.init([2, 8, 1], np.random.default_rng(18))
+        plan = TransferPlan(layouts_for_architecture([2, 8, 1]), synthetic_model, 0.005, 0.005)
+        outcomes = plan.sample(net, 5, np.random.default_rng(19))
+        assert [o.phi_prime.shape for o in outcomes] == [(5, 3, 8), (5, 9, 1)]
+        assert [o.stuck_mask.shape for o in outcomes] == [(5, 3, 8), (5, 9, 1)]
+
+    def test_invalid_inputs(self, zero_model):
+        with pytest.raises(ValueError):
+            TransferPlan([self.LAYOUT], zero_model, 0.7, 0.4)
+        plan = TransferPlan([self.LAYOUT], zero_model, 0.0, 0.0)
+        with pytest.raises(ValueError, match="shape"):
+            plan.sample_matrix(np.ones((9, 1)), 0, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="layouts"):
+            plan.sample(nn.DenseNet.init([2, 8, 1], np.random.default_rng(0)), 2,
+                        np.random.default_rng(0))
 
 
 class TestLayerCrossbarRoundTrip:

@@ -259,6 +259,15 @@ class TestBiasDb:
         assert out[1, 0] == 4.0
         assert out[1, 1] == 4.0  # nearest populated key to 9 is 5
 
+    def test_stacked_lookup_draws_match_successive_draws(self):
+        db = BiasDisturbanceDb({1: (-1.0, -2.0, 0.5), 3: (4.0, 5.0), 8: tuple(range(-20, 21))})
+        nd = np.array([[0, 1, 2], [3, 7, 9]])
+        rng_a, rng_b = np.random.default_rng(12), np.random.default_rng(12)
+        stacked = db.lookup(nd).sample(rng_a, 25)
+        assert stacked.shape == (25, 2, 3)
+        assert np.array_equal(stacked, np.stack([db.sample_matrix(nd, rng_b) for _ in range(25)]))
+        assert rng_a.random() == rng_b.random()
+
     def test_matrix_draws_cover_group_uniformly(self):
         db = BiasDisturbanceDb({2: (1.0, 2.0, 3.0, 4.0)})
         rng = np.random.default_rng(11)

@@ -18,7 +18,6 @@ from xbartrain import (
     fit_tuning_model,
     load_model,
     make_synthetic_model,
-    sample_bias,
     save_model,
     shapiro_wilk,
 )
@@ -64,9 +63,10 @@ bias_records.append((5, 120.0))  # an LRS failure masquerading as crosstalk
 db = build_bias_db(bias_records)
 print(f"\nbias database:     {len(db.groups)} n_d groups "
       f"({sum(len(v) for v in db.groups.values())} records kept)")
-draws = [sample_bias(db, 20, rng) for _ in range(2000)]
+draws = db.sample_matrix(np.full(2000, 20), rng)
 print(f"n_d=20 draws:      mean {np.mean(draws):+.2f} uS (accumulated drift)")
-print(f"n_d=0 draws:       always {sample_bias(db, 0, rng)} (last-programmed device)")
+zero_draws = db.sample_matrix(np.zeros(2000, dtype=int), rng)
+print(f"n_d=0 draws:       always {float(np.abs(zero_draws).max())} (last-programmed device)")
 
 # --- 3. Bundle, save, reload -------------------------------------------------
 model = VariabilityModel(

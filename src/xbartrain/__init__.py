@@ -15,9 +15,6 @@ from .variability import (
     fit_tuning_model,
     load_model,
     make_synthetic_model,
-    sample_bias,
-    sample_stuck_hrs,
-    sample_stuck_lrs,
     save_model,
     shapiro_wilk,
 )
@@ -26,7 +23,6 @@ from .transfer import (
     TransferOutcome,
     TransferPlan,
     WeightRangeSnapshot,
-    apply_stuck,
     from_conductance,
     layouts_for_architecture,
     perturb_conductance,
@@ -39,7 +35,6 @@ from .training import (
     EpsilonSample,
     SourceToggles,
     TrainingConfig,
-    hw_forward,
     masked_backward,
     sample_epsilon,
     train_hardware_aware,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,6 +17,7 @@ from .experiments import (
     experiment_dataset,
     heatmap,
     load_experiment_config,
+    read_config,
     robustness_curve,
     robustness_table,
     run_experiment,
@@ -43,30 +43,36 @@ from .variability import (
 )
 
 
-def _add_common(parser: argparse.ArgumentParser, *, config=True, seed=True, transfers=True,
-                out=True, threads=True):
-    if config:
-        parser.add_argument("--config", type=Path, required=True, help="experiment config JSON")
-    if seed:
-        parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+def _add_common(parser: argparse.ArgumentParser, *, transfers=True, threads=True):
+    parser.add_argument("--config", type=Path, required=True, help="experiment config JSON")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     if transfers:
         parser.add_argument("--transfers", type=int, default=None,
                             help="override the number of simulated transfers")
-    if out:
-        parser.add_argument("--out", type=Path, required=True, help="output directory")
+    parser.add_argument("--out", type=Path, required=True, help="output directory")
     if threads:
         parser.add_argument("--threads", type=int, default=None, help="worker threads")
 
 
-def _load_config(args) -> ExperimentConfig:
-    config = load_experiment_config(args.config)
-    if getattr(args, "seed", None) is not None:
+def _override(config: ExperimentConfig, args) -> ExperimentConfig:
+    """Apply the command-line overrides to a loaded config."""
+    if args.seed is not None:
         config = replace(config, training=replace(config.training, seed=args.seed))
     if getattr(args, "transfers", None) is not None:
         config = replace(config, transfers=args.transfers)
     if getattr(args, "threads", None) is not None:
         config = replace(config, threads=args.threads)
     return config
+
+
+def _load_checkpoint(args):
+    """Config, variability model, network and crossbar layouts for a
+    command that evaluates a trained checkpoint."""
+    config = _override(load_experiment_config(args.config), args)
+    model = config.resolve_model()
+    net = nn.load_checkpoint(args.checkpoint)
+    layouts = layouts_for_architecture(net.sizes, *config.training.tile)
+    return config, model, net, layouts
 
 
 def cmd_fit_model(args) -> int:
@@ -105,7 +111,7 @@ def cmd_gen_synthetic_model(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args)
+    config = _override(load_experiment_config(args.config), args)
     model = config.resolve_model()
     train_set, test_set = experiment_dataset(config)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -124,11 +130,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = _load_config(args)
-    model = config.resolve_model()
+    config, model, net, layouts = _load_checkpoint(args)
     _, test_set = experiment_dataset(config)
-    net = nn.load_checkpoint(args.checkpoint)
-    layouts = layouts_for_architecture(net.sizes, *config.training.tile)
     report = evaluate_transfers(
         net, model, layouts, config.training.hrs_fraction, config.training.lrs_fraction,
         test_set, config.transfers, config.training.seed, workers=config.threads,
@@ -149,10 +152,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    config = _load_config(args)
-    model = config.resolve_model()
-    net = nn.load_checkpoint(args.checkpoint)
-    layouts = layouts_for_architecture(net.sizes, *config.training.tile)
+    config, model, net, layouts = _load_checkpoint(args)
     repetitions = args.transfers if args.transfers is not None else config.heatmap_repetitions
     hm = heatmap(
         net, model, layouts, config.training.hrs_fraction, config.training.lrs_fraction,
@@ -166,9 +166,8 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _load_config(args)
-    config_doc = json.loads(Path(args.config).read_text())
-    written = run_experiment(config, args.out, config_doc=config_doc)
+    config_doc, config = read_config(args.config)
+    written = run_experiment(_override(config, args), args.out, config_doc=config_doc)
     for path in written:
         print(f"wrote {path}")
     return 0

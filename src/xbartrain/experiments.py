@@ -21,7 +21,7 @@ from scipy.special import expit
 from . import nn
 from .datasets import LabeledSet, make_half_moons
 from .training import TrainingConfig, SourceToggles, train_hardware_aware, train_regular
-from .transfer import TileLayout, TransferOutcome, TransferPlan, crossbar_to_layer, layouts_for_architecture
+from .transfer import TileLayout, TransferOutcome, TransferPlan, layouts_for_architecture
 from .variability import VariabilityModel, load_model, make_synthetic_model
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "heatmap",
     "run_experiment",
     "load_experiment_config",
+    "read_config",
 ]
 
 # Stream tags; kept distinct from the training tags so one master seed can
@@ -239,7 +240,8 @@ def heatmap(
 
     Repetition ``i`` is one transfer drawn from its own stream
     ``SeedSequence([seed, 101, i])``, so the grid is the same for any
-    worker count.  The whole grid is forwarded per repetition, which costs
+    worker count.  The whole grid is forwarded per repetition through the
+    stacked forward pass of :func:`evaluate_transfers`; the forward costs
     far more than the draw, so repetitions are not batched.
     """
     if repetitions < 1:
@@ -249,8 +251,7 @@ def heatmap(
 
     def classify(i: int) -> np.ndarray:
         outcomes = plan.sample(net, 1, _transfer_rng(seed, _STREAM_HEATMAP, i))
-        layers = [nn.LayerParams(*crossbar_to_layer(o.phi_prime[0])) for o in outcomes]
-        return nn.predict(nn.DenseNet(layers), pts)
+        return _predict_transferred(outcomes, pts)[0]
 
     ones = _sum_jobs(classify, repetitions, workers)
 
@@ -286,66 +287,87 @@ class ExperimentConfig:
         return load_model(path)
 
 
-_TOP_KEYS = {
-    "seed", "architecture", "batch_size", "learning_rate", "epochs",
-    "hrs_fraction", "lrs_fraction", "sources", "tile", "model_path",
-    "model_seed", "dataset", "transfers", "heatmap", "threads",
+# Each config section is a table of config key -> (dataclass field,
+# conversion).  Keys a config leaves out keep their dataclass defaults.  A
+# tuple of fields takes a list with one value per field.
+_TRAINING = {
+    "architecture": ("architecture", tuple),
+    "batch_size": ("batch_size", int),
+    "learning_rate": ("lr", float),
+    "epochs": ("epochs", int),
+    "hrs_fraction": ("hrs_fraction", float),
+    "lrs_fraction": ("lrs_fraction", float),
+    "seed": ("seed", int),
+    "tile": ("tile", tuple),
 }
+_EXPERIMENT = {
+    "model_path": ("model_path", lambda value: value),
+    "model_seed": ("model_seed", int),
+    "transfers": ("transfers", int),
+    "threads": ("threads", int),
+}
+_SOURCES = {"tuning": ("tuning", bool), "bias": ("bias", bool), "stuck": ("stuck", bool)}
+_DATASET = {
+    "n_train": ("n_train", int),
+    "n_test": ("n_test", int),
+    "noise_std": ("noise_std", float),
+}
+_GRID = {
+    "extent": (("x_min", "x_max", "y_min", "y_max"), float),
+    "nx": ("nx", int),
+    "ny": ("ny", int),
+}
+_HEATMAP = {"repetitions": ("heatmap_repetitions", int)}
+_SECTIONS = ("sources", "dataset", "heatmap")
+
+
+def _section(doc, where: str, *tables, sections=()) -> list[dict]:
+    """Per table, the dataclass keyword arguments of the keys ``doc`` sets.
+    ``doc`` may hold only the tables' keys and the named sub-sections."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(doc).difference(sections, *tables)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    keywords = []
+    for table in tables:
+        kwargs = {}
+        for key, (name, convert) in table.items():
+            if key not in doc:
+                continue
+            value = doc[key]
+            try:
+                if isinstance(name, str):
+                    kwargs[name] = convert(value)
+                elif len(value) == len(name):
+                    kwargs.update(zip(name, map(convert, value)))
+                else:
+                    raise ValueError(f"expected {len(name)} values, got {len(value)}")
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{where}: {key}: {exc}") from exc
+        keywords.append(kwargs)
+    return keywords
 
 
 def experiment_config_from_dict(doc: dict, context: str = "config") -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{context}: top level must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+    training, experiment = _section(doc, context, _TRAINING, _EXPERIMENT, sections=_SECTIONS)
+    (sources,) = _section(doc.get("sources", {}), f"{context}: sources", _SOURCES)
+    (dataset,) = _section(doc.get("dataset", {}), f"{context}: dataset", _DATASET)
+    grid, heat = _section(doc.get("heatmap", {}), f"{context}: heatmap", _GRID, _HEATMAP)
     try:
-        sources = doc.get("sources", {})
-        if not isinstance(sources, dict):
-            raise ConfigError(f"{context}: 'sources' must be an object")
-        toggles = SourceToggles(
-            tuning=bool(sources.get("tuning", True)),
-            bias=bool(sources.get("bias", True)),
-            stuck=bool(sources.get("stuck", True)),
-        )
-        training = TrainingConfig(
-            architecture=tuple(doc.get("architecture", (2, 8, 1))),
-            batch_size=int(doc.get("batch_size", 256)),
-            lr=float(doc.get("learning_rate", 0.01)),
-            epochs=int(doc.get("epochs", 4000)),
-            hrs_fraction=float(doc.get("hrs_fraction", 0.005)),
-            lrs_fraction=float(doc.get("lrs_fraction", 0.005)),
-            sources=toggles,
-            seed=int(doc.get("seed", 0)),
-            tile=tuple(doc.get("tile", (8, 8))),
-        )
-        dataset = doc.get("dataset", {})
-        heat = doc.get("heatmap", {})
-        extent = heat.get("extent", (-1.5, 2.5, -1.0, 1.5))
-        grid = GridSpec(
-            x_min=float(extent[0]), x_max=float(extent[1]),
-            y_min=float(extent[2]), y_max=float(extent[3]),
-            nx=int(heat.get("nx", 200)), ny=int(heat.get("ny", 200)),
-        )
         return ExperimentConfig(
-            training=training,
-            model_path=doc.get("model_path"),
-            model_seed=int(doc.get("model_seed", 0)),
-            n_train=int(dataset.get("n_train", 875)),
-            n_test=int(dataset.get("n_test", 200)),
-            noise_std=float(dataset.get("noise_std", 0.1)),
-            transfers=int(doc.get("transfers", 10000)),
-            grid=grid,
-            heatmap_repetitions=int(heat.get("repetitions", 1000)),
-            threads=int(doc.get("threads", 1)),
+            training=TrainingConfig(sources=SourceToggles(**sources), **training),
+            grid=GridSpec(**grid),
+            **experiment,
+            **dataset,
+            **heat,
         )
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
-def load_experiment_config(path) -> ExperimentConfig:
+def read_config(path) -> tuple[dict, ExperimentConfig]:
+    """The JSON document of a config file and the config it describes."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
@@ -355,7 +377,11 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(
             f"config file {path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return experiment_config_from_dict(doc, context=f"config file {path}")
+    return doc, experiment_config_from_dict(doc, context=f"config file {path}")
+
+
+def load_experiment_config(path) -> ExperimentConfig:
+    return read_config(path)[1]
 
 
 def experiment_dataset(config: ExperimentConfig) -> tuple[LabeledSet, LabeledSet]:
@@ -399,9 +425,7 @@ def run_experiment(config, out_dir, config_doc: dict | None = None) -> list[Path
     config always produces byte-identical artifacts.
     """
     if not isinstance(config, ExperimentConfig):
-        config_path = Path(config)
-        config_doc = json.loads(config_path.read_text()) if config_path.exists() else None
-        config = load_experiment_config(config_path)
+        config_doc, config = read_config(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -141,11 +141,11 @@ class AdamState:
     v: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
     @classmethod
-    def for_net(cls, net: DenseNet, lr: float = 0.01, beta1: float = 0.9,
-                beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def for_net(cls, net: DenseNet, **hyperparameters) -> "AdamState":
+        """Zeroed accumulators for ``net``; unset hyperparameters keep their defaults."""
         zeros = lambda l: (np.zeros_like(l.weights), np.zeros_like(l.bias))
-        return cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                   m=[zeros(l) for l in net.layers], v=[zeros(l) for l in net.layers])
+        return cls(m=[zeros(l) for l in net.layers], v=[zeros(l) for l in net.layers],
+                   **hyperparameters)
 
 
 def adam_step(net: DenseNet, grads, state: AdamState) -> DenseNet:

@@ -38,7 +38,6 @@ __all__ = [
     "EpsilonSample",
     "sample_epsilon",
     "effective_net",
-    "hw_forward",
     "masked_backward",
     "train_hardware_aware",
     "train_regular",
@@ -92,6 +91,8 @@ class TrainingConfig:
             raise ValueError("hrs_fraction + lrs_fraction must be <= 1")
         object.__setattr__(self, "architecture", tuple(int(s) for s in self.architecture))
         object.__setattr__(self, "tile", tuple(int(s) for s in self.tile))
+        if len(self.tile) != 2:
+            raise ValueError(f"tile must be (rows, cols), got {self.tile}")
 
 
 @dataclass
@@ -145,11 +146,6 @@ def effective_net(net: nn.DenseNet, sample: EpsilonSample) -> nn.DenseNet:
         for layer, ew, eb in zip(net.layers, sample.weight_eps, sample.bias_eps)
     ]
     return nn.DenseNet(layers)
-
-
-def hw_forward(net: nn.DenseNet, sample: EpsilonSample, X):
-    """Forward pass through the noise-shifted weights."""
-    return nn.forward(effective_net(net, sample), X)
 
 
 def masked_backward(net: nn.DenseNet, cache, y, sample: EpsilonSample):

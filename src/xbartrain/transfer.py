@@ -32,7 +32,6 @@ __all__ = [
     "to_conductance",
     "from_conductance",
     "perturb_conductance",
-    "apply_stuck",
     "simulate_transfer",
     "layer_to_crossbar",
     "crossbar_to_layer",
@@ -231,35 +230,6 @@ def _stuck_components(shape, x: float, y: float, stuck_model: "StuckModel", rng:
     return stuck, values
 
 
-def _check_fractions(x: float, y: float):
-    if x < 0 or y < 0:
-        raise ValueError(f"stuck fractions must be >= 0, got x={x}, y={y}")
-    if x + y > 1:
-        raise ValueError(f"stuck fractions must satisfy x + y <= 1, got x={x}, y={y}")
-
-
-def apply_stuck(
-    g_plus, g_minus, x: float, y: float, model: "VariabilityModel", rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Substitute stuck devices into both polarity components.
-
-    Each component is independently stuck-at-HRS with probability ``x`` and
-    stuck-at-LRS with probability ``y`` (mutually exclusive).  Returns the
-    overwritten components and a weight-level mask that is true where
-    either component was substituted.  Selection is re-randomized per call.
-    """
-    _check_fractions(x, y)
-    g_plus = np.asarray(g_plus, dtype=float)
-    g_minus = np.asarray(g_minus, dtype=float)
-    mask_p, vals_p = _stuck_components(g_plus.shape, x, y, model.stuck_model, rng)
-    mask_m, vals_m = _stuck_components(g_minus.shape, x, y, model.stuck_model, rng)
-    return (
-        np.where(mask_p, vals_p, g_plus),
-        np.where(mask_m, vals_m, g_minus),
-        mask_p | mask_m,
-    )
-
-
 class TransferPlan:
     """The transfer pipeline for a fixed set of crossbars, ready to sample.
 
@@ -281,7 +251,10 @@ class TransferPlan:
     """
 
     def __init__(self, layouts, model: "VariabilityModel", x: float, y: float):
-        _check_fractions(x, y)
+        if x < 0 or y < 0:
+            raise ValueError(f"stuck fractions must be >= 0, got x={x}, y={y}")
+        if x + y > 1:
+            raise ValueError(f"stuck fractions must satisfy x + y <= 1, got x={x}, y={y}")
         model.check_finite()
         self.layouts = tuple(layouts)
         self.model = model

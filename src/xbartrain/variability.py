@@ -49,9 +49,6 @@ __all__ = [
     "shapiro_wilk",
     "fit_tuning_model",
     "build_bias_db",
-    "sample_bias",
-    "sample_stuck_hrs",
-    "sample_stuck_lrs",
     "save_model",
     "load_model",
     "make_synthetic_model",
@@ -81,10 +78,6 @@ class ConductanceRange:
             raise ValueError(
                 f"conductance range needs 0 < g_min < g_max, got [{self.g_min}, {self.g_max}]"
             )
-
-    @property
-    def span(self) -> float:
-        return self.g_max - self.g_min
 
 
 @dataclass(frozen=True)
@@ -185,9 +178,7 @@ class BiasDisturbanceDb:
             raise ValueError("bias disturbance database is empty")
         object.__setattr__(self, "groups", clean)
         keys = np.array(sorted(clean), dtype=int)
-        object.__setattr__(self, "_keys", keys)
         values = [np.array(clean[k], dtype=float) for k in keys]
-        object.__setattr__(self, "_values", values)
         # Boundary midpoints for nearest-key lookup; searchsorted with
         # side='left' sends exact midpoints to the smaller key.
         object.__setattr__(self, "_mids", (keys[:-1] + keys[1:]) / 2.0)
@@ -205,12 +196,6 @@ class BiasDisturbanceDb:
     def zero(cls) -> "BiasDisturbanceDb":
         """A database whose every draw is exactly zero (source disabled)."""
         return cls({0: (0.0,)})
-
-    def nearest_key(self, n_d: int) -> int:
-        if n_d < 0:
-            raise ValueError(f"n_d must be >= 0, got {n_d}")
-        idx = int(np.searchsorted(self._mids, n_d, side="left"))
-        return int(self._keys[idx])
 
     def sample_matrix(self, n_d, rng: np.random.Generator) -> np.ndarray:
         """Vectorized draw: one disturbance per entry of the n_d matrix.
@@ -516,24 +501,6 @@ def build_bias_db(records) -> BiasDisturbanceDb:
             f"no records within +/-{BIAS_DISTURBANCE_CAP_US} uS; cannot build a disturbance database"
         )
     return BiasDisturbanceDb({k: tuple(v) for k, v in groups.items()})
-
-
-def sample_bias(db: BiasDisturbanceDb, n_d: int, rng: np.random.Generator) -> float:
-    """One disturbance draw for a device with ``n_d`` devices programmed after it."""
-    if n_d < 0:
-        raise ValueError(f"n_d must be >= 0, got {n_d}")
-    if n_d == 0:
-        return 0.0
-    values = db.groups[db.nearest_key(n_d)]
-    return float(values[rng.integers(0, len(values))])
-
-
-def sample_stuck_hrs(model: StuckModel, rng: np.random.Generator, size=None):
-    return model.sample_hrs(rng, size=size)
-
-
-def sample_stuck_lrs(model: StuckModel, rng: np.random.Generator, size=None):
-    return model.sample_lrs(rng, size=size)
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,21 @@ class TestErrorPaths:
         assert rc == 2
         assert "unknown" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("update, key", [
+        ({"heatmap": [1]}, "heatmap"),
+        ({"dataset": "x"}, "dataset"),
+        ({"heatmap": {"extent": [1, 2]}}, "extent"),
+        ({"heatmap": {"repetition": 3}}, "repetition"),
+        ({"tile": [8]}, "tile"),
+    ])
+    def test_malformed_config_exits_2_and_names_key(self, tmp_path, capsys, update, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, **update)))
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path / "o")])
         assert rc == 2

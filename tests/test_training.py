@@ -10,7 +10,6 @@ from xbartrain.training import (
     SourceToggles,
     TrainingConfig,
     effective_net,
-    hw_forward,
     masked_backward,
     sample_epsilon,
     train_hardware_aware,
@@ -100,7 +99,7 @@ class TestHwForward:
         net = symmetric_net()
         X = np.random.default_rng(4).uniform(-1, 2, size=(16, 2))
         y_plain, _ = nn.forward(net, X)
-        y_hw, _ = hw_forward(net, zero_sample(net), X)
+        y_hw, _ = nn.forward(effective_net(net, zero_sample(net)), X)
         assert np.array_equal(y_plain, y_hw)
 
     def test_epsilon_cancelling_weights_gives_half(self):
@@ -108,7 +107,7 @@ class TestHwForward:
         sample = zero_sample(net)
         sample.weight_eps = [-l.weights for l in net.layers]
         sample.bias_eps = [-l.bias for l in net.layers]
-        y_hw, _ = hw_forward(net, sample, np.array([[0.2, -0.4]]))
+        y_hw, _ = nn.forward(effective_net(net, sample), np.array([[0.2, -0.4]]))
         assert np.all(y_hw == 0.5)
 
     def test_equivalent_to_shifted_net(self, synthetic_model):
@@ -116,7 +115,7 @@ class TestHwForward:
         sample = sample_epsilon(net, LAYOUTS, synthetic_model, 0.005, 0.005,
                                 np.random.default_rng(5))
         X = np.random.default_rng(6).uniform(-1, 2, size=(8, 2))
-        y_hw, _ = hw_forward(net, sample, X)
+        y_hw, _ = nn.forward(effective_net(net, sample), X)
         shifted = nn.DenseNet([
             nn.LayerParams(l.weights + ew, l.bias + eb)
             for l, ew, eb in zip(net.layers, sample.weight_eps, sample.bias_eps)
@@ -174,7 +173,7 @@ class TestMaskedBackward:
         grads = masked_backward(eff, cache, y, sample)
 
         def loss_at(phi_net):
-            out, _ = hw_forward(phi_net, sample, X)
+            out, _ = nn.forward(effective_net(phi_net, sample), X)
             return nn.bce_loss(out, y)
 
         h = 1e-5

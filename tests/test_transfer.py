@@ -6,7 +6,6 @@ from xbartrain.transfer import (
     TileLayout,
     TransferPlan,
     WeightRangeSnapshot,
-    apply_stuck,
     crossbar_to_layer,
     from_conductance,
     layer_to_crossbar,
@@ -222,45 +221,56 @@ class TestPerturbConductance:
 
 
 class TestApplyStuck:
+    """Stuck substitution, seen through one plan draw of one matrix."""
+
+    @staticmethod
+    def transfer(shape, model, x, y, seed):
+        phi = symmetric_matrix(shape, seed=0)
+        plan = TransferPlan([TileLayout.for_weight_matrix(*shape)], model, x, y)
+        outcome = plan.sample_matrix(phi, 0, 1, np.random.default_rng(seed))
+        return phi, outcome.phi_prime[0], outcome.stuck_mask[0]
+
     def test_identity_when_disabled(self):
-        model = model_with()
-        g = np.full((10, 10), 250.0)
-        gp, gm, mask = apply_stuck(g, g, 0.0, 0.0, model, np.random.default_rng(0))
-        assert np.array_equal(gp, g) and np.array_equal(gm, g)
+        phi, phi_prime, mask = self.transfer((10, 10), model_with(), 0.0, 0.0, seed=0)
+        snap = WeightRangeSnapshot.of_matrix(phi)
+        plus, minus = split_signed(phi)
+        unstuck = from_conductance(
+            to_conductance(plus, snap, RANGE), to_conductance(minus, snap, RANGE), snap, RANGE
+        )
+        assert np.array_equal(phi_prime, unstuck)
         assert not mask.any()
 
     def test_certain_hrs(self):
-        model = model_with()
-        g = np.full((20, 20), 250.0)
-        gp, gm, mask = apply_stuck(g, g, 1.0, 0.0, model, np.random.default_rng(1))
+        phi, phi_prime, mask = self.transfer((20, 20), model_with(), 1.0, 0.0, seed=1)
+        snap = WeightRangeSnapshot.of_matrix(phi)
         assert mask.all()
-        for arr in (gp, gm):
-            assert arr.min() >= 10.0 and arr.max() <= 100.0
+        # Both components lie in [10, 100] uS, so their difference in [-90, 90].
+        assert phi_prime.min() >= from_conductance(10.0, 100.0, snap, RANGE)
+        assert phi_prime.max() <= from_conductance(100.0, 10.0, snap, RANGE)
 
     def test_certain_lrs_uses_lrs_list(self):
-        model = model_with(stuck=StuckModel(10.0, 100.0, (800.0, 1100.0)))
-        g = np.full((20, 20), 250.0)
-        gp, _, mask = apply_stuck(g, g, 0.0, 1.0, model, np.random.default_rng(2))
+        lrs = (800.0, 1100.0)
+        model = model_with(stuck=StuckModel(10.0, 100.0, lrs))
+        phi, phi_prime, mask = self.transfer((20, 20), model, 0.0, 1.0, seed=2)
+        snap = WeightRangeSnapshot.of_matrix(phi)
         assert mask.all()
-        assert set(np.unique(gp)) <= {800.0, 1100.0}
+        image = [from_conductance(gp, gm, snap, RANGE) for gp in lrs for gm in lrs]
+        assert np.isin(phi_prime, image).all()
 
     def test_mask_frequency_matches_binomial(self):
-        model = model_with()
         x = y = 0.005
-        g = np.full((400, 250), 250.0)  # 1e5 weights
-        _, _, mask = apply_stuck(g, g, x, y, model, np.random.default_rng(3))
+        _, _, mask = self.transfer((400, 250), model_with(), x, y, seed=3)  # 1e5 weights
         p = 1.0 - (1.0 - (x + y)) ** 2
         se = np.sqrt(p * (1 - p) / mask.size)
         assert abs(mask.mean() - p) < 3 * se
 
     def test_invalid_fractions(self):
         model = model_with()
-        g = np.full((2, 2), 250.0)
-        rng = np.random.default_rng(0)
+        layouts = [TileLayout.for_weight_matrix(2, 2)]
         with pytest.raises(ValueError):
-            apply_stuck(g, g, 0.7, 0.4, model, rng)
+            TransferPlan(layouts, model, 0.7, 0.4)
         with pytest.raises(ValueError):
-            apply_stuck(g, g, -0.1, 0.0, model, rng)
+            TransferPlan(layouts, model, -0.1, 0.0)
 
 
 class TestSimulateTransfer:

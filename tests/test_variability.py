@@ -21,9 +21,6 @@ from xbartrain.variability import (
     read_bias_csv,
     read_stuck_csv,
     read_tuning_csv,
-    sample_bias,
-    sample_stuck_hrs,
-    sample_stuck_lrs,
     save_model,
     shapiro_wilk,
 )
@@ -229,25 +226,24 @@ class TestBiasDb:
     def test_last_device_sees_no_disturbance(self):
         db = build_bias_db([(0, 3.0), (1, -4.0)])
         rng = np.random.default_rng(0)
-        assert all(sample_bias(db, 0, rng) == 0.0 for _ in range(100))
+        assert np.all(db.sample_matrix(np.zeros(100, dtype=int), rng) == 0.0)
 
     def test_singleton_draw(self):
         db = BiasDisturbanceDb({1: (-3.0,)})
-        assert sample_bias(db, 1, np.random.default_rng(0)) == -3.0
+        assert db.sample_matrix(np.array([1]), np.random.default_rng(0))[0] == -3.0
 
-    def test_nearest_key_fallback(self):
+    def test_nearest_group_fallback(self):
         db = BiasDisturbanceDb({1: (-3.0,)})
-        assert sample_bias(db, 7, np.random.default_rng(0)) == -3.0
+        assert db.sample_matrix(np.array([7]), np.random.default_rng(0))[0] == -3.0
         tie = BiasDisturbanceDb({1: (10.0,), 3: (20.0,)})
         # n_d=2 is equidistant; ties resolve toward the smaller key.
-        assert tie.nearest_key(2) == 1
-        assert tie.nearest_key(5) == 3
-        assert sample_bias(tie, 2, np.random.default_rng(0)) == 10.0
+        draws = tie.sample_matrix(np.array([2, 5]), np.random.default_rng(0))
+        assert np.array_equal(draws, [10.0, 20.0])
 
     def test_negative_n_d_raises(self):
         db = BiasDisturbanceDb({1: (0.0,)})
         with pytest.raises(ValueError):
-            sample_bias(db, -1, np.random.default_rng(0))
+            db.sample_matrix(np.array([-1]), np.random.default_rng(0))
 
     def test_matrix_sampling_matches_groups(self):
         db = BiasDisturbanceDb({1: (-1.0, -2.0), 5: (4.0,)})
@@ -284,19 +280,19 @@ class TestBiasDb:
 class TestStuckSamplers:
     def test_hrs_uniform_bounds_and_mean(self):
         model = StuckModel(lrs_samples=(900.0,))
-        draws = sample_stuck_hrs(model, np.random.default_rng(0), size=100_000)
+        draws = model.sample_hrs(np.random.default_rng(0), size=100_000)
         assert draws.min() >= 10.0 and draws.max() <= 100.0
         se_mean = (90.0 / np.sqrt(12.0)) / np.sqrt(draws.size)
         assert abs(draws.mean() - 55.0) < 3 * se_mean
 
     def test_lrs_singleton_is_constant(self):
         model = StuckModel(lrs_samples=(900.0,))
-        draws = sample_stuck_lrs(model, np.random.default_rng(1), size=1000)
+        draws = model.sample_lrs(np.random.default_rng(1), size=1000)
         assert np.all(draws == 900.0)
 
     def test_lrs_two_values_resampled_evenly(self):
         model = StuckModel(lrs_samples=(500.0, 1000.0))
-        draws = sample_stuck_lrs(model, np.random.default_rng(2), size=100_000)
+        draws = model.sample_lrs(np.random.default_rng(2), size=100_000)
         assert np.mean(draws == 500.0) == pytest.approx(0.5, abs=0.01)
         assert np.mean(draws == 1000.0) == pytest.approx(0.5, abs=0.01)
 

@@ -278,6 +278,13 @@ class ExperimentConfig:
     heatmap_repetitions: int = 1000
     threads: int = 1
 
+    def __post_init__(self):
+        counts = {"transfers": self.transfers, "threads": self.threads,
+                  "heatmap.repetitions": self.heatmap_repetitions}
+        for key, value in counts.items():
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
+
     def resolve_model(self) -> VariabilityModel:
         if self.model_path is None:
             return make_synthetic_model(self.model_seed)
@@ -287,37 +294,65 @@ class ExperimentConfig:
         return load_model(path)
 
 
+def _integer(value) -> int:
+    """A JSON integer (an integral float such as 5.0 included); no bool."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    """A JSON number; no bool, no string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _integers(value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of integers, got {value!r}")
+    return tuple(map(_integer, value))
+
+
 # Each config section is a table of config key -> (dataclass field,
 # conversion).  Keys a config leaves out keep their dataclass defaults.  A
 # tuple of fields takes a list with one value per field.
 _TRAINING = {
-    "architecture": ("architecture", tuple),
-    "batch_size": ("batch_size", int),
-    "learning_rate": ("lr", float),
-    "epochs": ("epochs", int),
-    "hrs_fraction": ("hrs_fraction", float),
-    "lrs_fraction": ("lrs_fraction", float),
-    "seed": ("seed", int),
-    "tile": ("tile", tuple),
+    "architecture": ("architecture", _integers),
+    "batch_size": ("batch_size", _integer),
+    "learning_rate": ("lr", _real),
+    "epochs": ("epochs", _integer),
+    "hrs_fraction": ("hrs_fraction", _real),
+    "lrs_fraction": ("lrs_fraction", _real),
+    "seed": ("seed", _integer),
+    "tile": ("tile", _integers),
 }
 _EXPERIMENT = {
     "model_path": ("model_path", lambda value: value),
-    "model_seed": ("model_seed", int),
-    "transfers": ("transfers", int),
-    "threads": ("threads", int),
+    "model_seed": ("model_seed", _integer),
+    "transfers": ("transfers", _integer),
+    "threads": ("threads", _integer),
 }
-_SOURCES = {"tuning": ("tuning", bool), "bias": ("bias", bool), "stuck": ("stuck", bool)}
+_SOURCES = {key: (key, _boolean) for key in ("tuning", "bias", "stuck")}
 _DATASET = {
-    "n_train": ("n_train", int),
-    "n_test": ("n_test", int),
-    "noise_std": ("noise_std", float),
+    "n_train": ("n_train", _integer),
+    "n_test": ("n_test", _integer),
+    "noise_std": ("noise_std", _real),
 }
 _GRID = {
-    "extent": (("x_min", "x_max", "y_min", "y_max"), float),
-    "nx": ("nx", int),
-    "ny": ("ny", int),
+    "extent": (("x_min", "x_max", "y_min", "y_max"), _real),
+    "nx": ("nx", _integer),
+    "ny": ("ny", _integer),
 }
-_HEATMAP = {"repetitions": ("heatmap_repetitions", int)}
+_HEATMAP = {"repetitions": ("heatmap_repetitions", _integer)}
 _SECTIONS = ("sources", "dataset", "heatmap")
 
 

@@ -46,7 +46,7 @@ class LayerParams:
             raise ValueError(
                 f"bias length {self.bias.shape[0]} != fan_out {self.weights.shape[0]}"
             )
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise ValueError("layer parameters must be finite")
 
     def copy(self) -> "LayerParams":
@@ -130,38 +130,65 @@ def backward(net: DenseNet, cache: list[np.ndarray], y) -> list[tuple[np.ndarray
 
 @dataclass
 class AdamState:
-    """Standard Adam accumulators with bias correction."""
+    """Standard Adam accumulators with bias correction, kept as flat vectors.
+
+    ``params`` holds every parameter of the net in layer order (weights
+    row-major, then bias); the net's weight and bias arrays are views into
+    it, so :func:`adam_step` updates them all with whole-vector operations.
+    ``m`` and ``v`` are laid out the same way.
+    """
 
     lr: float = 0.01
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    v: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    params: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
     def for_net(cls, net: DenseNet, **hyperparameters) -> "AdamState":
-        """Zeroed accumulators for ``net``; unset hyperparameters keep their defaults."""
-        zeros = lambda l: (np.zeros_like(l.weights), np.zeros_like(l.bias))
-        return cls(m=[zeros(l) for l in net.layers], v=[zeros(l) for l in net.layers],
-                   **hyperparameters)
+        """Zeroed accumulators for ``net``, whose parameter arrays become
+        views into the state's ``params``; unset hyperparameters keep their
+        defaults."""
+        state = cls(**hyperparameters)
+        state._adopt(net)
+        state.m = np.zeros_like(state.params)
+        state.v = np.zeros_like(state.params)
+        return state
+
+    def _adopt(self, net: DenseNet) -> None:
+        """Copy the parameters of ``net`` into a new ``params`` vector and
+        rebind the net's arrays to views of it."""
+        self.params = np.concatenate([a.ravel() for l in net.layers for a in (l.weights, l.bias)])
+        start = 0
+        for layer in net.layers:
+            for name in ("weights", "bias"):
+                arr = getattr(layer, name)
+                setattr(layer, name, self.params[start : start + arr.size].reshape(arr.shape))
+                start += arr.size
 
 
 def adam_step(net: DenseNet, grads, state: AdamState) -> DenseNet:
-    """One in-place Adam update of every parameter."""
+    """One in-place Adam update of every parameter.
+
+    ``net`` is updated through ``state.params``; a net whose arrays are not
+    views into it (another net, or arrays replaced since) is adopted first.
+    """
+    if not all(l.weights.base is state.params and l.bias.base is state.params for l in net.layers):
+        state._adopt(net)
+    g = np.concatenate([a.ravel() for pair in grads for a in pair])
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    for layer, (gw, gb), mom, var in zip(net.layers, grads, state.m, state.v):
-        for param, g, m, v in ((layer.weights, gw, mom[0], var[0]),
-                               (layer.bias, gb, mom[1], var[1])):
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            param -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
+    state.params -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
     return net
 
 

@@ -20,7 +20,6 @@ from .transfer import (
     TileLayout,
     TransferPlan,
     WeightRangeSnapshot,
-    crossbar_to_layer,
     layer_to_crossbar,
     layouts_for_architecture,
 )
@@ -90,6 +89,10 @@ class TrainingConfig:
         if self.hrs_fraction + self.lrs_fraction > 1:
             raise ValueError("hrs_fraction + lrs_fraction must be <= 1")
         object.__setattr__(self, "architecture", tuple(int(s) for s in self.architecture))
+        arch = self.architecture
+        # One sigmoid output: the loss is binary cross-entropy.
+        if len(arch) < 2 or min(arch) < 1 or arch[-1] != 1:
+            raise ValueError(f"architecture must be positive sizes ending in 1, got {list(arch)}")
         object.__setattr__(self, "tile", tuple(int(s) for s in self.tile))
         if len(self.tile) != 2:
             raise ValueError(f"tile must be (rows, cols), got {self.tile}")
@@ -101,7 +104,8 @@ class EpsilonSample:
 
     ``weight_eps[l] + layer.weights`` equals the transferred weights, i.e.
     the stored term is (phi' - phi); adding it in the forward pass
-    reproduces phi' while gradients bypass it entirely.
+    reproduces phi' while gradients bypass it entirely.  A drawn sample
+    holds views of its layers' crossbar-shaped arrays.
     """
 
     weight_eps: list[np.ndarray]
@@ -121,22 +125,25 @@ def sample_epsilon(
 ) -> EpsilonSample:
     """Simulate one transfer of every layer (bias row included) and return
     the additive noise relative to the current weights."""
-    return _epsilon(net, TransferPlan(layouts, model, x, y), rng)
+    return _epsilon(net, TransferPlan(layouts, model, x, y), rng)[0]
 
 
-def _epsilon(net: nn.DenseNet, plan: TransferPlan, rng: np.random.Generator) -> EpsilonSample:
-    weight_eps, bias_eps, weight_mask, bias_mask, snapshots = [], [], [], [], []
-    for k, layer in enumerate(net.layers):
+def _epsilon(net: nn.DenseNet, plan: TransferPlan, rng: np.random.Generator):
+    """One transfer of every layer as an EpsilonSample of views, and
+    whether any device of it is stuck."""
+    sample = EpsilonSample([], [], [], [], [])
+    noise = plan.draw(1, rng)
+    for layer, layer_noise in zip(net.layers, noise):
         aug = layer_to_crossbar(layer.weights, layer.bias)
-        snapshots.append(WeightRangeSnapshot.of_matrix(aug))
-        outcome = plan.sample_matrix(aug, k, 1, rng)
-        eps_w, eps_b = crossbar_to_layer(outcome.phi_prime[0] - aug)
-        mask_w, mask_b = crossbar_to_layer(outcome.stuck_mask[0])
-        weight_eps.append(eps_w)
-        bias_eps.append(eps_b)
-        weight_mask.append(mask_w)
-        bias_mask.append(mask_b)
-    return EpsilonSample(weight_eps, bias_eps, weight_mask, bias_mask, snapshots)
+        outcome = plan.apply(aug, layer_noise)
+        eps = outcome.phi_prime[0] - aug
+        mask = outcome.stuck_mask[0]
+        sample.weight_eps.append(eps[:-1].T)
+        sample.bias_eps.append(eps[-1])
+        sample.weight_mask.append(mask[:-1].T)
+        sample.bias_mask.append(mask[-1])
+        sample.snapshots.append(outcome.snapshot)
+    return sample, any(layer_noise.n_stuck for layer_noise in noise)
 
 
 def effective_net(net: nn.DenseNet, sample: EpsilonSample) -> nn.DenseNet:
@@ -175,9 +182,10 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def _train(config: TrainingConfig, train_set, sampler, batch_hook):
-    """Shared loop.  ``sampler`` draws an EpsilonSample per batch, or is
-    None for plain training (also used when every source is disabled, which
-    makes the noisy loop degenerate to the plain one exactly)."""
+    """Shared loop.  ``sampler`` draws ``(EpsilonSample, any stuck)`` per
+    batch, or is None for plain training (also used when every source is
+    disabled, which makes the noisy loop degenerate to the plain one
+    exactly)."""
     X = np.asarray(train_set.points, dtype=float)
     labels = np.asarray(train_set.labels, dtype=float)
     if X.shape[0] == 0:
@@ -194,11 +202,14 @@ def _train(config: TrainingConfig, train_set, sampler, batch_hook):
                 sample = None
                 grads = nn.backward(net, cache, yb)
             else:
-                sample = sampler(net)
+                sample, stuck = sampler(net)
                 eff = effective_net(net, sample)
                 y_hat, cache = nn.forward(eff, Xb)
                 loss = nn.bce_loss(y_hat, yb)
-                grads = masked_backward(eff, cache, yb, sample)
+                if stuck:
+                    grads = masked_backward(eff, cache, yb, sample)
+                else:
+                    grads = nn.backward(eff, cache, yb)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"training diverged: non-finite loss at epoch {epoch}, batch {step}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .variability import ConductanceRange
 
 if TYPE_CHECKING:  # pragma: no cover
     from .nn import DenseNet
-    from .variability import BiasLookup, StuckModel, VariabilityModel
+    from .variability import VariabilityModel
 
 __all__ = [
     "ConductanceRange",
@@ -28,6 +28,7 @@ __all__ = [
     "TileLayout",
     "TransferOutcome",
     "TransferPlan",
+    "TransferNoise",
     "split_signed",
     "to_conductance",
     "from_conductance",
@@ -125,10 +126,12 @@ def _nd_grid(n_rows: int, n_cols: int, tile_rows: int, tile_cols: int) -> np.nda
 @dataclass(frozen=True)
 class TransferOutcome:
     """Simulated transfers of one matrix: perturbed weights and the stuck
-    positions, shaped like the matrix, or ``(n, *shape)`` for ``n`` draws."""
+    positions, shaped like the matrix, or ``(n, *shape)`` for ``n`` draws,
+    and the weight range the conversion used."""
 
     phi_prime: np.ndarray
     stuck_mask: np.ndarray
+    snapshot: WeightRangeSnapshot | None = None
 
     def __post_init__(self):
         if self.phi_prime.shape != self.stuck_mask.shape:
@@ -194,40 +197,42 @@ def perturb_conductance(g, n_d, model: "VariabilityModel", rng: np.random.Genera
         raise ValueError(
             f"target conductances must lie within [{model.range.g_min}, {model.range.g_max}] uS"
         )
-    return _perturb(g, model.bias_db.lookup(n_d), model, 1, rng)[0]
+    normals = rng.standard_normal((2, *g.shape))
+    return _perturb(g, normals[0], normals[1], model.bias_db.lookup(n_d).sample(rng)[0], model)
 
 
-def _perturb(g, bias: "BiasLookup", model: "VariabilityModel", n: int, rng: np.random.Generator):
-    """``n`` noisy copies of ``g``, shape ``(n, *g.shape)``; draws z1, z2,
-    then the disturbance picks."""
-    shape = (n, *g.shape)
+def _perturb(g, tuning, offset, disturbance, model: "VariabilityModel"):
+    """Noisy copies of the targets ``g`` from standard-normal ``tuning`` and
+    ``offset`` draws and ``disturbance`` values (broadcast against ``g``)."""
     noisy = (
         g
-        + rng.standard_normal(shape) * model.std_model.abs_std(g)
+        + tuning * model.std_model.abs_std(g)
         + model.offset_model.abs_mu(g)
-        + rng.standard_normal(shape) * model.offset_model.abs_sigma(g)
-        + bias.sample(rng, n)
+        + offset * model.offset_model.abs_sigma(g)
+        + disturbance
     )
-    return np.maximum(noisy, 0.0)
+    return np.maximum(noisy, 0.0, out=noisy)
 
 
-def _stuck_components(shape, x: float, y: float, stuck_model: "StuckModel", rng: np.random.Generator):
-    """Select and draw stuck values for one polarity: (mask, values).
+# Multiplies a matrix into its (plus, minus) components before clamping at 0.
+_POLARITY = np.array([1.0, -1.0])[:, None, None]
 
-    HRS is ``u < x`` and LRS is ``x <= u < x + y``; as ``x <= x + y``, the
-    stuck mask is ``u < x + y`` and LRS is the mask without HRS.
-    """
-    u = rng.random(shape)
-    hrs = u < x
-    stuck = u < x + y
-    values = np.zeros(shape)
-    n_hrs = np.count_nonzero(hrs)
-    n_lrs = np.count_nonzero(stuck) - n_hrs
-    if n_hrs:
-        values[hrs] = stuck_model.sample_hrs(rng, size=n_hrs)
-    if n_lrs:
-        values[stuck ^ hrs] = stuck_model.sample_lrs(rng, size=n_lrs)
-    return stuck, values
+
+class TransferNoise(NamedTuple):
+    """The weight-independent draws of ``n`` transfers of the crossbar
+    matrix on layout ``k``.  Every array stacks the plus then the minus
+    components on axis 0: ``stuck`` and ``stuck_values`` are
+    ``(2, n, rows, cols)``, ``normals`` is ``(2, 2, n, rows, cols)`` with
+    the tuning then the offset normals on axis 1, and ``disturbance`` holds
+    the biasing-disturbance values.  ``n_stuck`` counts the stuck devices;
+    when it is 0, ``stuck_values`` is None."""
+
+    k: int
+    stuck: np.ndarray
+    stuck_values: np.ndarray | None
+    n_stuck: int
+    normals: np.ndarray
+    disturbance: np.ndarray
 
 
 class TransferPlan:
@@ -236,18 +241,22 @@ class TransferPlan:
     Built once per ``(layouts, model, x, y)``: the stuck fractions and the
     finiteness of the model are checked and every layout's n_d matrices are
     resolved against the bias database here, so sampling repeats none of
-    that.  Drawing is vectorized over transfers: :meth:`sample` returns
-    ``n`` whole-network transfers as ``(n, fan_in + 1, fan_out)`` stacks
-    per layer.
+    that.  Sampling is split in two: :meth:`draw` makes every random draw,
+    none of which depends on the weights, and :meth:`apply` combines one
+    layer's draws with its weights.  Both are vectorized over transfers, so
+    :meth:`sample` (``apply`` of ``draw``) returns ``n`` whole-network
+    transfers as ``(n, fan_in + 1, fan_out)`` stacks per layer.
 
-    Stream contract: each layer draws, in layer order, the stuck selection
-    and values of the plus then the minus components, then the tuning
-    normal, offset normal and disturbance picks of the plus then the minus
-    components.  With ``n = 1`` this consumes the generator exactly as the
-    per-matrix pipeline always has, so training draws (one transfer per
-    batch) are unchanged.  With ``n > 1`` each draw is made for all ``n``
-    transfers at once, so the result is a different Monte-Carlo sample than
-    ``n`` successive single transfers from the same generator.
+    Stream contract: :meth:`draw` draws layer by layer.  For each layer it
+    draws the stuck uniforms, HRS values and LRS values of the plus then
+    the minus components; then, again plus then minus, the tuning and
+    offset normals (one call of twice the size, which yields the bits of
+    two calls) and the disturbance picks.  With ``n = 1`` this
+    consumes the generator exactly as the per-matrix pipeline always has,
+    so training draws (one transfer per batch) are unchanged.  With
+    ``n > 1`` each draw is made for all ``n`` transfers at once, so the
+    result is a different Monte-Carlo sample than ``n`` successive single
+    transfers from the same generator.
     """
 
     def __init__(self, layouts, model: "VariabilityModel", x: float, y: float):
@@ -272,39 +281,73 @@ class TransferPlan:
         if len(net.layers) != len(self.layouts):
             raise ValueError(f"{len(net.layers)} layers but {len(self.layouts)} layouts")
         return [
-            self.sample_matrix(layer_to_crossbar(layer.weights, layer.bias), k, n, rng)
-            for k, layer in enumerate(net.layers)
+            self.apply(layer_to_crossbar(layer.weights, layer.bias), noise)
+            for layer, noise in zip(net.layers, self.draw(n, rng))
         ]
 
     def sample_matrix(self, phi, k: int, n: int, rng: np.random.Generator) -> TransferOutcome:
-        """``n`` simulated transfers of one crossbar matrix onto layout ``k``.
+        """``n`` simulated transfers of one crossbar matrix onto layout ``k``."""
+        return self.apply(phi, self._draw_layer(k, n, rng))
 
-        split -> to_conductance -> stuck substitution -> tuning/bias noise
-        -> from_conductance.  Stuck components keep their substituted
-        values and are exempt from the tuning and disturbance noise (a
-        stuck device is never tuned).
+    def draw(self, n: int, rng: np.random.Generator) -> list[TransferNoise]:
+        """The draws of ``n`` transfers of every layer, in layer order."""
+        return [self._draw_layer(k, n, rng) for k in range(len(self.layouts))]
+
+    def _draw_layer(self, k: int, n: int, rng: np.random.Generator) -> TransferNoise:
+        """The draws of ``n`` transfers of the matrix on layout ``k``.
+
+        A component is stuck where its uniform ``u < x + y``: in HRS where
+        ``u < x`` and in LRS otherwise.
         """
-        layout = self.layouts[k]
+        shape = (n, *self.layouts[k].weight_shape)
+        stuck_model = self.model.stuck_model
+        stuck = np.empty((2, *shape), dtype=bool)
+        values = None
+        n_stuck = 0
+        for pol in range(2):
+            u = rng.random(shape)
+            count = np.count_nonzero(np.less(u, self.x + self.y, out=stuck[pol]))
+            if count:
+                hrs = u < self.x
+                n_hrs = np.count_nonzero(hrs)
+                if values is None:
+                    values = np.zeros(stuck.shape)
+                if n_hrs:
+                    values[pol][hrs] = stuck_model.sample_hrs(rng, size=n_hrs)
+                if count - n_hrs:
+                    values[pol][stuck[pol] ^ hrs] = stuck_model.sample_lrs(rng, size=count - n_hrs)
+                n_stuck += count
+        normals = np.empty((2, 2, *shape))
+        disturbance = np.empty((2, *shape))
+        for pol, bias in enumerate(self._bias[k]):
+            rng.standard_normal(out=normals[pol])
+            disturbance[pol] = bias.sample(rng, n)
+        return TransferNoise(k, stuck, values, n_stuck, normals, disturbance)
+
+    def apply(self, phi, noise: TransferNoise) -> TransferOutcome:
+        """The transfers of the crossbar matrix ``phi`` that ``noise`` draws.
+
+        split -> to_conductance -> tuning/bias noise -> stuck substitution
+        -> from_conductance, on the plus and minus components stacked.
+        Stuck components keep their substituted values and are exempt from
+        the tuning and disturbance noise (a stuck device is never tuned).
+        """
         phi = np.asarray(phi, dtype=float)
-        if phi.shape != layout.weight_shape:
-            raise ValueError(f"phi shape {phi.shape} does not match layout {layout.weight_shape}")
-        model = self.model
+        if phi.shape != self.layouts[noise.k].weight_shape:
+            raise ValueError(
+                f"phi shape {phi.shape} does not match layout {self.layouts[noise.k].weight_shape}"
+            )
+        crange = self.model.range
         snap = WeightRangeSnapshot.of_matrix(phi)
-        plus, minus = split_signed(phi)
-        g_plus = _scale(plus, snap, model.range)
-        g_minus = _scale(minus, snap, model.range)
-
-        shape = (n, *phi.shape)
-        mask_p, vals_p = _stuck_components(shape, self.x, self.y, model.stuck_model, rng)
-        mask_m, vals_m = _stuck_components(shape, self.x, self.y, model.stuck_model, rng)
-        bias_p, bias_m = self._bias[k]
-        noisy_p = _perturb(g_plus, bias_p, model, n, rng)
-        noisy_m = _perturb(g_minus, bias_m, model, n, rng)
-
-        final_p = np.where(mask_p, vals_p, noisy_p)
-        final_m = np.where(mask_m, vals_m, noisy_m)
-        phi_prime = _unscale(final_p, final_m, snap, model.range)
-        return TransferOutcome(phi_prime=phi_prime, stuck_mask=mask_p | mask_m)
+        g = _scale(np.maximum(_POLARITY * phi, 0.0), snap, crange)[:, None]
+        final = _perturb(g, noise.normals[:, 0], noise.normals[:, 1], noise.disturbance, self.model)
+        if noise.n_stuck:
+            final = np.where(noise.stuck, noise.stuck_values, final)
+        return TransferOutcome(
+            phi_prime=_unscale(final[0], final[1], snap, crange),
+            stuck_mask=noise.stuck[0] | noise.stuck[1],
+            snapshot=snap,
+        )
 
 
 def simulate_transfer(
@@ -316,9 +359,9 @@ def simulate_transfer(
     rng: np.random.Generator,
 ) -> TransferOutcome:
     """One Monte-Carlo draw of the full transfer pipeline for one matrix
-    (see :meth:`TransferPlan.sample_matrix`)."""
+    (see :meth:`TransferPlan.apply`)."""
     outcome = TransferPlan([layout], model, x, y).sample_matrix(phi, 0, 1, rng)
-    return TransferOutcome(phi_prime=outcome.phi_prime[0], stuck_mask=outcome.stuck_mask[0])
+    return TransferOutcome(outcome.phi_prime[0], outcome.stuck_mask[0], outcome.snapshot)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +372,8 @@ def simulate_transfer(
 def layer_to_crossbar(weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Arrange a dense layer as its crossbar matrix: inputs (plus a fixed
     bias line as the final input row) by outputs."""
-    return np.vstack([np.asarray(weights, dtype=float).T, np.asarray(bias, dtype=float)[None, :]])
+    weights = np.asarray(weights, dtype=float)
+    return np.concatenate([weights.T, np.asarray(bias, dtype=float)[None, :]])
 
 
 def crossbar_to_layer(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

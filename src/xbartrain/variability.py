@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -185,7 +184,8 @@ class BiasDisturbanceDb:
         lengths = np.array([len(v) for v in values], dtype=np.int64)
         # Row-padded matrix for one-gather sampling; the cyclic padding is
         # never selected because draws stay below the true group length.
-        table = np.empty((len(values), int(lengths.max())))
+        # The extra last row is all zero: n_d == 0 entries gather from it.
+        table = np.zeros((len(values) + 1, int(lengths.max())))
         for row, vals in enumerate(values):
             reps = -(-table.shape[1] // len(vals))
             table[row] = np.tile(vals, reps)[: table.shape[1]]
@@ -212,30 +212,34 @@ class BiasDisturbanceDb:
         if np.any(n_d < 0):
             raise ValueError("n_d entries must be >= 0")
         key_idx = np.searchsorted(self._mids, n_d, side="left")
-        return BiasLookup(self._table, key_idx, self._lengths[key_idx], n_d == 0)
+        # An n_d == 0 entry still draws its pick from its nearest group, so
+        # the stream does not depend on the zero entries, but it gathers
+        # from the all-zero last table row.
+        rows = np.where(n_d == 0, len(self._table) - 1, key_idx)
+        return BiasLookup(self._table, rows, self._lengths[key_idx])
 
 
 @dataclass(frozen=True)
 class BiasLookup:
     """A disturbance database resolved against one n_d matrix.
 
-    ``key_idx`` is the table row of each entry, ``lengths`` its group size
-    and ``zero`` marks the n_d == 0 entries, whose draws are exactly zero.
+    ``rows`` is the table row each entry gathers from (the all-zero row for
+    n_d == 0 entries, whose draws are exactly zero) and ``lengths`` the size
+    of the group its pick is drawn from.
     """
 
     table: np.ndarray
-    key_idx: np.ndarray
+    rows: np.ndarray
     lengths: np.ndarray
-    zero: np.ndarray
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """An ``(n, *shape)`` stack of ``n`` draws of one disturbance per
         entry; it consumes ``rng`` exactly as ``n`` single draws."""
-        # A stacked upper bound draws faster than integers(..., size=...).
-        picks = rng.integers(0, self.lengths[None].repeat(n, axis=0))
-        out = self.table[self.key_idx, picks]
-        out[:, self.zero] = 0.0
-        return out
+        # An upper bound of the output's shape draws faster than
+        # integers(..., size=...).
+        high = self.lengths[None]
+        picks = rng.integers(0, high if n == 1 else high.repeat(n, axis=0))
+        return self.table[self.rows, picks]
 
 
 @dataclass(frozen=True)
@@ -294,20 +298,26 @@ class VariabilityModel:
             )
 
     def check_finite(self) -> None:
-        """Raise ValueError naming the first sub-model with a non-finite
-        parameter.  Sampling assumes finite parameters and does not check
-        its draws."""
+        """Raise ValueError naming the first non-finite parameter.  Sampling
+        assumes finite parameters and does not check its draws."""
+        stuck = self.stuck_model
         scalars = {
-            "range": (self.range.g_min, self.range.g_max),
-            "std_model": (self.std_model.slope, self.std_model.intercept),
-            "offset_model": (self.offset_model.mu_off, self.offset_model.sigma_off),
-            "stuck_model": (self.stuck_model.hrs_low, self.stuck_model.hrs_high,
-                            *self.stuck_model.lrs_samples),
+            "range.g_min": self.range.g_min,
+            "range.g_max": self.range.g_max,
+            "std_model.slope": self.std_model.slope,
+            "std_model.intercept": self.std_model.intercept,
+            "offset_model.mu_off": self.offset_model.mu_off,
+            "offset_model.sigma_off": self.offset_model.sigma_off,
+            "stuck_model.hrs_low": stuck.hrs_low,
+            "stuck_model.hrs_high": stuck.hrs_high,
         }
-        for name, values in scalars.items():
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{name} parameters must be finite")
-        if not np.all(np.isfinite(self.bias_db._table)):
+        values = np.array([*scalars.values(), *stuck.lrs_samples])
+        finite = np.isfinite(values)
+        if not finite.all():
+            lrs = [f"stuck_model.lrs_samples[{i}]" for i in range(len(stuck.lrs_samples))]
+            first = int(np.argmin(finite))
+            raise ValueError(f"{[*scalars, *lrs][first]} must be finite, got {values[first]}")
+        if not np.isfinite(self.bias_db._table).all():
             raise ValueError("bias_db disturbances must be finite")
 
 
@@ -579,7 +589,7 @@ def load_model(path) -> VariabilityModel:
         lrs = _require(stuck_sec, "lrs_samples", f"{ctx}: stuck_model")
         if not isinstance(lrs, list) or not lrs:
             raise ModelFormatError(f"{ctx}: stuck_model.lrs_samples must be a non-empty list")
-        return VariabilityModel(
+        model = VariabilityModel(
             std_model=LinearStdModel(
                 _number(std_sec, "slope", f"{ctx}: std_model"),
                 _number(std_sec, "intercept", f"{ctx}: std_model"),
@@ -599,6 +609,8 @@ def load_model(path) -> VariabilityModel:
                 _number(rng_sec, "g_max", f"{ctx}: range"),
             ),
         )
+        model.check_finite()
+        return model
     except ModelFormatError:
         raise
     except (TypeError, ValueError) as exc:

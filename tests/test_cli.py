@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from xbartrain import nn
+from xbartrain import cli, experiments, nn
 from xbartrain.cli import main
 from xbartrain.variability import load_model
 
@@ -179,6 +179,40 @@ class TestErrorPaths:
         assert rc == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.fixture
+    def trained(self, monkeypatch):
+        """Records every training call instead of training."""
+        calls = []
+        for module in (cli, experiments):
+            monkeypatch.setattr(module, "train_hardware_aware", lambda *a, **k: calls.append("ha"))
+            monkeypatch.setattr(module, "train_regular", lambda *a, **k: calls.append("regular"))
+        return calls
+
+    @pytest.mark.parametrize("update, key", [
+        ({"transfers": 0}, "transfers"),
+        ({"heatmap": {"repetitions": 0}}, "heatmap.repetitions"),
+        ({"threads": 0}, "threads"),
+        ({"architecture": [2, 8, 3]}, "architecture"),
+        ({"sources": {"tuning": "false"}}, "tuning"),
+        ({"epochs": 1.7}, "epochs"),
+    ])
+    def test_invalid_value_exits_2_before_training(self, tmp_path, capsys, trained, update, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, **update)))
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert trained == []
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_transfers_override_exits_2_before_training(self, config_path, tmp_path, capsys,
+                                                              trained):
+        rc = main(["run", "--config", str(config_path), "--transfers", "0",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "transfers" in capsys.readouterr().err
+        assert trained == []
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path / "o")])

@@ -237,6 +237,36 @@ class TestConfig:
         with pytest.raises(ConfigError):
             experiment_config_from_dict({"batch_size": "many"})
 
+    @pytest.mark.parametrize("doc, where", [
+        ({"sources": {"tuning": "false"}}, "sources: tuning"),
+        ({"sources": {"stuck": 0}}, "sources: stuck"),
+        ({"epochs": 1.7}, "epochs"),
+        ({"epochs": True}, "epochs"),
+        ({"batch_size": "64"}, "batch_size"),
+        ({"dataset": {"n_train": 87.5}}, "dataset: n_train"),
+        ({"heatmap": {"nx": False}}, "heatmap: nx"),
+        ({"architecture": [2, 8.5, 1]}, "architecture"),
+    ])
+    def test_scalars_are_not_coerced(self, doc, where):
+        with pytest.raises(ConfigError, match=f"config: {where}: expected"):
+            experiment_config_from_dict(doc)
+
+    def test_integral_numbers_and_booleans_accepted(self):
+        config = experiment_config_from_dict({"epochs": 5.0, "sources": {"bias": False}})
+        assert config.training.epochs == 5 and isinstance(config.training.epochs, int)
+        assert config.training.sources.bias is False
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"transfers": 0}, "transfers"),
+        ({"heatmap": {"repetitions": 0}}, "heatmap.repetitions"),
+        ({"threads": 0}, "threads"),
+        ({"architecture": [2, 8, 3]}, "architecture"),
+        ({"architecture": [2, 0, 1]}, "architecture"),
+    ])
+    def test_out_of_range_values_rejected(self, doc, key):
+        with pytest.raises(ConfigError, match=key):
+            experiment_config_from_dict(doc)
+
     def test_file_errors(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_experiment_config(tmp_path / "nope.json")

@@ -126,6 +126,58 @@ def reference_adam(params, grad_seq, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
     return theta
 
 
+def per_array_adam(net, grad_seq, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The in-place update of every weight and bias array in turn that
+    nn.adam_step's flat-vector update must reproduce bit for bit."""
+    m = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
+    v = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
+    for t, grads in enumerate(grad_seq, start=1):
+        c1 = 1.0 - beta1**t
+        c2 = 1.0 - beta2**t
+        for layer, (gw, gb), mom, var in zip(net.layers, grads, m, v):
+            for param, g, mm, vv in ((layer.weights, gw, mom[0], var[0]),
+                                     (layer.bias, gb, mom[1], var[1])):
+                mm *= beta1
+                mm += (1.0 - beta1) * g
+                vv *= beta2
+                vv += (1.0 - beta2) * g * g
+                param -= lr * (mm / c1) / (np.sqrt(vv / c2) + eps)
+    return net
+
+
+def random_grads(net, seed, steps):
+    rng = np.random.default_rng(seed)
+    return [[(rng.normal(size=l.weights.shape), rng.normal(size=l.bias.shape)) for l in net.layers]
+            for _ in range(steps)]
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("hyperparameters", [{}, {"lr": 0.05, "beta1": 0.8}])
+    def test_bitwise_equal_to_per_array_update(self, hyperparameters):
+        net = random_net(20, sizes=(2, 5, 3, 1))
+        grad_seq = random_grads(net, 21, 20)
+        expected = per_array_adam(net.copy(), grad_seq, **hyperparameters)
+        state = nn.AdamState.for_net(net, **hyperparameters)
+        for grads in grad_seq:
+            nn.adam_step(net, grads, state)
+        for a, b in zip(net.layers, expected.layers):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.bias.tobytes() == b.bias.tobytes()
+
+    def test_replaced_arrays_are_adopted(self):
+        net = random_net(22, sizes=(2, 5, 3, 1))
+        grad_seq = random_grads(net, 23, 6)
+        expected = per_array_adam(net.copy(), grad_seq)
+        state = nn.AdamState.for_net(net)
+        for step, grads in enumerate(grad_seq):
+            if step == 3:
+                net.layers[1].weights = net.layers[1].weights.copy()
+            nn.adam_step(net, grads, state)
+        for a, b in zip(net.layers, expected.layers):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.bias.tobytes() == b.bias.tobytes()
+
+
 class TestAdam:
     def _wrap(self, value):
         net = nn.DenseNet([nn.LayerParams(np.array([[value]]), np.array([0.0]))])

@@ -304,6 +304,38 @@ class TestTrainingLoops:
         assert smooth[-1] <= smooth[0]
 
 
+class TestGoldenTraining:
+    # sha256 of the trained parameters, recorded with the per-matrix
+    # transfer pipeline and per-array Adam update that the batched ones
+    # replaced (numpy 2.4.6, OpenBLAS, x86-64).  Any change of a bit of
+    # the training arithmetic or of a draw changes them.  Forward and
+    # backward use BLAS matmuls, so another BLAS build may round them
+    # differently.
+    SMALL = TrainingConfig(epochs=40, batch_size=32, seed=13)
+    STUCK_HEAVY = TrainingConfig(epochs=20, batch_size=32, seed=13, hrs_fraction=0.05,
+                                 lrs_fraction=0.05)
+
+    @staticmethod
+    def digest(net):
+        h = hashlib.sha256()
+        for layer in net.layers:
+            h.update(layer.weights.tobytes())
+            h.update(layer.bias.tobytes())
+        return h.hexdigest()
+
+    def test_hardware_aware(self, moons_split, synthetic_model):
+        net = train_hardware_aware(self.SMALL, moons_split[0], model=synthetic_model)
+        assert self.digest(net) == "b5573c1343d2ad7a932cea176c1ae9c74106893939fa3df089910654284f16dd"
+
+    def test_hardware_aware_stuck_heavy(self, moons_split, synthetic_model):
+        net = train_hardware_aware(self.STUCK_HEAVY, moons_split[0], model=synthetic_model)
+        assert self.digest(net) == "83d7b92f5527cc8ceb888c6f0059546090bd24cff2d8476a433757adcc27408b"
+
+    def test_regular(self, moons_split):
+        net = train_regular(self.SMALL, moons_split[0])
+        assert self.digest(net) == "9ee2c8ef232116cda92f36a795b8a82cff1569b9c7393b4a8b1a7656071349e9"
+
+
 class TestDeskScaleAccuracy:
     # Trained once per session (default config: 2-8-1, batch 256, lr 0.01,
     # synthetic variability model, half moons 875/200).

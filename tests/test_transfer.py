@@ -392,6 +392,29 @@ class TestTransferPlan:
         assert [o.phi_prime.shape for o in outcomes] == [(5, 3, 8), (5, 9, 1)]
         assert [o.stuck_mask.shape for o in outcomes] == [(5, 3, 8), (5, 9, 1)]
 
+    @pytest.mark.parametrize("n", [1, 32])
+    def test_sample_is_apply_of_draw(self, synthetic_model, n):
+        net = nn.DenseNet.init([2, 8, 1], np.random.default_rng(20))
+        plan = TransferPlan(layouts_for_architecture([2, 8, 1]), synthetic_model, 0.05, 0.05)
+        rng_a, rng_b = np.random.default_rng(21), np.random.default_rng(21)
+        sampled = plan.sample(net, n, rng_a)
+        noise = plan.draw(n, rng_b)
+        assert sum(layer_noise.n_stuck for layer_noise in noise) > 0
+        for layer, layer_noise, a in zip(net.layers, noise, sampled):
+            b = plan.apply(layer_to_crossbar(layer.weights, layer.bias), layer_noise)
+            assert a.phi_prime.tobytes() == b.phi_prime.tobytes()
+            assert a.stuck_mask.tobytes() == b.stuck_mask.tobytes()
+        assert rng_a.random() == rng_b.random()
+
+    def test_draws_do_not_depend_on_weights(self, synthetic_model):
+        plan = TransferPlan([self.LAYOUT], synthetic_model, 0.1, 0.1)
+        masks = [
+            plan.sample_matrix(np.random.default_rng(seed).normal(size=(3, 8)), 0, 4,
+                               np.random.default_rng(22)).stuck_mask
+            for seed in (23, 24)
+        ]
+        assert masks[0].any() and np.array_equal(masks[0], masks[1])
+
     def test_invalid_inputs(self, zero_model):
         with pytest.raises(ValueError):
             TransferPlan([self.LAYOUT], zero_model, 0.7, 0.4)

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,21 @@ class TestModelPersistence:
         doc["std_model"]["slope"] = "fast"
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="slope"):
+            load_model(path)
+
+    @pytest.mark.parametrize("section, key, value, field", [
+        ("stuck_model", "lrs_samples", [float("nan")], "stuck_model.lrs_samples[0]"),
+        ("std_model", "slope", float("nan"), "std_model.slope"),
+        ("offset_model", "mu_off", float("inf"), "offset_model.mu_off"),
+        ("stuck_model", "hrs_high", float("inf"), "stuck_model.hrs_high"),
+    ])
+    def test_non_finite_value_is_named(self, synthetic_model, tmp_path, section, key, value, field):
+        path = tmp_path / "model.json"
+        save_model(synthetic_model, path)
+        doc = json.loads(path.read_text())
+        doc[section][key] = value
+        path.write_text(json.dumps(doc))  # writes NaN / Infinity
+        with pytest.raises(ModelFormatError, match=re.escape(field)):
             load_model(path)
 
     def test_synthetic_default_validates(self):

@@ -11,7 +11,6 @@ import numpy as np
 
 from . import __version__, nn
 from .experiments import (
-    ConfigError,
     ExperimentConfig,
     evaluate_transfers,
     experiment_dataset,
@@ -30,7 +29,6 @@ from .training import train_hardware_aware, train_regular
 from .transfer import layouts_for_architecture
 from .variability import (
     ConductanceRange,
-    ModelFormatError,
     StuckModel,
     VariabilityModel,
     build_bias_db,
@@ -82,13 +80,13 @@ def cmd_fit_model(args) -> int:
     hrs, lrs = read_stuck_csv(args.stuck)
     if not lrs:
         raise ValueError(f"{args.stuck}: no LRS records; the LRS sampler needs at least one")
-    crange = ConductanceRange(args.g_min, args.g_max)
+    bounds = {"g_min": args.g_min, "g_max": args.g_max}
     model = VariabilityModel(
         std_model=std_model,
         offset_model=offset_model,
         bias_db=bias_db,
         stuck_model=StuckModel(lrs_samples=tuple(lrs)),
-        range=crange,
+        range=ConductanceRange(**{k: v for k, v in bounds.items() if v is not None}),
     )
     save_model(model, args.out)
     pvals = diag.shapiro_pvalues()
@@ -186,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuning", type=Path, required=True, help="device_id,g_target_uS,read_uS")
     p.add_argument("--bias", type=Path, required=True, help="n_d,delta_g_uS")
     p.add_argument("--stuck", type=Path, required=True, help="kind{HRS|LRS},g_uS")
-    p.add_argument("--g-min", type=float, default=100.0)
-    p.add_argument("--g-max", type=float, default=400.0)
+    p.add_argument("--g-min", type=float)
+    p.add_argument("--g-max", type=float)
     p.add_argument("--out", type=Path, required=True, help="output model JSON")
     p.set_defaults(func=cmd_fit_model)
 
@@ -224,7 +222,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ModelFormatError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-__all__ = ["LabeledSet", "make_half_moons", "save_csv", "load_csv"]
+__all__ = ["LabeledSet", "make_half_moons"]
 
 
 @dataclass(frozen=True)
@@ -67,24 +65,3 @@ def make_half_moons(n: int, noise_std: float = 0.1, seed: int = 0) -> LabeledSet
     perm = rng.permutation(n)
     return LabeledSet(pts[perm], labels[perm])
 
-
-def save_csv(dataset: LabeledSet, path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "label"])
-        for (px, py), label in zip(dataset.points, dataset.labels):
-            writer.writerow([repr(float(px)), repr(float(py)), int(label)])
-
-
-def load_csv(path) -> LabeledSet:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["x", "y", "label"]:
-            raise ValueError(f"{path}: expected header 'x,y,label', got {header!r}")
-        pts, labels = [], []
-        for row in reader:
-            pts.append((float(row[0]), float(row[1])))
-            labels.append(int(row[2]))
-    return LabeledSet(np.array(pts), np.array(labels))

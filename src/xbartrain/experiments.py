@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from . import nn
+from . import fields, nn
 from .datasets import LabeledSet, make_half_moons
 from .training import TrainingConfig, SourceToggles, train_hardware_aware, train_regular
 from .transfer import TileLayout, TransferOutcome, TransferPlan, layouts_for_architecture
@@ -280,138 +281,79 @@ class ExperimentConfig:
 
     def __post_init__(self):
         counts = {"transfers": self.transfers, "threads": self.threads,
-                  "heatmap.repetitions": self.heatmap_repetitions}
+                  "heatmap.repetitions": self.heatmap_repetitions,
+                  "dataset.n_train": self.n_train, "dataset.n_test": self.n_test}
         for key, value in counts.items():
             if value < 1:
                 raise ValueError(f"{key} must be >= 1, got {value}")
+        if self.model_seed < 0:
+            raise ValueError(f"model_seed must be >= 0, got {self.model_seed}")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError(f"dataset.noise_std must be finite and >= 0, got {self.noise_std}")
 
     def resolve_model(self) -> VariabilityModel:
         if self.model_path is None:
             return make_synthetic_model(self.model_seed)
-        path = Path(self.model_path)
-        if not path.exists():
-            raise FileNotFoundError(f"model file not found: {path}")
-        return load_model(path)
-
-
-def _integer(value) -> int:
-    """A JSON integer (an integral float such as 5.0 included); no bool."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    ):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _real(value) -> float:
-    """A JSON number; no bool, no string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
-
-
-def _integers(value) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise ValueError(f"expected a list of integers, got {value!r}")
-    return tuple(map(_integer, value))
+        return load_model(self.model_path)
 
 
 # Each config section is a table of config key -> (dataclass field,
-# conversion).  Keys a config leaves out keep their dataclass defaults.  A
-# tuple of fields takes a list with one value per field.
+# conversion).  Keys a config leaves out keep their dataclass defaults.
+_SOURCES = {key: (key, fields.boolean) for key in ("tuning", "bias", "stuck")}
 _TRAINING = {
-    "architecture": ("architecture", _integers),
-    "batch_size": ("batch_size", _integer),
-    "learning_rate": ("lr", _real),
-    "epochs": ("epochs", _integer),
-    "hrs_fraction": ("hrs_fraction", _real),
-    "lrs_fraction": ("lrs_fraction", _real),
-    "seed": ("seed", _integer),
-    "tile": ("tile", _integers),
+    "architecture": ("architecture", fields.list_of(fields.integer)),
+    "batch_size": ("batch_size", fields.integer),
+    "learning_rate": ("lr", fields.real),
+    "epochs": ("epochs", fields.integer),
+    "hrs_fraction": ("hrs_fraction", fields.real),
+    "lrs_fraction": ("lrs_fraction", fields.real),
+    "seed": ("seed", fields.integer),
+    "tile": ("tile", fields.list_of(fields.integer)),
+    "sources": ("sources", lambda doc: SourceToggles(**fields.section(doc, _SOURCES)[0])),
 }
 _EXPERIMENT = {
-    "model_path": ("model_path", lambda value: value),
-    "model_seed": ("model_seed", _integer),
-    "transfers": ("transfers", _integer),
-    "threads": ("threads", _integer),
+    "model_path": ("model_path", fields.string),
+    "model_seed": ("model_seed", fields.integer),
+    "transfers": ("transfers", fields.integer),
+    "threads": ("threads", fields.integer),
 }
-_SOURCES = {key: (key, _boolean) for key in ("tuning", "bias", "stuck")}
 _DATASET = {
-    "n_train": ("n_train", _integer),
-    "n_test": ("n_test", _integer),
-    "noise_std": ("noise_std", _real),
+    "n_train": ("n_train", fields.integer),
+    "n_test": ("n_test", fields.integer),
+    "noise_std": ("noise_std", fields.real),
 }
 _GRID = {
-    "extent": (("x_min", "x_max", "y_min", "y_max"), _real),
-    "nx": ("nx", _integer),
-    "ny": ("ny", _integer),
+    "extent": (("x_min", "x_max", "y_min", "y_max"), fields.list_of(fields.real)),
+    "nx": ("nx", fields.integer),
+    "ny": ("ny", fields.integer),
 }
-_HEATMAP = {"repetitions": ("heatmap_repetitions", _integer)}
-_SECTIONS = ("sources", "dataset", "heatmap")
-
-
-def _section(doc, where: str, *tables, sections=()) -> list[dict]:
-    """Per table, the dataclass keyword arguments of the keys ``doc`` sets.
-    ``doc`` may hold only the tables' keys and the named sub-sections."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(doc).difference(sections, *tables)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    keywords = []
-    for table in tables:
-        kwargs = {}
-        for key, (name, convert) in table.items():
-            if key not in doc:
-                continue
-            value = doc[key]
-            try:
-                if isinstance(name, str):
-                    kwargs[name] = convert(value)
-                elif len(value) == len(name):
-                    kwargs.update(zip(name, map(convert, value)))
-                else:
-                    raise ValueError(f"expected {len(name)} values, got {len(value)}")
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{where}: {key}: {exc}") from exc
-        keywords.append(kwargs)
-    return keywords
+_HEATMAP = {"repetitions": ("heatmap_repetitions", fields.integer)}
+# The nested sections; each reads into one keyword dict per table.
+_SECTIONS = {
+    "dataset": ("dataset", lambda doc: fields.section(doc, _DATASET)),
+    "heatmap": ("heatmap", lambda doc: fields.section(doc, _GRID, _HEATMAP)),
+}
 
 
 def experiment_config_from_dict(doc: dict, context: str = "config") -> ExperimentConfig:
-    training, experiment = _section(doc, context, _TRAINING, _EXPERIMENT, sections=_SECTIONS)
-    (sources,) = _section(doc.get("sources", {}), f"{context}: sources", _SOURCES)
-    (dataset,) = _section(doc.get("dataset", {}), f"{context}: dataset", _DATASET)
-    grid, heat = _section(doc.get("heatmap", {}), f"{context}: heatmap", _GRID, _HEATMAP)
     try:
+        training, experiment, sections = fields.section(doc, _TRAINING, _EXPERIMENT, _SECTIONS)
+        (dataset,) = sections.get("dataset", [{}])
+        grid, heat = sections.get("heatmap", [{}, {}])
         return ExperimentConfig(
-            training=TrainingConfig(sources=SourceToggles(**sources), **training),
+            training=TrainingConfig(**training),
             grid=GridSpec(**grid),
             **experiment,
             **dataset,
             **heat,
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
 def read_config(path) -> tuple[dict, ExperimentConfig]:
     """The JSON document of a config file and the config it describes."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config file {path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    doc = fields.read_json(path, ConfigError, "config file")
     return doc, experiment_config_from_dict(doc, context=f"config file {path}")
 
 
@@ -461,10 +403,9 @@ def run_experiment(config, out_dir, config_doc: dict | None = None) -> list[Path
     """
     if not isinstance(config, ExperimentConfig):
         config_doc, config = read_config(config)
+    model = config.resolve_model()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    model = config.resolve_model()
     train_set, test_set = experiment_dataset(config)
     layouts = layouts_for_architecture(config.training.architecture, *config.training.tile)
     x, y = config.training.hrs_fraction, config.training.lrs_fraction

@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
+from . import fields
+
 __all__ = [
     "LayerParams",
     "DenseNet",
@@ -58,6 +60,8 @@ class DenseNet:
     layers: list[LayerParams]
 
     def __post_init__(self):
+        if not self.layers:
+            raise ValueError("a network needs at least one layer")
         for prev, nxt in zip(self.layers[:-1], self.layers[1:]):
             if nxt.weights.shape[1] != prev.weights.shape[0]:
                 raise ValueError(
@@ -245,22 +249,30 @@ def save_checkpoint(net: DenseNet, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
+_LAYER = {"shape": ("shape", fields.list_of(fields.integer)),
+          "weights": ("weights", fields.list_of(fields.real)),
+          "bias": ("bias", fields.list_of(fields.real))}
+
+
+def _layer(doc) -> LayerParams:
+    """One entry of a checkpoint's ``layers``."""
+    (entry,) = fields.section(doc, _LAYER, required=True)
+    shape, weights = entry["shape"], entry["weights"]
+    if len(shape) != 2 or min(shape) < 1 or shape[0] * shape[1] != len(weights):
+        raise ValueError(f"shape {list(shape)} does not hold {len(weights)} weights")
+    return LayerParams(np.reshape(weights, shape), entry["bias"])
+
+
 def load_checkpoint(path) -> DenseNet:
-    path = Path(path)
+    """Load a checkpoint written by :func:`save_checkpoint`; its
+    ``layer_sizes`` must match the shapes of its layers."""
+    doc = fields.read_json(path, ValueError, "checkpoint")
+    table = {"layer_sizes": ("sizes", fields.list_of(fields.integer)),
+             "layers": ("net", lambda layers: DenseNet(list(fields.list_of(_layer)(layers))))}
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"checkpoint {path}: invalid JSON at line {exc.lineno}: {exc.msg}"
-        ) from exc
-    try:
-        layers = [
-            LayerParams(
-                np.array(entry["weights"], dtype=float).reshape(entry["shape"]),
-                np.array(entry["bias"], dtype=float),
-            )
-            for entry in doc["layers"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+        (entry,) = fields.section(doc, table, required=True)
+        if entry["net"].sizes != list(entry["sizes"]):
+            raise ValueError(f"layer_sizes {list(entry['sizes'])} do not match the layers")
+    except ValueError as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from exc
-    return DenseNet(layers)
+    return entry["net"]

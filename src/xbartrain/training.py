@@ -11,6 +11,7 @@ by the conversion is re-taken from the current weights every batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -84,8 +85,13 @@ class TrainingConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if not (0 <= self.hrs_fraction <= 1 and 0 <= self.lrs_fraction <= 1):
-            raise ValueError("stuck fractions must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.lr}")
+        for key in ("hrs_fraction", "lrs_fraction"):
+            if not 0 <= getattr(self, key) <= 1:
+                raise ValueError(f"{key} must lie in [0, 1], got {getattr(self, key)}")
         if self.hrs_fraction + self.lrs_fraction > 1:
             raise ValueError("hrs_fraction + lrs_fraction must be <= 1")
         object.__setattr__(self, "architecture", tuple(int(s) for s in self.architecture))

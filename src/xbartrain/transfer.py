@@ -35,7 +35,6 @@ __all__ = [
     "perturb_conductance",
     "simulate_transfer",
     "layer_to_crossbar",
-    "crossbar_to_layer",
     "layouts_for_architecture",
 ]
 
@@ -374,12 +373,6 @@ def layer_to_crossbar(weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     bias line as the final input row) by outputs."""
     weights = np.asarray(weights, dtype=float)
     return np.concatenate([weights.T, np.asarray(bias, dtype=float)[None, :]])
-
-
-def crossbar_to_layer(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`layer_to_crossbar`."""
-    matrix = np.asarray(matrix)
-    return matrix[:-1].T.copy(), matrix[-1].copy()
 
 
 def layouts_for_architecture(sizes, rows: int = 8, cols: int = 8) -> list[TileLayout]:

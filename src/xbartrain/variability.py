@@ -26,11 +26,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy import special
+
+from . import fields
 
 __all__ = [
     "BIAS_DISTURBANCE_CAP_US",
@@ -300,23 +303,14 @@ class VariabilityModel:
     def check_finite(self) -> None:
         """Raise ValueError naming the first non-finite parameter.  Sampling
         assumes finite parameters and does not check its draws."""
-        stuck = self.stuck_model
-        scalars = {
-            "range.g_min": self.range.g_min,
-            "range.g_max": self.range.g_max,
-            "std_model.slope": self.std_model.slope,
-            "std_model.intercept": self.std_model.intercept,
-            "offset_model.mu_off": self.offset_model.mu_off,
-            "offset_model.sigma_off": self.offset_model.sigma_off,
-            "stuck_model.hrs_low": stuck.hrs_low,
-            "stuck_model.hrs_high": stuck.hrs_high,
-        }
-        values = np.array([*scalars.values(), *stuck.lrs_samples])
-        finite = np.isfinite(values)
-        if not finite.all():
-            lrs = [f"stuck_model.lrs_samples[{i}]" for i in range(len(stuck.lrs_samples))]
-            first = int(np.argmin(finite))
-            raise ValueError(f"{[*scalars, *lrs][first]} must be finite, got {values[first]}")
+        for section, (_, table) in _MODEL.items():
+            for key, (name, _) in table.items():
+                value = getattr(getattr(self, section), name)
+                values = value if isinstance(value, tuple) else (value,)
+                if not all(map(math.isfinite, values)):
+                    first = next(i for i, v in enumerate(values) if not math.isfinite(v))
+                    index = f"[{first}]" if isinstance(value, tuple) else ""
+                    raise ValueError(f"{section}.{key}{index} must be finite, got {values[first]}")
         if not np.isfinite(self.bias_db._table).all():
             raise ValueError("bias_db disturbances must be finite")
 
@@ -500,12 +494,8 @@ def build_bias_db(records) -> BiasDisturbanceDb:
     """
     groups: dict[int, list[float]] = {}
     for n_d, delta_g in records:
-        k = int(n_d)
-        if k != n_d or k < 0:
-            raise ValueError(f"n_d must be a non-negative integer, got {n_d!r}")
-        if abs(delta_g) > BIAS_DISTURBANCE_CAP_US:
-            continue
-        groups.setdefault(k, []).append(float(delta_g))
+        if abs(delta_g) <= BIAS_DISTURBANCE_CAP_US:
+            groups.setdefault(n_d, []).append(float(delta_g))
     if not groups:
         raise ValueError(
             f"no records within +/-{BIAS_DISTURBANCE_CAP_US} uS; cannot build a disturbance database"
@@ -517,104 +507,60 @@ def build_bias_db(records) -> BiasDisturbanceDb:
 # Persistence
 # ---------------------------------------------------------------------------
 
-_SECTIONS = ("range", "std_model", "offset_model", "bias_db", "stuck_model")
+# Model-file sections but bias_db: section -> (dataclass, key -> (field,
+# conversion)).  Drives load_model, save_model and check_finite's names.
+_REAL = fields.real
+_MODEL = {
+    "range": (ConductanceRange, {"g_min": ("g_min", _REAL), "g_max": ("g_max", _REAL)}),
+    "std_model": (LinearStdModel, {"slope": ("slope", _REAL), "intercept": ("intercept", _REAL)}),
+    "offset_model": (OffsetModel, {"mu_off": ("mu_off", _REAL), "sigma_off": ("sigma_off", _REAL)}),
+    "stuck_model": (StuckModel, {"hrs_low": ("hrs_low", _REAL), "hrs_high": ("hrs_high", _REAL),
+                                 "lrs_samples": ("lrs_samples", fields.list_of(_REAL))}),
+}
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ModelFormatError(f"{context}: missing field '{key}'")
-    return mapping[key]
+def _record(cls, table):
+    """The conversion of a section holding every key of ``table`` into ``cls``."""
+    return lambda doc: cls(**fields.section(doc, table, required=True)[0])
 
 
-def _number(mapping: dict, key: str, context: str) -> float:
-    value = _require(mapping, key, context)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ModelFormatError(f"{context}.{key}: expected a number, got {value!r}")
-    return float(value)
+def _n_d(key: str) -> int:
+    if not (key.isascii() and key.isdigit() and str(int(key)) == key):
+        raise ValueError(f"n_d key {key!r} is not a non-negative integer")
+    return int(key)
+
+
+def _bias_db(doc) -> BiasDisturbanceDb:
+    """The bias_db section: n_d (a decimal string) -> list of disturbances.
+    Its keys are data, so its key table is built from them."""
+    keys = doc if isinstance(doc, dict) else ()
+    table = {key: (_n_d(key), fields.list_of(_REAL)) for key in keys}
+    return BiasDisturbanceDb(fields.section(doc, table)[0])
 
 
 def save_model(model: VariabilityModel, path) -> None:
     """Write a model to a single JSON document (conductances in uS,
     percentages as plain numbers)."""
     doc = {
-        "range": {"g_min": model.range.g_min, "g_max": model.range.g_max},
-        "std_model": {"slope": model.std_model.slope, "intercept": model.std_model.intercept},
-        "offset_model": {
-            "mu_off": model.offset_model.mu_off,
-            "sigma_off": model.offset_model.sigma_off,
-        },
-        "bias_db": {str(k): list(v) for k, v in sorted(model.bias_db.groups.items())},
-        "stuck_model": {
-            "hrs_low": model.stuck_model.hrs_low,
-            "hrs_high": model.stuck_model.hrs_high,
-            "lrs_samples": list(model.stuck_model.lrs_samples),
-        },
+        section: {key: getattr(getattr(model, section), name) for key, (name, _) in table.items()}
+        for section, (_, table) in _MODEL.items()
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    doc["bias_db"] = {str(k): list(v) for k, v in sorted(model.bias_db.groups.items())}
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def load_model(path) -> VariabilityModel:
     """Load and validate a model file written by :func:`save_model`."""
-    path = Path(path)
+    doc = fields.read_json(path, ModelFormatError, "model file")
+    table = {section: (section, _record(*spec)) for section, spec in _MODEL.items()}
+    table["bias_db"] = ("bias_db", _bias_db)
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(
-            f"model file {path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict):
-        raise ModelFormatError(f"model file {path}: top level must be a JSON object")
-    for section in _SECTIONS:
-        if section not in doc:
-            raise ModelFormatError(f"model file {path}: missing section '{section}'")
-
-    ctx = f"model file {path}"
-    rng_sec = doc["range"]
-    std_sec = doc["std_model"]
-    off_sec = doc["offset_model"]
-    stuck_sec = doc["stuck_model"]
-    bias_sec = doc["bias_db"]
-    if not isinstance(bias_sec, dict):
-        raise ModelFormatError(f"{ctx}: bias_db must map n_d to a list of disturbances")
-    try:
-        bias_groups = {}
-        for key, values in bias_sec.items():
-            try:
-                k = int(key)
-            except ValueError:
-                raise ModelFormatError(f"{ctx}: bias_db key {key!r} is not an integer") from None
-            if not isinstance(values, list) or not values:
-                raise ModelFormatError(f"{ctx}: bias_db['{key}'] must be a non-empty list")
-            bias_groups[k] = tuple(float(v) for v in values)
-        lrs = _require(stuck_sec, "lrs_samples", f"{ctx}: stuck_model")
-        if not isinstance(lrs, list) or not lrs:
-            raise ModelFormatError(f"{ctx}: stuck_model.lrs_samples must be a non-empty list")
-        model = VariabilityModel(
-            std_model=LinearStdModel(
-                _number(std_sec, "slope", f"{ctx}: std_model"),
-                _number(std_sec, "intercept", f"{ctx}: std_model"),
-            ),
-            offset_model=OffsetModel(
-                _number(off_sec, "mu_off", f"{ctx}: offset_model"),
-                _number(off_sec, "sigma_off", f"{ctx}: offset_model"),
-            ),
-            bias_db=BiasDisturbanceDb(bias_groups),
-            stuck_model=StuckModel(
-                _number(stuck_sec, "hrs_low", f"{ctx}: stuck_model"),
-                _number(stuck_sec, "hrs_high", f"{ctx}: stuck_model"),
-                tuple(float(v) for v in lrs),
-            ),
-            range=ConductanceRange(
-                _number(rng_sec, "g_min", f"{ctx}: range"),
-                _number(rng_sec, "g_max", f"{ctx}: range"),
-            ),
-        )
+        (parts,) = fields.section(doc, table, required=True)
+        model = VariabilityModel(**parts)
         model.check_finite()
-        return model
-    except ModelFormatError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{ctx}: {exc}") from exc
+    except ValueError as exc:
+        raise ModelFormatError(f"model file {path}: {exc}") from exc
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -651,16 +597,46 @@ def make_synthetic_model(seed: int = 0) -> VariabilityModel:
 # ---------------------------------------------------------------------------
 
 
-def _open_csv(path, expected_header):
+def _finite(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {cell!r}")
+    return value
+
+
+def _count(cell: str) -> int:
+    if not cell.strip().isdecimal():
+        raise ValueError(f"expected a non-negative integer, got {cell!r}")
+    return int(cell)
+
+
+def _kind(cell: str) -> str:
+    kind = cell.strip().upper()
+    if kind not in ("HRS", "LRS"):
+        raise ValueError(f"expected HRS or LRS, got {cell!r}")
+    return kind
+
+
+def _read_csv(path, columns: dict):
+    """The rows of a CSV file whose header is ``columns`` (column name ->
+    conversion of a cell), converted; a bad row or cell raises ValueError
+    naming ``path:line`` and the column."""
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(expected_header):
-            raise ValueError(
-                f"{path}: expected header {','.join(expected_header)!r}, got {header!r}"
-            )
-        return list(reader)
+        if header is None or [h.strip() for h in header] != list(columns):
+            raise ValueError(f"{path}: expected header {','.join(columns)!r}, got {header!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(columns):
+                raise ValueError(f"{path}:{lineno}: expected {len(columns)} fields, got {len(row)}")
+            values = []
+            for (column, convert), cell in zip(columns.items(), row):
+                try:
+                    values.append(convert(cell))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {column}: {exc}") from None
+            yield tuple(values)
 
 
 def read_tuning_csv(path) -> list[TuningRecord]:
@@ -668,12 +644,9 @@ def read_tuning_csv(path) -> list[TuningRecord]:
 
     Rows are pooled into one record per (device, target).
     """
-    rows = _open_csv(path, ("device_id", "g_target_uS", "read_uS"))
+    columns = {"device_id": str.strip, "g_target_uS": _finite, "read_uS": _finite}
     pools: dict[tuple[str, float], list[float]] = {}
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-        device, target, read = row[0].strip(), float(row[1]), float(row[2])
+    for device, target, read in _read_csv(path, columns):
         pools.setdefault((device, target), []).append(read)
     return [
         TuningRecord(device_id=d, g_target=g, reads=tuple(reads))
@@ -683,27 +656,12 @@ def read_tuning_csv(path) -> list[TuningRecord]:
 
 def read_bias_csv(path) -> list[tuple[int, float]]:
     """Read raw disturbance records (n_d,delta_g_uS)."""
-    rows = _open_csv(path, ("n_d", "delta_g_uS"))
-    records = []
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-        records.append((int(row[0]), float(row[1])))
-    return records
+    return list(_read_csv(path, {"n_d": _count, "delta_g_uS": _finite}))
 
 
 def read_stuck_csv(path) -> tuple[list[float], list[float]]:
     """Read stuck-device conductances (kind{HRS|LRS},g_uS) -> (hrs, lrs)."""
-    rows = _open_csv(path, ("kind", "g_uS"))
     hrs, lrs = [], []
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-        kind = row[0].strip().upper()
-        if kind == "HRS":
-            hrs.append(float(row[1]))
-        elif kind == "LRS":
-            lrs.append(float(row[1]))
-        else:
-            raise ValueError(f"{path}:{lineno}: kind must be HRS or LRS, got {row[0]!r}")
+    for kind, g in _read_csv(path, {"kind": _kind, "g_uS": _finite}):
+        (hrs if kind == "HRS" else lrs).append(g)
     return hrs, lrs

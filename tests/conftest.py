@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from xbartrain.datasets import make_half_moons
 from xbartrain.training import TrainingConfig, train_hardware_aware, train_regular
@@ -11,6 +12,12 @@ from xbartrain.variability import (
     VariabilityModel,
     make_synthetic_model,
 )
+
+# Property tests run a fixed, bounded set of examples: tier-1 stays
+# deterministic and fast, and no example database is written.
+settings.register_profile("xbartrain", derandomize=True, deadline=None, max_examples=40,
+                          database=None)
+settings.load_profile("xbartrain")
 
 # Matches the stream derivation used by experiments.experiment_dataset for
 # the default config, so fixture nets line up with CLI runs.

@@ -1,11 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from xbartrain import cli, experiments, nn
 from xbartrain.cli import main
-from xbartrain.variability import load_model
+from xbartrain.variability import ConductanceRange, load_model, save_model
+
+from conftest import zero_noise_model
 
 TINY_CONFIG = {
     "seed": 9,
@@ -64,6 +67,13 @@ class TestFitModel:
         stdout = capsys.readouterr().out
         assert "fitted std line" in stdout
         assert "Shapiro-Wilk" in stdout
+
+    def test_unset_window_bound_keeps_the_range_default(self, tmp_path):
+        tuning, bias, stuck = write_raw_csvs(tmp_path)
+        out = tmp_path / "model.json"
+        assert main(["fit-model", "--tuning", str(tuning), "--bias", str(bias),
+                     "--stuck", str(stuck), "--g-max", "440", "--out", str(out)]) == 0
+        assert load_model(out).range == ConductanceRange(100.0, 440.0)
 
     def test_fit_without_lrs_fails(self, tmp_path):
         tuning, bias, _ = write_raw_csvs(tmp_path)
@@ -213,6 +223,98 @@ class TestErrorPaths:
         assert rc == 2
         assert "transfers" in capsys.readouterr().err
         assert trained == []
+
+    @staticmethod
+    def config_case(**update):
+        def build(tmp_path):
+            doc = json.loads(json.dumps(TINY_CONFIG))
+            for key, value in update.items():
+                (doc["dataset"] if key in doc["dataset"] else doc)[key] = value
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(doc))
+            return ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+        return build
+
+    @staticmethod
+    def model_case(edit):
+        def build(tmp_path):
+            model = tmp_path / "model.json"
+            save_model(zero_noise_model(), model)
+            doc = json.loads(model.read_text())
+            edit(doc)
+            model.write_text(json.dumps(doc))
+            return TestErrorPaths.config_case(model_path=str(model))(tmp_path)
+        return build
+
+    @staticmethod
+    def checkpoint_case(edit):
+        def build(tmp_path):
+            checkpoint = tmp_path / "net.json"
+            nn.save_checkpoint(nn.DenseNet.init([2, 8, 1], np.random.default_rng(0)), checkpoint)
+            doc = json.loads(checkpoint.read_text())
+            edit(doc)
+            checkpoint.write_text(json.dumps(doc))
+            argv = TestErrorPaths.config_case()(tmp_path)
+            return ["evaluate", "--checkpoint", str(checkpoint), *argv[1:]]
+        return build
+
+    @staticmethod
+    def csv_case(name, row):
+        def build(tmp_path):
+            paths = dict(zip(("tuning", "bias", "stuck"), write_raw_csvs(tmp_path)))
+            with paths[name].open("a") as fh:
+                fh.write(row + "\n")
+            return ["fit-model", *(f"--{k}={v}" for k, v in paths.items()),
+                    "--out", str(tmp_path / "model.json")]
+        return build
+
+    @pytest.mark.parametrize("build, key", [
+        (config_case(learning_rate=float("nan")), "learning_rate"),
+        (config_case(learning_rate=-1), "learning_rate"),
+        (config_case(noise_std=float("nan")), "noise_std"),
+        (config_case(seed=-1), "seed"),
+        (config_case(model_seed=-1), "model_seed"),
+        (config_case(n_train=0), "n_train"),
+        (config_case(n_test=0), "n_test"),
+        (config_case(model_path=5), "model_path"),
+        (model_case(lambda doc: doc["bias_db"]["0"].__setitem__(0, "1.5")), "bias_db"),
+        (model_case(lambda doc: doc["bias_db"]["0"].__setitem__(0, True)), "bias_db"),
+        (model_case(lambda doc: doc["stuck_model"]["lrs_samples"].__setitem__(0, "1.5")),
+         "lrs_samples"),
+        (model_case(lambda doc: doc["stuck_model"]["lrs_samples"].__setitem__(0, True)),
+         "lrs_samples"),
+        (model_case(lambda doc: doc["std_model"].__setitem__("slop", 1.0)), "slop"),
+        (model_case(lambda doc: doc.__setitem__("extra", {})), "extra"),
+        (checkpoint_case(lambda doc: doc["layers"][0]["weights"].__setitem__(0, True)), "weights"),
+        (checkpoint_case(lambda doc: doc["layers"][1]["weights"].__setitem__(0, "1.5")),
+         "weights"),
+        (checkpoint_case(lambda doc: doc.__setitem__("layer_sizes", [2, 7, 1])), "layer_sizes"),
+        (csv_case("bias", "3,nan"), "bias.csv:303: delta_g_uS"),
+        (csv_case("bias", "3,abc"), "bias.csv:303: delta_g_uS"),
+        (csv_case("bias", "x,1.0"), "bias.csv:303: n_d"),
+        (csv_case("tuning", "d0,125.0,inf"), "tuning.csv:74: read_uS"),
+        (csv_case("stuck", "LRS,"), "stuck.csv:42: g_uS"),
+    ], ids=["learning_rate-nan", "learning_rate-negative", "noise_std-nan", "seed-negative",
+            "model_seed-negative", "n_train-zero", "n_test-zero", "model_path-number",
+            "bias_db-string", "bias_db-bool", "lrs_samples-string", "lrs_samples-bool",
+            "model-unknown-key", "model-unknown-section", "weights-bool", "weights-string",
+            "layer_sizes-mismatch", "bias-csv-nan", "bias-csv-text", "bias-csv-n_d",
+            "tuning-csv-inf", "stuck-csv-empty"])
+    def test_malformed_input_exits_2_and_names_key(self, tmp_path, capsys, trained, monkeypatch,
+                                                     build, key):
+        for name in ("evaluate_transfers", "heatmap"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: trained.append("evaluate"))
+        argv = build(tmp_path)
+        rc = main(argv)
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert trained == []
+        assert not Path(argv[argv.index("--out") + 1]).exists()
+
+    def test_directory_as_config_exits_2(self, tmp_path, capsys):
+        rc = main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "config file not found" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path / "o")])

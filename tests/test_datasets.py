@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xbartrain.datasets import LabeledSet, load_csv, make_half_moons, save_csv
+from xbartrain.datasets import LabeledSet, make_half_moons
 
 
 class TestHalfMoons:
@@ -60,16 +60,3 @@ class TestLabeledSet:
         with pytest.raises(ValueError):
             LabeledSet(np.zeros((3, 2)), np.array([0, 1, 2]))
 
-    def test_csv_round_trip(self, tmp_path):
-        ds = make_half_moons(50, noise_std=0.1, seed=5)
-        path = tmp_path / "moons.csv"
-        save_csv(ds, path)
-        loaded = load_csv(path)
-        assert np.array_equal(loaded.points, ds.points)
-        assert np.array_equal(loaded.labels, ds.labels)
-
-    def test_csv_header_checked(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,0\n")
-        with pytest.raises(ValueError, match="header"):
-            load_csv(path)

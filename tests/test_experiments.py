@@ -267,6 +267,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             experiment_config_from_dict(doc)
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"learning_rate": 0}, "learning_rate"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"dataset": {"noise_std": -0.1}}, "noise_std"),
+        ({"dataset": {"noise_std": float("inf")}}, "noise_std"),
+        ({"seed": -1}, "seed"),
+        ({"model_seed": -1}, "model_seed"),
+        ({"dataset": {"n_train": 0}}, "n_train"),
+        ({"dataset": {"n_test": 0}}, "n_test"),
+        ({"hrs_fraction": float("nan")}, "hrs_fraction"),
+        ({"lrs_fraction": 1.5}, "lrs_fraction"),
+        ({"model_path": 5}, "model_path"),
+        ({"model_path": None}, "model_path"),
+        ({"heatmap": {"extent": "wide"}}, "extent"),
+    ])
+    def test_range_and_type_checks_name_the_key(self, doc, key):
+        with pytest.raises(ConfigError, match=key):
+            experiment_config_from_dict(doc)
+
     def test_file_errors(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_experiment_config(tmp_path / "nope.json")

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -252,6 +255,24 @@ class TestCheckpoint:
         for a, b in zip(net.layers, loaded.layers):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.bias, b.bias)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.__setitem__("layer_sizes", [2, 5, 1]), "layer_sizes"),
+        (lambda doc: doc.__setitem__("layers", []), "at least one layer"),
+        (lambda doc: doc["layers"][0]["weights"].__setitem__(0, True), "weights: expected a number"),
+        (lambda doc: doc["layers"][0]["bias"].__setitem__(0, "1.5"), "bias: expected a number"),
+        (lambda doc: doc["layers"][0].__setitem__("shape", [-1, 2]), "shape"),
+        (lambda doc: doc["layers"][1].pop("bias"), "missing key 'bias'"),
+        (lambda doc: doc.__setitem__("epochs", 3), "unknown keys"),
+    ])
+    def test_fields_are_read_strictly(self, tmp_path, edit, message):
+        path = tmp_path / "net.json"
+        nn.save_checkpoint(random_net(13, sizes=(2, 5, 3, 1)), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"checkpoint {re.escape(str(path))}: .*{message}"):
+            nn.load_checkpoint(path)
 
     def test_malformed_checkpoint(self, tmp_path):
         path = tmp_path / "net.json"

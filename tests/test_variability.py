@@ -354,6 +354,28 @@ class TestModelPersistence:
         with pytest.raises(ModelFormatError, match=re.escape(field)):
             load_model(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["bias_db"].__setitem__("01", [1.0]), "bias_db: n_d key '01'"),
+        (lambda doc: doc["bias_db"].__setitem__("x", [1.0]), "bias_db: n_d key 'x'"),
+        (lambda doc: doc["bias_db"].__setitem__("2", "1.5"), "bias_db: 2: expected a list"),
+        (lambda doc: doc["bias_db"]["1"].__setitem__(0, "1.5"), "bias_db: 1: expected a number"),
+        (lambda doc: doc["stuck_model"]["lrs_samples"].__setitem__(0, True),
+         "stuck_model: lrs_samples: expected a number"),
+        (lambda doc: doc["std_model"].pop("intercept"), "std_model: missing key 'intercept'"),
+        (lambda doc: doc["range"].__setitem__("g_mid", 1.0), "range: unknown keys"),
+        (lambda doc: doc.__setitem__("extra", 1), "unknown keys \\['extra'\\]"),
+        (lambda doc: doc.__setitem__("offset_model", [0.0, 1.0]),
+         "offset_model: expected a JSON object"),
+    ])
+    def test_fields_are_read_strictly(self, synthetic_model, tmp_path, edit, message):
+        path = tmp_path / "model.json"
+        save_model(synthetic_model, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
     def test_synthetic_default_validates(self):
         model = make_synthetic_model()
         assert set(model.bias_db.groups) == set(range(1, 64))
@@ -428,6 +450,21 @@ class TestCsvIngestion:
         path.write_text("nd,delta\n1,2\n")
         with pytest.raises(ValueError, match="header"):
             read_bias_csv(path)
+
+    @pytest.mark.parametrize("reader, text, where", [
+        (read_bias_csv, "n_d,delta_g_uS\n1,-2.5\n2,nan\n", ":3: delta_g_uS: expected a finite"),
+        (read_bias_csv, "n_d,delta_g_uS\n1,-2.5\n2,abc\n", ":3: delta_g_uS"),
+        (read_bias_csv, "n_d,delta_g_uS\n-1,2.5\n", ":2: n_d: expected a non-negative integer"),
+        (read_bias_csv, "n_d,delta_g_uS\n1.5,2.5\n", ":2: n_d"),
+        (read_tuning_csv, "device_id,g_target_uS,read_uS\nd0,inf,1.0\n", ":2: g_target_uS"),
+        (read_stuck_csv, "kind,g_uS\nHRS,40\nLRS,-inf\n", ":3: g_uS"),
+        (read_stuck_csv, "kind,g_uS\nMID,40\n", ":2: kind: expected HRS or LRS"),
+    ])
+    def test_bad_cell_names_line_and_column(self, tmp_path, reader, text, where):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}{where}")):
+            reader(path)
 
     def test_bad_kind_raises(self, tmp_path):
         path = tmp_path / "stuck.csv"

@@ -12,7 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,6 +56,17 @@ _STREAM_DATASET = 102
 # memory of a chunk's stacked forward pass.
 CHUNK = 32
 
+# Points forwarded together by _predict_transferred.  A block's per-layer
+# buffers stay cache-sized for one transfer (4096 x 8 doubles, 256 KiB),
+# and the labels do not depend on the block size.  Not configurable.
+POINT_BLOCK = 4096
+
+# Upper bound on the heatmap cells, nx * ny, that a config may ask for.
+# The heatmap holds a few arrays of this length and builds one CSV row per
+# cell, about 0.3 GB at the bound; a grid too large for memory would only
+# fail after both networks are trained.
+MAX_GRID_POINTS = 1_000_000
+
 DEFAULT_BIN_EDGES = (100.0, 95.0, 90.0, 80.0, 70.0, 60.0, 50.0)
 
 
@@ -83,23 +97,67 @@ def _transfer_rng(seed: int, tag: int, index: int) -> np.random.Generator:
 
 
 def _sum_jobs(job, count: int, workers: int) -> np.ndarray:
-    """Sum of the integer arrays ``job(i)`` for i in range(count), computed
-    on up to ``workers`` threads.  Integer sums do not depend on the order
-    the jobs finish in, so the result is the same for any worker count."""
-    if workers <= 1:
-        return sum(map(job, range(count)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(job, range(count)))
+    """Sum of the integer or boolean arrays ``job(i)`` for i in
+    range(count), computed on up to ``workers`` threads.  The results are
+    added in job order, in place, into one int64 array.  Integer sums do
+    not depend on the order the jobs finish in, so the result is the same
+    for any worker count."""
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = map(job, range(count)) if pool is None else pool.map(job, range(count))
+        total = np.array(next(results), dtype=np.int64)
+        for result in results:
+            total += result
+    return total
+
+
+def _label_threshold() -> float:
+    """The smallest double ``z`` with ``expit(z) > 0.5``, found by bisection
+    over the bit patterns of the doubles in [0, 1], which order like the
+    values they encode."""
+    lo, hi = 0, int(np.float64(1.0).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if expit(np.int64(mid).view(np.float64)) > 0.5 else (mid, hi)
+    return float(np.int64(hi).view(np.float64))
+
+
+# ``expit(z) > 0.5`` exactly when ``z >= _Z0`` (1.665e-16 with scipy's
+# expit), so the output layer is labelled from its pre-activation.
+_Z0 = _label_threshold()
 
 
 def _predict_transferred(outcomes: list[TransferOutcome], X) -> np.ndarray:
     """Class labels, shape ``(n, points)``, of ``n`` transferred networks
-    given as per-layer ``(n, fan_in + 1, fan_out)`` crossbar stacks."""
-    a = np.asarray(X, dtype=float)
-    for outcome in outcomes:
-        m = outcome.phi_prime
-        a = expit(a @ m[:, :-1] + m[:, -1:])
-    return a[..., 0] > 0.5
+    given as per-layer ``(n, fan_in + 1, fan_out)`` crossbar stacks.
+
+    The points go through the network in blocks of :data:`POINT_BLOCK`.
+    Each layer writes into one ``(n, block, fan_out)`` buffer, allocated
+    once per call and reused for every block, so no fresh array is faulted
+    in per block and memory does not grow with the point count.  The
+    output layer skips its ``expit``: the label is ``z >= _Z0`` on the
+    pre-activation ``z``, which equals ``expit(z) > 0.5`` for every double.
+    The labels are bit-identical to ``expit(a @ m[:, :-1] + m[:, -1:])``
+    over all layers followed by ``> 0.5``.
+    """
+    X = np.asarray(X, dtype=float)
+    points = len(X)
+    n = outcomes[0].phi_prime.shape[0]
+    labels = np.empty((n, points), dtype=bool)
+    block = max(1, min(POINT_BLOCK, points))
+    layers = [(o.phi_prime[:, :-1], o.phi_prime[:, -1:]) for o in outcomes]
+    buffers = [np.empty((n, block, w.shape[2])) for w, _ in layers]
+    for start in range(0, points, block):
+        stop = min(start + block, points)
+        a = X[start:stop]
+        for layer, ((w, b), buf) in enumerate(zip(layers, buffers)):
+            if layer:
+                expit(a, out=a)
+            z = buf[:, :stop - start]
+            np.matmul(a, w, out=z)
+            np.add(z, b, out=z)
+            a = z
+        np.greater_equal(a[..., 0], _Z0, out=labels[:, start:stop])
+    return labels
 
 
 def evaluate_transfers(
@@ -155,11 +213,11 @@ def robustness_table(
     The top edge is an exact bin (points every transfer classified
     correctly); interior bins are half-open [low, high); everything below
     the last edge lands in a final "<edge" bin.  Counts always sum to the
-    test-set size.
+    test-set size, because the top edge is at least 100.
     """
     edges = [float(e) for e in bin_edges]
-    if sorted(edges, reverse=True) != edges or len(set(edges)) != len(edges):
-        raise ValueError(f"bin edges must be strictly decreasing, got {bin_edges}")
+    if not (edges and edges[0] >= 100.0 and all(hi > lo for hi, lo in zip(edges, edges[1:]))):
+        raise ValueError(f"bin edges must be strictly decreasing from at least 100, got {bin_edges}")
     pct = report.counts * 100.0 / report.transfers
     bins = [RobustnessBin(_fmt_edge(edges[0]), int(np.sum(pct == edges[0])), 0.0)]
     for hi, lo in zip(edges[:-1], edges[1:]):
@@ -241,9 +299,12 @@ def heatmap(
 
     Repetition ``i`` is one transfer drawn from its own stream
     ``SeedSequence([seed, 101, i])``, so the grid is the same for any
-    worker count.  The whole grid is forwarded per repetition through the
-    stacked forward pass of :func:`evaluate_transfers`; the forward costs
-    far more than the draw, so repetitions are not batched.
+    worker count.  Each repetition forwards the whole grid through
+    :func:`_predict_transferred`, the forward :func:`evaluate_transfers`
+    uses, in point blocks of :data:`POINT_BLOCK` through buffers reused
+    within the call; the forward costs far more than the draw, so
+    repetitions are not batched.  The per-cell counts of label 1 are summed
+    in place by :func:`_sum_jobs`.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
@@ -290,6 +351,9 @@ class ExperimentConfig:
             raise ValueError(f"model_seed must be >= 0, got {self.model_seed}")
         if not 0 <= self.noise_std < math.inf:
             raise ValueError(f"dataset.noise_std must be finite and >= 0, got {self.noise_std}")
+        if self.grid.nx * self.grid.ny > MAX_GRID_POINTS:
+            raise ValueError(f"heatmap.nx * heatmap.ny must be <= {MAX_GRID_POINTS}, "
+                             f"got {self.grid.nx} * {self.grid.ny}")
 
     def resolve_model(self) -> VariabilityModel:
         if self.model_path is None:
@@ -381,11 +445,25 @@ def write_curve_csv(path: Path, thresholds: np.ndarray, shares: np.ndarray) -> N
 
 
 def write_heatmap_csv(path: Path, hm: HeatmapGrid) -> None:
+    """One ``x,y,mean,std`` row per cell, row-major from the lowest y, each
+    value written as its ``repr``.
+
+    Each x, each y and each distinct ``(mean, std)`` pair is formatted
+    once; a heatmap of M repetitions has at most M + 1 such pairs.  Values
+    are told apart by their bit patterns, so the bytes are those of
+    formatting every cell.
+    """
     xs, ys = hm.grid.centers()
-    xs = xs.tolist()
+    xs = [f"{xv!r}," for xv in xs.tolist()]
+    means, mean_index = np.unique(hm.mean.ravel().view(np.int64), return_inverse=True)
+    stds, std_index = np.unique(hm.std.ravel().view(np.int64), return_inverse=True)
+    pairs, index = np.unique(mean_index * len(stds) + std_index, return_inverse=True)
+    cells = [f",{m!r},{s!r}" for m, s in zip(means[pairs // len(stds)].view(np.float64).tolist(),
+                                              stds[pairs % len(stds)].view(np.float64).tolist())]
     lines = ["x,y,mean,std"]
-    for yv, means, stds in zip(ys.tolist(), hm.mean.tolist(), hm.std.tolist()):
-        lines += [f"{xv!r},{yv!r},{m!r},{s!r}" for xv, m, s in zip(xs, means, stds)]
+    for yv, row in zip(ys.tolist(), index.reshape(hm.mean.shape).tolist()):
+        yv = repr(yv)
+        lines += [xv + yv + cells[k] for xv, k in zip(xs, row)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -399,7 +477,9 @@ def run_experiment(config, out_dir, config_doc: dict | None = None) -> list[Path
     ``config`` is an :class:`ExperimentConfig` or a path to a JSON config
     file.  Writes report.json, manifest.json, and per-network table.csv,
     curve.csv, heatmap.csv and checkpoint.json under ``out_dir``.  The same
-    config always produces byte-identical artifacts.
+    config always produces byte-identical artifacts, so the wall time of
+    each stage (training, evaluation and heatmap of each network) goes to
+    stderr, not into them.
     """
     if not isinstance(config, ExperimentConfig):
         config_doc, config = read_config(config)
@@ -411,9 +491,16 @@ def run_experiment(config, out_dir, config_doc: dict | None = None) -> list[Path
     x, y = config.training.hrs_fraction, config.training.lrs_fraction
     seed = config.training.seed
 
+    def timed(stage, fn, *args, **kwargs):
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        print(f"{stage}: {time.perf_counter() - start:.2f} s", file=sys.stderr)
+        return result
+
     nets = {
-        "hardware_aware": train_hardware_aware(config.training, train_set, model=model),
-        "regular": train_regular(config.training, train_set),
+        "hardware_aware": timed("hardware_aware training", train_hardware_aware,
+                                config.training, train_set, model=model),
+        "regular": timed("regular training", train_regular, config.training, train_set),
     }
 
     written: list[Path] = []
@@ -421,11 +508,12 @@ def run_experiment(config, out_dir, config_doc: dict | None = None) -> list[Path
     for name, net in nets.items():
         sub = out / name
         sub.mkdir(exist_ok=True)
-        report = evaluate_transfers(
-            net, model, layouts, x, y, test_set, config.transfers, seed, workers=config.threads
+        report = timed(
+            f"{name} evaluation", evaluate_transfers,
+            net, model, layouts, x, y, test_set, config.transfers, seed, workers=config.threads,
         )
-        hm = heatmap(
-            net, model, layouts, x, y, config.grid,
+        hm = timed(
+            f"{name} heatmap", heatmap, net, model, layouts, x, y, config.grid,
             repetitions=config.heatmap_repetitions, seed=seed, workers=config.threads,
         )
         nn.save_checkpoint(net, sub / "checkpoint.json")

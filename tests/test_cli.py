@@ -150,6 +150,14 @@ class TestRun:
         assert manifest["config"]["seed"] == 9
         assert len(manifest["config_sha256"]) == 64
 
+    def test_stage_times_go_to_stderr(self, config_path, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        stages = [line.rsplit(": ", 1)[0] for line in capsys.readouterr().err.splitlines()]
+        assert stages == ["hardware_aware training", "regular training",
+                          "hardware_aware evaluation", "hardware_aware heatmap",
+                          "regular evaluation", "regular heatmap"]
+
 
 class TestErrorPaths:
     def test_missing_model_file_exits_2_and_names_path(self, tmp_path, capsys):
@@ -206,6 +214,7 @@ class TestErrorPaths:
         ({"architecture": [2, 8, 3]}, "architecture"),
         ({"sources": {"tuning": "false"}}, "tuning"),
         ({"epochs": 1.7}, "epochs"),
+        ({"heatmap": {"nx": 100000, "ny": 100000}}, "heatmap.nx * heatmap.ny"),
     ])
     def test_invalid_value_exits_2_before_training(self, tmp_path, capsys, trained, update, key):
         path = tmp_path / "config.json"

@@ -1,15 +1,21 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from xbartrain import nn
 from xbartrain.datasets import LabeledSet, make_half_moons
 from xbartrain.experiments import (
+    _Z0,
     CHUNK,
+    MAX_GRID_POINTS,
+    POINT_BLOCK,
     ConfigError,
     GridSpec,
     RobustnessReport,
+    _predict_transferred,
     evaluate_transfers,
     experiment_config_from_dict,
     experiment_dataset,
@@ -20,7 +26,7 @@ from xbartrain.experiments import (
     run_experiment,
     write_heatmap_csv,
 )
-from xbartrain.transfer import layouts_for_architecture
+from xbartrain.transfer import TransferOutcome, TransferPlan, layouts_for_architecture
 
 LAYOUTS = layouts_for_architecture([2, 8, 1])
 
@@ -85,6 +91,50 @@ class TestEvaluateTransfers:
         test_set = make_half_moons(10, seed=23)
         with pytest.raises(ValueError):
             evaluate_transfers(net, synthetic_model, LAYOUTS, 0.0, 0.0, test_set, 0, seed=0)
+
+
+def reference_predict(outcomes, X):
+    """The unblocked forward: expit after every layer, then > 0.5."""
+    a = np.asarray(X, dtype=float)
+    for outcome in outcomes:
+        m = outcome.phi_prime
+        a = expit(a @ m[:, :-1] + m[:, -1:])
+    return a[..., 0] > 0.5
+
+
+class TestPredictTransferred:
+    @pytest.mark.parametrize("points", [1, POINT_BLOCK - 1, POINT_BLOCK, POINT_BLOCK + 1, 40_000])
+    @pytest.mark.parametrize("n", [1, 32])
+    def test_bitwise_equal_to_unblocked_forward(self, synthetic_model, n, points):
+        rng = np.random.default_rng(points + n)
+        plan = TransferPlan(LAYOUTS, synthetic_model, 0.01, 0.01)
+        outcomes = plan.sample(symmetric_net(), n, rng)
+        X = rng.uniform([-1.5, -1.0], [2.5, 1.5], size=(points, 2))
+        labels = _predict_transferred(outcomes, X)
+        assert labels.shape == (n, points) and labels.dtype == bool
+        assert np.array_equal(labels, reference_predict(outcomes, X))
+
+    def test_deeper_network(self, synthetic_model):
+        rng = np.random.default_rng(3)
+        arch = [2, 5, 3, 1]
+        plan = TransferPlan(layouts_for_architecture(arch), synthetic_model, 0.01, 0.01)
+        outcomes = plan.sample(nn.DenseNet.init(arch, rng), 7, rng)
+        X = rng.normal(size=(POINT_BLOCK + 17, 2))
+        assert np.array_equal(_predict_transferred(outcomes, X), reference_predict(outcomes, X))
+
+    def test_label_threshold_is_the_smallest_logit_above_one_half(self):
+        assert expit(_Z0) > 0.5
+        assert expit(np.nextafter(_Z0, -np.inf)) == 0.5
+
+    def test_pre_activation_at_the_threshold(self):
+        # A 2-1 net with zero weights: the output pre-activation is the bias.
+        m = np.zeros((2, 3, 1))
+        m[:, 2, 0] = _Z0, np.nextafter(_Z0, -np.inf)
+        outcomes = [TransferOutcome(m, np.zeros(m.shape, dtype=bool))]
+        X = np.random.default_rng(0).normal(size=(5, 2))
+        labels = _predict_transferred(outcomes, X)
+        assert labels[0].all() and not labels[1].any()
+        assert np.array_equal(labels, reference_predict(outcomes, X))
 
 
 class TestRobustnessTable:
@@ -221,6 +271,21 @@ class TestHeatmap:
             GridSpec(nx=0)
 
 
+class TestGoldenHeatmap:
+    # sha256 of write_heatmap_csv's bytes, recorded with the unblocked
+    # forward and the per-cell CSV writer they replaced (numpy 2.4.6,
+    # scipy 1.17.1, OpenBLAS, x86-64).  73 x 59 = 4307 points, one full
+    # point block and a partial one.
+    def test_csv_digest(self, synthetic_model, tmp_path):
+        grid = GridSpec(nx=73, ny=59)
+        hm = heatmap(symmetric_net(), synthetic_model, LAYOUTS, 0.01, 0.01, grid,
+                     repetitions=30, seed=11)
+        path = tmp_path / "heatmap.csv"
+        write_heatmap_csv(path, hm)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "307c2560322ab6d011cd285368b88d48e2575dc7e2348f7fd2927d3e609383fd"
+
+
 class TestConfig:
     def test_defaults(self):
         config = experiment_config_from_dict({})
@@ -262,10 +327,15 @@ class TestConfig:
         ({"threads": 0}, "threads"),
         ({"architecture": [2, 8, 3]}, "architecture"),
         ({"architecture": [2, 0, 1]}, "architecture"),
+        ({"heatmap": {"nx": 1001, "ny": 1000}}, r"heatmap\.nx \* heatmap\.ny"),
     ])
     def test_out_of_range_values_rejected(self, doc, key):
         with pytest.raises(ConfigError, match=key):
             experiment_config_from_dict(doc)
+
+    def test_grid_at_the_size_bound_accepted(self):
+        config = experiment_config_from_dict({"heatmap": {"nx": MAX_GRID_POINTS, "ny": 1}})
+        assert config.grid.nx * config.grid.ny == MAX_GRID_POINTS
 
     @pytest.mark.parametrize("doc, key", [
         ({"learning_rate": 0}, "learning_rate"),

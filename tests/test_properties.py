@@ -1,9 +1,12 @@
-"""Property tests: the JSON readers and the conversion algebra.
+"""Property tests: the JSON readers, the conversion algebra, the tile
+layout and the robustness table.
 
 Fuzzed config, model-file and checkpoint documents must either load or fail
 with the reader's own error type; the writers' documents must load back to
-equal objects; and the weight <-> conductance conversion must compose to its
-closed-form affine map.
+equal objects; the weight <-> conductance conversion must compose to its
+closed-form affine map; n_d must number the devices of each tile as a
+permutation; and the robustness table must place every test point in
+exactly one bin.
 """
 
 import json
@@ -14,8 +17,19 @@ from hypothesis import assume, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from xbartrain import nn
-from xbartrain.experiments import ConfigError, experiment_config_from_dict
-from xbartrain.transfer import WeightRangeSnapshot, from_conductance, split_signed, to_conductance
+from xbartrain.experiments import (
+    ConfigError,
+    RobustnessReport,
+    experiment_config_from_dict,
+    robustness_table,
+)
+from xbartrain.transfer import (
+    TileLayout,
+    WeightRangeSnapshot,
+    from_conductance,
+    split_signed,
+    to_conductance,
+)
 from xbartrain.variability import (
     BiasDisturbanceDb,
     ConductanceRange,
@@ -246,3 +260,50 @@ class TestConversionAlgebra:
             to_conductance(plus, snap, crange), to_conductance(minus, snap, crange), snap, crange
         )
         assert np.max(np.abs(back - phi)) <= 1e-12 * absmax
+
+
+class TestTileLayout:
+    @given(n_rows=st.integers(1, 20), n_cols=st.integers(1, 12), rows=st.integers(1, 9),
+           cols=st.integers(1, 9))
+    def test_nd_is_a_permutation_within_each_tile(self, n_rows, n_cols, rows, cols):
+        layout = TileLayout.for_weight_matrix(n_rows, n_cols, rows, cols)
+        grid = np.empty((n_rows, 2 * n_cols), dtype=np.int64)
+        grid[:, 0::2], grid[:, 1::2] = layout.nd_plus, layout.nd_minus
+        for r0 in range(0, n_rows, rows):
+            for c0 in range(0, 2 * n_cols, cols):
+                tile = grid[r0:r0 + rows, c0:c0 + cols]
+                assert np.array_equal(np.sort(tile, axis=None), np.arange(tile.size))
+                assert tile[-1, -1] == 0
+
+
+@st.composite
+def reports(draw) -> RobustnessReport:
+    transfers = draw(st.integers(1, 10**6))
+    counts = draw(arrays(np.int64, st.integers(1, 40), elements=st.integers(0, transfers)))
+    return RobustnessReport(counts=counts, transfers=transfers)
+
+
+# Edges near and on the percentages a report can take, below a top edge.
+EDGE = st.integers(-5, 105).map(float) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def valid_edges(draw) -> list[float]:
+    top = draw(st.just(100.0) | st.floats(100.0, 1e3) | st.just(float("inf")))
+    rest = draw(st.lists(EDGE.filter(lambda e: e < top), max_size=7, unique=True))
+    return [top, *sorted(rest, reverse=True)]
+
+
+class TestRobustnessTable:
+    @given(report=reports(), edges=valid_edges())
+    def test_counts_sum_to_the_test_size(self, report, edges):
+        bins = robustness_table(report, edges)
+        assert len(bins) == len(edges) + 1
+        assert sum(b.count for b in bins) == len(report.counts)
+        assert sum(b.percent for b in bins) == pytest.approx(100.0)
+
+    @given(report=reports(), edges=st.lists(EDGE, min_size=1, max_size=8))
+    def test_edges_that_could_lose_points_are_rejected(self, report, edges):
+        assume(edges[0] < 100.0 or any(hi <= lo for hi, lo in zip(edges, edges[1:])))
+        with pytest.raises(ValueError, match="bin edges"):
+            robustness_table(report, edges)

@@ -12,6 +12,7 @@ import numpy as np
 from . import __version__, nn
 from .experiments import (
     ExperimentConfig,
+    _timed,
     evaluate_transfers,
     experiment_dataset,
     heatmap,
@@ -130,9 +131,11 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     config, model, net, layouts = _load_checkpoint(args)
     _, test_set = experiment_dataset(config)
-    report = evaluate_transfers(
+    report = _timed(
+        "evaluation", evaluate_transfers,
         net, model, layouts, config.training.hrs_fraction, config.training.lrs_fraction,
         test_set, config.transfers, config.training.seed, workers=config.threads,
+        rate=(config.transfers, "transfers"),
     )
     args.out.mkdir(parents=True, exist_ok=True)
     write_json(args.out / "report.json", {
@@ -152,9 +155,11 @@ def cmd_evaluate(args) -> int:
 def cmd_heatmap(args) -> int:
     config, model, net, layouts = _load_checkpoint(args)
     repetitions = args.transfers if args.transfers is not None else config.heatmap_repetitions
-    hm = heatmap(
+    hm = _timed(
+        "heatmap", heatmap,
         net, model, layouts, config.training.hrs_fraction, config.training.lrs_fraction,
         config.grid, repetitions=repetitions, seed=config.training.seed, workers=config.threads,
+        rate=(repetitions, "repetitions"),
     )
     args.out.mkdir(parents=True, exist_ok=True)
     write_heatmap_csv(args.out / "heatmap.csv", hm)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.special import expit
 
 from xbartrain.datasets import make_half_moons
 from xbartrain.training import TrainingConfig, train_hardware_aware, train_regular
@@ -32,6 +33,15 @@ def zero_noise_model() -> VariabilityModel:
         bias_db=BiasDisturbanceDb.zero(),
         stuck_model=StuckModel(10.0, 100.0, (900.0,)),
     )
+
+
+def reference_predict(outcomes, X):
+    """The unblocked forward: expit after every layer, then > 0.5."""
+    a = np.asarray(X, dtype=float)
+    for outcome in outcomes:
+        m = outcome.phi_prime
+        a = expit(a @ m[:, :-1] + m[:, -1:])
+    return a[..., 0] > 0.5
 
 
 @pytest.fixture(scope="session")

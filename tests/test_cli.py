@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,19 @@ class TestTrainEvaluateHeatmap:
         lines = (out / "hm" / "heatmap.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 6 * 4
 
+    def test_rates_go_to_stderr(self, config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["train", "--regular", "--config", str(config_path), "--out", str(out)])
+        capsys.readouterr()
+        common = ["--config", str(config_path), "--checkpoint", str(out / "regular.json")]
+        assert main(["evaluate", *common, "--out", str(out / "eval")]) == 0
+        assert re.fullmatch(r"evaluation: \d+\.\d\d s, \d+ transfers/s\n", capsys.readouterr().err)
+        assert main(["heatmap", *common, "--out", str(out / "hm"), "--transfers", "4"]) == 0
+        assert re.fullmatch(r"heatmap: \d+\.\d\d s, \d+ repetitions/s\n", capsys.readouterr().err)
+        assert sorted(p.name for p in (out / "eval").iterdir()) == ["curve.csv", "report.json",
+                                                                    "table.csv"]
+        assert [p.name for p in (out / "hm").iterdir()] == ["heatmap.csv"]
+
     def test_seed_override_changes_result(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["train", "--regular", "--config", str(config_path), "--out", str(out1),
@@ -157,6 +171,13 @@ class TestRun:
         assert stages == ["hardware_aware training", "regular training",
                           "hardware_aware evaluation", "hardware_aware heatmap",
                           "regular evaluation", "regular heatmap"]
+
+    def test_evaluation_and_heatmap_rates_go_to_stderr(self, config_path, tmp_path, capsys):
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+        rates = [line.split(", ")[1:] for line in capsys.readouterr().err.splitlines()]
+        units = [rate[0].split(" ", 1)[1] if rate else None for rate in rates]
+        assert units == [None, None, "transfers/s", "repetitions/s",
+                         "transfers/s", "repetitions/s"]
 
 
 class TestErrorPaths:

@@ -10,12 +10,14 @@ from xbartrain.datasets import LabeledSet, make_half_moons
 from xbartrain.experiments import (
     _Z0,
     CHUNK,
+    HEATMAP_GROUP,
     MAX_GRID_POINTS,
     POINT_BLOCK,
     ConfigError,
     GridSpec,
     RobustnessReport,
     _predict_transferred,
+    _transfer_rng,
     evaluate_transfers,
     experiment_config_from_dict,
     experiment_dataset,
@@ -27,6 +29,8 @@ from xbartrain.experiments import (
     write_heatmap_csv,
 )
 from xbartrain.transfer import TransferOutcome, TransferPlan, layouts_for_architecture
+
+from conftest import reference_predict
 
 LAYOUTS = layouts_for_architecture([2, 8, 1])
 
@@ -93,15 +97,6 @@ class TestEvaluateTransfers:
             evaluate_transfers(net, synthetic_model, LAYOUTS, 0.0, 0.0, test_set, 0, seed=0)
 
 
-def reference_predict(outcomes, X):
-    """The unblocked forward: expit after every layer, then > 0.5."""
-    a = np.asarray(X, dtype=float)
-    for outcome in outcomes:
-        m = outcome.phi_prime
-        a = expit(a @ m[:, :-1] + m[:, -1:])
-    return a[..., 0] > 0.5
-
-
 class TestPredictTransferred:
     @pytest.mark.parametrize("points", [1, POINT_BLOCK - 1, POINT_BLOCK, POINT_BLOCK + 1, 40_000])
     @pytest.mark.parametrize("n", [1, 32])
@@ -133,6 +128,68 @@ class TestPredictTransferred:
         outcomes = [TransferOutcome(m, np.zeros(m.shape, dtype=bool))]
         X = np.random.default_rng(0).normal(size=(5, 2))
         labels = _predict_transferred(outcomes, X)
+        assert labels[0].all() and not labels[1].any()
+        assert np.array_equal(labels, reference_predict(outcomes, X))
+
+
+class CountingExpit:
+    """scipy's expit, counting its calls: the forward calls it only in the
+    exact step, once per hidden layer and block."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return expit(*args, **kwargs)
+
+
+def boundary_net_outcomes(n=1):
+    """A symmetric 2-2-1 net: the hidden units are expit(x0) and
+    expit(-x0) and the output is their difference, so z == 0 on the line
+    x0 == 0 and |z| is far from _Z0 elsewhere."""
+    m1 = np.array([[[1.0, -1.0], [0.0, 0.0], [0.0, 0.0]]])
+    m2 = np.array([[[4.0], [-4.0], [0.0]]])
+    return [TransferOutcome(np.repeat(m, n, axis=0), np.zeros((n, *m.shape[1:]), dtype=bool))
+            for m in (m1, m2)]
+
+
+class TestExactStep:
+    @pytest.fixture
+    def counting(self, monkeypatch):
+        counter = CountingExpit()
+        monkeypatch.setattr("xbartrain.experiments.expit", counter)
+        return counter
+
+    def test_points_on_the_decision_boundary_take_the_exact_step(self, counting):
+        rng = np.random.default_rng(5)
+        X = np.column_stack([np.zeros(50), rng.normal(size=50)])
+        outcomes = boundary_net_outcomes(n=3)
+        labels = _predict_transferred(outcomes, X)
+        assert counting.calls == 1
+        assert np.array_equal(labels, reference_predict(outcomes, X))
+
+    def test_only_the_blocks_near_the_boundary_take_the_exact_step(self, counting):
+        X = np.column_stack([np.linspace(1.0, 2.0, 3 * POINT_BLOCK), np.zeros(3 * POINT_BLOCK)])
+        X[POINT_BLOCK + 7, 0] = 0.0
+        outcomes = boundary_net_outcomes()
+        labels = _predict_transferred(outcomes, X)
+        assert counting.calls == 1
+        assert np.array_equal(labels, reference_predict(outcomes, X))
+
+    def test_points_off_the_boundary_take_the_fast_step(self, counting):
+        X = np.column_stack([np.linspace(-2.0, -0.5, 40), np.zeros(40)])
+        outcomes = boundary_net_outcomes()
+        labels = _predict_transferred(outcomes, X)
+        assert counting.calls == 0
+        assert np.array_equal(labels, reference_predict(outcomes, X))
+
+    def test_nan_gap_takes_the_exact_step(self, counting):
+        outcomes = boundary_net_outcomes(n=2)
+        outcomes[1].phi_prime[1, 2, 0] = np.nan
+        X = np.column_stack([np.linspace(1.0, 2.0, 10), np.zeros(10)])
+        labels = _predict_transferred(outcomes, X)
+        assert counting.calls == 1
         assert labels[0].all() and not labels[1].any()
         assert np.array_equal(labels, reference_predict(outcomes, X))
 
@@ -234,6 +291,22 @@ class TestHeatmap:
         b = heatmap(net, synthetic_model, LAYOUTS, 0.005, 0.005, grid, repetitions=30, seed=6,
                     workers=3)
         assert a.mean.tobytes() == b.mean.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("repetitions",
+                             [1, HEATMAP_GROUP - 1, HEATMAP_GROUP, HEATMAP_GROUP + 1])
+    def test_groups_equal_repetitions_forwarded_alone(self, synthetic_model, repetitions,
+                                                      workers):
+        net = symmetric_net()
+        grid = GridSpec(nx=9, ny=7)
+        plan = TransferPlan(LAYOUTS, synthetic_model, 0.01, 0.01)
+        ones = np.zeros(grid.nx * grid.ny, dtype=np.int64)
+        for i in range(repetitions):
+            outcomes = plan.sample(net, 1, _transfer_rng(8, 101, i))
+            ones += reference_predict(outcomes, grid.points())[0]
+        hm = heatmap(net, synthetic_model, LAYOUTS, 0.01, 0.01, grid,
+                     repetitions=repetitions, seed=8, workers=workers)
+        assert hm.mean.tobytes() == (ones / repetitions).reshape(grid.ny, grid.nx).tobytes()
 
     def test_hann_less_variable_in_class_cores(self, trained_hann, trained_regular,
                                                synthetic_model):

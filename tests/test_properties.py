@@ -1,12 +1,13 @@
 """Property tests: the JSON readers, the conversion algebra, the tile
-layout and the robustness table.
+layout, the robustness table and the label error bound of the forward.
 
 Fuzzed config, model-file and checkpoint documents must either load or fail
 with the reader's own error type; the writers' documents must load back to
 equal objects; the weight <-> conductance conversion must compose to its
 closed-form affine map; n_d must number the devices of each tile as a
-permutation; and the robustness table must place every test point in
-exactly one bin.
+permutation; the robustness table must place every test point in
+exactly one bin; and the forward's fast sigmoid must stay well inside the
+bound that decides which labels it may keep.
 """
 
 import json
@@ -15,16 +16,21 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import expit
 
 from xbartrain import nn
 from xbartrain.experiments import (
     ConfigError,
     RobustnessReport,
+    _label_error_bound,
+    _predict_transferred,
+    _sigmoid,
     experiment_config_from_dict,
     robustness_table,
 )
 from xbartrain.transfer import (
     TileLayout,
+    TransferOutcome,
     WeightRangeSnapshot,
     from_conductance,
     split_signed,
@@ -42,7 +48,7 @@ from xbartrain.variability import (
     save_model,
 )
 
-from conftest import zero_noise_model
+from conftest import reference_predict, zero_noise_model
 
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
 JSON_VALUES = st.recursive(
@@ -307,3 +313,39 @@ class TestRobustnessTable:
         assume(edges[0] < 100.0 or any(hi <= lo for hi, lo in zip(edges, edges[1:])))
         with pytest.raises(ValueError, match="bin edges"):
             robustness_table(report, edges)
+
+
+@st.composite
+def transferred_nets(draw) -> tuple[list[TransferOutcome], np.ndarray]:
+    """``n`` transfers of a 2-k-1 or 2-a-b-1 net, as crossbar stacks with
+    weights of scale up to 30, and random points."""
+    sizes = [2, *draw(st.lists(st.integers(1, 16), min_size=1, max_size=2)), 1]
+    n = draw(st.integers(1, 4))
+    scale = draw(st.floats(0.01, 30.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stacks = [scale * rng.normal(size=(n, fan_in + 1, fan_out))
+              for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
+    X = rng.uniform(-3.0, 3.0, size=(draw(st.integers(1, 300)), 2))
+    return [TransferOutcome(m, np.zeros(m.shape, dtype=bool)) for m in stacks], X
+
+
+class TestLabelErrorBound:
+    @given(case=transferred_nets())
+    def test_labels_equal_the_reference(self, case):
+        outcomes, X = case
+        assert np.array_equal(_predict_transferred(outcomes, X), reference_predict(outcomes, X))
+
+    @given(case=transferred_nets())
+    def test_fast_output_within_an_eighth_of_the_bound(self, case):
+        outcomes, X = case
+        layers = [(o.phi_prime[:, :-1], o.phi_prime[:, -1:]) for o in outcomes]
+        z = []
+        for sigmoid in (_sigmoid, expit):
+            a = X
+            for layer, (w, b) in enumerate(layers):
+                if layer:
+                    sigmoid(a, out=a)
+                a = a @ w + b
+            z.append(a[..., 0])
+        error = np.max(np.abs(z[0] - z[1]), axis=1)
+        assert np.all(error <= _label_error_bound(layers) / 8)

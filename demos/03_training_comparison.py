@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from xbartrain import (
+    ExperimentConfig,
     evaluate_transfers,
-    make_half_moons,
     make_synthetic_model,
     robustness_curve,
     robustness_table,
@@ -26,15 +26,15 @@ from xbartrain import (
     train_regular,
 )
 from xbartrain import nn
-from xbartrain.training import TrainingConfig
+from xbartrain.experiments import experiment_dataset, write_curve_csv
 from xbartrain.transfer import layouts_for_architecture
 
 HERE = Path(__file__).parent
 model = make_synthetic_model()
-config = TrainingConfig(seed=0)  # 2-8-1, batch 256, lr 0.01, x = y = 0.5%
+experiment = ExperimentConfig()  # 875 + 200 half-moons points, seed 0
+config = experiment.training  # 2-8-1, batch 256, lr 0.01, x = y = 0.5%
 
-dataset = make_half_moons(875 + 200, noise_std=0.1, seed=np.random.SeedSequence([config.seed, 102]))
-train_set, test_set = dataset.split(875)
+train_set, test_set = experiment_dataset(experiment)
 layouts = layouts_for_architecture(config.architecture, *config.tile)
 
 print(f"training both networks ({config.epochs} epochs, batch {config.batch_size})...")
@@ -72,8 +72,6 @@ for name, rep in reports.items():
           ">=95% of simulated transfers")
 
 for name, rep in reports.items():
-    thresholds, shares = robustness_curve(rep)
     path = HERE / f"curve_{name.replace('-', '_')}.csv"
-    path.write_text("threshold,share\n" + "\n".join(
-        f"{t!r},{s!r}" for t, s in zip(thresholds.tolist(), shares.tolist())) + "\n")
+    write_curve_csv(path, *robustness_curve(rep))
     print(f"wrote {path.name}")

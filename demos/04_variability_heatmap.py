@@ -15,17 +15,17 @@ from pathlib import Path
 
 import numpy as np
 
-from xbartrain import GridSpec, heatmap, make_half_moons, make_synthetic_model
+from xbartrain import ExperimentConfig, GridSpec, heatmap, make_synthetic_model
 from xbartrain import train_hardware_aware, train_regular
-from xbartrain.training import TrainingConfig
+from xbartrain.experiments import experiment_dataset, write_heatmap_csv
 from xbartrain.transfer import layouts_for_architecture
 
 HERE = Path(__file__).parent
 model = make_synthetic_model()
-config = TrainingConfig(seed=0)
+experiment = ExperimentConfig()
+config = experiment.training
 
-dataset = make_half_moons(1075, noise_std=0.1, seed=np.random.SeedSequence([config.seed, 102]))
-train_set, _ = dataset.split(875)
+train_set, _ = experiment_dataset(experiment)
 layouts = layouts_for_architecture(config.architecture, *config.tile)
 
 print(f"training both networks ({config.epochs} epochs)...")
@@ -39,13 +39,8 @@ for name, net in nets.items():
     t0 = time.time()
     hm = heatmap(net, model, layouts, config.hrs_fraction, config.lrs_fraction,
                  grid, repetitions=300, seed=config.seed)
-    xs, ys = grid.centers()
     path = HERE / f"heatmap_{name}.csv"
-    lines = ["x,y,mean,std"]
-    for j, yv in enumerate(ys.tolist()):
-        for i, xv in enumerate(xs.tolist()):
-            lines.append(f"{xv!r},{yv!r},{hm.mean[j, i]!r},{hm.std[j, i]!r}")
-    path.write_text("\n".join(lines) + "\n")
+    write_heatmap_csv(path, hm)
     frac_noisy = float(np.mean(hm.std > 0.25))
     print(f"{name}: mean std {hm.std.mean():.3f}, "
           f"{100 * frac_noisy:.1f}% of the plane is coin-flip territory (std > 0.25) "

@@ -231,6 +231,34 @@ def _predict_transferred(outcomes: list[TransferOutcome], X) -> np.ndarray:
     return labels
 
 
+def _count_transfers(plan: TransferPlan, net: nn.DenseNet, X, target, transfers: int,
+                     seed: int, tag: int, per_stream: int, group: int,
+                     workers: int) -> np.ndarray:
+    """Per point of ``X``, the number of ``transfers`` transfers of ``net``
+    whose label equals ``target``: the one counting job of
+    :func:`evaluate_transfers` and :func:`heatmap`.
+
+    Stream rule: transfer ``t`` is drawn from its stream
+    ``SeedSequence([seed, tag, t // per_stream])``, where one
+    ``plan.sample`` call draws the stream's ``per_stream`` transfers (the
+    last stream may hold fewer).  Job ``g`` forwards transfers
+    ``g*group`` up to the next job's, a whole number of streams, in one
+    :func:`_predict_transferred` call, whose labels do not depend on the
+    other transfers of the stack.  The jobs' counts are integer sums by
+    :func:`_sum_jobs`, so they are the same for any worker count.
+    """
+    def count(g: int) -> np.ndarray:
+        starts = range(g * group, min((g + 1) * group, transfers), per_stream)
+        draws = [plan.sample(net, min(per_stream, transfers - t),
+                             _transfer_rng(seed, tag, t // per_stream)) for t in starts]
+        outcomes = [TransferOutcome(np.concatenate([o.phi_prime for o in layer]),
+                                    np.concatenate([o.stuck_mask for o in layer]))
+                    for layer in zip(*draws)]
+        return np.sum(_predict_transferred(outcomes, X) == target, axis=0)
+
+    return _sum_jobs(count, -(-transfers // group), workers)
+
+
 def evaluate_transfers(
     net: nn.DenseNet,
     model: VariabilityModel,
@@ -244,28 +272,20 @@ def evaluate_transfers(
 ) -> RobustnessReport:
     """Correct-classification counts per test point over N transfers.
 
-    Transfers are drawn in fixed chunks of :data:`CHUNK`: chunk ``k`` holds
-    transfers ``k*CHUNK`` up to the next chunk (the last one may be
-    shorter), is drawn by one :meth:`TransferPlan.sample` call from its own
-    stream ``SeedSequence([seed, 100, k])`` and is classified in one stacked
-    forward pass.  Counts are integer sums over chunks, so the result is
-    identical for any worker count or scheduling order.  Drawing a chunk at
-    once gives a different Monte-Carlo sample for a given seed than drawing
-    its transfers one by one (each from its own stream), as versions before
-    the chunked engine did.
+    Counted by :func:`_count_transfers` with ``per_stream = group =``
+    :data:`CHUNK` and the test labels as target: chunk ``k`` (the last one
+    may be shorter) is drawn by one :meth:`TransferPlan.sample` call from
+    stream ``SeedSequence([seed, 100, k])`` and classified in one stacked
+    forward pass, and the counts do not depend on the worker count.
+    Drawing a chunk at once gives a different Monte-Carlo sample than
+    drawing its transfers one by one, as versions before the chunked engine
+    did.
     """
     if transfers < 1:
         raise ValueError(f"transfers must be >= 1, got {transfers}")
-    plan = TransferPlan(layouts, model, x, y)
-    X = test_set.points
-    labels = np.asarray(test_set.labels)
-
-    def count_chunk(k: int) -> np.ndarray:
-        n = min(CHUNK, transfers - k * CHUNK)
-        outcomes = plan.sample(net, n, _transfer_rng(seed, _STREAM_EVAL, k))
-        return np.sum(_predict_transferred(outcomes, X) == labels, axis=0)
-
-    counts = _sum_jobs(count_chunk, -(-transfers // CHUNK), workers)
+    counts = _count_transfers(TransferPlan(layouts, model, x, y), net, test_set.points,
+                              np.asarray(test_set.labels), transfers, seed, _STREAM_EVAL,
+                              CHUNK, CHUNK, workers)
     return RobustnessReport(counts=counts, transfers=transfers)
 
 
@@ -347,7 +367,12 @@ class HeatmapGrid:
     grid: GridSpec
     repetitions: int
     mean: np.ndarray  # (ny, nx), mean of binary classifications
-    std: np.ndarray  # (ny, nx), sqrt(mean * (1 - mean))
+
+    @property
+    def std(self) -> np.ndarray:
+        """(ny, nx); the outcomes are binary, so this is exactly their
+        standard deviation."""
+        return np.sqrt(self.mean * (1.0 - self.mean))
 
 
 def heatmap(
@@ -356,46 +381,29 @@ def heatmap(
     layouts: list[TileLayout],
     x: float,
     y: float,
-    grid: GridSpec = GridSpec(),
-    repetitions: int = 1000,
-    seed: int = 0,
+    grid: GridSpec,
+    repetitions: int,
+    seed: int,
     workers: int = 1,
 ) -> HeatmapGrid:
     """Classification mean/std per grid cell over repeated transfers.
 
     One transfer is shared by the whole grid within a repetition (each
-    repetition is one network instance classifying the plane).  Outcomes
-    are binary, so the standard deviation is exactly
-    sqrt(mean * (1 - mean)).
+    repetition is one network instance classifying the plane).
 
-    Repetition ``i`` is one transfer, drawn alone by ``plan.sample(net, 1,
-    ...)`` from its own stream ``SeedSequence([seed, 101, i])``.  The
-    repetitions go in groups of :data:`HEATMAP_GROUP` (the last group may
-    be shorter): a group's draws are stacked per layer and the whole grid
-    is forwarded once through :func:`_predict_transferred`, the forward
-    :func:`evaluate_transfers` uses, whose labels do not depend on the
-    other transfers of the stack.  Each group's per-cell counts of label 1
-    are summed in place by :func:`_sum_jobs`, so the grid is the same for
-    any worker count and equals forwarding each repetition alone.
+    The counts of label 1 come from :func:`_count_transfers` with
+    ``per_stream = 1``, ``group =`` :data:`HEATMAP_GROUP` and target
+    ``True``: repetition ``i`` is drawn alone by ``plan.sample(net, 1,
+    ...)`` from stream ``SeedSequence([seed, 101, i])``, so the grid is
+    the same for any worker count and equals forwarding each repetition
+    alone.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    plan = TransferPlan(layouts, model, x, y)
-    pts = grid.points()
-
-    def classify(g: int) -> np.ndarray:
-        reps = range(g * HEATMAP_GROUP, min((g + 1) * HEATMAP_GROUP, repetitions))
-        draws = [plan.sample(net, 1, _transfer_rng(seed, _STREAM_HEATMAP, i)) for i in reps]
-        outcomes = [TransferOutcome(np.concatenate([o.phi_prime for o in layer]),
-                                    np.concatenate([o.stuck_mask for o in layer]))
-                    for layer in zip(*draws)]
-        return np.sum(_predict_transferred(outcomes, pts), axis=0)
-
-    ones = _sum_jobs(classify, -(-repetitions // HEATMAP_GROUP), workers)
-
-    mean = (ones / repetitions).reshape(grid.ny, grid.nx)
-    std = np.sqrt(mean * (1.0 - mean))
-    return HeatmapGrid(grid=grid, repetitions=repetitions, mean=mean, std=std)
+    ones = _count_transfers(TransferPlan(layouts, model, x, y), net, grid.points(), True,
+                            repetitions, seed, _STREAM_HEATMAP, 1, HEATMAP_GROUP, workers)
+    return HeatmapGrid(grid=grid, repetitions=repetitions,
+                       mean=(ones / repetitions).reshape(grid.ny, grid.nx))
 
 
 # ---------------------------------------------------------------------------
@@ -524,18 +532,17 @@ def write_heatmap_csv(path: Path, hm: HeatmapGrid) -> None:
     """One ``x,y,mean,std`` row per cell, row-major from the lowest y, each
     value written as its ``repr``.
 
-    Each x, each y and each distinct ``(mean, std)`` pair is formatted
-    once; a heatmap of M repetitions has at most M + 1 such pairs.  Values
-    are told apart by their bit patterns, so the bytes are those of
-    formatting every cell.
+    Each x, each y and each distinct mean, with its std, is formatted
+    once; a heatmap of M repetitions has at most M + 1 distinct means.
+    Means are told apart by their bit patterns, and the std is a function
+    of the mean, so the bytes are those of formatting every cell.
     """
     xs, ys = hm.grid.centers()
     xs = [f"{xv!r}," for xv in xs.tolist()]
-    means, mean_index = np.unique(hm.mean.ravel().view(np.int64), return_inverse=True)
-    stds, std_index = np.unique(hm.std.ravel().view(np.int64), return_inverse=True)
-    pairs, index = np.unique(mean_index * len(stds) + std_index, return_inverse=True)
-    cells = [f",{m!r},{s!r}" for m, s in zip(means[pairs // len(stds)].view(np.float64).tolist(),
-                                              stds[pairs % len(stds)].view(np.float64).tolist())]
+    means, index = np.unique(hm.mean.ravel().view(np.int64), return_inverse=True)
+    means = means.view(np.float64)
+    stds = np.sqrt(means * (1.0 - means))
+    cells = [f",{m!r},{s!r}" for m, s in zip(means.tolist(), stds.tolist())]
     lines = ["x,y,mean,std"]
     for yv, row in zip(ys.tolist(), index.reshape(hm.mean.shape).tolist()):
         yv = repr(yv)

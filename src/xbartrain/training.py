@@ -21,7 +21,6 @@ from .transfer import (
     TileLayout,
     TransferPlan,
     WeightRangeSnapshot,
-    layer_to_crossbar,
     layouts_for_architecture,
 )
 from .variability import (
@@ -29,7 +28,6 @@ from .variability import (
     LinearStdModel,
     OffsetModel,
     VariabilityModel,
-    make_synthetic_model,
 )
 
 __all__ = [
@@ -110,8 +108,8 @@ class EpsilonSample:
 
     ``weight_eps[l] + layer.weights`` equals the transferred weights, i.e.
     the stored term is (phi' - phi); adding it in the forward pass
-    reproduces phi' while gradients bypass it entirely.  A drawn sample
-    holds views of its layers' crossbar-shaped arrays.
+    reproduces phi' while gradients bypass it entirely.  The masks of a
+    drawn sample are views of its layers' crossbar-shaped stuck masks.
     """
 
     weight_eps: list[np.ndarray]
@@ -131,25 +129,21 @@ def sample_epsilon(
 ) -> EpsilonSample:
     """Simulate one transfer of every layer (bias row included) and return
     the additive noise relative to the current weights."""
-    return _epsilon(net, TransferPlan(layouts, model, x, y), rng)[0]
+    return _epsilon(net, TransferPlan(layouts, model, x, y), rng)
 
 
-def _epsilon(net: nn.DenseNet, plan: TransferPlan, rng: np.random.Generator):
-    """One transfer of every layer as an EpsilonSample of views, and
-    whether any device of it is stuck."""
+def _epsilon(net: nn.DenseNet, plan: TransferPlan, rng: np.random.Generator) -> EpsilonSample:
+    """One transfer of every layer, drawn by ``plan.sample``, as an
+    EpsilonSample."""
     sample = EpsilonSample([], [], [], [], [])
-    noise = plan.draw(1, rng)
-    for layer, layer_noise in zip(net.layers, noise):
-        aug = layer_to_crossbar(layer.weights, layer.bias)
-        outcome = plan.apply(aug, layer_noise)
-        eps = outcome.phi_prime[0] - aug
-        mask = outcome.stuck_mask[0]
-        sample.weight_eps.append(eps[:-1].T)
-        sample.bias_eps.append(eps[-1])
+    for layer, outcome in zip(net.layers, plan.sample(net, 1, rng)):
+        phi_prime, mask = outcome.phi_prime[0], outcome.stuck_mask[0]
+        sample.weight_eps.append(phi_prime[:-1].T - layer.weights)
+        sample.bias_eps.append(phi_prime[-1] - layer.bias)
         sample.weight_mask.append(mask[:-1].T)
         sample.bias_mask.append(mask[-1])
         sample.snapshots.append(outcome.snapshot)
-    return sample, any(layer_noise.n_stuck for layer_noise in noise)
+    return sample
 
 
 def effective_net(net: nn.DenseNet, sample: EpsilonSample) -> nn.DenseNet:
@@ -188,8 +182,8 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def _train(config: TrainingConfig, train_set, sampler, batch_hook):
-    """Shared loop.  ``sampler`` draws ``(EpsilonSample, any stuck)`` per
-    batch, or is None for plain training (also used when every source is
+    """Shared loop.  ``sampler`` draws an EpsilonSample per batch, or is
+    None for plain training (also used when every source is
     disabled, which makes the noisy loop degenerate to the plain one
     exactly)."""
     X = np.asarray(train_set.points, dtype=float)
@@ -208,14 +202,11 @@ def _train(config: TrainingConfig, train_set, sampler, batch_hook):
                 sample = None
                 grads = nn.backward(net, cache, yb)
             else:
-                sample, stuck = sampler(net)
+                sample = sampler(net)
                 eff = effective_net(net, sample)
                 y_hat, cache = nn.forward(eff, Xb)
                 loss = nn.bce_loss(y_hat, yb)
-                if stuck:
-                    grads = masked_backward(eff, cache, yb, sample)
-                else:
-                    grads = nn.backward(eff, cache, yb)
+                grads = masked_backward(eff, cache, yb, sample)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"training diverged: non-finite loss at epoch {epoch}, batch {step}"
@@ -229,13 +220,11 @@ def _train(config: TrainingConfig, train_set, sampler, batch_hook):
 def train_hardware_aware(
     config: TrainingConfig,
     train_set,
-    model: VariabilityModel | None = None,
+    model: VariabilityModel,
     batch_hook=None,
 ) -> nn.DenseNet:
     """Noise-injected training; returns the clean weights (noise is never
     baked into the parameters)."""
-    if model is None:
-        model = make_synthetic_model()
     x = config.hrs_fraction if config.sources.stuck else 0.0
     y = config.lrs_fraction if config.sources.stuck else 0.0
     if not config.sources.any_active(x, y):

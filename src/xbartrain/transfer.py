@@ -223,13 +223,12 @@ class TransferNoise(NamedTuple):
     components on axis 0: ``stuck`` and ``stuck_values`` are
     ``(2, n, rows, cols)``, ``normals`` is ``(2, 2, n, rows, cols)`` with
     the tuning then the offset normals on axis 1, and ``disturbance`` holds
-    the biasing-disturbance values.  ``n_stuck`` counts the stuck devices;
-    when it is 0, ``stuck_values`` is None."""
+    the biasing-disturbance values.  ``stuck_values`` is None when no
+    device is stuck."""
 
     k: int
     stuck: np.ndarray
     stuck_values: np.ndarray | None
-    n_stuck: int
     normals: np.ndarray
     disturbance: np.ndarray
 
@@ -240,11 +239,16 @@ class TransferPlan:
     Built once per ``(layouts, model, x, y)``: the stuck fractions and the
     finiteness of the model are checked and every layout's n_d matrices are
     resolved against the bias database here, so sampling repeats none of
-    that.  Sampling is split in two: :meth:`draw` makes every random draw,
-    none of which depends on the weights, and :meth:`apply` combines one
-    layer's draws with its weights.  Both are vectorized over transfers, so
-    :meth:`sample` (``apply`` of ``draw``) returns ``n`` whole-network
-    transfers as ``(n, fan_in + 1, fan_out)`` stacks per layer.
+    that.
+
+    :meth:`sample` is the one entry point of training, evaluation and the
+    heatmap: it returns ``n`` whole-network transfers as
+    ``(n, fan_in + 1, fan_out)`` stacks per layer.  It is ``apply`` of
+    ``draw``: :meth:`draw` makes every random draw, none of which depends
+    on the weights, and :meth:`apply` combines one layer's draws with its
+    weights; both are vectorized over transfers.  Besides :meth:`sample`,
+    only :func:`simulate_transfer`, which transfers one matrix rather than
+    a network, calls them.
 
     Stream contract: :meth:`draw` draws layer by layer.  For each layer it
     draws the stuck uniforms, HRS values and LRS values of the plus then
@@ -284,10 +288,6 @@ class TransferPlan:
             for layer, noise in zip(net.layers, self.draw(n, rng))
         ]
 
-    def sample_matrix(self, phi, k: int, n: int, rng: np.random.Generator) -> TransferOutcome:
-        """``n`` simulated transfers of one crossbar matrix onto layout ``k``."""
-        return self.apply(phi, self._draw_layer(k, n, rng))
-
     def draw(self, n: int, rng: np.random.Generator) -> list[TransferNoise]:
         """The draws of ``n`` transfers of every layer, in layer order."""
         return [self._draw_layer(k, n, rng) for k in range(len(self.layouts))]
@@ -302,7 +302,6 @@ class TransferPlan:
         stuck_model = self.model.stuck_model
         stuck = np.empty((2, *shape), dtype=bool)
         values = None
-        n_stuck = 0
         for pol in range(2):
             u = rng.random(shape)
             count = np.count_nonzero(np.less(u, self.x + self.y, out=stuck[pol]))
@@ -315,13 +314,12 @@ class TransferPlan:
                     values[pol][hrs] = stuck_model.sample_hrs(rng, size=n_hrs)
                 if count - n_hrs:
                     values[pol][stuck[pol] ^ hrs] = stuck_model.sample_lrs(rng, size=count - n_hrs)
-                n_stuck += count
         normals = np.empty((2, 2, *shape))
         disturbance = np.empty((2, *shape))
         for pol, bias in enumerate(self._bias[k]):
             rng.standard_normal(out=normals[pol])
             disturbance[pol] = bias.sample(rng, n)
-        return TransferNoise(k, stuck, values, n_stuck, normals, disturbance)
+        return TransferNoise(k, stuck, values, normals, disturbance)
 
     def apply(self, phi, noise: TransferNoise) -> TransferOutcome:
         """The transfers of the crossbar matrix ``phi`` that ``noise`` draws.
@@ -340,7 +338,7 @@ class TransferPlan:
         snap = WeightRangeSnapshot.of_matrix(phi)
         g = _scale(np.maximum(_POLARITY * phi, 0.0), snap, crange)[:, None]
         final = _perturb(g, noise.normals[:, 0], noise.normals[:, 1], noise.disturbance, self.model)
-        if noise.n_stuck:
+        if noise.stuck_values is not None:
             final = np.where(noise.stuck, noise.stuck_values, final)
         return TransferOutcome(
             phi_prime=_unscale(final[0], final[1], snap, crange),
@@ -359,7 +357,8 @@ def simulate_transfer(
 ) -> TransferOutcome:
     """One Monte-Carlo draw of the full transfer pipeline for one matrix
     (see :meth:`TransferPlan.apply`)."""
-    outcome = TransferPlan([layout], model, x, y).sample_matrix(phi, 0, 1, rng)
+    plan = TransferPlan([layout], model, x, y)
+    outcome = plan.apply(phi, plan.draw(1, rng)[0])
     return TransferOutcome(outcome.phi_prime[0], outcome.stuck_mask[0], outcome.snapshot)
 
 

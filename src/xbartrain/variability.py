@@ -240,8 +240,7 @@ class BiasLookup:
         entry; it consumes ``rng`` exactly as ``n`` single draws."""
         # An upper bound of the output's shape draws faster than
         # integers(..., size=...).
-        high = self.lengths[None]
-        picks = rng.integers(0, high if n == 1 else high.repeat(n, axis=0))
+        picks = rng.integers(0, self.lengths[None].repeat(n, axis=0))
         return self.table[self.rows, picks]
 
 

@@ -158,11 +158,11 @@ def test_criterion_2_gradient_oracle():
     )
 
 
-def test_criterion_3_zero_variability_equivalence(moons_split):
+def test_criterion_3_zero_variability_equivalence(moons_split, synthetic_model):
     t0 = time.time()
     train_set, _ = moons_split
     cfg = TrainingConfig(epochs=500, seed=0, sources=SourceToggles(False, False, False))
-    hw = train_hardware_aware(cfg, train_set)
+    hw = train_hardware_aware(cfg, train_set, model=synthetic_model)
     reg = train_regular(cfg, train_set)
     identical = all(
         a.weights.tobytes() == b.weights.tobytes() and a.bias.tobytes() == b.bias.tobytes()
@@ -187,7 +187,7 @@ def test_criterion_4_statistical_conformance():
     model = zero_noise_model()
     phi = np.full((500, 200), 0.5)
     plan = TransferPlan([TileLayout.for_weight_matrix(500, 200)], model, x, y)
-    mask = plan.sample_matrix(phi, 0, 1, np.random.default_rng(41)).stuck_mask[0]
+    mask = plan.apply(phi, plan.draw(1, np.random.default_rng(41))[0]).stuck_mask[0]
     p = 1.0 - (1.0 - (x + y)) ** 2
     se = np.sqrt(p * (1.0 - p) / mask.size)
     ok_a = abs(mask.mean() - p) < 3 * se

@@ -80,6 +80,22 @@ class TestEvaluateTransfers:
         assert r1.counts.tobytes() == r2.counts.tobytes()
         assert r1.counts.tobytes() == r4.counts.tobytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("transfers", [1, CHUNK - 1, CHUNK, CHUNK + 3, 2 * CHUNK + 5])
+    def test_chunks_equal_reference_forward(self, synthetic_model, transfers, workers):
+        net = symmetric_net()
+        test_set = make_half_moons(30, noise_std=0.1, seed=27)
+        plan = TransferPlan(LAYOUTS, synthetic_model, 0.01, 0.01)
+        counts = np.zeros(len(test_set), dtype=np.int64)
+        for k in range(-(-transfers // CHUNK)):
+            n = min(CHUNK, transfers - k * CHUNK)
+            outcomes = plan.sample(net, n, _transfer_rng(10, 100, k))
+            counts += np.sum(reference_predict(outcomes, test_set.points) == test_set.labels,
+                             axis=0)
+        report = evaluate_transfers(net, synthetic_model, LAYOUTS, 0.01, 0.01, test_set,
+                                    transfers, seed=10, workers=workers)
+        assert report.counts.tobytes() == counts.tobytes()
+
     def test_partial_chunk_counts_worker_independent(self, synthetic_model):
         net = symmetric_net()
         test_set = make_half_moons(40, noise_std=0.1, seed=27)
@@ -357,6 +373,28 @@ class TestGoldenHeatmap:
         write_heatmap_csv(path, hm)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "307c2560322ab6d011cd285368b88d48e2575dc7e2348f7fd2927d3e609383fd"
+
+
+class TestGoldenEvaluation:
+    # sha256 of evaluate_transfers' int64 counts, recorded with the
+    # per-chunk count job (numpy 2.4.6, scipy 1.17.1, OpenBLAS, x86-64):
+    # one transfer, a short chunk, a full chunk plus a short one, and two
+    # full chunks plus a short one.
+    DIGESTS = {
+        1: "083718eaf9fd4cd1f143de0d1db6226d55ccb40e51ab67c160f3f17f8f4884dd",
+        CHUNK - 1: "45904929ead9a8529d8133f5fc05d8da74d8c1e13daf8f87e9120eff8779d07e",
+        CHUNK + 3: "7c92ca132d5d3e1a8360eeefb3ebc2a28180b135ea378fb04fb90e6ee5d57ea6",
+        2 * CHUNK + 5: "0377100d1b5fdde1ded86d88b89b16c40dfdb7c951726a3b43b69e3dabaef31f",
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("transfers", list(DIGESTS))
+    def test_counts_digest(self, synthetic_model, transfers, workers):
+        test_set = make_half_moons(50, noise_std=0.1, seed=23)
+        report = evaluate_transfers(symmetric_net(), synthetic_model, LAYOUTS, 0.01, 0.01,
+                                    test_set, transfers, seed=9, workers=workers)
+        digest = hashlib.sha256(report.counts.tobytes()).hexdigest()
+        assert digest == self.DIGESTS[transfers]
 
 
 class TestConfig:

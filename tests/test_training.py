@@ -201,21 +201,21 @@ def tiny_moons(n=96, seed=21):
 
 
 class TestTrainingLoops:
-    def test_zero_variability_bitwise_equivalence(self):
+    def test_zero_variability_bitwise_equivalence(self, synthetic_model):
         cfg = TrainingConfig(epochs=25, seed=3, batch_size=32,
                              sources=SourceToggles(False, False, False))
         data = tiny_moons()
-        hw = train_hardware_aware(cfg, data)
+        hw = train_hardware_aware(cfg, data, model=synthetic_model)
         reg = train_regular(cfg, data)
         for a, b in zip(hw.layers, reg.layers):
             assert a.weights.tobytes() == b.weights.tobytes()
             assert a.bias.tobytes() == b.bias.tobytes()
 
-    def test_stuck_only_toggle_with_zero_fractions_degenerates(self):
+    def test_stuck_only_toggle_with_zero_fractions_degenerates(self, synthetic_model):
         cfg = TrainingConfig(epochs=5, seed=4, batch_size=32, hrs_fraction=0.0,
                              lrs_fraction=0.0, sources=SourceToggles(False, False, True))
         data = tiny_moons()
-        hw = train_hardware_aware(cfg, data)
+        hw = train_hardware_aware(cfg, data, model=synthetic_model)
         reg = train_regular(cfg, data)
         assert hw.layers[0].weights.tobytes() == reg.layers[0].weights.tobytes()
 

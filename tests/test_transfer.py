@@ -226,7 +226,7 @@ class TestApplyStuck:
     def transfer(shape, model, x, y, seed):
         phi = symmetric_matrix(shape, seed=0)
         plan = TransferPlan([TileLayout.for_weight_matrix(*shape)], model, x, y)
-        outcome = plan.sample_matrix(phi, 0, 1, np.random.default_rng(seed))
+        outcome = plan.apply(phi, plan.draw(1, np.random.default_rng(seed))[0])
         return phi, outcome.phi_prime[0], outcome.stuck_mask[0]
 
     def test_identity_when_disabled(self):
@@ -343,7 +343,7 @@ class TestTransferPlan:
         plan = TransferPlan([self.LAYOUT], synthetic_model, 0.2, 0.3)
         rng_a, rng_b = np.random.default_rng(13), np.random.default_rng(13)
         for _ in range(20):
-            a = plan.sample_matrix(phi, 0, 1, rng_a)
+            a = plan.apply(phi, plan.draw(1, rng_a)[0])
             b = simulate_transfer(phi, self.LAYOUT, synthetic_model, 0.2, 0.3, rng_b)
             assert a.phi_prime.shape == (1, 3, 8)
             assert a.phi_prime[0].tobytes() == b.phi_prime.tobytes()
@@ -352,8 +352,8 @@ class TestTransferPlan:
 
     def test_zero_noise_rows_equal_deterministic_conversion(self, zero_model):
         phi = np.random.default_rng(14).normal(size=(3, 8))
-        out = TransferPlan([self.LAYOUT], zero_model, 0.0, 0.0).sample_matrix(
-            phi, 0, 40, np.random.default_rng(0))
+        plan = TransferPlan([self.LAYOUT], zero_model, 0.0, 0.0)
+        out = plan.apply(phi, plan.draw(40, np.random.default_rng(0))[0])
         snap = WeightRangeSnapshot.of_matrix(phi)
         plus, minus = split_signed(phi)
         expected = from_conductance(
@@ -366,8 +366,8 @@ class TestTransferPlan:
 
     def test_all_hrs_rows(self, synthetic_model):
         phi = symmetric_matrix((3, 8), seed=15)
-        out = TransferPlan([self.LAYOUT], synthetic_model, 1.0, 0.0).sample_matrix(
-            phi, 0, 50, np.random.default_rng(1))
+        plan = TransferPlan([self.LAYOUT], synthetic_model, 1.0, 0.0)
+        out = plan.apply(phi, plan.draw(50, np.random.default_rng(1))[0])
         assert out.stuck_mask.all()
         # Both components are HRS draws in [10, 100] uS, so delta_g lies in
         # [-90, 90] and phi' in its affine image (phi_min = -phi_max here).
@@ -378,8 +378,8 @@ class TestTransferPlan:
     def test_stuck_mask_frequency_matches_binomial(self, synthetic_model):
         x = y = 0.005
         phi = np.random.default_rng(16).normal(size=(3, 8))
-        out = TransferPlan([self.LAYOUT], synthetic_model, x, y).sample_matrix(
-            phi, 0, 2000, np.random.default_rng(17))
+        plan = TransferPlan([self.LAYOUT], synthetic_model, x, y)
+        out = plan.apply(phi, plan.draw(2000, np.random.default_rng(17))[0])
         p = 1.0 - (1.0 - (x + y)) ** 2
         se = np.sqrt(p * (1 - p) / out.stuck_mask.size)
         assert abs(out.stuck_mask.mean() - p) < 3 * se
@@ -398,7 +398,7 @@ class TestTransferPlan:
         rng_a, rng_b = np.random.default_rng(21), np.random.default_rng(21)
         sampled = plan.sample(net, n, rng_a)
         noise = plan.draw(n, rng_b)
-        assert sum(layer_noise.n_stuck for layer_noise in noise) > 0
+        assert any(layer_noise.stuck_values is not None for layer_noise in noise)
         for layer, layer_noise, a in zip(net.layers, noise, sampled):
             b = plan.apply(layer_to_crossbar(layer.weights, layer.bias), layer_noise)
             assert a.phi_prime.tobytes() == b.phi_prime.tobytes()
@@ -408,8 +408,8 @@ class TestTransferPlan:
     def test_draws_do_not_depend_on_weights(self, synthetic_model):
         plan = TransferPlan([self.LAYOUT], synthetic_model, 0.1, 0.1)
         masks = [
-            plan.sample_matrix(np.random.default_rng(seed).normal(size=(3, 8)), 0, 4,
-                               np.random.default_rng(22)).stuck_mask
+            plan.apply(np.random.default_rng(seed).normal(size=(3, 8)),
+                       plan.draw(4, np.random.default_rng(22))[0]).stuck_mask
             for seed in (23, 24)
         ]
         assert masks[0].any() and np.array_equal(masks[0], masks[1])
@@ -419,7 +419,7 @@ class TestTransferPlan:
             TransferPlan([self.LAYOUT], zero_model, 0.7, 0.4)
         plan = TransferPlan([self.LAYOUT], zero_model, 0.0, 0.0)
         with pytest.raises(ValueError, match="shape"):
-            plan.sample_matrix(np.ones((9, 1)), 0, 2, np.random.default_rng(0))
+            plan.apply(np.ones((9, 1)), plan.draw(2, np.random.default_rng(0))[0])
         with pytest.raises(ValueError, match="layouts"):
             plan.sample(nn.DenseNet.init([2, 8, 1], np.random.default_rng(0)), 2,
                         np.random.default_rng(0))

@@ -232,6 +232,22 @@ class TransferNoise(NamedTuple):
     normals: np.ndarray
     disturbance: np.ndarray
 
+    @classmethod
+    def concatenate(cls, noises) -> "TransferNoise":
+        """The draws of one layout from several :meth:`TransferPlan.draw`
+        calls as one stack, their transfers in call order.  A draw with no
+        stuck device contributes zero ``stuck_values``, which
+        :meth:`TransferPlan.apply` never selects."""
+        if len(noises) == 1:
+            return noises[0]
+        values = None
+        if any(noise.stuck_values is not None for noise in noises):
+            values = np.concatenate([np.zeros(noise.stuck.shape) if noise.stuck_values is None
+                                     else noise.stuck_values for noise in noises], axis=1)
+        return cls(noises[0].k, np.concatenate([noise.stuck for noise in noises], axis=1), values,
+                   np.concatenate([noise.normals for noise in noises], axis=2),
+                   np.concatenate([noise.disturbance for noise in noises], axis=1))
+
 
 class TransferPlan:
     """The transfer pipeline for a fixed set of crossbars, ready to sample.
@@ -241,14 +257,15 @@ class TransferPlan:
     resolved against the bias database here, so sampling repeats none of
     that.
 
-    :meth:`sample` is the one entry point of training, evaluation and the
-    heatmap: it returns ``n`` whole-network transfers as
-    ``(n, fan_in + 1, fan_out)`` stacks per layer.  It is ``apply`` of
-    ``draw``: :meth:`draw` makes every random draw, none of which depends
-    on the weights, and :meth:`apply` combines one layer's draws with its
-    weights; both are vectorized over transfers.  Besides :meth:`sample`,
-    only :func:`simulate_transfer`, which transfers one matrix rather than
-    a network, calls them.
+    :meth:`sample` returns ``n`` whole-network transfers as
+    ``(n, fan_in + 1, fan_out)`` stacks per layer.  It is
+    :meth:`apply_net` of :meth:`draw`: :meth:`draw` makes every random
+    draw, none of which depends on the weights, and :meth:`apply` combines
+    one layer's draws with its weights; both are vectorized over transfers,
+    and :meth:`apply` is elementwise over them.  Training calls
+    :meth:`sample`; the Monte-Carlo counts draw several streams and apply
+    their stacked draws at once; :func:`simulate_transfer` transfers one
+    matrix rather than a network.
 
     Stream contract: :meth:`draw` draws layer by layer.  For each layer it
     draws the stuck uniforms, HRS values and LRS values of the plus then
@@ -281,11 +298,16 @@ class TransferPlan:
         """``n`` simulated transfers of every layer (bias row included),
         one :class:`TransferOutcome` of ``(n, fan_in + 1, fan_out)`` arrays
         per layer."""
+        return self.apply_net(net, self.draw(n, rng))
+
+    def apply_net(self, net: "DenseNet", noises: list[TransferNoise]) -> list[TransferOutcome]:
+        """The transfers of every layer of ``net`` (bias row included)
+        that the per-layer ``noises`` draw."""
         if len(net.layers) != len(self.layouts):
             raise ValueError(f"{len(net.layers)} layers but {len(self.layouts)} layouts")
         return [
             self.apply(layer_to_crossbar(layer.weights, layer.bias), noise)
-            for layer, noise in zip(net.layers, self.draw(n, rng))
+            for layer, noise in zip(net.layers, noises)
         ]
 
     def draw(self, n: int, rng: np.random.Generator) -> list[TransferNoise]:

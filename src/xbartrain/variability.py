@@ -268,13 +268,14 @@ class StuckModel:
             raise ValueError("lrs_samples must be non-empty")
         if any(v <= 0 for v in self.lrs_samples):
             raise ValueError("lrs_samples must be positive conductances")
+        # The array sample_lrs gathers from, built once rather than per draw.
+        object.__setattr__(self, "_lrs", np.array(self.lrs_samples))
 
     def sample_hrs(self, rng: np.random.Generator, size=None):
         return rng.uniform(self.hrs_low, self.hrs_high, size=size)
 
     def sample_lrs(self, rng: np.random.Generator, size=None):
-        values = np.asarray(self.lrs_samples)
-        return values[rng.integers(0, len(values), size=size)]
+        return self._lrs[rng.integers(0, len(self._lrs), size=size)]
 
 
 @dataclass(frozen=True)

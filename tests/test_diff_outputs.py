@@ -38,3 +38,12 @@ def test_missing_file_is_named(tmp_path):
     a, b = tree(tmp_path / "a"), tree(tmp_path / "b", fewer)
     assert diff_outputs.compare_trees(a, b) == ["missing in change: run/regular/table.csv"]
     assert diff_outputs.compare_trees(b, a) == ["missing in parent: run/regular/table.csv"]
+
+
+def test_regular_heatmap_reads_the_checkpoint_its_side_trained(tmp_path):
+    out = tmp_path / "out"
+    commands = diff_outputs.commands(tmp_path / "tree", tmp_path / "configs", out)
+    train = commands.index(next(c for c in commands if c[:2] == ["train", "--regular"]))
+    heatmap = next(c for c in commands if str(out / "heatmap_regular") in c)
+    assert heatmap[heatmap.index("--checkpoint") + 1] == str(out / "train" / "regular.json")
+    assert commands.index(heatmap) > train

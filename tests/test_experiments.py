@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +11,16 @@ from xbartrain.datasets import LabeledSet, make_half_moons
 from xbartrain.experiments import (
     _Z0,
     CHUNK,
+    GRID_TILE,
     HEATMAP_GROUP,
     MAX_GRID_POINTS,
     POINT_BLOCK,
     ConfigError,
     GridSpec,
     RobustnessReport,
+    _GridTiles,
     _predict_transferred,
+    _tile_margin,
     _transfer_rng,
     evaluate_transfers,
     experiment_config_from_dict,
@@ -210,6 +214,66 @@ class TestExactStep:
         assert np.array_equal(labels, reference_predict(outcomes, X))
 
 
+class RecordingForward:
+    """_predict_transferred, recording the transfer count and the points
+    of each call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, outcomes, X):
+        self.calls.append((outcomes[0].phi_prime.shape[0], np.array(X)))
+        return _predict_transferred(outcomes, X)
+
+
+class TestTiles:
+    # 40 x 16 cells of 0.1 x 0.125: five columns of tiles, of which the
+    # middle one, cells -0.35 <= x0 <= 0.35, holds the line x0 = 0.
+    GRID = GridSpec(x_min=-2.0, x_max=2.0, y_min=-1.0, y_max=1.0, nx=40, ny=16)
+
+    @pytest.fixture
+    def forward(self, monkeypatch):
+        recorder = RecordingForward()
+        monkeypatch.setattr("xbartrain.experiments._predict_transferred", recorder)
+        return recorder
+
+    def test_only_the_tiles_on_the_boundary_are_forwarded(self, forward):
+        outcomes = boundary_net_outcomes(n=3)
+        ones = _GridTiles(self.GRID).count_ones(outcomes)
+        points = self.GRID.points()
+        middle = points[np.abs(points[:, 0]) < 0.4]
+        assert len(middle) == GRID_TILE * self.GRID.ny
+        assert [n for n, _ in forward.calls] == [1, 1, 1]
+        for _, X in forward.calls:
+            assert sorted(map(tuple, X)) == sorted(map(tuple, middle))
+        assert np.array_equal(ones, reference_predict(outcomes, points).sum(axis=0))
+
+    @pytest.mark.parametrize("multiple, forwarded", [(0.5, True), (2.0, False)])
+    def test_a_bound_within_the_margin_is_forwarded(self, forward, multiple, forwarded):
+        # Zero first-layer weights: the output is the output bias b
+        # everywhere, and both bounds are b.
+        outcomes = boundary_net_outcomes()
+        outcomes[0].phi_prime[:] = 0.0
+        layers = [(o.phi_prime[:, :-1], o.phi_prime[:, -1:]) for o in outcomes]
+        margin = _tile_margin(layers, _GridTiles(self.GRID).x_max)[0]
+        assert 0 < margin < 1e-12
+        outcomes[1].phi_prime[0, 2, 0] = _Z0 + multiple * margin
+        ones = _GridTiles(self.GRID).count_ones(outcomes)
+        assert len(forward.calls) == int(forwarded)
+        if forwarded:
+            assert len(forward.calls[0][1]) == self.GRID.nx * self.GRID.ny
+        assert ones.all()
+        assert np.array_equal(ones, reference_predict(outcomes, self.GRID.points()).sum(axis=0))
+
+    def test_nan_weight_forwards_every_tile(self, forward):
+        outcomes = boundary_net_outcomes(n=2)
+        outcomes[1].phi_prime[1, 2, 0] = np.nan
+        ones = _GridTiles(self.GRID).count_ones(outcomes)
+        assert [(n, len(X)) for n, X in forward.calls] == [
+            (1, GRID_TILE * self.GRID.ny), (1, self.GRID.nx * self.GRID.ny)]
+        assert np.array_equal(ones, reference_predict(outcomes, self.GRID.points()).sum(axis=0))
+
+
 class TestRobustnessTable:
     def test_all_perfect_goes_to_top_bin(self):
         report = RobustnessReport(counts=np.full(20, 50), transfers=50)
@@ -309,8 +373,8 @@ class TestHeatmap:
         assert a.mean.tobytes() == b.mean.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("repetitions",
-                             [1, HEATMAP_GROUP - 1, HEATMAP_GROUP, HEATMAP_GROUP + 1])
+    @pytest.mark.parametrize("repetitions", sorted(
+        {1, 3, 4, 5, HEATMAP_GROUP - 1, HEATMAP_GROUP, HEATMAP_GROUP + 1}))
     def test_groups_equal_repetitions_forwarded_alone(self, synthetic_model, repetitions,
                                                       workers):
         net = symmetric_net()
@@ -373,6 +437,22 @@ class TestGoldenHeatmap:
         write_heatmap_csv(path, hm)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "307c2560322ab6d011cd285368b88d48e2575dc7e2348f7fd2927d3e609383fd"
+
+
+class TestGoldenDefaultHeatmap:
+    # sha256 of write_heatmap_csv's bytes on the default 200 x 200 grid for
+    # the HA checkpoint of the benchmark, recorded with the heatmap that
+    # forwarded every cell (numpy 2.4.6, scipy 1.17.1, OpenBLAS, x86-64).
+    CHECKPOINT = Path(__file__).resolve().parent.parent / "perfbench/inputs/ha_default_seed0.json"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_csv_digest(self, synthetic_model, tmp_path, workers):
+        hm = heatmap(nn.load_checkpoint(self.CHECKPOINT), synthetic_model, LAYOUTS, 0.005, 0.005,
+                     GridSpec(), repetitions=20, seed=12, workers=workers)
+        path = tmp_path / "heatmap.csv"
+        write_heatmap_csv(path, hm)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "84728d6ef2651a0818bf748e7101747115829ab46035ab1601d45ef1e48fd767"
 
 
 class TestGoldenEvaluation:

@@ -6,8 +6,9 @@ with the reader's own error type; the writers' documents must load back to
 equal objects; the weight <-> conductance conversion must compose to its
 closed-form affine map; n_d must number the devices of each tile as a
 permutation; the robustness table must place every test point in
-exactly one bin; and the forward's fast sigmoid must stay well inside the
-bound that decides which labels it may keep.
+exactly one bin; the forward's fast sigmoid must stay well inside the
+bound that decides which labels it may keep; and the heatmap's tiles must
+count what forwarding every cell counts.
 """
 
 import json
@@ -20,19 +21,27 @@ from scipy.special import expit
 
 from xbartrain import nn
 from xbartrain.experiments import (
+    _Z0,
+    GRID_TILE,
     ConfigError,
+    GridSpec,
     RobustnessReport,
+    _GridTiles,
     _label_error_bound,
     _predict_transferred,
     _sigmoid,
+    _transfer_rng,
     experiment_config_from_dict,
+    heatmap,
     robustness_table,
 )
 from xbartrain.transfer import (
     TileLayout,
     TransferOutcome,
+    TransferPlan,
     WeightRangeSnapshot,
     from_conductance,
+    layouts_for_architecture,
     split_signed,
     to_conductance,
 )
@@ -315,6 +324,14 @@ class TestRobustnessTable:
             robustness_table(report, edges)
 
 
+def stacks(rng, sizes, n, scale) -> list[TransferOutcome]:
+    """``n`` transfers of a net of layer ``sizes`` as crossbar stacks of
+    normal weights times ``scale``."""
+    return [TransferOutcome(m, np.zeros(m.shape, dtype=bool))
+            for m in (scale * rng.normal(size=(n, fan_in + 1, fan_out))
+                      for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))]
+
+
 @st.composite
 def transferred_nets(draw) -> tuple[list[TransferOutcome], np.ndarray]:
     """``n`` transfers of a 2-k-1 or 2-a-b-1 net, as crossbar stacks with
@@ -323,10 +340,8 @@ def transferred_nets(draw) -> tuple[list[TransferOutcome], np.ndarray]:
     n = draw(st.integers(1, 4))
     scale = draw(st.floats(0.01, 30.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    stacks = [scale * rng.normal(size=(n, fan_in + 1, fan_out))
-              for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
-    X = rng.uniform(-3.0, 3.0, size=(draw(st.integers(1, 300)), 2))
-    return [TransferOutcome(m, np.zeros(m.shape, dtype=bool)) for m in stacks], X
+    outcomes = stacks(rng, sizes, n, scale)
+    return outcomes, rng.uniform(-3.0, 3.0, size=(draw(st.integers(1, 300)), 2))
 
 
 class TestLabelErrorBound:
@@ -349,3 +364,67 @@ class TestLabelErrorBound:
             z.append(a[..., 0])
         error = np.max(np.abs(z[0] - z[1]), axis=1)
         assert np.all(error <= _label_error_bound(layers) / 8)
+
+
+# Grid sides below, at and above the tile side, one cell included.
+SIDES = st.sampled_from([1, GRID_TILE - 1, GRID_TILE, GRID_TILE + 1, 2 * GRID_TILE + 3])
+
+
+@st.composite
+def grids(draw) -> GridSpec:
+    x_min, y_min = draw(st.floats(-3.0, 0.0)), draw(st.floats(-3.0, 0.0))
+    return GridSpec(x_min, x_min + draw(st.floats(0.1, 4.0)), y_min,
+                    y_min + draw(st.floats(0.1, 4.0)), draw(SIDES), draw(SIDES))
+
+
+@st.composite
+def boundary_stacks(draw, grid: GridSpec) -> list[TransferOutcome]:
+    """``n`` transfers of a 2-h-1 net whose output is exactly its output
+    bias on one column (or row) of grid centres: two hidden units
+    ``c (x - x_c)`` and ``-c (x - x_c)`` are 0 there, so their sigmoids
+    are 1/2 and their output weights ``v`` and ``-v`` cancel; the other
+    hidden units have output weight 0.  The bias is 0, ``_Z0`` or the
+    double below it, so the labels on the column sit on either side of the
+    threshold."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, extra, axis = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 1))
+    centre = draw(st.sampled_from(grid.centers()[axis].tolist()))
+    m1, m2 = stacks(rng, [2, 2 + extra, 1], n, draw(st.floats(0.1, 20.0)))
+    c, v = rng.uniform(0.5, 20.0, size=n), rng.uniform(-20.0, 20.0, size=n)
+    w1, w2 = m1.phi_prime, m2.phi_prime
+    w1[:, :, :2] = 0.0
+    w1[:, axis, 0], w1[:, axis, 1] = c, -c
+    w1[:, 2, 0], w1[:, 2, 1] = -(c * centre), c * centre
+    w2[:, :, 0] = 0.0
+    w2[:, 0, 0], w2[:, 1, 0] = v, -v
+    w2[:, -1, 0] = draw(st.sampled_from([0.0, _Z0, np.nextafter(_Z0, -np.inf)]))
+    return [m1, m2]
+
+
+class TestTiledHeatmap:
+    @given(data=st.data())
+    def test_tiles_count_the_reference_labels(self, data):
+        grid = data.draw(grids())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sizes = data.draw(st.sampled_from([[2, 1], [2, 3, 1], [2, 8, 1], [2, 5, 3, 1]]))
+        random = stacks(rng, sizes, data.draw(st.integers(1, 4)), data.draw(st.floats(0.01, 30.0)))
+        outcomes = data.draw(st.sampled_from([random]) | boundary_stacks(grid))
+        ones = _GridTiles(grid).count_ones(outcomes)
+        assert np.array_equal(ones, reference_predict(outcomes, grid.points()).sum(axis=0))
+
+    @given(grid=grids(), sizes=st.sampled_from([[2, 4, 1], [2, 8, 1], [2, 5, 3, 1]]),
+           scale=st.floats(0.5, 20.0), seed=st.integers(0, 2**32 - 1),
+           repetitions=st.integers(1, 3))
+    def test_heatmap_equals_the_per_repetition_reference(self, synthetic_model, grid, sizes,
+                                                         scale, seed, repetitions):
+        rng = np.random.default_rng(seed)
+        net = nn.DenseNet([nn.LayerParams(scale * rng.normal(size=(fan_out, fan_in)),
+                                          scale * rng.normal(size=fan_out))
+                           for fan_in, fan_out in zip(sizes[:-1], sizes[1:])])
+        layouts = layouts_for_architecture(sizes)
+        plan = TransferPlan(layouts, synthetic_model, 0.01, 0.01)
+        ones = sum(reference_predict(plan.sample(net, 1, _transfer_rng(seed, 101, i)),
+                                     grid.points())[0].astype(np.int64)
+                   for i in range(repetitions))
+        hm = heatmap(net, synthetic_model, layouts, 0.01, 0.01, grid, repetitions, seed)
+        assert hm.mean.tobytes() == (ones / repetitions).reshape(grid.ny, grid.nx).tobytes()

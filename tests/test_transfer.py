@@ -4,6 +4,7 @@ import pytest
 from xbartrain.transfer import (
     ConductanceRange,
     TileLayout,
+    TransferNoise,
     TransferPlan,
     WeightRangeSnapshot,
     from_conductance,
@@ -404,6 +405,21 @@ class TestTransferPlan:
             assert a.phi_prime.tobytes() == b.phi_prime.tobytes()
             assert a.stuck_mask.tobytes() == b.stuck_mask.tobytes()
         assert rng_a.random() == rng_b.random()
+
+    def test_concatenated_draws_apply_as_each_alone(self, synthetic_model):
+        # One stream with stuck devices, one without (x = y = 0), one with:
+        # the apply of the stacked draws is each stream's apply, bit for bit.
+        phi = np.random.default_rng(25).normal(size=(3, 8))
+        plans = [TransferPlan([self.LAYOUT], synthetic_model, x, x) for x in (0.2, 0.0, 0.1)]
+        noises = [plan.draw(n, np.random.default_rng(26 + n))[0]
+                  for plan, n in zip(plans, (2, 3, 1))]
+        assert [noise.stuck_values is None for noise in noises] == [False, True, False]
+        stacked = plans[0].apply(phi, TransferNoise.concatenate(noises))
+        alone = [plans[0].apply(phi, noise) for noise in noises]
+        assert stacked.phi_prime.tobytes() == np.concatenate(
+            [o.phi_prime for o in alone]).tobytes()
+        assert np.array_equal(stacked.stuck_mask, np.concatenate([o.stuck_mask for o in alone]))
+        assert TransferNoise.concatenate(noises[1:2]) is noises[1]
 
     def test_draws_do_not_depend_on_weights(self, synthetic_model):
         plan = TransferPlan([self.LAYOUT], synthetic_model, 0.1, 0.1)

@@ -17,6 +17,9 @@ The set:
 - ``evaluate`` of ``perfbench/inputs/ha_default_seed0.json`` with seed 7
   and 5000 transfers;
 - ``heatmap`` of the same checkpoint, 301 repetitions on 2 threads;
+- ``heatmap`` of the regular net that the side's own ``train --regular``
+  wrote, on the default grid with the same repetitions and threads, so
+  that a second decision boundary is compared on a full grid;
 - ``run`` on the config of acceptance criterion 9 (determinism).
 
 Standard output is not compared, because it names the output paths.
@@ -49,13 +52,17 @@ CONFIGS = {
 
 def commands(tree: Path, configs: Path, out: Path) -> list[list[str]]:
     """The CLI set, as argument lists of ``xbartrain``, writing under ``out``."""
-    checkpoint = ["--checkpoint", str(tree / CHECKPOINT), "--config", str(configs / "default.json")]
+    default = ["--config", str(configs / "default.json")]
+    checkpoint = ["--checkpoint", str(tree / CHECKPOINT), *default]
+    regular = ["--checkpoint", str(out / "train" / "regular.json"), *default]
     train = ["--config", str(configs / "train.json"), "--out", str(out / "train")]
+    heat = ["--transfers", "301", "--threads", "2"]
     return [
         ["train", "--hardware-aware", *train],
         ["train", "--regular", *train],
         ["evaluate", *checkpoint, "--seed", "7", "--transfers", "5000", "--out", str(out / "evaluate")],
-        ["heatmap", *checkpoint, "--transfers", "301", "--threads", "2", "--out", str(out / "heatmap")],
+        ["heatmap", *checkpoint, *heat, "--out", str(out / "heatmap")],
+        ["heatmap", *regular, *heat, "--out", str(out / "heatmap_regular")],
         ["run", "--config", str(configs / "criterion_9.json"), "--out", str(out / "run")],
     ]
 

@@ -35,7 +35,7 @@ from .training import (
     EpsilonSample,
     SourceToggles,
     TrainingConfig,
-    masked_backward,
+    EffectiveParams,
     sample_epsilon,
     train_hardware_aware,
     train_regular,

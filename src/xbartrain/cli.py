@@ -114,12 +114,14 @@ def cmd_train(args) -> int:
     model = config.resolve_model()
     train_set, test_set = experiment_dataset(config)
     args.out.mkdir(parents=True, exist_ok=True)
+    steps = (config.training.steps(len(train_set)), "steps")
     if args.hardware_aware:
-        net = train_hardware_aware(config.training, train_set, model=model)
         name = "hardware_aware"
+        net = _timed(f"{name} training", train_hardware_aware, config.training, train_set,
+                     model=model, rate=steps)
     else:
-        net = train_regular(config.training, train_set)
         name = "regular"
+        net = _timed(f"{name} training", train_regular, config.training, train_set, rate=steps)
     path = args.out / f"{name}.json"
     nn.save_checkpoint(net, path)
     print(f"{name}: train accuracy {nn.accuracy(net, train_set.points, train_set.labels):.4f}, "

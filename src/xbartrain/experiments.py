@@ -333,18 +333,18 @@ def _count_transfers(plan: TransferPlan, net: nn.DenseNet, tally, transfers: int
     ``plan.draw`` call draws the stream's ``per_stream`` transfers (the
     last stream may hold fewer).  Job ``g`` holds transfers ``g*group`` up
     to the next job's, a whole number of streams: it stacks their draws
-    and applies them to the weights with one ``plan.apply`` per layer,
-    which is elementwise over transfers, so each transfer is the one
-    ``plan.sample`` of its stream gives.  ``tally`` labels each transfer
-    independently of the others in the stack, and the jobs' counts are
-    integer sums by :func:`_sum_jobs`, so they are the same for any worker
-    count.
+    and applies them to the weights with one ``plan.apply_net``, which is
+    elementwise over transfers, so each transfer is the one that
+    ``plan.apply_net`` of its stream's draw alone gives.  ``tally`` labels
+    each transfer independently of the others in the stack, and the jobs'
+    counts are integer sums by :func:`_sum_jobs`, so they are the same for
+    any worker count.
     """
     def count(g: int) -> np.ndarray:
         starts = range(g * group, min((g + 1) * group, transfers), per_stream)
         draws = [plan.draw(min(per_stream, transfers - t), _transfer_rng(seed, tag, t // per_stream))
                  for t in starts]
-        return tally(plan.apply_net(net, [TransferNoise.concatenate(d) for d in zip(*draws)]))
+        return tally(plan.apply_net(net, TransferNoise.concatenate(draws)))
 
     return _sum_jobs(count, -(-transfers // group), workers)
 
@@ -718,8 +718,8 @@ def run_experiment(config, out_dir, config_doc: dict | None = None) -> list[Path
     curve.csv, heatmap.csv and checkpoint.json under ``out_dir``.  The same
     config always produces byte-identical artifacts, so the wall time of
     each stage (training, evaluation and heatmap of each network), and the
-    transfers or repetitions per second of the last two, go to stderr, not
-    into them.
+    training steps, transfers or repetitions per second of each, go to
+    stderr, not into them.
     """
     if not isinstance(config, ExperimentConfig):
         config_doc, config = read_config(config)
@@ -731,10 +731,12 @@ def run_experiment(config, out_dir, config_doc: dict | None = None) -> list[Path
     x, y = config.training.hrs_fraction, config.training.lrs_fraction
     seed = config.training.seed
 
+    steps = (config.training.steps(len(train_set)), "steps")
     nets = {
         "hardware_aware": _timed("hardware_aware training", train_hardware_aware,
-                                 config.training, train_set, model=model),
-        "regular": _timed("regular training", train_regular, config.training, train_set),
+                                 config.training, train_set, model=model, rate=steps),
+        "regular": _timed("regular training", train_regular, config.training, train_set,
+                          rate=steps),
     }
 
     written: list[Path] = []

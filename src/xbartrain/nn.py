@@ -20,6 +20,8 @@ __all__ = [
     "LayerParams",
     "DenseNet",
     "AdamState",
+    "flatten",
+    "unflatten",
     "forward",
     "bce_loss",
     "backward",
@@ -90,6 +92,28 @@ class DenseNet:
         return DenseNet([l.copy() for l in self.layers])
 
 
+def flatten(pairs) -> np.ndarray:
+    """``(weights, bias)`` pairs, such as a net's parameters or the
+    gradients of :func:`backward`, as one flat vector: layer by layer, the
+    weights row-major, then the bias."""
+    return np.concatenate([a.ravel() for pair in pairs for a in pair])
+
+
+def unflatten(sizes, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The inverse of :func:`flatten` for a net of the given layer sizes:
+    per layer, the ``(fan_out, fan_in)`` weights and the bias as views of
+    ``flat``."""
+    sizes = list(sizes)
+    pairs, start = [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        stop = start + fan_out * fan_in
+        pairs.append((flat[start:stop].reshape(fan_out, fan_in), flat[stop : stop + fan_out]))
+        start = stop + fan_out
+    if start != flat.size:
+        raise ValueError(f"{flat.size} parameters do not match layer sizes {sizes}")
+    return pairs
+
+
 def forward(net: DenseNet, X) -> tuple[np.ndarray, list[np.ndarray]]:
     """Batch forward pass; sigmoid after every layer including the output.
 
@@ -137,9 +161,10 @@ class AdamState:
     """Standard Adam accumulators with bias correction, kept as flat vectors.
 
     ``params`` holds every parameter of the net in layer order (weights
-    row-major, then bias); the net's weight and bias arrays are views into
-    it, so :func:`adam_step` updates them all with whole-vector operations.
-    ``m`` and ``v`` are laid out the same way.
+    row-major, then bias; see :func:`flatten`); the net's weight and
+    bias arrays are views into it, so :func:`adam_step` updates them all
+    with whole-vector operations.  ``m`` and ``v`` are laid out the same
+    way, and so is a flat gradient passed to :func:`adam_step`.
     """
 
     lr: float = 0.01
@@ -165,24 +190,23 @@ class AdamState:
     def _adopt(self, net: DenseNet) -> None:
         """Copy the parameters of ``net`` into a new ``params`` vector and
         rebind the net's arrays to views of it."""
-        self.params = np.concatenate([a.ravel() for l in net.layers for a in (l.weights, l.bias)])
-        start = 0
-        for layer in net.layers:
-            for name in ("weights", "bias"):
-                arr = getattr(layer, name)
-                setattr(layer, name, self.params[start : start + arr.size].reshape(arr.shape))
-                start += arr.size
+        self.params = flatten((l.weights, l.bias) for l in net.layers)
+        for layer, (weights, bias) in zip(net.layers, unflatten(net.sizes, self.params)):
+            layer.weights, layer.bias = weights, bias
 
 
 def adam_step(net: DenseNet, grads, state: AdamState) -> DenseNet:
     """One in-place Adam update of every parameter.
 
-    ``net`` is updated through ``state.params``; a net whose arrays are not
-    views into it (another net, or arrays replaced since) is adopted first.
+    ``grads`` is the per-layer ``[(dW, db), ...]`` of :func:`backward`, or
+    one flat gradient vector laid out like ``state.params``, which is used
+    as it is.  ``net`` is updated through ``state.params``; a net whose
+    arrays are not views into it (another net, or arrays replaced since) is
+    adopted first.
     """
     if not all(l.weights.base is state.params and l.bias.base is state.params for l in net.layers):
         state._adopt(net)
-    g = np.concatenate([a.ravel() for pair in grads for a in pair])
+    g = grads if isinstance(grads, np.ndarray) else flatten(grads)
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1**t

@@ -7,6 +7,20 @@ gradients flow to the clean weights while the forward pass sees what the
 hardware would compute.  Weights whose devices were substituted by stuck
 failures get their gradients zeroed for that batch.  The weight range used
 by the conversion is re-taken from the current weights every batch.
+
+The step runs on flat vectors.  The clean parameters are the one vector
+``nn.AdamState.params`` (layer by layer, weights row-major, then bias),
+which the net's arrays view.  One index fixed per architecture
+(:func:`device_index`) gathers them into the device order of
+:meth:`TransferPlan.apply_devices`: each layer's crossbar matrix row-major,
+bias row last, layer after layer.  One device apply per batch then yields
+every layer's transfer, and :class:`EffectiveParams` writes ``phi + eps``
+into a preallocated vector that a net of views reads, zeroes the stuck
+positions of the flat gradient, and hands that gradient to Adam as it is.
+The draws are unchanged: each batch makes one ``plan.draw(1, rng)`` call
+on the noise stream, which draws layer by layer as the per-layer pipeline
+always has (the stream contract of :class:`TransferPlan`), so a given seed
+trains the same parameters bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ from .transfer import (
     TileLayout,
     TransferPlan,
     WeightRangeSnapshot,
+    layer_to_crossbar,
     layouts_for_architecture,
 )
 from .variability import (
@@ -34,9 +49,9 @@ __all__ = [
     "SourceToggles",
     "TrainingConfig",
     "EpsilonSample",
+    "EffectiveParams",
+    "device_index",
     "sample_epsilon",
-    "effective_net",
-    "masked_backward",
     "train_hardware_aware",
     "train_regular",
 ]
@@ -101,6 +116,10 @@ class TrainingConfig:
         if len(self.tile) != 2:
             raise ValueError(f"tile must be (rows, cols), got {self.tile}")
 
+    def steps(self, n_points: int) -> int:
+        """The optimizer steps of a run over ``n_points`` training points."""
+        return self.epochs * -(-n_points // self.batch_size)
+
 
 @dataclass
 class EpsilonSample:
@@ -108,8 +127,10 @@ class EpsilonSample:
 
     ``weight_eps[l] + layer.weights`` equals the transferred weights, i.e.
     the stored term is (phi' - phi); adding it in the forward pass
-    reproduces phi' while gradients bypass it entirely.  The masks of a
-    drawn sample are views of its layers' crossbar-shaped stuck masks.
+    reproduces phi' while gradients bypass it entirely.  The arrays are
+    views of the flat buffers of the :class:`EffectiveParams` that drew
+    them, shaped like the layer's weights and bias, so a ``batch_hook``
+    that keeps one must copy it.
     """
 
     weight_eps: list[np.ndarray]
@@ -117,6 +138,71 @@ class EpsilonSample:
     weight_mask: list[np.ndarray]
     bias_mask: list[np.ndarray]
     snapshots: list[WeightRangeSnapshot]
+
+
+def device_index(sizes) -> np.ndarray:
+    """For each crossbar device in the order of
+    :meth:`TransferPlan.apply_devices` (each layer's crossbar matrix
+    row-major, bias row last), the position of its parameter in the flat
+    vector of ``nn.AdamState.params`` (each layer's weights row-major, then
+    its bias).  Every parameter is one device, so this is a permutation."""
+    sizes = list(sizes)
+    positions = np.arange(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:])))
+    crossbars = [layer_to_crossbar(w, b).ravel() for w, b in nn.unflatten(sizes, positions)]
+    return np.concatenate(crossbars).astype(np.intp)
+
+
+class EffectiveParams:
+    """The parameters ``phi + eps`` that the noisy forward pass sees, over
+    one flat parameter vector.
+
+    ``params`` is the clean flat vector (``nn.AdamState.params``); ``eps``
+    and ``mask`` hold the last transfer's noise ``phi' - phi`` and its stuck
+    positions, laid out the same way, and ``net`` is a net of views into the
+    effective vector.  Every buffer is allocated once, so a training step
+    allocates no per-layer arrays.
+    """
+
+    def __init__(self, sizes, params: np.ndarray):
+        self.sizes = list(sizes)
+        self.params = params
+        self._index = device_index(self.sizes)
+        self.eps = np.zeros_like(params)
+        self.mask = np.zeros(params.shape, dtype=bool)
+        self._ranges = None
+        self._effective = params.copy()
+        self.net = nn.DenseNet([nn.LayerParams(w, b)
+                                for w, b in nn.unflatten(self.sizes, self._effective)])
+
+    def transfer(self, plan: TransferPlan, noise) -> None:
+        """Set ``eps`` and ``mask`` from one transfer of the current
+        parameters, drawn as ``noise`` by ``plan.draw(1, ...)``."""
+        phi = self.params[self._index]
+        phi_prime, stuck, self._ranges = plan.apply_devices(phi, noise)
+        self.eps[self._index] = phi_prime[0] - phi
+        self.mask[self._index] = stuck[0]
+
+    def update(self) -> None:
+        """Recompute the effective parameters ``phi + eps``."""
+        np.add(self.params, self.eps, out=self._effective)
+        if not np.isfinite(self._effective).all():
+            raise ValueError("layer parameters must be finite")
+
+    def gradient(self, cache, y) -> np.ndarray:
+        """The flat gradient of the loss at ``net`` (``cache`` from its
+        forward pass) with respect to the clean parameters, zero wherever a
+        stuck substitution hit the parameter."""
+        g = nn.flatten(nn.backward(self.net, cache, y))
+        g[self.mask] = 0.0
+        return g
+
+    def sample(self) -> EpsilonSample:
+        """The last transfer as an :class:`EpsilonSample` of views."""
+        eps = nn.unflatten(self.sizes, self.eps)
+        mask = nn.unflatten(self.sizes, self.mask)
+        return EpsilonSample([w for w, _ in eps], [b for _, b in eps],
+                             [w for w, _ in mask], [b for _, b in mask],
+                             [WeightRangeSnapshot(*map(float, r)) for r in self._ranges.T])
 
 
 def sample_epsilon(
@@ -129,40 +215,12 @@ def sample_epsilon(
 ) -> EpsilonSample:
     """Simulate one transfer of every layer (bias row included) and return
     the additive noise relative to the current weights."""
-    return _epsilon(net, TransferPlan(layouts, model, x, y), rng)
-
-
-def _epsilon(net: nn.DenseNet, plan: TransferPlan, rng: np.random.Generator) -> EpsilonSample:
-    """One transfer of every layer, drawn by ``plan.sample``, as an
-    EpsilonSample."""
-    sample = EpsilonSample([], [], [], [], [])
-    for layer, outcome in zip(net.layers, plan.sample(net, 1, rng)):
-        phi_prime, mask = outcome.phi_prime[0], outcome.stuck_mask[0]
-        sample.weight_eps.append(phi_prime[:-1].T - layer.weights)
-        sample.bias_eps.append(phi_prime[-1] - layer.bias)
-        sample.weight_mask.append(mask[:-1].T)
-        sample.bias_mask.append(mask[-1])
-        sample.snapshots.append(outcome.snapshot)
-    return sample
-
-
-def effective_net(net: nn.DenseNet, sample: EpsilonSample) -> nn.DenseNet:
-    """The network actually evaluated in the noisy forward pass: phi + eps."""
-    layers = [
-        nn.LayerParams(layer.weights + ew, layer.bias + eb)
-        for layer, ew, eb in zip(net.layers, sample.weight_eps, sample.bias_eps)
-    ]
-    return nn.DenseNet(layers)
-
-
-def masked_backward(net: nn.DenseNet, cache, y, sample: EpsilonSample):
-    """Standard backward through the given (effective) net, with gradients
-    zeroed wherever a stuck substitution hit the weight or its bias row."""
-    grads = nn.backward(net, cache, y)
-    return [
-        (np.where(mw, 0.0, gw), np.where(mb, 0.0, gb))
-        for (gw, gb), mw, mb in zip(grads, sample.weight_mask, sample.bias_mask)
-    ]
+    plan = TransferPlan(layouts, model, x, y)
+    if len(net.layers) != len(plan.layouts):
+        raise ValueError(f"{len(net.layers)} layers but {len(plan.layouts)} layouts")
+    params = EffectiveParams(net.sizes, nn.flatten((l.weights, l.bias) for l in net.layers))
+    params.transfer(plan, plan.draw(1, rng))
+    return params.sample()
 
 
 def _effective_model(model: VariabilityModel, sources: SourceToggles) -> VariabilityModel:
@@ -181,11 +239,12 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start : start + batch_size]
 
 
-def _train(config: TrainingConfig, train_set, sampler, batch_hook):
-    """Shared loop.  ``sampler`` draws an EpsilonSample per batch, or is
-    None for plain training (also used when every source is
-    disabled, which makes the noisy loop degenerate to the plain one
-    exactly)."""
+def _train(config: TrainingConfig, train_set, plan: TransferPlan | None, batch_hook,
+           noise_rng: np.random.Generator | None = None):
+    """Shared loop.  With a ``plan``, every batch sees one transfer drawn by
+    ``plan.draw(1, noise_rng)``; ``plan`` is None for plain training (also
+    used when every source is disabled, which makes the noisy loop
+    degenerate to the plain one exactly)."""
     X = np.asarray(train_set.points, dtype=float)
     labels = np.asarray(train_set.labels, dtype=float)
     if X.shape[0] == 0:
@@ -193,26 +252,29 @@ def _train(config: TrainingConfig, train_set, sampler, batch_hook):
     net = nn.DenseNet.init(config.architecture, _stream(config.seed, _STREAM_INIT))
     state = nn.AdamState.for_net(net, lr=config.lr)
     shuffle_rng = _stream(config.seed, _STREAM_SHUFFLE)
+    noisy = None if plan is None else EffectiveParams(net.sizes, state.params)
+    seen = net if noisy is None else noisy.net
     for epoch in range(config.epochs):
         for step, idx in enumerate(_batches(X.shape[0], config.batch_size, shuffle_rng)):
             Xb, yb = X[idx], labels[idx]
-            if sampler is None:
-                y_hat, cache = nn.forward(net, Xb)
-                loss = nn.bce_loss(y_hat, yb)
-                sample = None
-                grads = nn.backward(net, cache, yb)
-            else:
-                sample = sampler(net)
-                eff = effective_net(net, sample)
-                y_hat, cache = nn.forward(eff, Xb)
-                loss = nn.bce_loss(y_hat, yb)
-                grads = masked_backward(eff, cache, yb, sample)
-            if not np.isfinite(loss):
+            if noisy is not None:
+                noisy.transfer(plan, plan.draw(1, noise_rng))
+                noisy.update()
+            y_hat, cache = nn.forward(seen, Xb)
+            # The loss clamps the outputs before its logs and the labels are
+            # 0 or 1, so it is non-finite exactly where an output is NaN; it
+            # is computed only for the hook.
+            if np.isnan(y_hat).any():
                 raise RuntimeError(
                     f"training diverged: non-finite loss at epoch {epoch}, batch {step}"
                 )
+            if noisy is None:
+                grads, sample = nn.backward(net, cache, yb), None
+            else:
+                grads = noisy.gradient(cache, yb)
+                sample = noisy.sample() if batch_hook is not None else None
             if batch_hook is not None:
-                batch_hook(epoch, step, net, sample, loss)
+                batch_hook(epoch, step, net, sample, nn.bce_loss(y_hat, yb))
             nn.adam_step(net, grads, state)
     return net
 
@@ -231,12 +293,7 @@ def train_hardware_aware(
         return _train(config, train_set, None, batch_hook)
     layouts = layouts_for_architecture(config.architecture, *config.tile)
     plan = TransferPlan(layouts, _effective_model(model, config.sources), x, y)
-    noise_rng = _stream(config.seed, _STREAM_NOISE)
-
-    def sampler(net):
-        return _epsilon(net, plan, noise_rng)
-
-    return _train(config, train_set, sampler, batch_hook)
+    return _train(config, train_set, plan, batch_hook, _stream(config.seed, _STREAM_NOISE))
 
 
 def train_regular(config: TrainingConfig, train_set, batch_hook=None) -> nn.DenseNet:

@@ -150,11 +150,11 @@ def to_conductance(phi_component, snap: WeightRangeSnapshot, crange: Conductance
     phi = np.asarray(phi_component, dtype=float)
     if np.any(phi < 0):
         raise ValueError("weight components must be non-negative; split the matrix first")
-    return _scale(phi, snap, crange)
+    return _scale(phi, snap.phi_absmax, crange)
 
 
-def _scale(phi, snap: WeightRangeSnapshot, crange: ConductanceRange):
-    return phi / snap.phi_absmax * (crange.g_max - crange.g_min) + crange.g_min
+def _scale(phi, phi_absmax, crange: ConductanceRange):
+    return phi / phi_absmax * (crange.g_max - crange.g_min) + crange.g_min
 
 
 def from_conductance(
@@ -170,15 +170,15 @@ def from_conductance(
     g_minus = np.asarray(g_minus, dtype=float)
     if not (np.all(np.isfinite(g_plus)) and np.all(np.isfinite(g_minus))):
         raise ValueError("conductances must be finite")
-    return _unscale(g_plus, g_minus, snap, crange)
+    return _unscale(g_plus, g_minus, snap.phi_min, snap.phi_max - snap.phi_min, crange)
 
 
-def _unscale(g_plus, g_minus, snap: WeightRangeSnapshot, crange: ConductanceRange):
+def _unscale(g_plus, g_minus, phi_min, phi_span, crange: ConductanceRange):
     delta = g_plus - g_minus
     lo = crange.g_min - crange.g_max
     hi = crange.g_max - crange.g_min
     scaled = (delta - lo) / (hi - lo)
-    return scaled * (snap.phi_max - snap.phi_min) + snap.phi_min
+    return scaled * phi_span + phi_min
 
 
 def perturb_conductance(g, n_d, model: "VariabilityModel", rng: np.random.Generator) -> np.ndarray:
@@ -213,20 +213,43 @@ def _perturb(g, tuning, offset, disturbance, model: "VariabilityModel"):
     return np.maximum(noisy, 0.0, out=noisy)
 
 
-# Multiplies a matrix into its (plus, minus) components before clamping at 0.
-_POLARITY = np.array([1.0, -1.0])[:, None, None]
+# Multiplies a device vector into its (plus, minus) components before
+# clamping at 0.
+_POLARITY = np.array([1.0, -1.0])[:, None]
+
+
+def _transfer(phi, phi_min, phi_span, phi_absmax, noise: "TransferNoise",
+              model: "VariabilityModel"):
+    """The transferred entries ``phi'`` of the device vector ``phi`` for
+    the transfers that ``noise`` draws: split -> to_conductance ->
+    tuning/bias noise -> stuck substitution -> from_conductance, on the
+    plus and minus components stacked.
+
+    The snapshot values (min, max - min and max-abs) are scalars or
+    per-device arrays like ``phi``.  Every step is elementwise, so an
+    entry's result depends only on its value, its draws and its snapshot
+    values, whatever array it is applied in.  Stuck components keep their
+    substituted values and are exempt from the tuning and disturbance noise
+    (a stuck device is never tuned).
+    """
+    crange = model.range
+    g = _scale(np.maximum(_POLARITY * phi, 0.0), phi_absmax, crange)[:, None]
+    final = _perturb(g, noise.normals[:, 0], noise.normals[:, 1], noise.disturbance, model)
+    if noise.stuck_values is not None:
+        np.copyto(final, noise.stuck_values, where=noise.stuck)
+    return _unscale(final[0], final[1], phi_min, phi_span, crange)
 
 
 class TransferNoise(NamedTuple):
     """The weight-independent draws of ``n`` transfers of the crossbar
-    matrix on layout ``k``.  Every array stacks the plus then the minus
-    components on axis 0: ``stuck`` and ``stuck_values`` are
-    ``(2, n, rows, cols)``, ``normals`` is ``(2, 2, n, rows, cols)`` with
-    the tuning then the offset normals on axis 1, and ``disturbance`` holds
-    the biasing-disturbance values.  ``stuck_values`` is None when no
-    device is stuck."""
+    devices of every layout of a plan, in its device order (see
+    :class:`TransferPlan`), on the last axis.  Every array stacks the plus
+    then the minus components on axis 0: ``stuck`` and ``stuck_values``
+    are ``(2, n, devices)``, ``normals`` is ``(2, 2, n, devices)`` with the
+    tuning then the offset normals on axis 1, and ``disturbance`` holds the
+    biasing-disturbance values.  ``stuck_values`` is zero where no device
+    is stuck, and None when no device of the draw is stuck."""
 
-    k: int
     stuck: np.ndarray
     stuck_values: np.ndarray | None
     normals: np.ndarray
@@ -234,17 +257,17 @@ class TransferNoise(NamedTuple):
 
     @classmethod
     def concatenate(cls, noises) -> "TransferNoise":
-        """The draws of one layout from several :meth:`TransferPlan.draw`
-        calls as one stack, their transfers in call order.  A draw with no
-        stuck device contributes zero ``stuck_values``, which
-        :meth:`TransferPlan.apply` never selects."""
+        """The draws of several :meth:`TransferPlan.draw` calls as one
+        stack, their transfers in call order.  A draw with no stuck device
+        contributes zero ``stuck_values``, which :func:`_transfer` never
+        selects."""
         if len(noises) == 1:
             return noises[0]
         values = None
         if any(noise.stuck_values is not None for noise in noises):
             values = np.concatenate([np.zeros(noise.stuck.shape) if noise.stuck_values is None
                                      else noise.stuck_values for noise in noises], axis=1)
-        return cls(noises[0].k, np.concatenate([noise.stuck for noise in noises], axis=1), values,
+        return cls(np.concatenate([noise.stuck for noise in noises], axis=1), values,
                    np.concatenate([noise.normals for noise in noises], axis=2),
                    np.concatenate([noise.disturbance for noise in noises], axis=1))
 
@@ -257,26 +280,31 @@ class TransferPlan:
     resolved against the bias database here, so sampling repeats none of
     that.
 
-    :meth:`sample` returns ``n`` whole-network transfers as
-    ``(n, fan_in + 1, fan_out)`` stacks per layer.  It is
-    :meth:`apply_net` of :meth:`draw`: :meth:`draw` makes every random
-    draw, none of which depends on the weights, and :meth:`apply` combines
-    one layer's draws with its weights; both are vectorized over transfers,
-    and :meth:`apply` is elementwise over them.  Training calls
-    :meth:`sample`; the Monte-Carlo counts draw several streams and apply
-    their stacked draws at once; :func:`simulate_transfer` transfers one
-    matrix rather than a network.
+    Devices are numbered in one flat order: each layout's crossbar matrix
+    row-major (the bias row of a dense layer last), layout after layout.
+    :meth:`draw` makes every random draw over that order, none of which
+    depends on the weights.  :meth:`apply_devices` combines draws with the
+    flat device vector of every layout at once: the arithmetic,
+    :func:`_transfer`, is elementwise per device given its layout's
+    snapshot values, which are broadcast per device, and vectorized over
+    transfers.  :meth:`apply` and :meth:`apply_net` do the same for a list
+    of crossbar matrices or a net and return one :class:`TransferOutcome`
+    per matrix; the Monte-Carlo counts draw several streams and apply their
+    stacked draws at once, and :func:`simulate_transfer` transfers one
+    matrix.  Training gathers the device vector from the flat parameter
+    vector ``AdamState.params`` through one index fixed per architecture
+    (see :mod:`xbartrain.training`) and calls :meth:`apply_devices`.
 
-    Stream contract: :meth:`draw` draws layer by layer.  For each layer it
-    draws the stuck uniforms, HRS values and LRS values of the plus then
+    Stream contract: :meth:`draw` draws layout by layout.  For each layout
+    it draws the stuck uniforms, HRS values and LRS values of the plus then
     the minus components; then, again plus then minus, the tuning and
     offset normals (one call of twice the size, which yields the bits of
-    two calls) and the disturbance picks.  With ``n = 1`` this
-    consumes the generator exactly as the per-matrix pipeline always has,
-    so training draws (one transfer per batch) are unchanged.  With
-    ``n > 1`` each draw is made for all ``n`` transfers at once, so the
-    result is a different Monte-Carlo sample than ``n`` successive single
-    transfers from the same generator.
+    two calls) and the disturbance picks.  With ``n = 1`` this consumes the
+    generator exactly as the per-matrix pipeline always has, so training
+    draws (one transfer per batch) are unchanged.  With ``n > 1`` each draw
+    is made for all ``n`` transfers at once, so the result is a different
+    Monte-Carlo sample than ``n`` successive single transfers from the same
+    generator.
     """
 
     def __init__(self, layouts, model: "VariabilityModel", x: float, y: float):
@@ -290,83 +318,107 @@ class TransferPlan:
         self.x = x
         self.y = y
         self._bias = [
-            (model.bias_db.lookup(layout.nd_plus), model.bias_db.lookup(layout.nd_minus))
+            (model.bias_db.lookup(layout.nd_plus.ravel()),
+             model.bias_db.lookup(layout.nd_minus.ravel()))
             for layout in self.layouts
         ]
+        sizes = [math.prod(layout.weight_shape) for layout in self.layouts]
+        # Where each layout's devices start and end in the device order, and
+        # the (min, max - min, max-abs) rows of apply_devices' snapshot
+        # array for every device.
+        self._starts = np.cumsum([0, *sizes])
+        self._spans = list(zip(self._starts[:-1].tolist(), self._starts[1:].tolist()))
+        self._per_device = np.ix_([0, 3, 2], np.repeat(np.arange(len(sizes)), sizes))
 
-    def sample(self, net: "DenseNet", n: int, rng: np.random.Generator) -> list[TransferOutcome]:
-        """``n`` simulated transfers of every layer (bias row included),
-        one :class:`TransferOutcome` of ``(n, fan_in + 1, fan_out)`` arrays
-        per layer."""
-        return self.apply_net(net, self.draw(n, rng))
-
-    def apply_net(self, net: "DenseNet", noises: list[TransferNoise]) -> list[TransferOutcome]:
-        """The transfers of every layer of ``net`` (bias row included)
-        that the per-layer ``noises`` draw."""
-        if len(net.layers) != len(self.layouts):
-            raise ValueError(f"{len(net.layers)} layers but {len(self.layouts)} layouts")
-        return [
-            self.apply(layer_to_crossbar(layer.weights, layer.bias), noise)
-            for layer, noise in zip(net.layers, noises)
-        ]
-
-    def draw(self, n: int, rng: np.random.Generator) -> list[TransferNoise]:
-        """The draws of ``n`` transfers of every layer, in layer order."""
-        return [self._draw_layer(k, n, rng) for k in range(len(self.layouts))]
-
-    def _draw_layer(self, k: int, n: int, rng: np.random.Generator) -> TransferNoise:
-        """The draws of ``n`` transfers of the matrix on layout ``k``.
+    def draw(self, n: int, rng: np.random.Generator) -> TransferNoise:
+        """The draws of ``n`` transfers of every layout.
 
         A component is stuck where its uniform ``u < x + y``: in HRS where
         ``u < x`` and in LRS otherwise.
         """
-        shape = (n, *self.layouts[k].weight_shape)
-        stuck_model = self.model.stuck_model
-        stuck = np.empty((2, *shape), dtype=bool)
+        devices = self._spans[-1][1]
+        stuck = np.empty((2, n, devices), dtype=bool)
+        normals = np.empty((2, 2, n, devices))
+        disturbance = np.empty((2, n, devices))
         values = None
-        for pol in range(2):
-            u = rng.random(shape)
-            count = np.count_nonzero(np.less(u, self.x + self.y, out=stuck[pol]))
-            if count:
-                hrs = u < self.x
-                n_hrs = np.count_nonzero(hrs)
-                if values is None:
-                    values = np.zeros(stuck.shape)
-                if n_hrs:
-                    values[pol][hrs] = stuck_model.sample_hrs(rng, size=n_hrs)
-                if count - n_hrs:
-                    values[pol][stuck[pol] ^ hrs] = stuck_model.sample_lrs(rng, size=count - n_hrs)
-        normals = np.empty((2, 2, *shape))
-        disturbance = np.empty((2, *shape))
-        for pol, bias in enumerate(self._bias[k]):
-            rng.standard_normal(out=normals[pol])
-            disturbance[pol] = bias.sample(rng, n)
-        return TransferNoise(k, stuck, values, normals, disturbance)
+        stuck_model = self.model.stuck_model
+        for k, (start, stop) in enumerate(self._spans):
+            shape = (n, stop - start)
+            for pol in range(2):
+                u = rng.random(shape)
+                layout_stuck = stuck[pol, :, start:stop]
+                count = np.count_nonzero(np.less(u, self.x + self.y, out=layout_stuck))
+                if count:
+                    hrs = u < self.x
+                    n_hrs = np.count_nonzero(hrs)
+                    if values is None:
+                        values = np.zeros(stuck.shape)
+                    layout_values = values[pol, :, start:stop]
+                    if n_hrs:
+                        layout_values[hrs] = stuck_model.sample_hrs(rng, size=n_hrs)
+                    if count - n_hrs:
+                        layout_values[layout_stuck ^ hrs] = stuck_model.sample_lrs(
+                            rng, size=count - n_hrs)
+            for pol, bias in enumerate(self._bias[k]):
+                normals[pol, :, :, start:stop] = rng.standard_normal((2, *shape))
+                disturbance[pol, :, start:stop] = bias.sample(rng, n)
+        return TransferNoise(stuck, values, normals, disturbance)
 
-    def apply(self, phi, noise: TransferNoise) -> TransferOutcome:
-        """The transfers of the crossbar matrix ``phi`` that ``noise`` draws.
+    def apply_devices(self, phi, noise: TransferNoise):
+        """The transfers that ``noise`` draws, applied to the flat device
+        vector ``phi`` of every layout.
 
-        split -> to_conductance -> tuning/bias noise -> stuck substitution
-        -> from_conductance, on the plus and minus components stacked.
-        Stuck components keep their substituted values and are exempt from
-        the tuning and disturbance noise (a stuck device is never tuned).
+        Returns ``(phi_prime, stuck_mask, ranges)``: ``(n, devices)``
+        arrays in the order of ``phi``, and the ``(3, layouts)`` array of
+        each layout's snapshot values (min, max, max-abs) that the
+        conversion used.  A layout whose matrix cannot be snapshot raises
+        the error of :meth:`WeightRangeSnapshot.of_matrix`.
         """
         phi = np.asarray(phi, dtype=float)
-        if phi.shape != self.layouts[noise.k].weight_shape:
-            raise ValueError(
-                f"phi shape {phi.shape} does not match layout {self.layouts[noise.k].weight_shape}"
-            )
-        crange = self.model.range
-        snap = WeightRangeSnapshot.of_matrix(phi)
-        g = _scale(np.maximum(_POLARITY * phi, 0.0), snap, crange)[:, None]
-        final = _perturb(g, noise.normals[:, 0], noise.normals[:, 1], noise.disturbance, self.model)
-        if noise.stuck_values is not None:
-            final = np.where(noise.stuck, noise.stuck_values, final)
-        return TransferOutcome(
-            phi_prime=_unscale(final[0], final[1], snap, crange),
-            stuck_mask=noise.stuck[0] | noise.stuck[1],
-            snapshot=snap,
-        )
+        if phi.shape != self._per_device[1].shape[1:]:
+            raise ValueError(f"phi shape {phi.shape} does not match the "
+                             f"{self._per_device[1].size} devices of the layouts")
+        ranges = np.empty((4, len(self.layouts)))
+        lo, hi, absmax, span = ranges
+        np.minimum.reduceat(phi, self._starts[:-1], out=lo)
+        np.maximum.reduceat(phi, self._starts[:-1], out=hi)
+        np.maximum(-lo, hi, out=absmax)  # = max(|lo|, |hi|) as lo <= hi
+        if not 0.0 < absmax.min() < math.inf:
+            for segment in np.split(phi, self._starts[1:-1]):
+                WeightRangeSnapshot.of_matrix(segment)
+        # Overflows only where a per-matrix snapshot's float subtraction
+        # gives inf, which the effective weights then report.
+        with np.errstate(over="ignore"):
+            np.subtract(hi, lo, out=span)
+        lo, span, absmax = ranges[self._per_device]
+        phi_prime = _transfer(phi, lo, span, absmax, noise, self.model)
+        return phi_prime, noise.stuck[0] | noise.stuck[1], ranges[:3]
+
+    def apply(self, crossbars, noise: TransferNoise) -> list[TransferOutcome]:
+        """The transfers of the crossbar matrices ``crossbars``, one per
+        layout, that ``noise`` draws: one :class:`TransferOutcome` of
+        ``(n, rows, cols)`` arrays per matrix, with its snapshot."""
+        crossbars = [np.asarray(phi, dtype=float) for phi in crossbars]
+        shapes = [phi.shape for phi in crossbars]
+        if shapes != [layout.weight_shape for layout in self.layouts]:
+            raise ValueError(f"crossbar shapes {shapes} do not match the layouts "
+                             f"{[layout.weight_shape for layout in self.layouts]}")
+        phi_prime, stuck, ranges = self.apply_devices(
+            np.concatenate([phi.ravel() for phi in crossbars]), noise)
+        n = phi_prime.shape[0]
+        return [TransferOutcome(phi_prime[:, start:stop].reshape(n, *shape),
+                                stuck[:, start:stop].reshape(n, *shape),
+                                WeightRangeSnapshot(*map(float, ranges[:, k])))
+                for k, ((start, stop), shape) in enumerate(zip(self._spans, shapes))]
+
+    def apply_net(self, net: "DenseNet", noise: TransferNoise) -> list[TransferOutcome]:
+        """:meth:`apply` to the crossbar matrices of every layer of ``net``
+        (bias row included): ``(n, fan_in + 1, fan_out)`` arrays per
+        layer."""
+        if len(net.layers) != len(self.layouts):
+            raise ValueError(f"{len(net.layers)} layers but {len(self.layouts)} layouts")
+        return self.apply([layer_to_crossbar(layer.weights, layer.bias) for layer in net.layers],
+                          noise)
 
 
 def simulate_transfer(
@@ -380,7 +432,7 @@ def simulate_transfer(
     """One Monte-Carlo draw of the full transfer pipeline for one matrix
     (see :meth:`TransferPlan.apply`)."""
     plan = TransferPlan([layout], model, x, y)
-    outcome = plan.apply(phi, plan.draw(1, rng)[0])
+    (outcome,) = plan.apply([phi], plan.draw(1, rng))
     return TransferOutcome(outcome.phi_prime[0], outcome.stuck_mask[0], outcome.snapshot)
 
 

@@ -235,13 +235,20 @@ class BiasLookup:
     rows: np.ndarray
     lengths: np.ndarray
 
+    def __post_init__(self):
+        # Built once rather than per draw: the bounds of one draw, and the
+        # table as a flat vector with each entry's row offset into it.
+        object.__setattr__(self, "_bounds", self.lengths[None])
+        object.__setattr__(self, "_flat", self.table.ravel())
+        object.__setattr__(self, "_offsets", self.rows * self.table.shape[1])
+
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """An ``(n, *shape)`` stack of ``n`` draws of one disturbance per
         entry; it consumes ``rng`` exactly as ``n`` single draws."""
         # An upper bound of the output's shape draws faster than
         # integers(..., size=...).
-        picks = rng.integers(0, self.lengths[None].repeat(n, axis=0))
-        return self.table[self.rows, picks]
+        bounds = self._bounds if n == 1 else self._bounds.repeat(n, axis=0)
+        return self._flat[self._offsets + rng.integers(0, bounds)]
 
 
 @dataclass(frozen=True)

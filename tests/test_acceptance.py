@@ -21,11 +21,9 @@ from xbartrain.experiments import (
     run_experiment,
 )
 from xbartrain.training import (
-    EpsilonSample,
+    EffectiveParams,
     SourceToggles,
     TrainingConfig,
-    effective_net,
-    masked_backward,
     train_hardware_aware,
     train_regular,
 )
@@ -116,25 +114,30 @@ def test_criterion_2_gradient_oracle():
         net = nn.DenseNet.init([2, 8, 1], rng)
         X = rng.uniform(-1.5, 2.5, size=(8, 2))
         y = rng.integers(0, 2, size=8)
-        sample = EpsilonSample(
-            weight_eps=[rng.normal(scale=0.05, size=l.weights.shape) for l in net.layers],
-            bias_eps=[rng.normal(scale=0.05, size=l.bias.shape) for l in net.layers],
-            weight_mask=[rng.random(l.weights.shape) < 0.25 for l in net.layers],
-            bias_mask=[rng.random(l.bias.shape) < 0.25 for l in net.layers],
-            snapshots=[],
-        )
-        eff = effective_net(net, sample)
-        _, cache = nn.forward(eff, X)
-        grads = masked_backward(eff, cache, y, sample)
+        # The net's arrays become views of the clean vector params.params.
+        params = EffectiveParams(net.sizes, nn.AdamState.for_net(net).params)
+        eps = nn.unflatten(net.sizes, params.eps)
+        masks = nn.unflatten(net.sizes, params.mask)
+        # Every layer's weight noise, then bias noise, weight mask, bias mask.
+        for i in (0, 1):
+            for pair in eps:
+                pair[i][...] = rng.normal(scale=0.05, size=pair[i].shape)
+        for i in (0, 1):
+            for pair in masks:
+                pair[i][...] = rng.random(pair[i].shape) < 0.25
+        params.update()
+        _, cache = nn.forward(params.net, X)
+        grads = nn.unflatten(net.sizes, params.gradient(cache, y))
 
         def loss_at():
-            out, _ = nn.forward(effective_net(net, sample), X)
+            params.update()
+            out, _ = nn.forward(params.net, X)
             return nn.bce_loss(out, y)
 
         for l, (gw, gb) in enumerate(grads):
             for arr, grad, mask in (
-                (net.layers[l].weights, gw, sample.weight_mask[l]),
-                (net.layers[l].bias, gb, sample.bias_mask[l]),
+                (net.layers[l].weights, gw, masks[l][0]),
+                (net.layers[l].bias, gb, masks[l][1]),
             ):
                 for idx in np.ndindex(arr.shape):
                     orig = arr[idx]
@@ -187,7 +190,7 @@ def test_criterion_4_statistical_conformance():
     model = zero_noise_model()
     phi = np.full((500, 200), 0.5)
     plan = TransferPlan([TileLayout.for_weight_matrix(500, 200)], model, x, y)
-    mask = plan.apply(phi, plan.draw(1, np.random.default_rng(41))[0]).stuck_mask[0]
+    mask = plan.apply([phi], plan.draw(1, np.random.default_rng(41)))[0].stuck_mask[0]
     p = 1.0 - (1.0 - (x + y)) ** 2
     se = np.sqrt(p * (1.0 - p) / mask.size)
     ok_a = abs(mask.mean() - p) < 3 * se

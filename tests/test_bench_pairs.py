@@ -39,3 +39,17 @@ def test_summary_counts_wins_by_direction():
     assert wall["change_over_parent"] == pytest.approx(0.6 / 1.1)
     assert wall["change_runs"] == [0.5, 1.3, 0.6]
     assert summary["metrics"]["transfers_per_s"]["change_wins"] == "2/3"
+
+
+@pytest.mark.parametrize("parent", ["elsewhere/parent", "parent/nested"])
+def test_checkouts_that_are_not_siblings_exit_2(tmp_path, capsys, parent):
+    (tmp_path / "change").mkdir()
+    out = tmp_path / "bench.json"
+    rc = bench_pairs.main(["--parent", str(tmp_path / parent), "--change",
+                           str(tmp_path / "change"), "--workload", "train_pair:1",
+                           "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    for path in (tmp_path / parent, tmp_path / "change"):
+        assert str(path.resolve()) in err
+    assert not out.exists()

@@ -10,6 +10,7 @@ from xbartrain.cli import main
 from xbartrain.variability import ConductanceRange, load_model, save_model
 
 from conftest import zero_noise_model
+from test_training import init_then, overflowing_first_layer, zero_output_layer
 
 TINY_CONFIG = {
     "seed": 9,
@@ -131,8 +132,12 @@ class TestTrainEvaluateHeatmap:
 
     def test_rates_go_to_stderr(self, config_path, tmp_path, capsys):
         out = tmp_path / "run"
-        main(["train", "--regular", "--config", str(config_path), "--out", str(out)])
-        capsys.readouterr()
+        for flag, name in (("--hardware-aware", "hardware_aware"), ("--regular", "regular")):
+            assert main(["train", flag, "--config", str(config_path), "--out", str(out)]) == 0
+            captured = capsys.readouterr()
+            assert re.fullmatch(rf"{name} training: \d+\.\d\d s, \d+ steps/s\n", captured.err)
+            assert re.fullmatch(rf"{name}: train accuracy \d\.\d{{4}}, test accuracy \d\.\d{{4}}\n"
+                                rf"wrote \S+{name}\.json\n", captured.out)
         common = ["--config", str(config_path), "--checkpoint", str(out / "regular.json")]
         assert main(["evaluate", *common, "--out", str(out / "eval")]) == 0
         assert re.fullmatch(r"evaluation: \d+\.\d\d s, \d+ transfers/s\n", capsys.readouterr().err)
@@ -167,20 +172,34 @@ class TestRun:
     def test_stage_times_go_to_stderr(self, config_path, tmp_path, capsys):
         out = tmp_path / "artifacts"
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
-        stages = [line.rsplit(": ", 1)[0] for line in capsys.readouterr().err.splitlines()]
+        lines = capsys.readouterr().err.splitlines()
+        stages = [line.split(": ", 1)[0] for line in lines]
         assert stages == ["hardware_aware training", "regular training",
                           "hardware_aware evaluation", "hardware_aware heatmap",
                           "regular evaluation", "regular heatmap"]
+        assert all(re.fullmatch(r"[a-z_ ]+: \d+\.\d\d s, \d+ [a-z]+/s", line) for line in lines)
 
     def test_evaluation_and_heatmap_rates_go_to_stderr(self, config_path, tmp_path, capsys):
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
         rates = [line.split(", ")[1:] for line in capsys.readouterr().err.splitlines()]
         units = [rate[0].split(" ", 1)[1] if rate else None for rate in rates]
-        assert units == [None, None, "transfers/s", "repetitions/s",
+        assert units == ["steps/s", "steps/s", "transfers/s", "repetitions/s",
                          "transfers/s", "repetitions/s"]
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("change, message", [
+        (zero_output_layer, "cannot snapshot an all-zero weight matrix"),
+        (overflowing_first_layer, "layer parameters must be finite"),
+    ], ids=["all_zero", "non_finite"])
+    def test_bad_weights_in_training_exit_2(self, config_path, tmp_path, capsys, monkeypatch,
+                                            change, message):
+        monkeypatch.setattr(nn.DenseNet, "init", init_then(change))
+        rc = main(["train", "--hardware-aware", "--config", str(config_path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_model_file_exits_2_and_names_path(self, tmp_path, capsys):
         config = dict(TINY_CONFIG, model_path=str(tmp_path / "ghost_model.json"))
         path = tmp_path / "config.json"

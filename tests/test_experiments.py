@@ -93,7 +93,7 @@ class TestEvaluateTransfers:
         counts = np.zeros(len(test_set), dtype=np.int64)
         for k in range(-(-transfers // CHUNK)):
             n = min(CHUNK, transfers - k * CHUNK)
-            outcomes = plan.sample(net, n, _transfer_rng(10, 100, k))
+            outcomes = plan.apply_net(net, plan.draw(n, _transfer_rng(10, 100, k)))
             counts += np.sum(reference_predict(outcomes, test_set.points) == test_set.labels,
                              axis=0)
         report = evaluate_transfers(net, synthetic_model, LAYOUTS, 0.01, 0.01, test_set,
@@ -123,7 +123,7 @@ class TestPredictTransferred:
     def test_bitwise_equal_to_unblocked_forward(self, synthetic_model, n, points):
         rng = np.random.default_rng(points + n)
         plan = TransferPlan(LAYOUTS, synthetic_model, 0.01, 0.01)
-        outcomes = plan.sample(symmetric_net(), n, rng)
+        outcomes = plan.apply_net(symmetric_net(), plan.draw(n, rng))
         X = rng.uniform([-1.5, -1.0], [2.5, 1.5], size=(points, 2))
         labels = _predict_transferred(outcomes, X)
         assert labels.shape == (n, points) and labels.dtype == bool
@@ -133,7 +133,7 @@ class TestPredictTransferred:
         rng = np.random.default_rng(3)
         arch = [2, 5, 3, 1]
         plan = TransferPlan(layouts_for_architecture(arch), synthetic_model, 0.01, 0.01)
-        outcomes = plan.sample(nn.DenseNet.init(arch, rng), 7, rng)
+        outcomes = plan.apply_net(nn.DenseNet.init(arch, rng), plan.draw(7, rng))
         X = rng.normal(size=(POINT_BLOCK + 17, 2))
         assert np.array_equal(_predict_transferred(outcomes, X), reference_predict(outcomes, X))
 
@@ -382,7 +382,7 @@ class TestHeatmap:
         plan = TransferPlan(LAYOUTS, synthetic_model, 0.01, 0.01)
         ones = np.zeros(grid.nx * grid.ny, dtype=np.int64)
         for i in range(repetitions):
-            outcomes = plan.sample(net, 1, _transfer_rng(8, 101, i))
+            outcomes = plan.apply_net(net, plan.draw(1, _transfer_rng(8, 101, i)))
             ones += reference_predict(outcomes, grid.points())[0]
         hm = heatmap(net, synthetic_model, LAYOUTS, 0.01, 0.01, grid,
                      repetitions=repetitions, seed=8, workers=workers)

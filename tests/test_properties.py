@@ -423,8 +423,8 @@ class TestTiledHeatmap:
                            for fan_in, fan_out in zip(sizes[:-1], sizes[1:])])
         layouts = layouts_for_architecture(sizes)
         plan = TransferPlan(layouts, synthetic_model, 0.01, 0.01)
-        ones = sum(reference_predict(plan.sample(net, 1, _transfer_rng(seed, 101, i)),
-                                     grid.points())[0].astype(np.int64)
-                   for i in range(repetitions))
+        ones = sum(reference_predict(
+            plan.apply_net(net, plan.draw(1, _transfer_rng(seed, 101, i))), grid.points()
+        )[0].astype(np.int64) for i in range(repetitions))
         hm = heatmap(net, synthetic_model, layouts, 0.01, 0.01, grid, repetitions, seed)
         assert hm.mean.tobytes() == (ones / repetitions).reshape(grid.ny, grid.nx).tobytes()

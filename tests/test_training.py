@@ -6,16 +6,20 @@ import pytest
 from xbartrain import nn
 from xbartrain.datasets import LabeledSet, make_half_moons
 from xbartrain.training import (
-    EpsilonSample,
+    EffectiveParams,
     SourceToggles,
     TrainingConfig,
-    effective_net,
-    masked_backward,
+    device_index,
     sample_epsilon,
     train_hardware_aware,
     train_regular,
 )
-from xbartrain.transfer import WeightRangeSnapshot, layer_to_crossbar, layouts_for_architecture
+from xbartrain.transfer import (
+    TransferPlan,
+    WeightRangeSnapshot,
+    layer_to_crossbar,
+    layouts_for_architecture,
+)
 from xbartrain.variability import make_synthetic_model
 
 LAYOUTS = layouts_for_architecture([2, 8, 1])
@@ -32,14 +36,21 @@ def symmetric_net(scale=0.9):
     return nn.DenseNet([nn.LayerParams(w1, np.zeros(8)), nn.LayerParams(w2, np.zeros(1))])
 
 
-def zero_sample(net):
-    return EpsilonSample(
-        weight_eps=[np.zeros_like(l.weights) for l in net.layers],
-        bias_eps=[np.zeros_like(l.bias) for l in net.layers],
-        weight_mask=[np.zeros_like(l.weights, dtype=bool) for l in net.layers],
-        bias_mask=[np.zeros_like(l.bias, dtype=bool) for l in net.layers],
-        snapshots=[],
-    )
+def effective(net):
+    """Zero-noise, unmasked effective parameters over the parameters of
+    ``net``, whose arrays become views of the clean flat vector."""
+    params = EffectiveParams(net.sizes, nn.AdamState.for_net(net).params)
+    params.update()
+    return params
+
+
+def transferred(net, model, x, seed):
+    """Effective parameters of ``net`` after one transfer drawn at ``seed``."""
+    params = effective(net)
+    plan = TransferPlan(LAYOUTS, model, x, x)
+    params.transfer(plan, plan.draw(1, np.random.default_rng(seed)))
+    params.update()
+    return params
 
 
 class TestSampleEpsilon:
@@ -99,23 +110,23 @@ class TestHwForward:
         net = symmetric_net()
         X = np.random.default_rng(4).uniform(-1, 2, size=(16, 2))
         y_plain, _ = nn.forward(net, X)
-        y_hw, _ = nn.forward(effective_net(net, zero_sample(net)), X)
+        y_hw, _ = nn.forward(effective(net).net, X)
         assert np.array_equal(y_plain, y_hw)
 
     def test_epsilon_cancelling_weights_gives_half(self):
         net = symmetric_net()
-        sample = zero_sample(net)
-        sample.weight_eps = [-l.weights for l in net.layers]
-        sample.bias_eps = [-l.bias for l in net.layers]
-        y_hw, _ = nn.forward(effective_net(net, sample), np.array([[0.2, -0.4]]))
+        params = effective(net)
+        params.eps[:] = -params.params
+        params.update()
+        y_hw, _ = nn.forward(params.net, np.array([[0.2, -0.4]]))
         assert np.all(y_hw == 0.5)
 
     def test_equivalent_to_shifted_net(self, synthetic_model):
         net = symmetric_net()
-        sample = sample_epsilon(net, LAYOUTS, synthetic_model, 0.005, 0.005,
-                                np.random.default_rng(5))
+        params = transferred(net, synthetic_model, 0.005, 5)
+        sample = params.sample()
         X = np.random.default_rng(6).uniform(-1, 2, size=(8, 2))
-        y_hw, _ = nn.forward(effective_net(net, sample), X)
+        y_hw, _ = nn.forward(params.net, X)
         shifted = nn.DenseNet([
             nn.LayerParams(l.weights + ew, l.bias + eb)
             for l, ew, eb in zip(net.layers, sample.weight_eps, sample.bias_eps)
@@ -132,32 +143,36 @@ class TestMaskedBackward:
         y = rng.integers(0, 2, size=12)
         return net, X, y
 
+    @staticmethod
+    def layer_gradients(params, cache, y):
+        return nn.unflatten(params.sizes, params.gradient(cache, y))
+
     def test_no_mask_equals_backward(self):
         net, X, y = self._setup(7)
-        sample = zero_sample(net)
+        params = effective(net)
         _, cache = nn.forward(net, X)
         plain = nn.backward(net, cache, y)
-        masked = masked_backward(net, cache, y, sample)
+        masked = self.layer_gradients(params, cache, y)
         for (aw, ab), (bw, bb) in zip(plain, masked):
             assert np.array_equal(aw, bw) and np.array_equal(ab, bb)
 
     def test_full_mask_zeroes_everything(self):
         net, X, y = self._setup(8)
-        sample = zero_sample(net)
-        sample.weight_mask = [np.ones_like(m) for m in sample.weight_mask]
-        sample.bias_mask = [np.ones_like(m) for m in sample.bias_mask]
+        params = effective(net)
+        params.mask[:] = True
         _, cache = nn.forward(net, X)
-        grads = masked_backward(net, cache, y, sample)
+        grads = self.layer_gradients(params, cache, y)
         for gw, gb in grads:
             assert not gw.any() and not gb.any()
 
     def test_single_masked_entry(self):
         net, X, y = self._setup(9)
-        sample = zero_sample(net)
-        sample.weight_mask[0][3, 1] = True
+        params = effective(net)
+        weight_mask = nn.unflatten(net.sizes, params.mask)[0][0]
+        weight_mask[3, 1] = True
         _, cache = nn.forward(net, X)
         plain = nn.backward(net, cache, y)
-        masked = masked_backward(net, cache, y, sample)
+        masked = self.layer_gradients(params, cache, y)
         diff = plain[0][0] != masked[0][0]
         assert diff.sum() == 1 and diff[3, 1]
         assert masked[0][0][3, 1] == 0.0
@@ -165,15 +180,17 @@ class TestMaskedBackward:
 
     def test_frozen_epsilon_gradients_match_finite_differences(self, synthetic_model):
         # Loss as a function of the clean weights with epsilon held fixed.
+        # The net's arrays are views of params.params, so perturbing them
+        # moves the clean parameters under the fixed epsilon.
         net, X, y = self._setup(10)
-        sample = sample_epsilon(net, LAYOUTS, synthetic_model, 0.05, 0.05,
-                                np.random.default_rng(11))
-        eff = effective_net(net, sample)
-        _, cache = nn.forward(eff, X)
-        grads = masked_backward(eff, cache, y, sample)
+        params = transferred(net, synthetic_model, 0.05, 11)
+        sample = params.sample()
+        _, cache = nn.forward(params.net, X)
+        grads = self.layer_gradients(params, cache, y)
 
         def loss_at(phi_net):
-            out, _ = nn.forward(effective_net(phi_net, sample), X)
+            params.update()
+            out, _ = nn.forward(params.net, X)
             return nn.bce_loss(out, y)
 
         h = 1e-5
@@ -334,6 +351,91 @@ class TestGoldenTraining:
     def test_regular(self, moons_split):
         net = train_regular(self.SMALL, moons_split[0])
         assert self.digest(net) == "9ee2c8ef232116cda92f36a795b8a82cff1569b9c7393b4a8b1a7656071349e9"
+
+    # Recorded with the per-layer apply, EpsilonSample, effective_net and
+    # masked_backward step that the flat-vector step replaced.
+    DEFAULT_BATCH = TrainingConfig(epochs=30, seed=13)  # 875 points: the last batch holds 107
+    THREE_LAYERS = TrainingConfig(architecture=(2, 5, 3, 1), epochs=20, batch_size=32, seed=13)
+    MULTI_TILE = TrainingConfig(architecture=(2, 16, 1), tile=(4, 4), epochs=20, batch_size=32,
+                                seed=13, hrs_fraction=0.05, lrs_fraction=0.05)
+
+    SHAPES = {
+        "DEFAULT_BATCH": "826b218a714f82dd7e50c332503042f15eb263bdf8d666b5f961b46cb9f487ca",
+        "THREE_LAYERS": "055a553323186ba0b626f38c3833ecbfa7381882077ce95d8c2d05bf76fd191d",
+        "MULTI_TILE": "a5c3c4636fad9e9fc8f2edc5456e0e3d3bbd156755c9205ec495d663fc47bd7a",
+    }
+
+    @pytest.mark.parametrize("name", list(SHAPES))
+    def test_hardware_aware_shapes(self, moons_split, synthetic_model, name):
+        net = train_hardware_aware(getattr(self, name), moons_split[0], model=synthetic_model)
+        assert self.digest(net) == self.SHAPES[name]
+
+    def test_batch_hook_samples(self, moons_split, synthetic_model):
+        # Every step's EpsilonSample as the hook sees it, over a stuck-heavy
+        # run: noise, both masks and the snapshots.
+        h = hashlib.sha256()
+        steps = []
+
+        def hook(epoch, step, net, sample, loss):
+            steps.append(step)
+            for arr in (*sample.weight_eps, *sample.bias_eps, *sample.weight_mask,
+                        *sample.bias_mask):
+                h.update(arr.tobytes())
+            for snap in sample.snapshots:
+                h.update(np.array([snap.phi_min, snap.phi_max, snap.phi_absmax]).tobytes())
+
+        config = TrainingConfig(epochs=5, batch_size=32, seed=13, hrs_fraction=0.05,
+                                lrs_fraction=0.05)
+        net = train_hardware_aware(config, moons_split[0], model=synthetic_model, batch_hook=hook)
+        assert len(steps) == 5 * 28
+        assert h.hexdigest() == "9bfaf67a8fd22a640c34a193c32a1939ec28aef8d304a0d858691f0e44f90597"
+        assert self.digest(net) == "1ba3fe70ea601afa46748a267511e3fa45fda40938eca7847f8ef02a4b6d5e79"
+
+
+def init_then(change):
+    """A ``DenseNet.init`` replacement that applies ``change`` to the
+    initialised net."""
+    init = nn.DenseNet.init.__func__
+
+    def changed(cls, sizes, rng):
+        net = init(cls, sizes, rng)
+        change(net)
+        return net
+
+    return classmethod(changed)
+
+
+def zero_output_layer(net):
+    net.layers[1].weights[:] = 0.0
+
+
+def overflowing_first_layer(net):
+    # A finite range whose max - min overflows, so the transferred and
+    # effective weights are not finite.
+    net.layers[0].weights[0] = [1e308, -1e308]
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("change, message", [
+        (zero_output_layer, "cannot snapshot an all-zero weight matrix"),
+        (overflowing_first_layer, "layer parameters must be finite"),
+    ], ids=["all_zero", "non_finite"])
+    def test_bad_weights_raise_through_training(self, monkeypatch, synthetic_model, change,
+                                                message):
+        monkeypatch.setattr(nn.DenseNet, "init", init_then(change))
+        with pytest.raises(ValueError, match=message):
+            train_hardware_aware(TrainingConfig(epochs=1, batch_size=32), tiny_moons(),
+                                 model=synthetic_model)
+
+
+class TestDeviceIndex:
+    @pytest.mark.parametrize("arch", [[2, 8, 1], [2, 5, 3, 1], [3, 1]])
+    def test_gathers_each_crossbar_row_major(self, arch):
+        net = nn.DenseNet.init(arch, np.random.default_rng(1))
+        params = nn.flatten((l.weights, l.bias) for l in net.layers)
+        crossbars = [layer_to_crossbar(l.weights, l.bias).ravel() for l in net.layers]
+        assert np.array_equal(params[device_index(arch)], np.concatenate(crossbars))
+        assert np.array_equal(np.sort(device_index(arch)), np.arange(params.size))
 
 
 class TestDeskScaleAccuracy:

@@ -227,7 +227,7 @@ class TestApplyStuck:
     def transfer(shape, model, x, y, seed):
         phi = symmetric_matrix(shape, seed=0)
         plan = TransferPlan([TileLayout.for_weight_matrix(*shape)], model, x, y)
-        outcome = plan.apply(phi, plan.draw(1, np.random.default_rng(seed))[0])
+        (outcome,) = plan.apply([phi], plan.draw(1, np.random.default_rng(seed)))
         return phi, outcome.phi_prime[0], outcome.stuck_mask[0]
 
     def test_identity_when_disabled(self):
@@ -344,7 +344,7 @@ class TestTransferPlan:
         plan = TransferPlan([self.LAYOUT], synthetic_model, 0.2, 0.3)
         rng_a, rng_b = np.random.default_rng(13), np.random.default_rng(13)
         for _ in range(20):
-            a = plan.apply(phi, plan.draw(1, rng_a)[0])
+            (a,) = plan.apply([phi], plan.draw(1, rng_a))
             b = simulate_transfer(phi, self.LAYOUT, synthetic_model, 0.2, 0.3, rng_b)
             assert a.phi_prime.shape == (1, 3, 8)
             assert a.phi_prime[0].tobytes() == b.phi_prime.tobytes()
@@ -354,7 +354,7 @@ class TestTransferPlan:
     def test_zero_noise_rows_equal_deterministic_conversion(self, zero_model):
         phi = np.random.default_rng(14).normal(size=(3, 8))
         plan = TransferPlan([self.LAYOUT], zero_model, 0.0, 0.0)
-        out = plan.apply(phi, plan.draw(40, np.random.default_rng(0))[0])
+        (out,) = plan.apply([phi], plan.draw(40, np.random.default_rng(0)))
         snap = WeightRangeSnapshot.of_matrix(phi)
         plus, minus = split_signed(phi)
         expected = from_conductance(
@@ -368,7 +368,7 @@ class TestTransferPlan:
     def test_all_hrs_rows(self, synthetic_model):
         phi = symmetric_matrix((3, 8), seed=15)
         plan = TransferPlan([self.LAYOUT], synthetic_model, 1.0, 0.0)
-        out = plan.apply(phi, plan.draw(50, np.random.default_rng(1))[0])
+        (out,) = plan.apply([phi], plan.draw(50, np.random.default_rng(1)))
         assert out.stuck_mask.all()
         # Both components are HRS draws in [10, 100] uS, so delta_g lies in
         # [-90, 90] and phi' in its affine image (phi_min = -phi_max here).
@@ -380,7 +380,7 @@ class TestTransferPlan:
         x = y = 0.005
         phi = np.random.default_rng(16).normal(size=(3, 8))
         plan = TransferPlan([self.LAYOUT], synthetic_model, x, y)
-        out = plan.apply(phi, plan.draw(2000, np.random.default_rng(17))[0])
+        (out,) = plan.apply([phi], plan.draw(2000, np.random.default_rng(17)))
         p = 1.0 - (1.0 - (x + y)) ** 2
         se = np.sqrt(p * (1 - p) / out.stuck_mask.size)
         assert abs(out.stuck_mask.mean() - p) < 3 * se
@@ -388,34 +388,70 @@ class TestTransferPlan:
     def test_sample_shapes_per_layer(self, synthetic_model):
         net = nn.DenseNet.init([2, 8, 1], np.random.default_rng(18))
         plan = TransferPlan(layouts_for_architecture([2, 8, 1]), synthetic_model, 0.005, 0.005)
-        outcomes = plan.sample(net, 5, np.random.default_rng(19))
+        outcomes = plan.apply_net(net, plan.draw(5, np.random.default_rng(19)))
         assert [o.phi_prime.shape for o in outcomes] == [(5, 3, 8), (5, 9, 1)]
         assert [o.stuck_mask.shape for o in outcomes] == [(5, 3, 8), (5, 9, 1)]
 
-    @pytest.mark.parametrize("n", [1, 32])
-    def test_sample_is_apply_of_draw(self, synthetic_model, n):
-        net = nn.DenseNet.init([2, 8, 1], np.random.default_rng(20))
-        plan = TransferPlan(layouts_for_architecture([2, 8, 1]), synthetic_model, 0.05, 0.05)
-        rng_a, rng_b = np.random.default_rng(21), np.random.default_rng(21)
-        sampled = plan.sample(net, n, rng_a)
-        noise = plan.draw(n, rng_b)
-        assert any(layer_noise.stuck_values is not None for layer_noise in noise)
-        for layer, layer_noise, a in zip(net.layers, noise, sampled):
-            b = plan.apply(layer_to_crossbar(layer.weights, layer.bias), layer_noise)
-            assert a.phi_prime.tobytes() == b.phi_prime.tobytes()
-            assert a.stuck_mask.tobytes() == b.stuck_mask.tobytes()
+    @staticmethod
+    def assert_layers_transfer_alone(plan, net, n, seed):
+        """A draw of every layout is the draws of one-layout plans made one
+        after the other on the same generator, and the transfer of every
+        layer at once is, bit for bit, each layer's matrix transferred
+        alone with its own draws; returns those one-layout draws."""
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        outcomes = plan.apply_net(net, plan.draw(n, rng_a))
+        plans = [TransferPlan([layout], plan.model, plan.x, plan.y) for layout in plan.layouts]
+        noises = [alone.draw(n, rng_b) for alone in plans]
         assert rng_a.random() == rng_b.random()
+        for alone, noise, layer, outcome in zip(plans, noises, net.layers, outcomes):
+            crossbar = layer_to_crossbar(layer.weights, layer.bias)
+            (b,) = alone.apply([crossbar], noise)
+            assert outcome.phi_prime.tobytes() == b.phi_prime.tobytes()
+            assert outcome.stuck_mask.tobytes() == b.stuck_mask.tobytes()
+            assert outcome.snapshot == b.snapshot == WeightRangeSnapshot.of_matrix(crossbar)
+        return noises
+
+    @pytest.mark.parametrize("arch, tile", [([2, 8, 1], 8), ([2, 5, 3, 1], 8), ([2, 16, 1], 4)])
+    @pytest.mark.parametrize("n", [1, 32])
+    def test_layers_transfer_alone(self, synthetic_model, n, arch, tile):
+        net = nn.DenseNet.init(arch, np.random.default_rng(20))
+        plan = TransferPlan(layouts_for_architecture(arch, tile, tile), synthetic_model, 0.05,
+                            0.05)
+        noises = self.assert_layers_transfer_alone(plan, net, n, 21)
+        assert all(noise.stuck_values is not None for noise in noises)
+
+    @pytest.mark.parametrize("x, seed, clean", [(0.01, 0, [False, True]),
+                                                (0.01, 1, [True, False]),
+                                                (0.0, 23, [True, True])])
+    def test_layers_with_no_stuck_device_transfer_alone(self, synthetic_model, x, seed, clean):
+        net = nn.DenseNet.init([2, 8, 1], np.random.default_rng(22))
+        plan = TransferPlan(layouts_for_architecture([2, 8, 1]), synthetic_model, x, x)
+        noises = self.assert_layers_transfer_alone(plan, net, 1, seed)
+        assert [noise.stuck_values is None for noise in noises] == clean
+
+    def test_device_apply_rejects_a_layer_it_cannot_snapshot(self, zero_model):
+        plan = TransferPlan(layouts_for_architecture([2, 8, 1]), zero_model, 0.0, 0.0)
+        noise = plan.draw(1, np.random.default_rng(0))
+        phi = np.ones(33)
+        phi[24:] = 0.0
+        with pytest.raises(ValueError, match="all-zero"):
+            plan.apply_devices(phi, noise)
+        phi[24] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            plan.apply_devices(phi, noise)
+        with pytest.raises(ValueError, match="devices"):
+            plan.apply_devices(np.ones(32), noise)
 
     def test_concatenated_draws_apply_as_each_alone(self, synthetic_model):
         # One stream with stuck devices, one without (x = y = 0), one with:
         # the apply of the stacked draws is each stream's apply, bit for bit.
         phi = np.random.default_rng(25).normal(size=(3, 8))
         plans = [TransferPlan([self.LAYOUT], synthetic_model, x, x) for x in (0.2, 0.0, 0.1)]
-        noises = [plan.draw(n, np.random.default_rng(26 + n))[0]
+        noises = [plan.draw(n, np.random.default_rng(26 + n))
                   for plan, n in zip(plans, (2, 3, 1))]
         assert [noise.stuck_values is None for noise in noises] == [False, True, False]
-        stacked = plans[0].apply(phi, TransferNoise.concatenate(noises))
-        alone = [plans[0].apply(phi, noise) for noise in noises]
+        (stacked,) = plans[0].apply([phi], TransferNoise.concatenate(noises))
+        alone = [plans[0].apply([phi], noise)[0] for noise in noises]
         assert stacked.phi_prime.tobytes() == np.concatenate(
             [o.phi_prime for o in alone]).tobytes()
         assert np.array_equal(stacked.stuck_mask, np.concatenate([o.stuck_mask for o in alone]))
@@ -424,8 +460,8 @@ class TestTransferPlan:
     def test_draws_do_not_depend_on_weights(self, synthetic_model):
         plan = TransferPlan([self.LAYOUT], synthetic_model, 0.1, 0.1)
         masks = [
-            plan.apply(np.random.default_rng(seed).normal(size=(3, 8)),
-                       plan.draw(4, np.random.default_rng(22))[0]).stuck_mask
+            plan.apply([np.random.default_rng(seed).normal(size=(3, 8))],
+                       plan.draw(4, np.random.default_rng(22)))[0].stuck_mask
             for seed in (23, 24)
         ]
         assert masks[0].any() and np.array_equal(masks[0], masks[1])
@@ -435,10 +471,10 @@ class TestTransferPlan:
             TransferPlan([self.LAYOUT], zero_model, 0.7, 0.4)
         plan = TransferPlan([self.LAYOUT], zero_model, 0.0, 0.0)
         with pytest.raises(ValueError, match="shape"):
-            plan.apply(np.ones((9, 1)), plan.draw(2, np.random.default_rng(0))[0])
+            plan.apply([np.ones((9, 1))], plan.draw(2, np.random.default_rng(0)))
         with pytest.raises(ValueError, match="layouts"):
-            plan.sample(nn.DenseNet.init([2, 8, 1], np.random.default_rng(0)), 2,
-                        np.random.default_rng(0))
+            plan.apply_net(nn.DenseNet.init([2, 8, 1], np.random.default_rng(0)),
+                           plan.draw(2, np.random.default_rng(0)))
 
 
 class TestLayerCrossbarRoundTrip:

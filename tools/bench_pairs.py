@@ -11,6 +11,12 @@ the parent checkout and in the change checkout (by default the one holding
 this script).  Pair i runs the parent first when i is even and the change
 first when i is odd, so that drift on the machine falls on both sides.
 
+The two checkouts must be siblings: directories with the same parent.
+Where a checkout sits moves train_pair by up to 15% on identical code (two
+unrelated checkouts read an 11-14% gap that shrank to 2-6% once the change
+tree was copied beside the parent), so any other pair exits with status 2
+before running anything.
+
 The output JSON holds the seeds, the order, per workload the operations
 attempted and failed on each side, and per end-to-end metric of
 BENCHMARK.json each side's median, quartiles and runs, the ratio of the
@@ -94,6 +100,11 @@ def main(argv=None) -> int:
     parser.add_argument("--note", default=None)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if trees["parent"].parent != trees["change"].parent:
+        print(f"error: --parent {trees['parent']} and --change {trees['change']} are not "
+              f"sibling checkouts; clone both into one directory", file=sys.stderr)
+        return 2
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -101,7 +112,6 @@ def main(argv=None) -> int:
     for spec in args.workload:
         name, _, text = spec.partition(":")
         seeds[name] = parse_seeds(text)
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {"command": f"python3 perfbench/run.py --workload W --seed N "
                       f"--seconds {args.seconds:g} --trace 0",
            "seeds": seeds, "order": ORDER, "workloads": {}, "environment": None}

@@ -50,7 +50,10 @@ def _add_common(parser: argparse.ArgumentParser, *, transfers=True, threads=True
                             help="override the number of simulated transfers")
     parser.add_argument("--out", type=Path, required=True, help="output directory")
     if threads:
-        parser.add_argument("--threads", type=int, default=None, help="worker threads")
+        parser.add_argument("--threads", type=int, default=None,
+                            help="run: at 2 or more (the default), the regular network's "
+                                 "pipeline runs in a second process beside the HA one; "
+                                 "evaluate and heatmap accept it and run on one thread")
 
 
 def _override(config: ExperimentConfig, args) -> ExperimentConfig:
@@ -136,8 +139,7 @@ def cmd_evaluate(args) -> int:
     report = _timed(
         "evaluation", evaluate_transfers,
         net, model, layouts, config.training.hrs_fraction, config.training.lrs_fraction,
-        test_set, config.transfers, config.training.seed, workers=config.threads,
-        rate=(config.transfers, "transfers"),
+        test_set, config.transfers, config.training.seed, rate=(config.transfers, "transfers"),
     )
     args.out.mkdir(parents=True, exist_ok=True)
     write_json(args.out / "report.json", {
@@ -160,7 +162,7 @@ def cmd_heatmap(args) -> int:
     hm = _timed(
         "heatmap", heatmap,
         net, model, layouts, config.training.hrs_fraction, config.training.lrs_fraction,
-        config.grid, repetitions=repetitions, seed=config.training.seed, workers=config.threads,
+        config.grid, repetitions=repetitions, seed=config.training.seed,
         rate=(repetitions, "repetitions"),
     )
     args.out.mkdir(parents=True, exist_ok=True)

@@ -12,10 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import resource
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -114,20 +113,6 @@ class RobustnessReport:
 
 def _transfer_rng(seed: int, tag: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag, int(index)]))
-
-
-def _sum_jobs(job, count: int, workers: int) -> np.ndarray:
-    """Sum of the integer or boolean arrays ``job(i)`` for i in
-    range(count), computed on up to ``workers`` threads.  The results are
-    added in job order, in place, into one int64 array.  Integer sums do
-    not depend on the order the jobs finish in, so the result is the same
-    for any worker count."""
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        results = map(job, range(count)) if pool is None else pool.map(job, range(count))
-        total = np.array(next(results), dtype=np.int64)
-        for result in results:
-            total += result
-    return total
 
 
 def _label_threshold() -> float:
@@ -322,7 +307,7 @@ class _GridTiles:
 
 
 def _count_transfers(plan: TransferPlan, net: nn.DenseNet, tally, transfers: int, seed: int,
-                     tag: int, per_stream: int, group: int, workers: int) -> np.ndarray:
+                     tag: int, per_stream: int, group: int) -> np.ndarray:
     """The sum over jobs of ``tally(outcomes)``, an integer count per point
     of a job's stacked transfers ``outcomes``, over ``transfers`` transfers
     of ``net``: the one counting job of :func:`evaluate_transfers` and
@@ -336,17 +321,17 @@ def _count_transfers(plan: TransferPlan, net: nn.DenseNet, tally, transfers: int
     and applies them to the weights with one ``plan.apply_net``, which is
     elementwise over transfers, so each transfer is the one that
     ``plan.apply_net`` of its stream's draw alone gives.  ``tally`` labels
-    each transfer independently of the others in the stack, and the jobs'
-    counts are integer sums by :func:`_sum_jobs`, so they are the same for
-    any worker count.
+    each transfer independently of the others in the stack.  The jobs run
+    in order on the calling thread: each is many small numpy calls that
+    hold the GIL, so a thread pool ran them slower, not faster.
     """
-    def count(g: int) -> np.ndarray:
+    total = 0  # the first job's counts replace it with an int64 array
+    for g in range(-(-transfers // group)):
         starts = range(g * group, min((g + 1) * group, transfers), per_stream)
         draws = [plan.draw(min(per_stream, transfers - t), _transfer_rng(seed, tag, t // per_stream))
                  for t in starts]
-        return tally(plan.apply_net(net, TransferNoise.concatenate(draws)))
-
-    return _sum_jobs(count, -(-transfers // group), workers)
+        total += tally(plan.apply_net(net, TransferNoise.concatenate(draws)))
+    return total
 
 
 def evaluate_transfers(
@@ -367,10 +352,13 @@ def evaluate_transfers(
     ``k`` (the last one may be shorter) is drawn by one
     :meth:`TransferPlan.draw` call from
     stream ``SeedSequence([seed, 100, k])`` and classified in one stacked
-    forward pass, and the counts do not depend on the worker count.
-    Drawing a chunk at once gives a different Monte-Carlo sample than
-    drawing its transfers one by one, as versions before the chunked engine
-    did.
+    forward pass.  Drawing a chunk at once gives a different Monte-Carlo
+    sample than drawing its transfers one by one, as versions before the
+    chunked engine did.
+
+    ``workers`` is ignored: the chunks run in order on the calling thread.
+    It stays accepted because the layer timings in ``perfbench/layers.py``
+    pass it.
     """
     if transfers < 1:
         raise ValueError(f"transfers must be >= 1, got {transfers}")
@@ -380,7 +368,7 @@ def evaluate_transfers(
         return np.sum(_predict_transferred(outcomes, points) == labels, axis=0)
 
     counts = _count_transfers(TransferPlan(layouts, model, x, y), net, correct, transfers, seed,
-                              _STREAM_EVAL, CHUNK, CHUNK, workers)
+                              _STREAM_EVAL, CHUNK, CHUNK)
     return RobustnessReport(counts=counts, transfers=transfers)
 
 
@@ -489,8 +477,9 @@ def heatmap(
     The counts of label 1 come from :func:`_count_transfers` with
     ``per_stream = 1`` and ``group =`` :data:`HEATMAP_GROUP`: repetition
     ``i`` is drawn alone by ``plan.draw(1, ...)`` from stream
-    ``SeedSequence([seed, 101, i])``, so the grid is the same for any
-    worker count and equals forwarding each repetition alone.
+    ``SeedSequence([seed, 101, i])``, so the grid equals forwarding each
+    repetition alone.  ``workers`` is ignored, as by
+    :func:`evaluate_transfers`, and stays accepted for the same reason.
 
     Tile rule: the grid splits into tiles of :data:`GRID_TILE` x
     :data:`GRID_TILE` cells, each spanning the box ``[xs[i0], xs[i1]] x
@@ -544,7 +533,7 @@ def heatmap(
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     ones = _count_transfers(TransferPlan(layouts, model, x, y), net, _GridTiles(grid).count_ones,
-                            repetitions, seed, _STREAM_HEATMAP, 1, HEATMAP_GROUP, workers)
+                            repetitions, seed, _STREAM_HEATMAP, 1, HEATMAP_GROUP)
     return HeatmapGrid(grid=grid, repetitions=repetitions,
                        mean=(ones / repetitions).reshape(grid.ny, grid.nx))
 
@@ -565,7 +554,10 @@ class ExperimentConfig:
     transfers: int = 10000
     grid: GridSpec = field(default_factory=GridSpec)
     heatmap_repetitions: int = 1000
-    threads: int = 1
+    # Processes for run_experiment: from 2 on, the regular network's
+    # pipeline runs in a forked child beside the HA one (see
+    # _run_pipelines).  Evaluation and the heatmap count on one thread.
+    threads: int = 2
 
     def __post_init__(self):
         counts = {"transfers": self.transfers, "threads": self.threads,
@@ -697,17 +689,74 @@ def write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _timed(stage: str, fn, *args, rate: tuple[int, str] | None = None, **kwargs):
+def _timed(stage: str, fn, *args, rate: tuple[int, str] | None = None,
+           lines: list[str] | None = None, **kwargs):
     """``fn(*args, **kwargs)``, with its wall time printed to stderr as
-    ``stage: T s``; ``rate = (count, unit)`` appends ``, R unit/s``.  Wall
-    times stay out of the artifacts, which reruns must reproduce byte for
-    byte."""
+    ``stage: T s``, or appended to ``lines`` when given; ``rate = (count,
+    unit)`` appends ``, R unit/s``.  Wall times stay out of the artifacts,
+    which reruns must reproduce byte for byte."""
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     elapsed = time.perf_counter() - start
     per_s = f", {rate[0] / elapsed:.0f} {rate[1]}/s" if rate else ""
-    print(f"{stage}: {elapsed:.2f} s{per_s}", file=sys.stderr)
+    line = f"{stage}: {elapsed:.2f} s{per_s}"
+    if lines is None:
+        print(line, file=sys.stderr)
+    else:
+        lines.append(line)
     return result
+
+
+def _pipeline(name: str, config: ExperimentConfig, model: VariabilityModel, train_set: LabeledSet,
+              test_set: LabeledSet, layouts: list[TileLayout]):
+    """Train the ``name`` network of :func:`run_experiment`
+    (``hardware_aware`` or ``regular``), evaluate its transfers and draw
+    its heatmap.  Returns the net, its report, its heatmap and its three
+    stage lines (see :func:`_timed`), in that order."""
+    tc, lines = config.training, []
+    train, extra = ((train_hardware_aware, {"model": model}) if name == "hardware_aware"
+                    else (train_regular, {}))
+    net = _timed(f"{name} training", train, tc, train_set, **extra,
+                 rate=(tc.steps(len(train_set)), "steps"), lines=lines)
+    report = _timed(f"{name} evaluation", evaluate_transfers, net, model, layouts, tc.hrs_fraction,
+                    tc.lrs_fraction, test_set, config.transfers, tc.seed,
+                    rate=(config.transfers, "transfers"), lines=lines)
+    hm = _timed(f"{name} heatmap", heatmap, net, model, layouts, tc.hrs_fraction, tc.lrs_fraction,
+                config.grid, repetitions=config.heatmap_repetitions, seed=tc.seed,
+                rate=(config.heatmap_repetitions, "repetitions"), lines=lines)
+    return net, report, hm, lines
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident memory in MB (``ru_maxrss`` is in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _measured(fn, *args):
+    """``fn(*args)`` and the peak resident memory of the process that ran it."""
+    return fn(*args), _peak_rss_mb()
+
+
+def _run_pipelines(config: ExperimentConfig, *args) -> tuple[dict, float | None]:
+    """:func:`_pipeline`'s result per network, HA first, and the child
+    process's peak RSS in MB, or None without one.
+
+    At ``config.threads`` 1 both pipelines run here, one after the other.
+    At 2 or more the regular one runs in a forked child while this process
+    runs the HA one; they share nothing but their inputs, so each result is
+    the one a serial run gives.  An exception in either pipeline is raised
+    here once the child is done, and the child never outlives the call.
+    """
+    if config.threads < 2:
+        return {name: _pipeline(name, config, *args) for name in ("hardware_aware", "regular")}, None
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+        regular = pool.submit(_measured, _pipeline, "regular", config, *args)
+        results = {"hardware_aware": _pipeline("hardware_aware", config, *args)}
+        results["regular"], child_rss = regular.result()
+    return results, child_rss
 
 
 def run_experiment(config, out_dir, config_doc: dict | None = None) -> list[Path]:
@@ -716,10 +765,14 @@ def run_experiment(config, out_dir, config_doc: dict | None = None) -> list[Path
     ``config`` is an :class:`ExperimentConfig` or a path to a JSON config
     file.  Writes report.json, manifest.json, and per-network table.csv,
     curve.csv, heatmap.csv and checkpoint.json under ``out_dir``.  The same
-    config always produces byte-identical artifacts, so the wall time of
-    each stage (training, evaluation and heatmap of each network), and the
-    training steps, transfers or repetitions per second of each, go to
-    stderr, not into them.
+    config always produces byte-identical artifacts, at any
+    ``config.threads``, so the wall time of each stage (training,
+    evaluation and heatmap of each network), and the training steps,
+    transfers or repetitions per second of each, go to stderr, not into
+    them.  The stage lines are printed once both pipelines are done, in
+    the order of a run that trains both nets before it judges either; a
+    last line gives the peak resident memory of this process and, at
+    ``threads`` 2 or more, of the child (see :func:`_run_pipelines`).
     """
     if not isinstance(config, ExperimentConfig):
         config_doc, config = read_config(config)
@@ -728,32 +781,17 @@ def run_experiment(config, out_dir, config_doc: dict | None = None) -> list[Path
     out.mkdir(parents=True, exist_ok=True)
     train_set, test_set = experiment_dataset(config)
     layouts = layouts_for_architecture(config.training.architecture, *config.training.tile)
-    x, y = config.training.hrs_fraction, config.training.lrs_fraction
-    seed = config.training.seed
-
-    steps = (config.training.steps(len(train_set)), "steps")
-    nets = {
-        "hardware_aware": _timed("hardware_aware training", train_hardware_aware,
-                                 config.training, train_set, model=model, rate=steps),
-        "regular": _timed("regular training", train_regular, config.training, train_set,
-                          rate=steps),
-    }
+    results, child_rss = _run_pipelines(config, model, train_set, test_set, layouts)
+    stage_lines = [lines[0] for *_, lines in results.values()]
+    stage_lines += [line for *_, lines in results.values() for line in lines[1:]]
+    for line in stage_lines:
+        print(line, file=sys.stderr)
 
     written: list[Path] = []
     report_networks = {}
-    for name, net in nets.items():
+    for name, (net, report, hm, _) in results.items():
         sub = out / name
         sub.mkdir(exist_ok=True)
-        report = _timed(
-            f"{name} evaluation", evaluate_transfers,
-            net, model, layouts, x, y, test_set, config.transfers, seed, workers=config.threads,
-            rate=(config.transfers, "transfers"),
-        )
-        hm = _timed(
-            f"{name} heatmap", heatmap, net, model, layouts, x, y, config.grid,
-            repetitions=config.heatmap_repetitions, seed=seed, workers=config.threads,
-            rate=(config.heatmap_repetitions, "repetitions"),
-        )
         nn.save_checkpoint(net, sub / "checkpoint.json")
         write_table_csv(sub / "table.csv", robustness_table(report))
         write_curve_csv(sub / "curve.csv", *robustness_curve(report))
@@ -780,11 +818,13 @@ def run_experiment(config, out_dir, config_doc: dict | None = None) -> list[Path
     write_json(out / "manifest.json", {
         "tool": "xbartrain",
         "version": __version__,
-        "seed": seed,
+        "seed": config.training.seed,
         "transfers": config.transfers,
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
         "config": config_doc,
         "artifacts": sorted(str(p.relative_to(out)) for p in written),
     })
     written.append(out / "manifest.json")
+    child = f", child {child_rss:.1f} MB" if child_rss is not None else ""
+    print(f"peak rss: parent {_peak_rss_mb():.1f} MB{child}", file=sys.stderr)
     return written

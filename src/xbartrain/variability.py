@@ -290,7 +290,8 @@ class VariabilityModel:
     """Fitted bundle of every variability source plus the tuning window.
 
     Immutable after construction; all sampling takes a caller-supplied RNG,
-    so one model is safely shared across concurrent workers.
+    so one model serves any number of draws, and a forked process may use
+    its copy as the parent does.
     """
 
     std_model: LinearStdModel

@@ -1,5 +1,9 @@
 import json
+import multiprocessing
+import os
 import re
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -172,16 +176,24 @@ class TestRun:
     def test_stage_times_go_to_stderr(self, config_path, tmp_path, capsys):
         out = tmp_path / "artifacts"
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
-        lines = capsys.readouterr().err.splitlines()
+        *lines, rss = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r"peak rss: parent \d+\.\d MB, child \d+\.\d MB", rss)
         stages = [line.split(": ", 1)[0] for line in lines]
         assert stages == ["hardware_aware training", "regular training",
                           "hardware_aware evaluation", "hardware_aware heatmap",
                           "regular evaluation", "regular heatmap"]
         assert all(re.fullmatch(r"[a-z_ ]+: \d+\.\d\d s, \d+ [a-z]+/s", line) for line in lines)
 
+    def test_one_thread_reports_no_child_rss(self, config_path, tmp_path, capsys):
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out"),
+                     "--threads", "1"]) == 0
+        assert re.fullmatch(r"peak rss: parent \d+\.\d MB",
+                            capsys.readouterr().err.splitlines()[-1])
+
     def test_evaluation_and_heatmap_rates_go_to_stderr(self, config_path, tmp_path, capsys):
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
-        rates = [line.split(", ")[1:] for line in capsys.readouterr().err.splitlines()]
+        *lines, _ = capsys.readouterr().err.splitlines()  # the last is the peak RSS line
+        rates = [line.split(", ")[1:] for line in lines]
         units = [rate[0].split(" ", 1)[1] if rate else None for rate in rates]
         assert units == ["steps/s", "steps/s", "transfers/s", "repetitions/s",
                          "transfers/s", "repetitions/s"]
@@ -199,6 +211,52 @@ class TestErrorPaths:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_hardware_aware_failure_in_run_exits_2(self, tmp_path, capsys, threads):
+        # At this learning rate the HA net's effective parameters overflow
+        # in its first steps.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, learning_rate=1e308)))
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                   "--threads", threads])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: layer parameters must be finite"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_regular_failure_in_run_exits_2(self, config_path, tmp_path, capsys, monkeypatch,
+                                            threads):
+        # At 2 threads the regular pipeline, and so this error, is in the
+        # child process.
+        def fail(*args, **kwargs):
+            raise ValueError("regular training failed")
+
+        monkeypatch.setattr(experiments, "train_regular", fail)
+        rc = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out"),
+                   "--threads", threads])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: regular training failed"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_regular_divergence_is_raised_at_any_thread_count(self, config_path, tmp_path,
+                                                              monkeypatch, threads):
+        train = experiments.train_regular
+        monkeypatch.setattr(experiments, "train_regular",
+                            lambda config, *a, **k: train(replace(config, lr=1e308), *a, **k))
+        config = replace(experiments.load_experiment_config(config_path), threads=threads)
+        with pytest.raises(RuntimeError, match="training diverged: non-finite loss at epoch 1, "
+                                               "batch 1"):
+            experiments.run_experiment(config, tmp_path / "out")
+        assert multiprocessing.active_children() == []
+
+    def test_child_that_dies_is_reported(self, config_path, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "train_regular", lambda *a, **k: os._exit(3))
+        config = replace(experiments.load_experiment_config(config_path), threads=2)
+        with pytest.raises(BrokenProcessPool):
+            experiments.run_experiment(config, tmp_path / "out")
+        assert multiprocessing.active_children() == []
 
     def test_missing_model_file_exits_2_and_names_path(self, tmp_path, capsys):
         config = dict(TINY_CONFIG, model_path=str(tmp_path / "ghost_model.json"))

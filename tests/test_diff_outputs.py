@@ -47,3 +47,12 @@ def test_regular_heatmap_reads_the_checkpoint_its_side_trained(tmp_path):
     heatmap = next(c for c in commands if str(out / "heatmap_regular") in c)
     assert heatmap[heatmap.index("--checkpoint") + 1] == str(out / "train" / "regular.json")
     assert commands.index(heatmap) > train
+
+
+def test_run_is_compared_on_one_and_two_threads(tmp_path):
+    out = tmp_path / "out"
+    commands = diff_outputs.commands(tmp_path / "tree", tmp_path / "configs", out)
+    assert len(commands) == 7
+    runs = [c for c in commands if c[0] == "run"]
+    assert [c[c.index("--threads") + 1] for c in runs] == ["1", "2"]
+    assert len({c[c.index("--out") + 1] for c in runs}) == 2

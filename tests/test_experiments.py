@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,17 @@ TINY_CONFIG = {
     "dataset": {"n_train": 120, "n_test": 40, "noise_std": 0.1},
     "transfers": 25,
     "heatmap": {"nx": 8, "ny": 6, "repetitions": 10},
+}
+
+
+# The config of acceptance criterion 9 (determinism).
+CRITERION_9_CONFIG = {
+    "seed": 13,
+    "epochs": 40,
+    "batch_size": 64,
+    "dataset": {"n_train": 150, "n_test": 50, "noise_std": 0.1},
+    "transfers": 50,
+    "heatmap": {"nx": 10, "ny": 10, "repetitions": 20},
 }
 
 
@@ -600,3 +612,19 @@ class TestRunExperiment:
         assert files1 == files2
         for rel in files1:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+    def test_one_and_two_processes_write_the_same_tree(self, tmp_path, capsys):
+        config = experiment_config_from_dict(CRITERION_9_CONFIG)
+        trees, stages = {}, {}
+        for threads in (1, 2):
+            out = tmp_path / str(threads)
+            run_experiment(replace(config, threads=threads), out, config_doc=CRITERION_9_CONFIG)
+            trees[threads] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                              if p.is_file()}
+            *lines, _ = capsys.readouterr().err.splitlines()
+            stages[threads] = [line.split(": ", 1)[0] for line in lines]
+        assert len(trees[1]) == 10
+        assert trees[1] == trees[2]
+        assert stages[1] == stages[2] == [
+            "hardware_aware training", "regular training", "hardware_aware evaluation",
+            "hardware_aware heatmap", "regular evaluation", "regular heatmap"]

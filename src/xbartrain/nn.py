@@ -7,12 +7,12 @@ gradient oracle used by the test suite to pin the analytic gradients.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from . import fields
 
@@ -34,6 +34,24 @@ __all__ = [
 ]
 
 BCE_CLAMP = 1e-7
+
+
+@functools.cache
+def _expit():
+    """scipy's ``expit``, the sigmoid of :func:`forward`.
+
+    ``scipy.special`` is imported here, on the first call, rather than with
+    the package: the import takes about 0.25 s and 19 MB per process, and
+    ``evaluate``, ``heatmap`` and ``gen-synthetic-model`` never call it.
+    Training does, through :func:`forward`, so ``train`` and
+    ``experiments.run_experiment`` call this before their first timed
+    stage (``run_experiment`` also before it forks), which keeps the import
+    out of the stage times.  ``fit-model``'s Shapiro-Wilk test imports
+    ``scipy.special`` itself.
+    """
+    from scipy.special import expit
+
+    return expit
 
 
 @dataclass
@@ -124,6 +142,7 @@ def forward(net: DenseNet, X) -> tuple[np.ndarray, list[np.ndarray]]:
     if a.ndim != 2:
         raise ValueError(f"X must be a batch (2-D), got shape {a.shape}")
     activations = [a]
+    expit = _expit()
     for layer in net.layers:
         a = expit(a @ layer.weights.T + layer.bias)
         activations.append(a)

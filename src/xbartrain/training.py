@@ -48,6 +48,7 @@ from .variability import (
 __all__ = [
     "SourceToggles",
     "TrainingConfig",
+    "TrainingDiverged",
     "EpsilonSample",
     "EffectiveParams",
     "device_index",
@@ -60,6 +61,11 @@ __all__ = [
 _STREAM_INIT = 1
 _STREAM_SHUFFLE = 2
 _STREAM_NOISE = 3
+
+
+class TrainingDiverged(RuntimeError):
+    """Raised when training leaves the finite numbers: an output turned NaN
+    during a step, or the parameters it ends with are not all finite."""
 
 
 def _stream(seed: int, tag: int) -> np.random.Generator:
@@ -265,7 +271,7 @@ def _train(config: TrainingConfig, train_set, plan: TransferPlan | None, batch_h
             # 0 or 1, so it is non-finite exactly where an output is NaN; it
             # is computed only for the hook.
             if np.isnan(y_hat).any():
-                raise RuntimeError(
+                raise TrainingDiverged(
                     f"training diverged: non-finite loss at epoch {epoch}, batch {step}"
                 )
             if noisy is None:
@@ -276,6 +282,10 @@ def _train(config: TrainingConfig, train_set, plan: TransferPlan | None, batch_h
             if batch_hook is not None:
                 batch_hook(epoch, step, net, sample, nn.bce_loss(y_hat, yb))
             nn.adam_step(net, grads, state)
+    # The steps only check their outputs for NaN, so an infinite parameter
+    # that never made one still has to be caught here.
+    if not np.isfinite(state.params).all():
+        raise TrainingDiverged("training diverged: the final parameters are not finite")
     return net
 
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from . import fields
 
@@ -340,6 +339,8 @@ def _shapiro_coefficients(n: int) -> np.ndarray:
         # Closed form: the weight vector is the normalized expected order
         # statistics (-1, 0, 1)/sqrt(2).
         return np.array([-np.sqrt(0.5), 0.0, np.sqrt(0.5)])
+    from scipy import special  # only fit-model needs scipy; see nn._expit
+
     i = np.arange(1, n + 1)
     m = special.ndtri((i - 0.375) / (n + 0.25))
     mm = float(m @ m)
@@ -402,6 +403,8 @@ def shapiro_wilk(samples) -> tuple[float, float]:
         y = np.log(w1)
         mu = np.polyval(_SW_C5, ln_n)
         sigma = np.exp(np.polyval(_SW_C6, ln_n))
+    from scipy import special
+
     p = float(special.ndtr(-(y - mu) / sigma))
     return w, p
 

@@ -14,7 +14,10 @@ from xbartrain.cli import main
 from xbartrain.variability import ConductanceRange, load_model, save_model
 
 from conftest import zero_noise_model
+from test_experiments import CRITERION_9_CONFIG
 from test_training import init_then, overflowing_first_layer, zero_output_layer
+
+CHECKPOINT = Path(__file__).resolve().parent.parent / "perfbench/inputs/ha_default_seed0.json"
 
 TINY_CONFIG = {
     "seed": 9,
@@ -238,6 +241,53 @@ class TestErrorPaths:
         assert rc == 2
         assert capsys.readouterr().err.splitlines()[-1] == "error: regular training failed"
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("epochs, message", [
+        (1, "the final parameters are not finite"),
+        (3, "non-finite loss at epoch 1, batch 0"),
+    ], ids=["final_parameters", "step"])
+    def test_diverged_training_exits_2(self, tmp_path, capsys, epochs, message):
+        # On criterion 9's config at this learning rate, one epoch leaves
+        # infinite parameters behind and no NaN output; by the second epoch
+        # an output is NaN.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(CRITERION_9_CONFIG, epochs=epochs, learning_rate=1e308)))
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            rc = main(["train", "--regular", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: training diverged: {message}\n"
+        assert not (out / "regular.json").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_regular_divergence_in_run_exits_2(self, config_path, tmp_path, capsys, monkeypatch,
+                                               threads):
+        train = experiments.train_regular
+        monkeypatch.setattr(experiments, "train_regular",
+                            lambda config, *a, **k: train(replace(config, lr=1e308), *a, **k))
+        with np.errstate(all="ignore"):
+            rc = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out"),
+                       "--threads", threads])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: training diverged: non-finite loss at epoch 1, batch 1")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command", ["evaluate", "heatmap"])
+    def test_overflowing_weight_range_exits_2(self, tmp_path, capsys, command):
+        doc = json.loads(CHECKPOINT.read_text())
+        doc["layers"][0]["weights"][:2] = [1e308, -1e308]
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(doc))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"transfers": 40, "heatmap": {"repetitions": 20}}))
+        out = tmp_path / "o"
+        rc = main([command, "--checkpoint", str(checkpoint), "--config", str(config),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: layer 1 of 2: the weight range "
+                                           "[-1e+308, 1e+308] overflows: max - min is not finite\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_regular_divergence_is_raised_at_any_thread_count(self, config_path, tmp_path,

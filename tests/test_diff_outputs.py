@@ -52,7 +52,20 @@ def test_regular_heatmap_reads_the_checkpoint_its_side_trained(tmp_path):
 def test_run_is_compared_on_one_and_two_threads(tmp_path):
     out = tmp_path / "out"
     commands = diff_outputs.commands(tmp_path / "tree", tmp_path / "configs", out)
-    assert len(commands) == 7
+    assert len(commands) == 9
     runs = [c for c in commands if c[0] == "run"]
     assert [c[c.index("--threads") + 1] for c in runs] == ["1", "2"]
     assert len({c[c.index("--out") + 1] for c in runs}) == 2
+
+
+def test_model_commands_read_csvs_written_the_same_on_each_side(tmp_path):
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        diff_outputs.write_raw_csvs(tmp_path / side)
+    names = ("tuning.csv", "bias.csv", "stuck.csv")
+    assert all((tmp_path / "a" / n).read_bytes() == (tmp_path / "b" / n).read_bytes()
+               for n in names)
+    commands = diff_outputs.commands(tmp_path / "tree", tmp_path / "a", tmp_path / "out")
+    assert [c[0] for c in commands[:2]] == ["gen-synthetic-model", "fit-model"]
+    assert [a.split("=", 1)[1] for a in commands[1][1:4]] == [str(tmp_path / "a" / n)
+                                                              for n in names]

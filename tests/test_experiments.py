@@ -129,6 +129,41 @@ class TestEvaluateTransfers:
             evaluate_transfers(net, synthetic_model, LAYOUTS, 0.0, 0.0, test_set, 0, seed=0)
 
 
+def overflowing_net():
+    """symmetric_net with a finite first layer whose max - min overflows."""
+    net = symmetric_net()
+    net.layers[0].weights[0] = [1e308, -1e308]
+    return net
+
+
+class TestOverflowingRange:
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("drew transfers of a net that cannot be transferred")
+
+        monkeypatch.setattr(TransferPlan, "draw", draw)
+
+    def test_evaluation_rejects_it_before_any_draw(self, synthetic_model, no_draws):
+        test_set = make_half_moons(10, seed=23)
+        with pytest.raises(ValueError, match=r"layer 1 of 2: the weight range \[-1e\+308, "
+                                             r"1e\+308\] overflows"):
+            evaluate_transfers(overflowing_net(), synthetic_model, LAYOUTS, 0.005, 0.005,
+                               test_set, 40, seed=0)
+
+    def test_heatmap_rejects_it_before_any_draw(self, synthetic_model, no_draws):
+        with pytest.raises(ValueError, match="layer 1 of 2: .* max - min is not finite"):
+            heatmap(overflowing_net(), synthetic_model, LAYOUTS, 0.005, 0.005,
+                    GridSpec(nx=4, ny=3), repetitions=20, seed=0)
+
+    def test_wide_finite_range_is_accepted(self, synthetic_model):
+        net = symmetric_net()
+        net.layers[1].weights[0, :2] = [8e307, -8e307]
+        report = evaluate_transfers(net, synthetic_model, LAYOUTS, 0.0, 0.0,
+                                    make_half_moons(10, seed=23), 3, seed=0)
+        assert report.counts.shape == (10,)
+
+
 class TestPredictTransferred:
     @pytest.mark.parametrize("points", [1, POINT_BLOCK - 1, POINT_BLOCK, POINT_BLOCK + 1, 40_000])
     @pytest.mark.parametrize("n", [1, 32])

@@ -9,6 +9,7 @@ from xbartrain.training import (
     EffectiveParams,
     SourceToggles,
     TrainingConfig,
+    TrainingDiverged,
     device_index,
     sample_epsilon,
     train_hardware_aware,
@@ -426,6 +427,27 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match=message):
             train_hardware_aware(TrainingConfig(epochs=1, batch_size=32), tiny_moons(),
                                  model=synthetic_model)
+
+    @pytest.mark.parametrize("hardware_aware", [False, True], ids=["regular", "hardware_aware"])
+    def test_infinite_final_parameters_raise(self, synthetic_model, hardware_aware):
+        # The hook of the last step makes a weight infinite; Adam keeps it
+        # so, and no forward follows that could turn it into a NaN output.
+        cfg, data = TrainingConfig(epochs=2, batch_size=32), tiny_moons()
+        steps = cfg.steps(len(data))
+        calls = 0
+
+        def poison(epoch, step, net, sample, loss):
+            nonlocal calls
+            calls += 1
+            if calls == steps:
+                net.layers[0].weights[0, 0] = np.inf
+
+        extra = {"model": synthetic_model} if hardware_aware else {}
+        train = train_hardware_aware if hardware_aware else train_regular
+        with pytest.raises(TrainingDiverged, match="^training diverged: the final parameters "
+                                                   "are not finite$"):
+            train(cfg, data, batch_hook=poison, **extra)
+        assert calls == steps
 
 
 class TestDeviceIndex:

@@ -13,6 +13,11 @@ checkout.
 
 The set:
 
+- ``gen-synthetic-model`` at seed 0, and ``fit-model`` on small
+  characterization CSVs that the script writes the same way on both sides
+  (tuning groups of 3, 8 and 20 reads, so that each branch of the
+  Shapiro-Wilk p-value runs, disturbance records with one beyond the cap,
+  and stuck records of both kinds);
 - ``train --hardware-aware`` and ``train --regular`` at 300 epochs;
 - ``evaluate`` of ``perfbench/inputs/ha_default_seed0.json`` with seed 7
   and 5000 transfers;
@@ -24,8 +29,10 @@ The set:
   1 thread and once on 2, where the regular network's pipeline runs in a
   child process.
 
-That is 7 commands writing 27 files.  Standard output is not compared,
-because it names the output paths.
+Each command's standard output is kept too, as ``stdout/NN.txt`` with the
+side's output directory written as ``OUT``, since ``fit-model`` reports
+its Shapiro-Wilk results only there.  That is 9 commands writing 38
+files.
 """
 
 from __future__ import annotations
@@ -53,14 +60,42 @@ CONFIGS = {
 }
 
 
+def write_raw_csvs(directory: Path) -> None:
+    """The characterization CSVs that ``fit-model`` reads, from a fixed
+    seed: tuning.csv, bias.csv and stuck.csv in ``directory``."""
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    lines = ["device_id,g_target_uS,read_uS"]
+    for device, reads in (("d0", 3), ("d1", 8), ("d2", 20)):
+        for target in (125.0, 250.0, 375.0):
+            lines += [f"{device},{target},{r!r}"
+                      for r in rng.normal(target * 0.995, target * 0.01, size=reads).tolist()]
+    (directory / "tuning.csv").write_text("\n".join(lines) + "\n")
+    lines = ["n_d,delta_g_uS"]
+    for n_d in range(1, 11):
+        lines += [f"{n_d},{d!r}" for d in rng.normal(-0.3 * n_d, 1.0, size=30).tolist()]
+    lines.append("3,75.0")  # beyond the disturbance cap, so fit-model drops it
+    (directory / "bias.csv").write_text("\n".join(lines) + "\n")
+    lines = ["kind,g_uS"]
+    lines += [f"HRS,{g!r}" for g in rng.uniform(15, 95, size=20).tolist()]
+    lines += [f"LRS,{g!r}" for g in rng.uniform(450, 1100, size=20).tolist()]
+    (directory / "stuck.csv").write_text("\n".join(lines) + "\n")
+
+
 def commands(tree: Path, configs: Path, out: Path) -> list[list[str]]:
-    """The CLI set, as argument lists of ``xbartrain``, writing under ``out``."""
+    """The CLI set, as argument lists of ``xbartrain``, writing under ``out``;
+    ``configs`` holds the configs of :data:`CONFIGS` and the CSVs of
+    :func:`write_raw_csvs`."""
     default = ["--config", str(configs / "default.json")]
     checkpoint = ["--checkpoint", str(tree / CHECKPOINT), *default]
     regular = ["--checkpoint", str(out / "train" / "regular.json"), *default]
     train = ["--config", str(configs / "train.json"), "--out", str(out / "train")]
     heat = ["--transfers", "301", "--threads", "2"]
+    raw = [f"--{name}={configs / name}.csv" for name in ("tuning", "bias", "stuck")]
     return [
+        ["gen-synthetic-model", "--seed", "0", "--out", str(out / "synthetic_model.json")],
+        ["fit-model", *raw, "--out", str(out / "fitted_model.json")],
         ["train", "--hardware-aware", *train],
         ["train", "--regular", *train],
         ["evaluate", *checkpoint, "--seed", "7", "--transfers", "5000", "--out", str(out / "evaluate")],
@@ -77,13 +112,16 @@ def run_side(tree: Path, side_dir: Path) -> Path:
     configs.mkdir(parents=True)
     for name, doc in CONFIGS.items():
         (configs / f"{name}.json").write_text(json.dumps(doc))
+    write_raw_csvs(configs)
+    (out / "stdout").mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    for args in commands(tree, configs, out):
+    for k, args in enumerate(commands(tree, configs, out)):
         proc = subprocess.run([sys.executable, "-m", "xbartrain.cli", *args],
                               cwd=side_dir, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             raise SystemExit(f"{tree}: xbartrain {' '.join(args[:2])} exited {proc.returncode}: "
                              f"{proc.stderr.strip()[-400:]}")
+        (out / "stdout" / f"{k:02d}.txt").write_text(proc.stdout.replace(str(out), "OUT"))
     return out
 
 

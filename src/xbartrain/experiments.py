@@ -23,8 +23,8 @@ import numpy as np
 from . import fields, nn
 from .datasets import LabeledSet, make_half_moons
 from .training import TrainingConfig, SourceToggles, train_hardware_aware, train_regular
-from .transfer import (TileLayout, TransferNoise, TransferOutcome, TransferPlan,
-                       layer_to_crossbar, layouts_for_architecture)
+from .transfer import (TileLayout, TransferNoise, TransferPlan, layer_to_crossbar,
+                       layouts_for_architecture)
 from .variability import VariabilityModel, load_model, make_synthetic_model
 
 __all__ = [
@@ -145,24 +145,10 @@ def _sigmoid(a, out):
 _SIGMOID_EPS = 16
 
 
-def _label_error_bound(layers) -> np.ndarray:
-    """Per transfer, a bound on ``|z_exact - z_fast|`` at the output of
-    :func:`_predict_transferred`'s block forward, for the ``(w, b)`` stacks
-    of ``layers``.  See :func:`_predict_transferred` for the derivation."""
-    eps = np.finfo(float).eps
-    err = np.zeros(len(layers[0][0]))
-    for w, b in layers[1:]:
-        fan_in = w.shape[1]
-        gamma = (fan_in + 1) * eps / 2 / (1 - (fan_in + 1) * eps / 2)
-        abs_w = np.abs(w).sum(axis=1)
-        delta = _SIGMOID_EPS * eps + err / 4
-        err = np.max(delta[:, None] * abs_w + 2 * gamma * (abs_w + np.abs(b[:, 0])), axis=1)
-    return 2 * err
-
-
-def _predict_transferred(outcomes: list[TransferOutcome], X) -> np.ndarray:
+def _predict_transferred(layers, X) -> np.ndarray:
     """Class labels, shape ``(n, points)``, of ``n`` transferred networks
-    given as per-layer ``(n, fan_in + 1, fan_out)`` crossbar stacks.
+    given as per-layer ``(w, b)`` stacks, ``(n, fan_in, fan_out)`` weights
+    and ``(n, 1, fan_out)`` biases.
 
     The points go through the network in blocks of :data:`POINT_BLOCK`.
     Each layer writes into one ``(n, block, fan_out)`` buffer, allocated
@@ -170,45 +156,28 @@ def _predict_transferred(outcomes: list[TransferOutcome], X) -> np.ndarray:
     in per block and memory does not grow with the point count.  The
     output layer skips its ``expit``: the label is ``z >= _Z0`` on the
     pre-activation ``z``, which equals ``expit(z) > 0.5`` for every double.
-    The labels are bit-identical to ``expit(a @ m[:, :-1] + m[:, -1:])``
-    over all layers followed by ``> 0.5``.
+    The labels are bit-identical to ``expit(a @ w + b)`` over all layers
+    followed by ``> 0.5``.
 
     The hidden layers first run :func:`_sigmoid`, which is about 4x faster
-    than scipy's ``expit`` with numpy's AVX-512 ``exp`` and within
-    ``s = 16 eps`` of it (eps the double epsilon).  Each transfer's output
-    ``z_fast`` then lies within a bound ``B`` of the exact ``z``, and a
-    block is labelled from ``z_fast`` only when every
-    ``|z_fast - _Z0| > B``, so that ``z`` is on the same side of ``_Z0``.
-    Otherwise (a NaN gap included) the block is forwarded again with
-    scipy's :func:`expit` for all ``n`` transfers.  Only this fallback
-    loads scipy, and it is rare: on the frozen default checkpoint
+    than scipy's ``expit`` with numpy's AVX-512 ``exp``.  A block is
+    labelled from this fast output only when every ``|z_fast - _Z0|``
+    exceeds the :func:`_margin` of the transfer for inputs of magnitude
+    ``max|X|``, which bounds the distance between ``z_fast`` and the
+    reference ``z`` (see :func:`heatmap`), so that ``z`` is on the same
+    side of ``_Z0``.  Otherwise (a NaN gap included) the block is forwarded
+    again with scipy's :func:`expit` for all ``n`` transfers.  Only this
+    fallback loads scipy, and it is rare: on the frozen default checkpoint
     (perfbench/inputs), ``evaluate`` at 2000 transfers took it 0 times at
-    5 seeds and ``heatmap`` at 100 repetitions 0 times at 4 seeds.
-    :func:`_label_error_bound` computes ``B`` per transfer by induction
-    over the layers, with ``e_l`` a bound on the pre-activation error of
-    layer ``l``:
-
-    - ``e_1 = 0``: the first pre-activation is the same in both forwards.
-    - A sigmoid is off by at most ``s`` at a common input (``s`` also
-      covers ``expit``'s few eps of rounding against the true sigmoid),
-      and its slope is at most 1/4, so its output is off by at most
-      ``d = s + e_l / 4``.
-    - The sigmoid outputs, the inputs of layer ``l+1``, lie in [0, 1].
-      Unit ``j`` of layer ``l+1`` adds ``d * S_j``, with
-      ``S_j = sum_i |w_ij|``, and the rounding of both dot products with
-      the bias, each at most ``gamma_(fan_in + 1) * (S_j + |b_j|)`` for
-      ``gamma_k = k u / (1 - k u)`` and ``u = eps / 2``; ``e_(l+1)`` is
-      the largest over ``j``.
-    - ``B`` is twice the output layer's ``e``, for safety.
+    64 seeds and ``heatmap`` at 100 repetitions 0 times at 10 seeds.
     """
     X = np.asarray(X, dtype=float)
     points = len(X)
-    n = outcomes[0].phi_prime.shape[0]
+    n = len(layers[0][0])
     labels = np.empty((n, points), dtype=bool)
     block = max(1, min(POINT_BLOCK, points))
-    layers = [(o.phi_prime[:, :-1], o.phi_prime[:, -1:]) for o in outcomes]
     buffers = [np.empty((n, block, w.shape[2])) for w, _ in layers]
-    bound = _label_error_bound(layers)[:, None]
+    margin = _margin(layers, float(np.abs(X).max(initial=0.0)))[:, None]
     gaps = np.empty((n, block))
     for start in range(0, points, block):
         stop = min(start + block, points)
@@ -224,28 +193,28 @@ def _predict_transferred(outcomes: list[TransferOutcome], X) -> np.ndarray:
                 a = z
             np.subtract(a[..., 0], _Z0, out=gap)
             np.abs(gap, out=gap)
-            if (gap > bound).all():
+            if (gap > margin).all():
                 break
         np.greater_equal(a[..., 0], _Z0, out=labels[:, start:stop])
     return labels
 
 
-def _tile_margin(layers, x_max: float) -> np.ndarray:
+def _margin(layers, x_max: float) -> np.ndarray:
     """Per transfer, the margin ``M`` that :class:`_GridTiles` keeps
-    between its output bounds and ``_Z0``, for the ``(w, b)`` stacks of
+    between its output bounds and ``_Z0``, and :func:`_predict_transferred`
+    between its fast outputs and ``_Z0``, for the ``(w, b)`` stacks of
     ``layers`` and inputs of magnitude at most ``x_max``.  See
     :func:`heatmap` for the derivation."""
     eps, eta = np.finfo(float).eps, np.finfo(float).smallest_subnormal
-    err, scale = np.zeros(len(layers[0][0])), x_max
+    err, scale = 0.0, x_max  # err is (n, 1) from the first layer on
     for layer, (w, b) in enumerate(layers):
         if layer:
             err, scale = _SIGMOID_EPS * eps + err / 4, 1.0
         terms = 2 * w.shape[1] + 1
         gamma = terms * eps / 2 / (1 - terms * eps / 2)
-        abs_w = np.abs(w).sum(axis=1)
-        err = np.max(err[:, None] * abs_w + gamma * (scale * abs_w + np.abs(b[:, 0]))
-                     + terms * eta, axis=1)
-    return 4 * 2 * err
+        err = ((err + gamma * scale) * np.abs(w).sum(axis=1) + gamma * np.abs(b[:, 0])).max(
+            axis=1, keepdims=True) + terms * eta
+    return 4 * 2 * err[:, 0]
 
 
 def _output_bounds(layers, boxes) -> tuple[np.ndarray, np.ndarray]:
@@ -288,60 +257,61 @@ class _GridTiles:
                    for f in (np.minimum, np.maximum)]
         self.boxes = np.column_stack([c.ravel() for corner in corners for c in corner])
 
-    def count_ones(self, outcomes: list[TransferOutcome]) -> np.ndarray:
-        """Per cell, row-major, how many of the stacked transfers
-        ``outcomes`` label it 1: the tiles a transfer's bounds certify add
-        their label to each of their cells, and the cells of the tiles it
-        leaves undecided go through :func:`_predict_transferred` for that
-        transfer alone."""
-        layers = [(o.phi_prime[:, :-1], o.phi_prime[:, -1:]) for o in outcomes]
+    def count_ones(self, layers) -> np.ndarray:
+        """Per cell, row-major, how many of the transfers whose ``(w, b)``
+        stacks are ``layers`` label it 1: the tiles a transfer's bounds
+        certify add their label to each of their cells, and the cells of
+        the tiles it leaves undecided go through
+        :func:`_predict_transferred` for that transfer alone."""
         lo, hi = _output_bounds(layers, self.boxes)
-        margin = _tile_margin(layers, self.x_max)[:, None]
+        margin = _margin(layers, self.x_max)[:, None]
         ones = lo - margin > _Z0
         undecided = ~(ones | (hi + margin < _Z0))
         counts = np.repeat(np.count_nonzero(ones, axis=0), self.sizes)
         for t in np.flatnonzero(undecided.any(axis=1)):
             cells = np.flatnonzero(np.repeat(undecided[t], self.sizes))
-            alone = [TransferOutcome(o.phi_prime[t:t + 1], o.stuck_mask[t:t + 1]) for o in outcomes]
+            alone = [(w[t:t + 1], b[t:t + 1]) for w, b in layers]
             counts[cells] += _predict_transferred(alone, self.points[cells])[0]
         return counts[self.rank]
 
 
 def _count_transfers(plan: TransferPlan, net: nn.DenseNet, tally, transfers: int, seed: int,
                      tag: int, per_stream: int, group: int) -> np.ndarray:
-    """The sum over jobs of ``tally(outcomes)``, an integer count per point
-    of a job's stacked transfers ``outcomes``, over ``transfers`` transfers
-    of ``net``: the one counting job of :func:`evaluate_transfers` and
-    :func:`heatmap`.
+    """The sum over jobs of ``tally(layers)``, an integer count per point
+    of a job's stacked transfers given as their per-layer ``(w, b)``
+    stacks ``layers``, over ``transfers`` transfers of ``net``: the one
+    counting job of :func:`evaluate_transfers` and :func:`heatmap`.
 
     Stream rule: transfer ``t`` is drawn from its stream
     ``SeedSequence([seed, tag, t // per_stream])``, where one
     ``plan.draw`` call draws the stream's ``per_stream`` transfers (the
     last stream may hold fewer).  Job ``g`` holds transfers ``g*group`` up
     to the next job's, a whole number of streams: it stacks their draws
-    and applies them to the weights with one ``plan.apply_net``, which is
-    elementwise over transfers, so each transfer is the one that
-    ``plan.apply_net`` of its stream's draw alone gives.  ``tally`` labels
-    each transfer independently of the others in the stack.  The jobs run
-    in order on the calling thread: each is many small numpy calls that
-    hold the GIL, so a thread pool ran them slower, not faster.
+    and applies them to the net's crossbar matrices with one
+    ``plan.apply``, which is elementwise over transfers, so each transfer
+    is the one that ``plan.apply`` of its stream's draw alone gives.
+    ``tally`` labels each transfer independently of the others in the
+    stack.  The jobs run in order on the calling thread: each is many small
+    numpy calls that hold the GIL, so a thread pool ran them slower, not
+    faster.
 
     A layer whose weight range ``max - min`` overflows raises
     ``ValueError`` before any draw: its conversion would give infinite
     weights, and labels counted from them would mean nothing.
     """
-    for k, layer in enumerate(net.layers, start=1):
-        crossbar = layer_to_crossbar(layer.weights, layer.bias)
+    crossbars = [layer_to_crossbar(layer.weights, layer.bias) for layer in net.layers]
+    for k, crossbar in enumerate(crossbars, start=1):
         lo, hi = float(crossbar.min()), float(crossbar.max())
         if not math.isfinite(hi - lo):
-            raise ValueError(f"layer {k} of {len(net.layers)}: the weight range "
+            raise ValueError(f"layer {k} of {len(crossbars)}: the weight range "
                              f"[{lo:g}, {hi:g}] overflows: max - min is not finite")
     total = 0  # the first job's counts replace it with an int64 array
     for g in range(-(-transfers // group)):
         starts = range(g * group, min((g + 1) * group, transfers), per_stream)
         draws = [plan.draw(min(per_stream, transfers - t), _transfer_rng(seed, tag, t // per_stream))
                  for t in starts]
-        total += tally(plan.apply_net(net, TransferNoise.concatenate(draws)))
+        outcomes = plan.apply(crossbars, TransferNoise.concatenate(draws))
+        total += tally([(o.phi_prime[:, :-1], o.phi_prime[:, -1:]) for o in outcomes])
     return total
 
 
@@ -375,8 +345,8 @@ def evaluate_transfers(
         raise ValueError(f"transfers must be >= 1, got {transfers}")
     points, labels = test_set.points, np.asarray(test_set.labels)
 
-    def correct(outcomes):
-        return np.sum(_predict_transferred(outcomes, points) == labels, axis=0)
+    def correct(layers):
+        return np.sum(_predict_transferred(layers, points) == labels, axis=0)
 
     counts = _count_transfers(TransferPlan(layouts, model, x, y), net, correct, transfers, seed,
                               _STREAM_EVAL, CHUNK, CHUNK)
@@ -440,8 +410,12 @@ class GridSpec:
     ny: int = 200
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError("grid extents must be non-empty")
+        # lo < hi with a finite hi - lo holds only for finite lo and hi.
+        if not all(lo < hi and math.isfinite(hi - lo)
+                   for lo, hi in ((self.x_min, self.x_max), (self.y_min, self.y_max))):
+            raise ValueError("heatmap.extent must have x_min < x_max and y_min < y_max with "
+                             "finite widths, got "
+                             f"{[self.x_min, self.x_max, self.y_min, self.y_max]}")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid resolution must be positive")
 
@@ -503,37 +477,39 @@ def heatmap(
     the cells of a tile that a transfer leaves undecided go through
     :func:`_predict_transferred` for that transfer alone, whose labels are
     exact.  The counts equal those of the reference forward
-    ``expit(a @ m[:, :-1] + m[:, -1:])`` at every cell, whose label is
-    ``z >= _Z0`` on its output ``z``, as long as ``z`` lies in
-    ``[L - M, U + M]``.  :func:`_tile_margin` makes sure it does.
+    ``expit(a @ w + b)`` at every cell, whose label is ``z >= _Z0`` on its
+    output ``z``, as long as ``z`` lies in ``[L - M, U + M]``.
+    :func:`_margin` makes sure it does.
 
-    Derivation of ``M``, per transfer, by induction over the layers as for
-    :func:`_label_error_bound`: with ``u = eps / 2``, ``gamma_k = k u / (1
-    - k u)`` and ``e_l`` a bound on the pre-activation error of layer
-    ``l``, both of the reference forward against the forward in exact
-    arithmetic and of the computed bounds against the bounds in exact
-    arithmetic, whose interval holds the exact forward at every point of
-    the box:
+    Derivation of ``M``, per transfer, by induction over the layers: with
+    ``u = eps / 2``, ``gamma_k = k u / (1 - k u)`` and ``e_l`` a bound on
+    the pre-activation error of layer ``l``, of the reference forward and
+    of :func:`_predict_transferred`'s fast forward against the forward in
+    exact arithmetic, and of the computed bounds against the bounds in
+    exact arithmetic, whose interval holds the exact forward at every point
+    of the box.  A point is a box of zero width, so the derivation covers
+    the forward of points too:
 
     - Layer ``l`` sums, per unit ``j``, at most ``k = 2 fan_in + 1``
       products (the bounds multiply ``[lo, hi]``, twice the fan-in, the
-      reference the inputs, and both add the bias), whose magnitudes add
+      forwards the inputs, and all add the bias), whose magnitudes add
       up to at most ``A S_j + |b_j|``, with ``S_j = sum_i |w_ij|`` and
       ``A`` a bound on the inputs.  Their rounding is at most
       ``gamma_k (A S_j + |b_j|)``, plus ``k eta`` for underflow, ``eta``
       the smallest subnormal.
-    - ``e_1`` is this rounding with ``A = max|x|`` over the grid centres:
-      the inputs, the weights and the box corners are exact doubles.
+    - ``e_1`` is this rounding with ``A = max|x|`` over the grid centres
+      (over the points, for :func:`_predict_transferred`): the inputs, the
+      weights and the box corners are exact doubles.
     - A sigmoid is off by at most ``s = _SIGMOID_EPS eps`` at a common
       input, whether numpy's or scipy's (each within a few eps of the true
       sigmoid), and its slope is at most 1/4, so its output is off by at
       most ``d = s + e_l / 4``, and it lies in [0, 1], so ``A = 1`` from
       the second layer on.  Unit ``j`` of layer ``l+1`` adds ``d S_j`` to
       its rounding; ``e_(l+1)`` is the largest over ``j``.
-    - ``z`` and the bounds are each within the output layer's ``e`` of
-      their exact values, so ``M = 2 e`` covers both; a safety factor of
-      4 makes it ``8 e``.  An overflow makes ``M`` infinite, which decides
-      nothing.
+    - ``z``, the fast ``z`` and the bounds are each within the output
+      layer's ``e`` of their exact values, so ``M = 2 e`` covers the
+      distance from ``z`` to either; a safety factor of 4 makes it
+      ``8 e``.  An overflow makes ``M`` infinite, which decides nothing.
 
     The margin barely matters: over 200 repetitions of the default run's
     nets on the default grid, ``M`` was about 4e-13 of the largest weight,

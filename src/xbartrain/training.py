@@ -260,28 +260,31 @@ def _train(config: TrainingConfig, train_set, plan: TransferPlan | None, batch_h
     shuffle_rng = _stream(config.seed, _STREAM_SHUFFLE)
     noisy = None if plan is None else EffectiveParams(net.sizes, state.params)
     seen = net if noisy is None else noisy.net
-    for epoch in range(config.epochs):
-        for step, idx in enumerate(_batches(X.shape[0], config.batch_size, shuffle_rng)):
-            Xb, yb = X[idx], labels[idx]
-            if noisy is not None:
-                noisy.transfer(plan, plan.draw(1, noise_rng))
-                noisy.update()
-            y_hat, cache = nn.forward(seen, Xb)
-            # The loss clamps the outputs before its logs and the labels are
-            # 0 or 1, so it is non-finite exactly where an output is NaN; it
-            # is computed only for the hook.
-            if np.isnan(y_hat).any():
-                raise TrainingDiverged(
-                    f"training diverged: non-finite loss at epoch {epoch}, batch {step}"
-                )
-            if noisy is None:
-                grads, sample = nn.backward(net, cache, yb), None
-            else:
-                grads = noisy.gradient(cache, yb)
-                sample = noisy.sample() if batch_hook is not None else None
-            if batch_hook is not None:
-                batch_hook(epoch, step, net, sample, nn.bce_loss(y_hat, yb))
-            nn.adam_step(net, grads, state)
+    # A diverging net overflows before its outputs turn NaN.  The NaN check
+    # and the final-parameter check report it, so numpy's warnings are off.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            for step, idx in enumerate(_batches(X.shape[0], config.batch_size, shuffle_rng)):
+                Xb, yb = X[idx], labels[idx]
+                if noisy is not None:
+                    noisy.transfer(plan, plan.draw(1, noise_rng))
+                    noisy.update()
+                y_hat, cache = nn.forward(seen, Xb)
+                # The loss clamps the outputs before its logs and the labels are
+                # 0 or 1, so it is non-finite exactly where an output is NaN; it
+                # is computed only for the hook.
+                if np.isnan(y_hat).any():
+                    raise TrainingDiverged(
+                        f"training diverged: non-finite loss at epoch {epoch}, batch {step}"
+                    )
+                if noisy is None:
+                    grads, sample = nn.backward(net, cache, yb), None
+                else:
+                    grads = noisy.gradient(cache, yb)
+                    sample = noisy.sample() if batch_hook is not None else None
+                if batch_hook is not None:
+                    batch_hook(epoch, step, net, sample, nn.bce_loss(y_hat, yb))
+                nn.adam_step(net, grads, state)
     # The steps only check their outputs for NaN, so an infinite parameter
     # that never made one still has to be caught here.
     if not np.isfinite(state.params).all():

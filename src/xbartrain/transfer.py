@@ -19,7 +19,6 @@ import numpy as np
 from .variability import ConductanceRange
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .nn import DenseNet
     from .variability import VariabilityModel
 
 __all__ = [
@@ -130,7 +129,7 @@ class TransferOutcome:
 
     phi_prime: np.ndarray
     stuck_mask: np.ndarray
-    snapshot: WeightRangeSnapshot | None = None
+    snapshot: WeightRangeSnapshot
 
     def __post_init__(self):
         if self.phi_prime.shape != self.stuck_mask.shape:
@@ -287,10 +286,10 @@ class TransferPlan:
     flat device vector of every layout at once: the arithmetic,
     :func:`_transfer`, is elementwise per device given its layout's
     snapshot values, which are broadcast per device, and vectorized over
-    transfers.  :meth:`apply` and :meth:`apply_net` do the same for a list
-    of crossbar matrices or a net and return one :class:`TransferOutcome`
-    per matrix; the Monte-Carlo counts draw several streams and apply their
-    stacked draws at once, and :func:`simulate_transfer` transfers one
+    transfers.  :meth:`apply` does the same for a list of crossbar matrices
+    and returns one :class:`TransferOutcome` per matrix; the Monte-Carlo
+    counts draw several streams and apply their stacked draws to a net's
+    crossbar matrices at once, and :func:`simulate_transfer` transfers one
     matrix.  Training gathers the device vector from the flat parameter
     vector ``AdamState.params`` through one index fixed per architecture
     (see :mod:`xbartrain.training`) and calls :meth:`apply_devices`.
@@ -410,15 +409,6 @@ class TransferPlan:
                                 stuck[:, start:stop].reshape(n, *shape),
                                 WeightRangeSnapshot(*map(float, ranges[:, k])))
                 for k, ((start, stop), shape) in enumerate(zip(self._spans, shapes))]
-
-    def apply_net(self, net: "DenseNet", noise: TransferNoise) -> list[TransferOutcome]:
-        """:meth:`apply` to the crossbar matrices of every layer of ``net``
-        (bias row included): ``(n, fan_in + 1, fan_out)`` arrays per
-        layer."""
-        if len(net.layers) != len(self.layouts):
-            raise ValueError(f"{len(net.layers)} layers but {len(self.layouts)} layouts")
-        return self.apply([layer_to_crossbar(layer.weights, layer.bias) for layer in net.layers],
-                          noise)
 
 
 def simulate_transfer(

@@ -5,6 +5,7 @@ from scipy.special import expit
 
 from xbartrain.datasets import make_half_moons
 from xbartrain.training import TrainingConfig, train_hardware_aware, train_regular
+from xbartrain.transfer import layer_to_crossbar
 from xbartrain.variability import (
     BiasDisturbanceDb,
     LinearStdModel,
@@ -35,12 +36,23 @@ def zero_noise_model() -> VariabilityModel:
     )
 
 
-def reference_predict(outcomes, X):
-    """The unblocked forward: expit after every layer, then > 0.5."""
+def crossbars(net):
+    """The crossbar matrix of every layer of ``net``, bias row included."""
+    return [layer_to_crossbar(layer.weights, layer.bias) for layer in net.layers]
+
+
+def layer_stacks(outcomes):
+    """The per-layer ``(w, b)`` stacks of transferred crossbar matrices:
+    views of the weight rows and of the bias row."""
+    return [(o.phi_prime[:, :-1], o.phi_prime[:, -1:]) for o in outcomes]
+
+
+def reference_predict(layers, X):
+    """The unblocked forward of ``(w, b)`` stacks: expit after every
+    layer, then > 0.5."""
     a = np.asarray(X, dtype=float)
-    for outcome in outcomes:
-        m = outcome.phi_prime
-        a = expit(a @ m[:, :-1] + m[:, -1:])
+    for w, b in layers:
+        a = expit(a @ w + b)
     return a[..., 0] > 0.5
 
 

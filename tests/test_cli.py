@@ -1,7 +1,10 @@
 import json
+import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
@@ -14,10 +17,10 @@ from xbartrain.cli import main
 from xbartrain.variability import ConductanceRange, load_model, save_model
 
 from conftest import zero_noise_model
-from test_experiments import CRITERION_9_CONFIG
+from test_experiments import CHECKPOINT, CRITERION_9_CONFIG
 from test_training import init_then, overflowing_first_layer, zero_output_layer
 
-CHECKPOINT = Path(__file__).resolve().parent.parent / "perfbench/inputs/ha_default_seed0.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 TINY_CONFIG = {
     "seed": 9,
@@ -259,6 +262,17 @@ class TestErrorPaths:
         assert capsys.readouterr().err == f"error: training diverged: {message}\n"
         assert not (out / "regular.json").exists()
 
+    def test_diverged_training_prints_no_numpy_warning(self, tmp_path):
+        # A fresh interpreter, whose warning registry has shown nothing yet.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(CRITERION_9_CONFIG, epochs=3, learning_rate=1e308)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "xbartrain.cli", "train", "--regular", "--config", str(path),
+             "--out", str(tmp_path / "o")], cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "default"})
+        assert proc.returncode == 2
+        assert proc.stderr == "error: training diverged: non-finite loss at epoch 1, batch 0\n"
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_regular_divergence_in_run_exits_2(self, config_path, tmp_path, capsys, monkeypatch,
                                                threads):
@@ -363,6 +377,8 @@ class TestErrorPaths:
         ({"sources": {"tuning": "false"}}, "tuning"),
         ({"epochs": 1.7}, "epochs"),
         ({"heatmap": {"nx": 100000, "ny": 100000}}, "heatmap.nx * heatmap.ny"),
+        ({"heatmap": {"extent": [-1.5, math.inf, -1.0, 1.5]}}, "heatmap.extent"),
+        ({"heatmap": {"extent": [-1e308, 1e308, -1.0, 1.5]}}, "heatmap.extent"),
     ])
     def test_invalid_value_exits_2_before_training(self, tmp_path, capsys, trained, update, key):
         path = tmp_path / "config.json"
@@ -380,6 +396,18 @@ class TestErrorPaths:
         assert rc == 2
         assert "transfers" in capsys.readouterr().err
         assert trained == []
+
+    @pytest.mark.parametrize("extent", [[-1.5, math.inf, -1.0, 1.5], [-1e308, 1e308, -1.0, 1.5]],
+                             ids=["infinite", "overflowing_width"])
+    def test_heatmap_rejects_an_extent_that_is_not_finite(self, tmp_path, capsys, extent):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"heatmap": {"extent": extent, "repetitions": 3}}))
+        out = tmp_path / "o"
+        rc = main(["heatmap", "--checkpoint", str(CHECKPOINT), "--config", str(config),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "heatmap.extent" in capsys.readouterr().err
+        assert not out.exists()
 
     @staticmethod
     def config_case(**update):

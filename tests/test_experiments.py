@@ -20,8 +20,8 @@ from xbartrain.experiments import (
     GridSpec,
     RobustnessReport,
     _GridTiles,
+    _margin,
     _predict_transferred,
-    _tile_margin,
     _transfer_rng,
     evaluate_transfers,
     experiment_config_from_dict,
@@ -33,11 +33,14 @@ from xbartrain.experiments import (
     run_experiment,
     write_heatmap_csv,
 )
-from xbartrain.transfer import TransferOutcome, TransferPlan, layouts_for_architecture
+from xbartrain.transfer import TransferPlan, layouts_for_architecture
 
-from conftest import reference_predict
+from conftest import crossbars, layer_stacks, reference_predict
 
 LAYOUTS = layouts_for_architecture([2, 8, 1])
+
+# The benchmark's frozen HA net of the default run, read only.
+CHECKPOINT = Path(__file__).resolve().parent.parent / "perfbench/inputs/ha_default_seed0.json"
 
 
 def symmetric_net():
@@ -105,9 +108,9 @@ class TestEvaluateTransfers:
         counts = np.zeros(len(test_set), dtype=np.int64)
         for k in range(-(-transfers // CHUNK)):
             n = min(CHUNK, transfers - k * CHUNK)
-            outcomes = plan.apply_net(net, plan.draw(n, _transfer_rng(10, 100, k)))
-            counts += np.sum(reference_predict(outcomes, test_set.points) == test_set.labels,
-                             axis=0)
+            outcomes = plan.apply(crossbars(net), plan.draw(n, _transfer_rng(10, 100, k)))
+            counts += np.sum(reference_predict(layer_stacks(outcomes), test_set.points)
+                             == test_set.labels, axis=0)
         report = evaluate_transfers(net, synthetic_model, LAYOUTS, 0.01, 0.01, test_set,
                                     transfers, seed=10, workers=workers)
         assert report.counts.tobytes() == counts.tobytes()
@@ -170,19 +173,19 @@ class TestPredictTransferred:
     def test_bitwise_equal_to_unblocked_forward(self, synthetic_model, n, points):
         rng = np.random.default_rng(points + n)
         plan = TransferPlan(LAYOUTS, synthetic_model, 0.01, 0.01)
-        outcomes = plan.apply_net(symmetric_net(), plan.draw(n, rng))
+        layers = layer_stacks(plan.apply(crossbars(symmetric_net()), plan.draw(n, rng)))
         X = rng.uniform([-1.5, -1.0], [2.5, 1.5], size=(points, 2))
-        labels = _predict_transferred(outcomes, X)
+        labels = _predict_transferred(layers, X)
         assert labels.shape == (n, points) and labels.dtype == bool
-        assert np.array_equal(labels, reference_predict(outcomes, X))
+        assert np.array_equal(labels, reference_predict(layers, X))
 
     def test_deeper_network(self, synthetic_model):
         rng = np.random.default_rng(3)
         arch = [2, 5, 3, 1]
         plan = TransferPlan(layouts_for_architecture(arch), synthetic_model, 0.01, 0.01)
-        outcomes = plan.apply_net(nn.DenseNet.init(arch, rng), plan.draw(7, rng))
+        layers = layer_stacks(plan.apply(crossbars(nn.DenseNet.init(arch, rng)), plan.draw(7, rng)))
         X = rng.normal(size=(POINT_BLOCK + 17, 2))
-        assert np.array_equal(_predict_transferred(outcomes, X), reference_predict(outcomes, X))
+        assert np.array_equal(_predict_transferred(layers, X), reference_predict(layers, X))
 
     def test_label_threshold_is_the_smallest_logit_above_one_half(self):
         assert expit(_Z0) > 0.5
@@ -190,13 +193,13 @@ class TestPredictTransferred:
 
     def test_pre_activation_at_the_threshold(self):
         # A 2-1 net with zero weights: the output pre-activation is the bias.
-        m = np.zeros((2, 3, 1))
-        m[:, 2, 0] = _Z0, np.nextafter(_Z0, -np.inf)
-        outcomes = [TransferOutcome(m, np.zeros(m.shape, dtype=bool))]
+        w, b = np.zeros((2, 2, 1)), np.zeros((2, 1, 1))
+        b[:, 0, 0] = _Z0, np.nextafter(_Z0, -np.inf)
+        layers = [(w, b)]
         X = np.random.default_rng(0).normal(size=(5, 2))
-        labels = _predict_transferred(outcomes, X)
+        labels = _predict_transferred(layers, X)
         assert labels[0].all() and not labels[1].any()
-        assert np.array_equal(labels, reference_predict(outcomes, X))
+        assert np.array_equal(labels, reference_predict(layers, X))
 
 
 class CountingExpit:
@@ -211,14 +214,13 @@ class CountingExpit:
         return expit(*args, **kwargs)
 
 
-def boundary_net_outcomes(n=1):
-    """A symmetric 2-2-1 net: the hidden units are expit(x0) and
-    expit(-x0) and the output is their difference, so z == 0 on the line
-    x0 == 0 and |z| is far from _Z0 elsewhere."""
-    m1 = np.array([[[1.0, -1.0], [0.0, 0.0], [0.0, 0.0]]])
-    m2 = np.array([[[4.0], [-4.0], [0.0]]])
-    return [TransferOutcome(np.repeat(m, n, axis=0), np.zeros((n, *m.shape[1:]), dtype=bool))
-            for m in (m1, m2)]
+def boundary_net_layers(n=1):
+    """``n`` transfers of a symmetric 2-2-1 net as ``(w, b)`` stacks: the
+    hidden units are expit(x0) and expit(-x0) and the output is their
+    difference, so z == 0 on the line x0 == 0 and |z| is far from _Z0
+    elsewhere."""
+    w1, w2 = np.array([[[1.0, -1.0], [0.0, 0.0]]]), np.array([[[4.0], [-4.0]]])
+    return [(np.repeat(w, n, axis=0), np.zeros((n, 1, w.shape[2]))) for w in (w1, w2)]
 
 
 class TestExactStep:
@@ -231,34 +233,60 @@ class TestExactStep:
     def test_points_on_the_decision_boundary_take_the_exact_step(self, counting):
         rng = np.random.default_rng(5)
         X = np.column_stack([np.zeros(50), rng.normal(size=50)])
-        outcomes = boundary_net_outcomes(n=3)
-        labels = _predict_transferred(outcomes, X)
+        layers = boundary_net_layers(n=3)
+        labels = _predict_transferred(layers, X)
         assert counting.calls == 1
-        assert np.array_equal(labels, reference_predict(outcomes, X))
+        assert np.array_equal(labels, reference_predict(layers, X))
 
     def test_only_the_blocks_near_the_boundary_take_the_exact_step(self, counting):
         X = np.column_stack([np.linspace(1.0, 2.0, 3 * POINT_BLOCK), np.zeros(3 * POINT_BLOCK)])
         X[POINT_BLOCK + 7, 0] = 0.0
-        outcomes = boundary_net_outcomes()
-        labels = _predict_transferred(outcomes, X)
+        layers = boundary_net_layers()
+        labels = _predict_transferred(layers, X)
         assert counting.calls == 1
-        assert np.array_equal(labels, reference_predict(outcomes, X))
+        assert np.array_equal(labels, reference_predict(layers, X))
 
     def test_points_off_the_boundary_take_the_fast_step(self, counting):
         X = np.column_stack([np.linspace(-2.0, -0.5, 40), np.zeros(40)])
-        outcomes = boundary_net_outcomes()
-        labels = _predict_transferred(outcomes, X)
+        layers = boundary_net_layers()
+        labels = _predict_transferred(layers, X)
         assert counting.calls == 0
-        assert np.array_equal(labels, reference_predict(outcomes, X))
+        assert np.array_equal(labels, reference_predict(layers, X))
 
     def test_nan_gap_takes_the_exact_step(self, counting):
-        outcomes = boundary_net_outcomes(n=2)
-        outcomes[1].phi_prime[1, 2, 0] = np.nan
+        layers = boundary_net_layers(n=2)
+        layers[1][1][1, 0, 0] = np.nan
         X = np.column_stack([np.linspace(1.0, 2.0, 10), np.zeros(10)])
-        labels = _predict_transferred(outcomes, X)
+        labels = _predict_transferred(layers, X)
         assert counting.calls == 1
         assert labels[0].all() and not labels[1].any()
-        assert np.array_equal(labels, reference_predict(outcomes, X))
+        assert np.array_equal(labels, reference_predict(layers, X))
+
+    # ``evaluate`` and ``heatmap`` load no scipy (tests/test_imports.py)
+    # only as long as the exact step stays unused on nets like the default
+    # run's.  These take the benchmark's inputs: its checkpoint, the
+    # default config at the program seed, 2000 transfers for an evaluation
+    # and 100 repetitions for a heatmap.
+    @staticmethod
+    def benchmark_inputs(seed):
+        config = experiment_config_from_dict({"seed": seed})
+        net = nn.load_checkpoint(CHECKPOINT)
+        tc = config.training
+        return config, net, (config.resolve_model(),
+                             layouts_for_architecture(net.sizes, *tc.tile),
+                             tc.hrs_fraction, tc.lrs_fraction)
+
+    @pytest.mark.parametrize("seed", [0, 3, 17, 42])
+    def test_benchmark_evaluation_takes_no_exact_step(self, counting, seed):
+        config, net, plan_args = self.benchmark_inputs(seed)
+        evaluate_transfers(net, *plan_args, experiment_dataset(config)[1], 2000, seed)
+        assert counting.calls == 0
+
+    @pytest.mark.parametrize("seed", [0, 503])
+    def test_benchmark_heatmap_takes_no_exact_step(self, counting, seed):
+        config, net, plan_args = self.benchmark_inputs(seed)
+        heatmap(net, *plan_args, config.grid, 100, seed)
+        assert counting.calls == 0
 
 
 class RecordingForward:
@@ -268,9 +296,9 @@ class RecordingForward:
     def __init__(self):
         self.calls = []
 
-    def __call__(self, outcomes, X):
-        self.calls.append((outcomes[0].phi_prime.shape[0], np.array(X)))
-        return _predict_transferred(outcomes, X)
+    def __call__(self, layers, X):
+        self.calls.append((len(layers[0][0]), np.array(X)))
+        return _predict_transferred(layers, X)
 
 
 class TestTiles:
@@ -285,40 +313,40 @@ class TestTiles:
         return recorder
 
     def test_only_the_tiles_on_the_boundary_are_forwarded(self, forward):
-        outcomes = boundary_net_outcomes(n=3)
-        ones = _GridTiles(self.GRID).count_ones(outcomes)
+        layers = boundary_net_layers(n=3)
+        ones = _GridTiles(self.GRID).count_ones(layers)
         points = self.GRID.points()
         middle = points[np.abs(points[:, 0]) < 0.4]
         assert len(middle) == GRID_TILE * self.GRID.ny
         assert [n for n, _ in forward.calls] == [1, 1, 1]
         for _, X in forward.calls:
             assert sorted(map(tuple, X)) == sorted(map(tuple, middle))
-        assert np.array_equal(ones, reference_predict(outcomes, points).sum(axis=0))
+        assert np.array_equal(ones, reference_predict(layers, points).sum(axis=0))
 
     @pytest.mark.parametrize("multiple, forwarded", [(0.5, True), (2.0, False)])
     def test_a_bound_within_the_margin_is_forwarded(self, forward, multiple, forwarded):
         # Zero first-layer weights: the output is the output bias b
         # everywhere, and both bounds are b.
-        outcomes = boundary_net_outcomes()
-        outcomes[0].phi_prime[:] = 0.0
-        layers = [(o.phi_prime[:, :-1], o.phi_prime[:, -1:]) for o in outcomes]
-        margin = _tile_margin(layers, _GridTiles(self.GRID).x_max)[0]
+        layers = boundary_net_layers()
+        for a in layers[0]:
+            a[:] = 0.0
+        margin = _margin(layers, _GridTiles(self.GRID).x_max)[0]
         assert 0 < margin < 1e-12
-        outcomes[1].phi_prime[0, 2, 0] = _Z0 + multiple * margin
-        ones = _GridTiles(self.GRID).count_ones(outcomes)
+        layers[1][1][0, 0, 0] = _Z0 + multiple * margin
+        ones = _GridTiles(self.GRID).count_ones(layers)
         assert len(forward.calls) == int(forwarded)
         if forwarded:
             assert len(forward.calls[0][1]) == self.GRID.nx * self.GRID.ny
         assert ones.all()
-        assert np.array_equal(ones, reference_predict(outcomes, self.GRID.points()).sum(axis=0))
+        assert np.array_equal(ones, reference_predict(layers, self.GRID.points()).sum(axis=0))
 
     def test_nan_weight_forwards_every_tile(self, forward):
-        outcomes = boundary_net_outcomes(n=2)
-        outcomes[1].phi_prime[1, 2, 0] = np.nan
-        ones = _GridTiles(self.GRID).count_ones(outcomes)
+        layers = boundary_net_layers(n=2)
+        layers[1][1][1, 0, 0] = np.nan
+        ones = _GridTiles(self.GRID).count_ones(layers)
         assert [(n, len(X)) for n, X in forward.calls] == [
             (1, GRID_TILE * self.GRID.ny), (1, self.GRID.nx * self.GRID.ny)]
-        assert np.array_equal(ones, reference_predict(outcomes, self.GRID.points()).sum(axis=0))
+        assert np.array_equal(ones, reference_predict(layers, self.GRID.points()).sum(axis=0))
 
 
 class TestRobustnessTable:
@@ -429,8 +457,8 @@ class TestHeatmap:
         plan = TransferPlan(LAYOUTS, synthetic_model, 0.01, 0.01)
         ones = np.zeros(grid.nx * grid.ny, dtype=np.int64)
         for i in range(repetitions):
-            outcomes = plan.apply_net(net, plan.draw(1, _transfer_rng(8, 101, i)))
-            ones += reference_predict(outcomes, grid.points())[0]
+            outcomes = plan.apply(crossbars(net), plan.draw(1, _transfer_rng(8, 101, i)))
+            ones += reference_predict(layer_stacks(outcomes), grid.points())[0]
         hm = heatmap(net, synthetic_model, LAYOUTS, 0.01, 0.01, grid,
                      repetitions=repetitions, seed=8, workers=workers)
         assert hm.mean.tobytes() == (ones / repetitions).reshape(grid.ny, grid.nx).tobytes()

@@ -12,13 +12,10 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from test_cli import CHECKPOINT, TINY_CONFIG
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from test_cli import CHECKPOINT, SRC, TINY_CONFIG
 
 # Prints whether scipy is loaded after ``main(ARGS)``, and the scipy.special
 # state that the wrapped entry points saw when they were called.

@@ -1,5 +1,5 @@
 """Property tests: the JSON readers, the conversion algebra, the tile
-layout, the robustness table and the label error bound of the forward.
+layout, the robustness table and the rounding margin of the forward.
 
 Fuzzed config, model-file and checkpoint documents must either load or fail
 with the reader's own error type; the writers' documents must load back to
@@ -7,7 +7,7 @@ equal objects; the weight <-> conductance conversion must compose to its
 closed-form affine map; n_d must number the devices of each tile as a
 permutation; the robustness table must place every test point in
 exactly one bin; the forward's fast sigmoid must stay well inside the
-bound that decides which labels it may keep; and the heatmap's tiles must
+margin that decides which labels it may keep; and the heatmap's tiles must
 count what forwarding every cell counts.
 """
 
@@ -27,7 +27,7 @@ from xbartrain.experiments import (
     GridSpec,
     RobustnessReport,
     _GridTiles,
-    _label_error_bound,
+    _margin,
     _predict_transferred,
     _sigmoid,
     _transfer_rng,
@@ -37,7 +37,6 @@ from xbartrain.experiments import (
 )
 from xbartrain.transfer import (
     TileLayout,
-    TransferOutcome,
     TransferPlan,
     WeightRangeSnapshot,
     from_conductance,
@@ -57,7 +56,7 @@ from xbartrain.variability import (
     save_model,
 )
 
-from conftest import reference_predict, zero_noise_model
+from conftest import crossbars, layer_stacks, reference_predict, zero_noise_model
 
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
 JSON_VALUES = st.recursive(
@@ -324,36 +323,35 @@ class TestRobustnessTable:
             robustness_table(report, edges)
 
 
-def stacks(rng, sizes, n, scale) -> list[TransferOutcome]:
-    """``n`` transfers of a net of layer ``sizes`` as crossbar stacks of
+def stacks(rng, sizes, n, scale) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``n`` transfers of a net of layer ``sizes`` as ``(w, b)`` stacks of
     normal weights times ``scale``."""
-    return [TransferOutcome(m, np.zeros(m.shape, dtype=bool))
+    return [(m[:, :-1], m[:, -1:])
             for m in (scale * rng.normal(size=(n, fan_in + 1, fan_out))
                       for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))]
 
 
 @st.composite
-def transferred_nets(draw) -> tuple[list[TransferOutcome], np.ndarray]:
-    """``n`` transfers of a 2-k-1 or 2-a-b-1 net, as crossbar stacks with
+def transferred_nets(draw) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """``n`` transfers of a 2-k-1 or 2-a-b-1 net, as ``(w, b)`` stacks with
     weights of scale up to 30, and random points."""
     sizes = [2, *draw(st.lists(st.integers(1, 16), min_size=1, max_size=2)), 1]
     n = draw(st.integers(1, 4))
     scale = draw(st.floats(0.01, 30.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    outcomes = stacks(rng, sizes, n, scale)
-    return outcomes, rng.uniform(-3.0, 3.0, size=(draw(st.integers(1, 300)), 2))
+    layers = stacks(rng, sizes, n, scale)
+    return layers, rng.uniform(-3.0, 3.0, size=(draw(st.integers(1, 300)), 2))
 
 
 class TestLabelErrorBound:
     @given(case=transferred_nets())
     def test_labels_equal_the_reference(self, case):
-        outcomes, X = case
-        assert np.array_equal(_predict_transferred(outcomes, X), reference_predict(outcomes, X))
+        layers, X = case
+        assert np.array_equal(_predict_transferred(layers, X), reference_predict(layers, X))
 
     @given(case=transferred_nets())
     def test_fast_output_within_an_eighth_of_the_bound(self, case):
-        outcomes, X = case
-        layers = [(o.phi_prime[:, :-1], o.phi_prime[:, -1:]) for o in outcomes]
+        layers, X = case
         z = []
         for sigmoid in (_sigmoid, expit):
             a = X
@@ -363,7 +361,7 @@ class TestLabelErrorBound:
                 a = a @ w + b
             z.append(a[..., 0])
         error = np.max(np.abs(z[0] - z[1]), axis=1)
-        assert np.all(error <= _label_error_bound(layers) / 8)
+        assert np.all(error <= _margin(layers, float(np.abs(X).max())) / 8)
 
 
 # Grid sides below, at and above the tile side, one cell included.
@@ -378,7 +376,7 @@ def grids(draw) -> GridSpec:
 
 
 @st.composite
-def boundary_stacks(draw, grid: GridSpec) -> list[TransferOutcome]:
+def boundary_stacks(draw, grid: GridSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """``n`` transfers of a 2-h-1 net whose output is exactly its output
     bias on one column (or row) of grid centres: two hidden units
     ``c (x - x_c)`` and ``-c (x - x_c)`` are 0 there, so their sigmoids
@@ -389,16 +387,15 @@ def boundary_stacks(draw, grid: GridSpec) -> list[TransferOutcome]:
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, extra, axis = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 1))
     centre = draw(st.sampled_from(grid.centers()[axis].tolist()))
-    m1, m2 = stacks(rng, [2, 2 + extra, 1], n, draw(st.floats(0.1, 20.0)))
+    (w1, b1), (w2, b2) = stacks(rng, [2, 2 + extra, 1], n, draw(st.floats(0.1, 20.0)))
     c, v = rng.uniform(0.5, 20.0, size=n), rng.uniform(-20.0, 20.0, size=n)
-    w1, w2 = m1.phi_prime, m2.phi_prime
     w1[:, :, :2] = 0.0
     w1[:, axis, 0], w1[:, axis, 1] = c, -c
-    w1[:, 2, 0], w1[:, 2, 1] = -(c * centre), c * centre
+    b1[:, 0, 0], b1[:, 0, 1] = -(c * centre), c * centre
     w2[:, :, 0] = 0.0
     w2[:, 0, 0], w2[:, 1, 0] = v, -v
-    w2[:, -1, 0] = draw(st.sampled_from([0.0, _Z0, np.nextafter(_Z0, -np.inf)]))
-    return [m1, m2]
+    b2[:, 0, 0] = draw(st.sampled_from([0.0, _Z0, np.nextafter(_Z0, -np.inf)]))
+    return [(w1, b1), (w2, b2)]
 
 
 class TestTiledHeatmap:
@@ -408,9 +405,9 @@ class TestTiledHeatmap:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         sizes = data.draw(st.sampled_from([[2, 1], [2, 3, 1], [2, 8, 1], [2, 5, 3, 1]]))
         random = stacks(rng, sizes, data.draw(st.integers(1, 4)), data.draw(st.floats(0.01, 30.0)))
-        outcomes = data.draw(st.sampled_from([random]) | boundary_stacks(grid))
-        ones = _GridTiles(grid).count_ones(outcomes)
-        assert np.array_equal(ones, reference_predict(outcomes, grid.points()).sum(axis=0))
+        layers = data.draw(st.sampled_from([random]) | boundary_stacks(grid))
+        ones = _GridTiles(grid).count_ones(layers)
+        assert np.array_equal(ones, reference_predict(layers, grid.points()).sum(axis=0))
 
     @given(grid=grids(), sizes=st.sampled_from([[2, 4, 1], [2, 8, 1], [2, 5, 3, 1]]),
            scale=st.floats(0.5, 20.0), seed=st.integers(0, 2**32 - 1),
@@ -424,7 +421,8 @@ class TestTiledHeatmap:
         layouts = layouts_for_architecture(sizes)
         plan = TransferPlan(layouts, synthetic_model, 0.01, 0.01)
         ones = sum(reference_predict(
-            plan.apply_net(net, plan.draw(1, _transfer_rng(seed, 101, i))), grid.points()
+            layer_stacks(plan.apply(crossbars(net), plan.draw(1, _transfer_rng(seed, 101, i)))),
+            grid.points()
         )[0].astype(np.int64) for i in range(repetitions))
         hm = heatmap(net, synthetic_model, layouts, 0.01, 0.01, grid, repetitions, seed)
         assert hm.mean.tobytes() == (ones / repetitions).reshape(grid.ny, grid.nx).tobytes()

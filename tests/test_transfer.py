@@ -24,6 +24,8 @@ from xbartrain.variability import (
     VariabilityModel,
 )
 
+from conftest import crossbars
+
 RANGE = ConductanceRange()
 
 
@@ -388,7 +390,7 @@ class TestTransferPlan:
     def test_sample_shapes_per_layer(self, synthetic_model):
         net = nn.DenseNet.init([2, 8, 1], np.random.default_rng(18))
         plan = TransferPlan(layouts_for_architecture([2, 8, 1]), synthetic_model, 0.005, 0.005)
-        outcomes = plan.apply_net(net, plan.draw(5, np.random.default_rng(19)))
+        outcomes = plan.apply(crossbars(net), plan.draw(5, np.random.default_rng(19)))
         assert [o.phi_prime.shape for o in outcomes] == [(5, 3, 8), (5, 9, 1)]
         assert [o.stuck_mask.shape for o in outcomes] == [(5, 3, 8), (5, 9, 1)]
 
@@ -399,7 +401,7 @@ class TestTransferPlan:
         layer at once is, bit for bit, each layer's matrix transferred
         alone with its own draws; returns those one-layout draws."""
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        outcomes = plan.apply_net(net, plan.draw(n, rng_a))
+        outcomes = plan.apply(crossbars(net), plan.draw(n, rng_a))
         plans = [TransferPlan([layout], plan.model, plan.x, plan.y) for layout in plan.layouts]
         noises = [alone.draw(n, rng_b) for alone in plans]
         assert rng_a.random() == rng_b.random()
@@ -473,8 +475,8 @@ class TestTransferPlan:
         with pytest.raises(ValueError, match="shape"):
             plan.apply([np.ones((9, 1))], plan.draw(2, np.random.default_rng(0)))
         with pytest.raises(ValueError, match="layouts"):
-            plan.apply_net(nn.DenseNet.init([2, 8, 1], np.random.default_rng(0)),
-                           plan.draw(2, np.random.default_rng(0)))
+            plan.apply(crossbars(nn.DenseNet.init([2, 8, 1], np.random.default_rng(0))),
+                       plan.draw(2, np.random.default_rng(0)))
 
 
 class TestLayerCrossbarRoundTrip:

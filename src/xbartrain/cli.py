@@ -79,7 +79,7 @@ def _load_checkpoint(args):
 
 def cmd_fit_model(args) -> int:
     records = read_tuning_csv(args.tuning)
-    std_model, offset_model, diag = fit_tuning_model(records)
+    std_model, offset_model, groups = fit_tuning_model(records)
     bias_db = build_bias_db(read_bias_csv(args.bias))
     hrs, lrs = read_stuck_csv(args.stuck)
     if not lrs:
@@ -93,7 +93,7 @@ def cmd_fit_model(args) -> int:
         range=ConductanceRange(**{k: v for k, v in bounds.items() if v is not None}),
     )
     save_model(model, args.out)
-    pvals = diag.shapiro_pvalues()
+    pvals = [group.shapiro_p for group in groups if group.shapiro_p is not None]
     print(f"fitted std line: {std_model.slope:+.6g} %/uS * g + {std_model.intercept:.6g} %")
     print(f"fitted offset:   mu={offset_model.mu_off:.6g} %  sigma={offset_model.sigma_off:.6g} %")
     print(f"bias database:   {len(bias_db.groups)} n_d groups")
@@ -101,7 +101,7 @@ def cmd_fit_model(args) -> int:
           f"[{model.stuck_model.hrs_low:g}, {model.stuck_model.hrs_high:g}] uS)")
     if pvals:
         below = sum(p < 0.05 for p in pvals)
-        print(f"tuning groups:   {len(diag.groups)}; Shapiro-Wilk p<0.05 in {below}/{len(pvals)}")
+        print(f"tuning groups:   {len(groups)}; Shapiro-Wilk p<0.05 in {below}/{len(pvals)}")
     print(f"wrote {args.out}")
     return 0
 

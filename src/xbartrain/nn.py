@@ -242,27 +242,17 @@ def adam_step(net: DenseNet, grads, state: AdamState) -> DenseNet:
 def finite_difference_gradients(net: DenseNet, X, y, h: float = 1e-5):
     """Central-difference gradients of the loss; the independent oracle for
     :func:`backward`.  O(parameters) forward passes, test-scale only."""
-    grads = []
-    for layer in net.layers:
-        dW = np.zeros_like(layer.weights)
-        for idx in np.ndindex(layer.weights.shape):
-            orig = layer.weights[idx]
-            layer.weights[idx] = orig + h
-            up = bce_loss(forward(net, X)[0], y)
-            layer.weights[idx] = orig - h
-            down = bce_loss(forward(net, X)[0], y)
-            layer.weights[idx] = orig
-            dW[idx] = (up - down) / (2.0 * h)
-        db = np.zeros_like(layer.bias)
-        for idx in np.ndindex(layer.bias.shape):
-            orig = layer.bias[idx]
-            layer.bias[idx] = orig + h
-            up = bce_loss(forward(net, X)[0], y)
-            layer.bias[idx] = orig - h
-            down = bce_loss(forward(net, X)[0], y)
-            layer.bias[idx] = orig
-            db[idx] = (up - down) / (2.0 * h)
-        grads.append((dW, db))
+    grads = [(np.zeros_like(layer.weights), np.zeros_like(layer.bias)) for layer in net.layers]
+    for layer, pair in zip(net.layers, grads):
+        for param, d in zip((layer.weights, layer.bias), pair):
+            for idx in np.ndindex(param.shape):
+                orig = param[idx]
+                param[idx] = orig + h
+                up = bce_loss(forward(net, X)[0], y)
+                param[idx] = orig - h
+                down = bce_loss(forward(net, X)[0], y)
+                param[idx] = orig
+                d[idx] = (up - down) / (2.0 * h)
     return grads
 
 

@@ -64,8 +64,8 @@ _STREAM_NOISE = 3
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when training leaves the finite numbers: an output turned NaN
-    during a step, or the parameters it ends with are not all finite."""
+    """Raised when training leaves the finite numbers: in a step's
+    transferred parameters or outputs, or in the parameters it ends with."""
 
 
 def _stream(seed: int, tag: int) -> np.random.Generator:
@@ -79,9 +79,6 @@ class SourceToggles:
     tuning: bool = True
     bias: bool = True
     stuck: bool = True
-
-    def any_active(self, x: float, y: float) -> bool:
-        return self.tuning or self.bias or (self.stuck and x + y > 0)
 
 
 @dataclass(frozen=True)
@@ -192,7 +189,11 @@ class EffectiveParams:
         """Recompute the effective parameters ``phi + eps``."""
         np.add(self.params, self.eps, out=self._effective)
         if not np.isfinite(self._effective).all():
-            raise ValueError("layer parameters must be finite")
+            layers = self.net.layers
+            k = next(k for k, layer in enumerate(layers, start=1)
+                     if not (np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()))
+            raise TrainingDiverged(f"training diverged: the transferred parameters of layer {k} "
+                                   f"of {len(layers)} are not finite")
 
     def gradient(self, cache, y) -> np.ndarray:
         """The flat gradient of the loss at ``net`` (``cache`` from its
@@ -302,7 +303,7 @@ def train_hardware_aware(
     baked into the parameters)."""
     x = config.hrs_fraction if config.sources.stuck else 0.0
     y = config.lrs_fraction if config.sources.stuck else 0.0
-    if not config.sources.any_active(x, y):
+    if not (config.sources.tuning or config.sources.bias or x + y > 0):
         return _train(config, train_set, None, batch_hook)
     layouts = layouts_for_architecture(config.architecture, *config.tile)
     plan = TransferPlan(layouts, _effective_model(model, config.sources), x, y)

@@ -78,13 +78,11 @@ class TileLayout:
     The weight matrix is laid out as (input lines) x (outputs); each weight
     occupies a differential device pair in adjacent columns, giving a
     device grid of ``n_rows x 2*n_cols`` that is partitioned into tiles of
-    at most ``rows x cols`` devices.  Devices are programmed row-major
-    within a tile (top to bottom, left to right), so the device programmed
-    last in its tile has ``n_d = 0``.
+    at most ``rows x cols`` devices (:meth:`for_weight_matrix`'s tile).
+    Devices are programmed row-major within a tile (top to bottom, left to
+    right), so the device programmed last in its tile has ``n_d = 0``.
     """
 
-    rows: int
-    cols: int
     weight_shape: tuple[int, int]
     nd_plus: np.ndarray
     nd_minus: np.ndarray
@@ -97,8 +95,6 @@ class TileLayout:
             raise ValueError(f"tile shape must be positive, got {(rows, cols)}")
         grid = _nd_grid(n_rows, 2 * n_cols, rows, cols)
         layout = cls(
-            rows=rows,
-            cols=cols,
             weight_shape=(n_rows, n_cols),
             nd_plus=grid[:, 0::2].copy(),
             nd_minus=grid[:, 1::2].copy(),
@@ -234,8 +230,7 @@ def _transfer(phi, phi_min, phi_span, phi_absmax, noise: "TransferNoise",
     crange = model.range
     g = _scale(np.maximum(_POLARITY * phi, 0.0), phi_absmax, crange)[:, None]
     final = _perturb(g, noise.normals[:, 0], noise.normals[:, 1], noise.disturbance, model)
-    if noise.stuck_values is not None:
-        np.copyto(final, noise.stuck_values, where=noise.stuck)
+    np.copyto(final, noise.stuck_values, where=noise.stuck)
     return _unscale(final[0], final[1], phi_min, phi_span, crange)
 
 
@@ -246,27 +241,22 @@ class TransferNoise(NamedTuple):
     then the minus components on axis 0: ``stuck`` and ``stuck_values``
     are ``(2, n, devices)``, ``normals`` is ``(2, 2, n, devices)`` with the
     tuning then the offset normals on axis 1, and ``disturbance`` holds the
-    biasing-disturbance values.  ``stuck_values`` is zero where no device
-    is stuck, and None when no device of the draw is stuck."""
+    biasing-disturbance values.  ``stuck_values`` holds the substituted
+    conductance where ``stuck`` is true and zero everywhere else."""
 
     stuck: np.ndarray
-    stuck_values: np.ndarray | None
+    stuck_values: np.ndarray
     normals: np.ndarray
     disturbance: np.ndarray
 
     @classmethod
     def concatenate(cls, noises) -> "TransferNoise":
         """The draws of several :meth:`TransferPlan.draw` calls as one
-        stack, their transfers in call order.  A draw with no stuck device
-        contributes zero ``stuck_values``, which :func:`_transfer` never
-        selects."""
+        stack, their transfers in call order."""
         if len(noises) == 1:
             return noises[0]
-        values = None
-        if any(noise.stuck_values is not None for noise in noises):
-            values = np.concatenate([np.zeros(noise.stuck.shape) if noise.stuck_values is None
-                                     else noise.stuck_values for noise in noises], axis=1)
-        return cls(np.concatenate([noise.stuck for noise in noises], axis=1), values,
+        return cls(np.concatenate([noise.stuck for noise in noises], axis=1),
+                   np.concatenate([noise.stuck_values for noise in noises], axis=1),
                    np.concatenate([noise.normals for noise in noises], axis=2),
                    np.concatenate([noise.disturbance for noise in noises], axis=1))
 
@@ -333,13 +323,14 @@ class TransferPlan:
         """The draws of ``n`` transfers of every layout.
 
         A component is stuck where its uniform ``u < x + y``: in HRS where
-        ``u < x`` and in LRS otherwise.
+        ``u < x`` and in LRS otherwise.  ``stuck_values`` stays zero where
+        no component is stuck; an empty HRS or LRS draw leaves ``rng`` as is.
         """
         devices = self._spans[-1][1]
         stuck = np.empty((2, n, devices), dtype=bool)
+        values = np.zeros((2, n, devices))
         normals = np.empty((2, 2, n, devices))
         disturbance = np.empty((2, n, devices))
-        values = None
         stuck_model = self.model.stuck_model
         for k, (start, stop) in enumerate(self._spans):
             shape = (n, stop - start)
@@ -350,14 +341,10 @@ class TransferPlan:
                 if count:
                     hrs = u < self.x
                     n_hrs = np.count_nonzero(hrs)
-                    if values is None:
-                        values = np.zeros(stuck.shape)
                     layout_values = values[pol, :, start:stop]
-                    if n_hrs:
-                        layout_values[hrs] = stuck_model.sample_hrs(rng, size=n_hrs)
-                    if count - n_hrs:
-                        layout_values[layout_stuck ^ hrs] = stuck_model.sample_lrs(
-                            rng, size=count - n_hrs)
+                    layout_values[hrs] = stuck_model.sample_hrs(rng, size=n_hrs)
+                    layout_values[layout_stuck ^ hrs] = stuck_model.sample_lrs(
+                        rng, size=count - n_hrs)
             for pol, bias in enumerate(self._bias[k]):
                 normals[pol, :, :, start:stop] = rng.standard_normal((2, *shape))
                 disturbance[pol, :, start:stop] = bias.sample(rng, n)

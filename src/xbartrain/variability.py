@@ -29,6 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +46,6 @@ __all__ = [
     "StuckModel",
     "VariabilityModel",
     "GroupFit",
-    "TuningFitDiagnostics",
     "ModelFormatError",
     "shapiro_wilk",
     "fit_tuning_model",
@@ -184,13 +184,12 @@ class BiasDisturbanceDb:
         # side='left' sends exact midpoints to the smaller key.
         object.__setattr__(self, "_mids", (keys[:-1] + keys[1:]) / 2.0)
         lengths = np.array([len(v) for v in values], dtype=np.int64)
-        # Row-padded matrix for one-gather sampling; the cyclic padding is
+        # Row-padded matrix for one-gather sampling; the zero padding is
         # never selected because draws stay below the true group length.
         # The extra last row is all zero: n_d == 0 entries gather from it.
         table = np.zeros((len(values) + 1, int(lengths.max())))
         for row, vals in enumerate(values):
-            reps = -(-table.shape[1] // len(vals))
-            table[row] = np.tile(vals, reps)[: table.shape[1]]
+            table[row, : len(vals)] = vals
         object.__setattr__(self, "_lengths", lengths)
         object.__setattr__(self, "_table", table)
 
@@ -218,36 +217,29 @@ class BiasDisturbanceDb:
         # the stream does not depend on the zero entries, but it gathers
         # from the all-zero last table row.
         rows = np.where(n_d == 0, len(self._table) - 1, key_idx)
-        return BiasLookup(self._table, rows, self._lengths[key_idx])
+        return BiasLookup(self._table.ravel(), rows * self._table.shape[1],
+                          self._lengths[key_idx][None])
 
 
-@dataclass(frozen=True)
-class BiasLookup:
-    """A disturbance database resolved against one n_d matrix.
-
-    ``rows`` is the table row each entry gathers from (the all-zero row for
-    n_d == 0 entries, whose draws are exactly zero) and ``lengths`` the size
-    of the group its pick is drawn from.
+class BiasLookup(NamedTuple):
+    """A disturbance database resolved against one n_d matrix, once rather
+    than per draw: the padded table as one vector, the offset of the row
+    each entry gathers from (the all-zero row for n_d == 0 entries, whose
+    draws are exactly zero), and the ``(1, *shape)`` sizes of the groups
+    the entries' picks are drawn from.
     """
 
-    table: np.ndarray
-    rows: np.ndarray
-    lengths: np.ndarray
-
-    def __post_init__(self):
-        # Built once rather than per draw: the bounds of one draw, and the
-        # table as a flat vector with each entry's row offset into it.
-        object.__setattr__(self, "_bounds", self.lengths[None])
-        object.__setattr__(self, "_flat", self.table.ravel())
-        object.__setattr__(self, "_offsets", self.rows * self.table.shape[1])
+    flat: np.ndarray
+    offsets: np.ndarray
+    bounds: np.ndarray
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """An ``(n, *shape)`` stack of ``n`` draws of one disturbance per
         entry; it consumes ``rng`` exactly as ``n`` single draws."""
         # An upper bound of the output's shape draws faster than
         # integers(..., size=...).
-        bounds = self._bounds if n == 1 else self._bounds.repeat(n, axis=0)
-        return self._flat[self._offsets + rng.integers(0, bounds)]
+        bounds = self.bounds if n == 1 else self.bounds.repeat(n, axis=0)
+        return self.flat[self.offsets + rng.integers(0, bounds)]
 
 
 @dataclass(frozen=True)
@@ -428,25 +420,17 @@ class GroupFit:
     shapiro_p: float | None
 
 
-@dataclass(frozen=True)
-class TuningFitDiagnostics:
-    groups: tuple[GroupFit, ...]
-
-    def shapiro_pvalues(self) -> list[float]:
-        return [g.shapiro_p for g in self.groups if g.shapiro_p is not None]
-
-
 def fit_tuning_model(
     records: list[TuningRecord],
-) -> tuple[LinearStdModel, OffsetModel, TuningFitDiagnostics]:
+) -> tuple[LinearStdModel, OffsetModel, tuple[GroupFit, ...]]:
     """Fit the tuning-imprecision law and offset distribution.
 
     Reads are pooled per (device, target) group and a normal is fitted to
     each pool; the per-group std (percent of target) points get a
     least-squares line, and the per-group offset points (percent deviation
-    of the achieved mean from the target) get a sample mean/std.  Each
-    group's Shapiro-Wilk p-value is reported in the diagnostics (``None``
-    when the pool is too small or degenerate for the test).
+    of the achieved mean from the target) get a sample mean/std.  Returns
+    both models and each group's :class:`GroupFit`, whose Shapiro-Wilk W
+    and p are ``None`` when the pool is too small or degenerate for it.
     """
     if not records:
         raise ValueError("no tuning records supplied")
@@ -493,7 +477,7 @@ def fit_tuning_model(
     slope, intercept = np.polyfit(xs, std_pts, 1)
     std_model = LinearStdModel(float(slope), float(intercept))
     offset_model = OffsetModel(float(off_pts.mean()), float(off_pts.std(ddof=1)))
-    return std_model, offset_model, TuningFitDiagnostics(tuple(fits))
+    return std_model, offset_model, tuple(fits)
 
 
 def build_bias_db(records) -> BiasDisturbanceDb:

@@ -208,7 +208,8 @@ class TestRun:
 class TestErrorPaths:
     @pytest.mark.parametrize("change, message", [
         (zero_output_layer, "cannot snapshot an all-zero weight matrix"),
-        (overflowing_first_layer, "layer parameters must be finite"),
+        (overflowing_first_layer,
+         "training diverged: the transferred parameters of layer 1 of 2 are not finite"),
     ], ids=["all_zero", "non_finite"])
     def test_bad_weights_in_training_exit_2(self, config_path, tmp_path, capsys, monkeypatch,
                                             change, message):
@@ -227,7 +228,8 @@ class TestErrorPaths:
         rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
                    "--threads", threads])
         assert rc == 2
-        assert capsys.readouterr().err.splitlines()[-1] == "error: layer parameters must be finite"
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: training diverged: the transferred parameters of layer 1 of 2 are not finite")
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("threads", ["1", "2"])

@@ -416,15 +416,22 @@ def overflowing_first_layer(net):
     net.layers[0].weights[0] = [1e308, -1e308]
 
 
+def overflowing_output_layer(net):
+    net.layers[1].weights[0, :2] = [1e308, -1e308]
+
+
 class TestErrorPaths:
-    @pytest.mark.parametrize("change, message", [
-        (zero_output_layer, "cannot snapshot an all-zero weight matrix"),
-        (overflowing_first_layer, "layer parameters must be finite"),
-    ], ids=["all_zero", "non_finite"])
+    @pytest.mark.parametrize("change, error, message", [
+        (zero_output_layer, ValueError, "cannot snapshot an all-zero weight matrix"),
+        (overflowing_first_layer, TrainingDiverged,
+         "^training diverged: the transferred parameters of layer 1 of 2 are not finite$"),
+        (overflowing_output_layer, TrainingDiverged,
+         "^training diverged: the transferred parameters of layer 2 of 2 are not finite$"),
+    ], ids=["all_zero", "non_finite", "non_finite_output"])
     def test_bad_weights_raise_through_training(self, monkeypatch, synthetic_model, change,
-                                                message):
+                                                error, message):
         monkeypatch.setattr(nn.DenseNet, "init", init_then(change))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(error, match=message):
             train_hardware_aware(TrainingConfig(epochs=1, batch_size=32), tiny_moons(),
                                  model=synthetic_model)
 

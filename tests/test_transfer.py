@@ -399,12 +399,16 @@ class TestTransferPlan:
         """A draw of every layout is the draws of one-layout plans made one
         after the other on the same generator, and the transfer of every
         layer at once is, bit for bit, each layer's matrix transferred
-        alone with its own draws; returns those one-layout draws."""
+        alone with its own draws; returns those one-layout draws.  Every
+        draw's stuck values are exactly 0 wherever no device is stuck."""
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        outcomes = plan.apply(crossbars(net), plan.draw(n, rng_a))
+        noise = plan.draw(n, rng_a)
+        outcomes = plan.apply(crossbars(net), noise)
         plans = [TransferPlan([layout], plan.model, plan.x, plan.y) for layout in plan.layouts]
         noises = [alone.draw(n, rng_b) for alone in plans]
         assert rng_a.random() == rng_b.random()
+        for each in (noise, *noises):
+            assert np.all(each.stuck_values[~each.stuck] == 0.0)
         for alone, noise, layer, outcome in zip(plans, noises, net.layers, outcomes):
             crossbar = layer_to_crossbar(layer.weights, layer.bias)
             (b,) = alone.apply([crossbar], noise)
@@ -420,7 +424,7 @@ class TestTransferPlan:
         plan = TransferPlan(layouts_for_architecture(arch, tile, tile), synthetic_model, 0.05,
                             0.05)
         noises = self.assert_layers_transfer_alone(plan, net, n, 21)
-        assert all(noise.stuck_values is not None for noise in noises)
+        assert all(noise.stuck.any() for noise in noises)
 
     @pytest.mark.parametrize("x, seed, clean", [(0.01, 0, [False, True]),
                                                 (0.01, 1, [True, False]),
@@ -429,7 +433,7 @@ class TestTransferPlan:
         net = nn.DenseNet.init([2, 8, 1], np.random.default_rng(22))
         plan = TransferPlan(layouts_for_architecture([2, 8, 1]), synthetic_model, x, x)
         noises = self.assert_layers_transfer_alone(plan, net, 1, seed)
-        assert [noise.stuck_values is None for noise in noises] == clean
+        assert [not noise.stuck.any() for noise in noises] == clean
 
     def test_device_apply_rejects_a_layer_it_cannot_snapshot(self, zero_model):
         plan = TransferPlan(layouts_for_architecture([2, 8, 1]), zero_model, 0.0, 0.0)
@@ -451,7 +455,7 @@ class TestTransferPlan:
         plans = [TransferPlan([self.LAYOUT], synthetic_model, x, x) for x in (0.2, 0.0, 0.1)]
         noises = [plan.draw(n, np.random.default_rng(26 + n))
                   for plan, n in zip(plans, (2, 3, 1))]
-        assert [noise.stuck_values is None for noise in noises] == [False, True, False]
+        assert [not noise.stuck.any() for noise in noises] == [False, True, False]
         (stacked,) = plans[0].apply([phi], TransferNoise.concatenate(noises))
         alone = [plans[0].apply([phi], noise)[0] for noise in noises]
         assert stacked.phi_prime.tobytes() == np.concatenate(

@@ -16,8 +16,10 @@ The set:
 - ``gen-synthetic-model`` at seed 0, and ``fit-model`` on small
   characterization CSVs that the script writes the same way on both sides
   (tuning groups of 3, 8 and 20 reads, so that each branch of the
-  Shapiro-Wilk p-value runs, disturbance records with one beyond the cap,
-  and stuck records of both kinds);
+  Shapiro-Wilk p-value runs, and of 2 reads, which get no p-value and so
+  must be skipped by ``fit-model``'s count of groups below p = 0.05;
+  disturbance records with one beyond the cap; stuck records of both
+  kinds);
 - ``train --hardware-aware`` and ``train --regular`` at 300 epochs;
 - ``evaluate`` of ``perfbench/inputs/ha_default_seed0.json`` with seed 7
   and 5000 transfers;
@@ -67,7 +69,7 @@ def write_raw_csvs(directory: Path) -> None:
 
     rng = np.random.default_rng(0)
     lines = ["device_id,g_target_uS,read_uS"]
-    for device, reads in (("d0", 3), ("d1", 8), ("d2", 20)):
+    for device, reads in (("d0", 3), ("d1", 8), ("d2", 20), ("d3", 2)):
         for target in (125.0, 250.0, 375.0):
             lines += [f"{device},{target},{r!r}"
                       for r in rng.normal(target * 0.995, target * 0.01, size=reads).tolist()]

@@ -402,12 +402,12 @@ class TestTransferPlan:
         alone with its own draws; returns those one-layout draws.  Every
         draw's stuck values are exactly 0 wherever no device is stuck."""
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        noise = plan.draw(n, rng_a)
-        outcomes = plan.apply(crossbars(net), noise)
+        joint = plan.draw(n, rng_a)
+        outcomes = plan.apply(crossbars(net), joint)
         plans = [TransferPlan([layout], plan.model, plan.x, plan.y) for layout in plan.layouts]
         noises = [alone.draw(n, rng_b) for alone in plans]
         assert rng_a.random() == rng_b.random()
-        for each in (noise, *noises):
+        for each in (joint, *noises):
             assert np.all(each.stuck_values[~each.stuck] == 0.0)
         for alone, noise, layer, outcome in zip(plans, noises, net.layers, outcomes):
             crossbar = layer_to_crossbar(layer.weights, layer.bias)

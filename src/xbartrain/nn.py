@@ -112,24 +112,39 @@ class DenseNet:
 
 def flatten(pairs) -> np.ndarray:
     """``(weights, bias)`` pairs, such as a net's parameters or the
-    gradients of :func:`backward`, as one flat vector: layer by layer, the
-    weights row-major, then the bias."""
-    return np.concatenate([a.ravel() for pair in pairs for a in pair])
+    gradients of :func:`backward`, as one flat vector in crossbar order:
+    layer by layer, the crossbar matrix ``[W.T; b]`` row-major (see
+    :func:`xbartrain.transfer.layer_to_crossbar`), which is the device
+    order of :meth:`xbartrain.transfer.TransferPlan.apply_devices`."""
+    return np.concatenate([a.T.ravel() for pair in pairs for a in pair])
 
 
 def unflatten(sizes, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """The inverse of :func:`flatten` for a net of the given layer sizes:
     per layer, the ``(fan_out, fan_in)`` weights and the bias as views of
-    ``flat``."""
+    ``flat``.  The weights are the transpose of the contiguous ``W.T``
+    block."""
     sizes = list(sizes)
     pairs, start = [], 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        stop = start + fan_out * fan_in
-        pairs.append((flat[start:stop].reshape(fan_out, fan_in), flat[stop : stop + fan_out]))
+        stop = start + fan_in * fan_out
+        pairs.append((flat[start:stop].reshape(fan_in, fan_out).T, flat[stop : stop + fan_out]))
         start = stop + fan_out
     if start != flat.size:
         raise ValueError(f"{flat.size} parameters do not match layer sizes {sizes}")
     return pairs
+
+
+def _blas_weights(layer: LayerParams, batch: int) -> np.ndarray:
+    """The weights of ``layer`` for a product with a batch of ``batch`` rows.
+
+    A one-row batch takes BLAS's matrix-vector path, whose summation order
+    follows the memory layout of the matrix, so it gets row-major weights:
+    then no result depends on whether the net's arrays are row-major or
+    views of a flat vector in crossbar order.  Larger batches take the
+    matrix-matrix path, which gives the same bits for either layout.
+    """
+    return layer.weights if batch > 1 else np.ascontiguousarray(layer.weights)
 
 
 def forward(net: DenseNet, X) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -144,7 +159,7 @@ def forward(net: DenseNet, X) -> tuple[np.ndarray, list[np.ndarray]]:
     activations = [a]
     expit = _expit()
     for layer in net.layers:
-        a = expit(a @ layer.weights.T + layer.bias)
+        a = expit(a @ _blas_weights(layer, a.shape[0]).T + layer.bias)
         activations.append(a)
     return a, activations
 
@@ -156,22 +171,29 @@ def bce_loss(y_hat, y) -> float:
     return float(np.mean(-(y * np.log(y_hat) + (1.0 - y) * np.log(1.0 - y_hat))))
 
 
-def backward(net: DenseNet, cache: list[np.ndarray], y) -> list[tuple[np.ndarray, np.ndarray]]:
+def backward(net: DenseNet, cache: list[np.ndarray], y,
+             out=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Gradients of bce_loss(forward(net, X), y) for every layer.
 
     ``cache`` must come from a forward pass of the same parameters.
-    Returns [(dW, db), ...] in layer order.
+    Returns [(dW, db), ...] in layer order.  With ``out``, such a list of
+    arrays (for example :func:`unflatten` of a flat gradient vector), the
+    gradients are written into its arrays, which are returned.
     """
     y_hat = cache[-1]
     y = np.asarray(y, dtype=float).reshape(y_hat.shape)
     batch = y_hat.shape[0]
     delta = (y_hat - y) / batch  # d(mean BCE)/dz through the output sigmoid
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
+    grads = [None] * len(net.layers) if out is None else out
     for l in range(len(net.layers) - 1, -1, -1):
-        grads[l] = (delta.T @ cache[l], delta.sum(axis=0))
+        if out is None:
+            grads[l] = (delta.T @ cache[l], delta.sum(axis=0))
+        else:
+            np.matmul(cache[l].T, delta, out=grads[l][0].T)
+            delta.sum(axis=0, out=grads[l][1])
         if l > 0:
             a = cache[l]
-            delta = (delta @ net.layers[l].weights) * a * (1.0 - a)
+            delta = (delta @ _blas_weights(net.layers[l], batch)) * a * (1.0 - a)
     return grads
 
 
@@ -179,11 +201,13 @@ def backward(net: DenseNet, cache: list[np.ndarray], y) -> list[tuple[np.ndarray
 class AdamState:
     """Standard Adam accumulators with bias correction, kept as flat vectors.
 
-    ``params`` holds every parameter of the net in layer order (weights
-    row-major, then bias; see :func:`flatten`); the net's weight and
-    bias arrays are views into it, so :func:`adam_step` updates them all
+    ``params`` holds every parameter of the net in the crossbar order of
+    :func:`flatten`: layer by layer, ``W.T`` row-major, then the bias.
+    The net's arrays are views into it (each weight matrix the transpose
+    of its contiguous ``W.T`` block), so :meth:`update` changes them all
     with whole-vector operations.  ``m`` and ``v`` are laid out the same
-    way, and so is a flat gradient passed to :func:`adam_step`.
+    way, and so is a flat gradient passed to :meth:`update` or
+    :func:`adam_step`.
     """
 
     lr: float = 0.01
@@ -213,6 +237,19 @@ class AdamState:
         for layer, (weights, bias) in zip(net.layers, unflatten(net.sizes, self.params)):
             layer.weights, layer.bias = weights, bias
 
+    def update(self, g: np.ndarray) -> None:
+        """One in-place Adam update of ``params`` by the flat gradient ``g``."""
+        self.step += 1
+        t = self.step
+        c1 = 1.0 - self.beta1**t
+        c2 = 1.0 - self.beta2**t
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        self.params -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
 
 def adam_step(net: DenseNet, grads, state: AdamState) -> DenseNet:
     """One in-place Adam update of every parameter.
@@ -225,17 +262,7 @@ def adam_step(net: DenseNet, grads, state: AdamState) -> DenseNet:
     """
     if not all(l.weights.base is state.params and l.bias.base is state.params for l in net.layers):
         state._adopt(net)
-    g = grads if isinstance(grads, np.ndarray) else flatten(grads)
-    state.step += 1
-    t = state.step
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
-    m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    state.params -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    state.update(grads if isinstance(grads, np.ndarray) else flatten(grads))
     return net
 
 

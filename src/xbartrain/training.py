@@ -8,19 +8,21 @@ hardware would compute.  Weights whose devices were substituted by stuck
 failures get their gradients zeroed for that batch.  The weight range used
 by the conversion is re-taken from the current weights every batch.
 
-The step runs on flat vectors.  The clean parameters are the one vector
-``nn.AdamState.params`` (layer by layer, weights row-major, then bias),
-which the net's arrays view.  One index fixed per architecture
-(:func:`device_index`) gathers them into the device order of
-:meth:`TransferPlan.apply_devices`: each layer's crossbar matrix row-major,
-bias row last, layer after layer.  One device apply per batch then yields
-every layer's transfer, and :class:`EffectiveParams` writes ``phi + eps``
-into a preallocated vector that a net of views reads, zeroes the stuck
-positions of the flat gradient, and hands that gradient to Adam as it is.
-The draws are unchanged: each batch makes one ``plan.draw(1, rng)`` call
-on the noise stream, which draws layer by layer as the per-layer pipeline
-always has (the stream contract of :class:`TransferPlan`), so a given seed
-trains the same parameters bit for bit.
+The step runs on flat vectors in one order, the crossbar order of
+:func:`nn.flatten`: each layer's crossbar matrix ``[W.T; b]`` row-major,
+layer after layer.  It is the order of the clean parameters
+``nn.AdamState.params``, which the net's arrays view, of Adam's
+accumulators and of the flat gradient, and it is the device order of
+:meth:`TransferPlan.apply_devices`.  So one device apply per batch yields
+every layer's transfer straight from ``params``, and
+:class:`EffectiveParams` writes ``phi + eps`` into a preallocated vector
+that a net of views reads; the backward pass writes into a preallocated
+flat gradient, whose stuck positions are zeroed before Adam takes it as it
+is.  The draws are unchanged: each batch makes one ``plan.draw(1, rng)``
+call on the noise stream, which draws layer by layer as the per-layer
+pipeline always has (the stream contract of :class:`TransferPlan`), so a
+given seed trains the same parameters bit for bit.  Checkpoints keep the
+row-major ``(fan_out, fan_in)`` weights of :func:`nn.save_checkpoint`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .transfer import (
     TileLayout,
     TransferPlan,
     WeightRangeSnapshot,
-    layer_to_crossbar,
     layouts_for_architecture,
 )
 from .variability import (
@@ -51,7 +52,6 @@ __all__ = [
     "TrainingDiverged",
     "EpsilonSample",
     "EffectiveParams",
-    "device_index",
     "sample_epsilon",
     "train_hardware_aware",
     "train_regular",
@@ -143,35 +143,25 @@ class EpsilonSample:
     snapshots: list[WeightRangeSnapshot]
 
 
-def device_index(sizes) -> np.ndarray:
-    """For each crossbar device in the order of
-    :meth:`TransferPlan.apply_devices` (each layer's crossbar matrix
-    row-major, bias row last), the position of its parameter in the flat
-    vector of ``nn.AdamState.params`` (each layer's weights row-major, then
-    its bias).  Every parameter is one device, so this is a permutation."""
-    sizes = list(sizes)
-    positions = np.arange(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:])))
-    crossbars = [layer_to_crossbar(w, b).ravel() for w, b in nn.unflatten(sizes, positions)]
-    return np.concatenate(crossbars).astype(np.intp)
-
-
 class EffectiveParams:
     """The parameters ``phi + eps`` that the noisy forward pass sees, over
     one flat parameter vector.
 
     ``params`` is the clean flat vector (``nn.AdamState.params``); ``eps``
     and ``mask`` hold the last transfer's noise ``phi' - phi`` and its stuck
-    positions, laid out the same way, and ``net`` is a net of views into the
-    effective vector.  Every buffer is allocated once, so a training step
-    allocates no per-layer arrays.
+    positions, and ``grad`` the last :meth:`gradient`, all in the same
+    crossbar order, and ``net`` is a net of views into the effective
+    vector.  ``eps``, ``grad`` and the effective vector are allocated once,
+    so a training step allocates no per-layer arrays.
     """
 
     def __init__(self, sizes, params: np.ndarray):
         self.sizes = list(sizes)
         self.params = params
-        self._index = device_index(self.sizes)
         self.eps = np.zeros_like(params)
         self.mask = np.zeros(params.shape, dtype=bool)
+        self.grad = np.zeros_like(params)
+        self._grads = nn.unflatten(self.sizes, self.grad)
         self._ranges = None
         self._effective = params.copy()
         self.net = nn.DenseNet([nn.LayerParams(w, b)
@@ -180,10 +170,9 @@ class EffectiveParams:
     def transfer(self, plan: TransferPlan, noise) -> None:
         """Set ``eps`` and ``mask`` from one transfer of the current
         parameters, drawn as ``noise`` by ``plan.draw(1, ...)``."""
-        phi = self.params[self._index]
-        phi_prime, stuck, self._ranges = plan.apply_devices(phi, noise)
-        self.eps[self._index] = phi_prime[0] - phi
-        self.mask[self._index] = stuck[0]
+        phi_prime, stuck, self._ranges = plan.apply_devices(self.params, noise)
+        np.subtract(phi_prime[0], self.params, out=self.eps)
+        self.mask = stuck[0]
 
     def update(self) -> None:
         """Recompute the effective parameters ``phi + eps``."""
@@ -196,12 +185,12 @@ class EffectiveParams:
                                    f"of {len(layers)} are not finite")
 
     def gradient(self, cache, y) -> np.ndarray:
-        """The flat gradient of the loss at ``net`` (``cache`` from its
-        forward pass) with respect to the clean parameters, zero wherever a
-        stuck substitution hit the parameter."""
-        g = nn.flatten(nn.backward(self.net, cache, y))
-        g[self.mask] = 0.0
-        return g
+        """The flat gradient ``grad`` of the loss at ``net`` (``cache`` from
+        its forward pass) with respect to the clean parameters, zero
+        wherever a stuck substitution hit the parameter."""
+        nn.backward(self.net, cache, y, out=self._grads)
+        self.grad[self.mask] = 0.0
+        return self.grad
 
     def sample(self) -> EpsilonSample:
         """The last transfer as an :class:`EpsilonSample` of views."""
@@ -210,7 +199,6 @@ class EffectiveParams:
         return EpsilonSample([w for w, _ in eps], [b for _, b in eps],
                              [w for w, _ in mask], [b for _, b in mask],
                              [WeightRangeSnapshot(*map(float, r)) for r in self._ranges.T])
-
 
 def sample_epsilon(
     net: nn.DenseNet,
@@ -251,7 +239,9 @@ def _train(config: TrainingConfig, train_set, plan: TransferPlan | None, batch_h
     """Shared loop.  With a ``plan``, every batch sees one transfer drawn by
     ``plan.draw(1, noise_rng)``; ``plan`` is None for plain training (also
     used when every source is disabled, which makes the noisy loop
-    degenerate to the plain one exactly)."""
+    degenerate to the plain one exactly).  A ``batch_hook`` may write into
+    the net's arrays but not rebind them: Adam updates the flat vector they
+    view."""
     X = np.asarray(train_set.points, dtype=float)
     labels = np.asarray(train_set.labels, dtype=float)
     if X.shape[0] == 0:
@@ -261,12 +251,17 @@ def _train(config: TrainingConfig, train_set, plan: TransferPlan | None, batch_h
     shuffle_rng = _stream(config.seed, _STREAM_SHUFFLE)
     noisy = None if plan is None else EffectiveParams(net.sizes, state.params)
     seen = net if noisy is None else noisy.net
+    if noisy is None:
+        grad = np.empty_like(state.params)
+        grads = nn.unflatten(net.sizes, grad)
+    else:
+        grad = noisy.grad
     # A diverging net overflows before its outputs turn NaN.  The NaN check
     # and the final-parameter check report it, so numpy's warnings are off.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             for step, idx in enumerate(_batches(X.shape[0], config.batch_size, shuffle_rng)):
-                Xb, yb = X[idx], labels[idx]
+                Xb, yb = X.take(idx, axis=0), labels[idx]
                 if noisy is not None:
                     noisy.transfer(plan, plan.draw(1, noise_rng))
                     noisy.update()
@@ -279,13 +274,13 @@ def _train(config: TrainingConfig, train_set, plan: TransferPlan | None, batch_h
                         f"training diverged: non-finite loss at epoch {epoch}, batch {step}"
                     )
                 if noisy is None:
-                    grads, sample = nn.backward(net, cache, yb), None
+                    nn.backward(net, cache, yb, out=grads)
                 else:
-                    grads = noisy.gradient(cache, yb)
-                    sample = noisy.sample() if batch_hook is not None else None
+                    noisy.gradient(cache, yb)
                 if batch_hook is not None:
+                    sample = None if noisy is None else noisy.sample()
                     batch_hook(epoch, step, net, sample, nn.bce_loss(y_hat, yb))
-                nn.adam_step(net, grads, state)
+                state.update(grad)
     # The steps only check their outputs for NaN, so an infinite parameter
     # that never made one still has to be caught here.
     if not np.isfinite(state.params).all():

@@ -280,9 +280,9 @@ class TransferPlan:
     and returns one :class:`TransferOutcome` per matrix; the Monte-Carlo
     counts draw several streams and apply their stacked draws to a net's
     crossbar matrices at once, and :func:`simulate_transfer` transfers one
-    matrix.  Training gathers the device vector from the flat parameter
-    vector ``AdamState.params`` through one index fixed per architecture
-    (see :mod:`xbartrain.training`) and calls :meth:`apply_devices`.
+    matrix.  Training keeps its parameters ``AdamState.params`` in this
+    device order (see :func:`xbartrain.nn.flatten`) and passes them to
+    :meth:`apply_devices` as they are.
 
     Stream contract: :meth:`draw` draws layout by layout.  For each layout
     it draws the stuck uniforms, HRS values and LRS values of the plus then
@@ -311,26 +311,33 @@ class TransferPlan:
              model.bias_db.lookup(layout.nd_minus.ravel()))
             for layout in self.layouts
         ]
+        # The table every lookup gathers from, and each device's row offset
+        # into it, plus then minus: draw gathers every disturbance at once.
+        self._flat = self._bias[0][0].flat
+        self._offsets = np.array([np.concatenate([pair[pol].offsets for pair in self._bias])
+                                  for pol in range(2)])[:, None]
         sizes = [math.prod(layout.weight_shape) for layout in self.layouts]
         # Where each layout's devices start and end in the device order, and
-        # the (min, max - min, max-abs) rows of apply_devices' snapshot
-        # array for every device.
+        # for every device the positions of its layout's (min, max - min,
+        # max-abs) in apply_devices' flattened (4, layouts) snapshot array.
         self._starts = np.cumsum([0, *sizes])
         self._spans = list(zip(self._starts[:-1].tolist(), self._starts[1:].tolist()))
-        self._per_device = np.ix_([0, 3, 2], np.repeat(np.arange(len(sizes)), sizes))
+        self._per_device = (np.array([0, 3, 2])[:, None] * len(sizes)
+                            + np.repeat(np.arange(len(sizes)), sizes))
 
     def draw(self, n: int, rng: np.random.Generator) -> TransferNoise:
         """The draws of ``n`` transfers of every layout.
 
         A component is stuck where its uniform ``u < x + y``: in HRS where
         ``u < x`` and in LRS otherwise.  ``stuck_values`` stays zero where
-        no component is stuck; an empty HRS or LRS draw leaves ``rng`` as is.
+        no component is stuck.  A sampler with nothing to draw is not
+        called, which leaves ``rng`` as an empty draw would.
         """
         devices = self._spans[-1][1]
         stuck = np.empty((2, n, devices), dtype=bool)
         values = np.zeros((2, n, devices))
         normals = np.empty((2, 2, n, devices))
-        disturbance = np.empty((2, n, devices))
+        picks = np.empty((2, n, devices), dtype=np.int64)
         stuck_model = self.model.stuck_model
         for k, (start, stop) in enumerate(self._spans):
             shape = (n, stop - start)
@@ -342,13 +349,16 @@ class TransferPlan:
                     hrs = u < self.x
                     n_hrs = np.count_nonzero(hrs)
                     layout_values = values[pol, :, start:stop]
-                    layout_values[hrs] = stuck_model.sample_hrs(rng, size=n_hrs)
-                    layout_values[layout_stuck ^ hrs] = stuck_model.sample_lrs(
-                        rng, size=count - n_hrs)
+                    if n_hrs:
+                        layout_values[hrs] = stuck_model.sample_hrs(rng, size=n_hrs)
+                    if count > n_hrs:
+                        layout_values[layout_stuck ^ hrs] = stuck_model.sample_lrs(
+                            rng, size=count - n_hrs)
             for pol, bias in enumerate(self._bias[k]):
                 normals[pol, :, :, start:stop] = rng.standard_normal((2, *shape))
-                disturbance[pol, :, start:stop] = bias.sample(rng, n)
-        return TransferNoise(stuck, values, normals, disturbance)
+                picks[pol, :, start:stop] = bias.picks(rng, n)
+        picks += self._offsets
+        return TransferNoise(stuck, values, normals, self._flat[picks])
 
     def apply_devices(self, phi, noise: TransferNoise):
         """The transfers that ``noise`` draws, applied to the flat device
@@ -361,9 +371,9 @@ class TransferPlan:
         the error of :meth:`WeightRangeSnapshot.of_matrix`.
         """
         phi = np.asarray(phi, dtype=float)
-        if phi.shape != self._per_device[1].shape[1:]:
+        if phi.shape != self._per_device.shape[1:]:
             raise ValueError(f"phi shape {phi.shape} does not match the "
-                             f"{self._per_device[1].size} devices of the layouts")
+                             f"{self._per_device.shape[1]} devices of the layouts")
         ranges = np.empty((4, len(self.layouts)))
         lo, hi, absmax, span = ranges
         np.minimum.reduceat(phi, self._starts[:-1], out=lo)
@@ -376,7 +386,7 @@ class TransferPlan:
         # gives inf, which the effective weights then report.
         with np.errstate(over="ignore"):
             np.subtract(hi, lo, out=span)
-        lo, span, absmax = ranges[self._per_device]
+        lo, span, absmax = ranges.take(self._per_device)
         phi_prime = _transfer(phi, lo, span, absmax, noise, self.model)
         return phi_prime, noise.stuck[0] | noise.stuck[1], ranges[:3]
 

@@ -217,29 +217,39 @@ class BiasDisturbanceDb:
         # the stream does not depend on the zero entries, but it gathers
         # from the all-zero last table row.
         rows = np.where(n_d == 0, len(self._table) - 1, key_idx)
+        bounds = self._lengths[key_idx]
+        # A scalar bound draws the same picks as an array of equal bounds,
+        # and faster.
+        uniform = bounds.size and bounds.min() == bounds.max()
         return BiasLookup(self._table.ravel(), rows * self._table.shape[1],
-                          self._lengths[key_idx][None])
+                          int(bounds.flat[0]) if uniform else bounds[None])
 
 
 class BiasLookup(NamedTuple):
     """A disturbance database resolved against one n_d matrix, once rather
     than per draw: the padded table as one vector, the offset of the row
     each entry gathers from (the all-zero row for n_d == 0 entries, whose
-    draws are exactly zero), and the ``(1, *shape)`` sizes of the groups
-    the entries' picks are drawn from.
+    draws are exactly zero), and the sizes of the groups the entries' picks
+    are drawn from: one ``int`` when they are all equal, else a
+    ``(1, *shape)`` array.
     """
 
     flat: np.ndarray
     offsets: np.ndarray
-    bounds: np.ndarray
+    bounds: int | np.ndarray
+
+    def picks(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
+        """The ``(n, *shape)`` positions within their groups of ``n``
+        draws per entry; it consumes ``rng`` exactly as ``n`` single
+        draws."""
+        if isinstance(self.bounds, int):
+            return rng.integers(0, self.bounds, size=(n, *self.offsets.shape))
+        return rng.integers(0, self.bounds if n == 1 else self.bounds.repeat(n, axis=0))
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """An ``(n, *shape)`` stack of ``n`` draws of one disturbance per
         entry; it consumes ``rng`` exactly as ``n`` single draws."""
-        # An upper bound of the output's shape draws faster than
-        # integers(..., size=...).
-        bounds = self.bounds if n == 1 else self.bounds.repeat(n, axis=0)
-        return self.flat[self.offsets + rng.integers(0, bounds)]
+        return self.flat[self.offsets + self.picks(rng, n)]
 
 
 @dataclass(frozen=True)

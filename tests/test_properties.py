@@ -6,7 +6,8 @@ with the reader's own error type; the writers' documents must load back to
 equal objects; the weight <-> conductance conversion must compose to its
 closed-form affine map; n_d must number the devices of each tile as a
 permutation; the robustness table must place every test point in
-exactly one bin; the forward's fast sigmoid must stay well inside the
+exactly one bin; a disturbance draw with one scalar bound must draw what
+an array of bounds draws; the forward's fast sigmoid must stay well inside the
 margin that decides which labels it may keep; and the heatmap's tiles must
 count what forwarding every cell counts.
 """
@@ -288,6 +289,39 @@ class TestTileLayout:
                 tile = grid[r0:r0 + rows, c0:c0 + cols]
                 assert np.array_equal(np.sort(tile, axis=None), np.arange(tile.size))
                 assert tile[-1, -1] == 0
+
+
+@st.composite
+def disturbance_dbs(draw) -> BiasDisturbanceDb:
+    """A database of one to four groups whose lengths are all equal, mixed,
+    or mixed with a length-1 group."""
+    keys = draw(st.lists(st.integers(1, 30), min_size=1, max_size=4, unique=True))
+    kind = draw(st.sampled_from(["uniform", "mixed", "length-1"]))
+    if kind == "uniform":
+        lengths = [draw(st.integers(1, 40))] * len(keys)
+    else:
+        lengths = draw(st.lists(st.integers(1, 40), min_size=len(keys), max_size=len(keys)))
+        if kind == "length-1":
+            lengths[draw(st.integers(0, len(keys) - 1))] = 1
+    return BiasDisturbanceDb({k: tuple(np.linspace(-1.0, 1.0, length) + k)
+                              for k, length in zip(keys, lengths)})
+
+
+class TestBiasPicks:
+    @given(db=disturbance_dbs(),
+           n_d=arrays(np.int64, st.tuples(st.integers(1, 3), st.integers(1, 9)),
+                      elements=st.integers(0, 40)),
+           n=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_scalar_bound_matches_array_bounds(self, db, n_d, n, seed):
+        lookup = db.lookup(n_d)
+        if len(set(map(len, db.groups.values()))) == 1:
+            assert isinstance(lookup.bounds, int)
+        bounds = np.broadcast_to(lookup.bounds, (n, *n_d.shape))
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = lookup.sample(rng, n)
+        reference = lookup.flat[lookup.offsets + twin.integers(0, bounds)]
+        assert np.array_equal(drawn, reference)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @st.composite

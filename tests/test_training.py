@@ -10,7 +10,6 @@ from xbartrain.training import (
     SourceToggles,
     TrainingConfig,
     TrainingDiverged,
-    device_index,
     sample_epsilon,
     train_hardware_aware,
     train_regular,
@@ -457,14 +456,14 @@ class TestErrorPaths:
         assert calls == steps
 
 
-class TestDeviceIndex:
+class TestCrossbarOrder:
     @pytest.mark.parametrize("arch", [[2, 8, 1], [2, 5, 3, 1], [3, 1]])
-    def test_gathers_each_crossbar_row_major(self, arch):
+    def test_params_are_each_crossbar_row_major(self, arch):
         net = nn.DenseNet.init(arch, np.random.default_rng(1))
-        params = nn.flatten((l.weights, l.bias) for l in net.layers)
         crossbars = [layer_to_crossbar(l.weights, l.bias).ravel() for l in net.layers]
-        assert np.array_equal(params[device_index(arch)], np.concatenate(crossbars))
-        assert np.array_equal(np.sort(device_index(arch)), np.arange(params.size))
+        params = nn.AdamState.for_net(net).params
+        assert np.array_equal(params, np.concatenate(crossbars))
+        assert all(l.weights.base is params and l.bias.base is params for l in net.layers)
 
 
 class TestDeskScaleAccuracy:

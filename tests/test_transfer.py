@@ -338,8 +338,33 @@ class TestSimulateTransfer:
         assert np.allclose(out.phi_prime, expected, atol=1e-12)
 
 
+class CountingStuckModel(StuckModel):
+    """A stuck model that records which sampler each call went to."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "calls", [])
+
+    def sample_hrs(self, rng, size=None):
+        self.calls.append("hrs")
+        return super().sample_hrs(rng, size)
+
+    def sample_lrs(self, rng, size=None):
+        self.calls.append("lrs")
+        return super().sample_lrs(rng, size)
+
+
 class TestTransferPlan:
     LAYOUT = TileLayout.for_weight_matrix(3, 8)
+
+    @pytest.mark.parametrize("x, y, kind", [(0.2, 0.0, "hrs"), (0.0, 0.2, "lrs")])
+    def test_one_kind_of_stuck_device_calls_one_sampler(self, x, y, kind):
+        stuck = CountingStuckModel(10.0, 100.0, (500.0, 900.0))
+        plan = TransferPlan(layouts_for_architecture([2, 8, 1]), model_with(stuck=stuck), x, y)
+        rng = np.random.default_rng(20)
+        draws = [plan.draw(1, rng) for _ in range(10)]
+        assert sum(noise.stuck.sum() for noise in draws) > 0
+        assert stuck.calls and set(stuck.calls) == {kind}
 
     def test_single_draw_matches_simulate_transfer_stream(self, synthetic_model):
         phi = np.random.default_rng(12).normal(size=(3, 8))

@@ -287,9 +287,9 @@ def _count_transfers(plan: TransferPlan, net: nn.DenseNet, tally, transfers: int
     ``plan.draw`` call draws the stream's ``per_stream`` transfers (the
     last stream may hold fewer).  Job ``g`` holds transfers ``g*group`` up
     to the next job's, a whole number of streams: it stacks their draws
-    and applies them to the net's crossbar matrices with one
-    ``plan.apply``, which is elementwise over transfers, so each transfer
-    is the one that ``plan.apply`` of its stream's draw alone gives.
+    and applies them to the device vector of the net's crossbar matrices
+    with one ``plan.apply_devices``, which is elementwise over transfers,
+    so each transfer is the one that its stream's draw alone gives.
     ``tally`` labels each transfer independently of the others in the
     stack.  The jobs run in order on the calling thread: each is many small
     numpy calls that hold the GIL, so a thread pool ran them slower, not
@@ -305,13 +305,20 @@ def _count_transfers(plan: TransferPlan, net: nn.DenseNet, tally, transfers: int
         if not math.isfinite(hi - lo):
             raise ValueError(f"layer {k} of {len(crossbars)}: the weight range "
                              f"[{lo:g}, {hi:g}] overflows: max - min is not finite")
+    shapes = [crossbar.shape for crossbar in crossbars]
+    if shapes != [layout.weight_shape for layout in plan.layouts]:
+        raise ValueError(f"crossbar shapes {shapes} do not match the layouts")
+    phi = np.concatenate([crossbar.ravel() for crossbar in crossbars])
+    ends = np.cumsum([crossbar.size for crossbar in crossbars])
     total = 0  # the first job's counts replace it with an int64 array
     for g in range(-(-transfers // group)):
         starts = range(g * group, min((g + 1) * group, transfers), per_stream)
         draws = [plan.draw(min(per_stream, transfers - t), _transfer_rng(seed, tag, t // per_stream))
                  for t in starts]
-        outcomes = plan.apply(crossbars, TransferNoise.concatenate(draws))
-        total += tally([(o.phi_prime[:, :-1], o.phi_prime[:, -1:]) for o in outcomes])
+        phi_prime = plan.apply_devices(phi, TransferNoise.concatenate(draws))[0]
+        stacks = [phi_prime[:, stop - math.prod(shape):stop].reshape(-1, *shape)
+                  for stop, shape in zip(ends, shapes)]
+        total += tally([(stack[:, :-1], stack[:, -1:]) for stack in stacks])
     return total
 
 

@@ -1,8 +1,7 @@
 """Minimal dense network with manual backprop, sigmoid activations and Adam.
 
 Kept deliberately small: fully-connected layers, sigmoid after every layer
-including the output, binary cross-entropy loss, and a finite-difference
-gradient oracle used by the test suite to pin the analytic gradients.
+including the output, binary cross-entropy loss.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "bce_loss",
     "backward",
     "adam_step",
-    "finite_difference_gradients",
     "predict",
     "accuracy",
     "save_checkpoint",
@@ -113,17 +111,15 @@ class DenseNet:
 def flatten(pairs) -> np.ndarray:
     """``(weights, bias)`` pairs, such as a net's parameters or the
     gradients of :func:`backward`, as one flat vector in crossbar order:
-    layer by layer, the crossbar matrix ``[W.T; b]`` row-major (see
-    :func:`xbartrain.transfer.layer_to_crossbar`), which is the device
-    order of :meth:`xbartrain.transfer.TransferPlan.apply_devices`."""
+    layer by layer, ``[W.T; b]`` row-major, the device order of
+    :meth:`xbartrain.transfer.TransferPlan.apply_devices`."""
     return np.concatenate([a.T.ravel() for pair in pairs for a in pair])
 
 
 def unflatten(sizes, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """The inverse of :func:`flatten` for a net of the given layer sizes:
-    per layer, the ``(fan_out, fan_in)`` weights and the bias as views of
-    ``flat``.  The weights are the transpose of the contiguous ``W.T``
-    block."""
+    per layer, the ``(fan_out, fan_in)`` weights (the transpose of a
+    contiguous ``W.T``) and the bias as views of ``flat``."""
     sizes = list(sizes)
     pairs, start = [], 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -136,14 +132,9 @@ def unflatten(sizes, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _blas_weights(layer: LayerParams, batch: int) -> np.ndarray:
-    """The weights of ``layer`` for a product with a batch of ``batch`` rows.
-
-    A one-row batch takes BLAS's matrix-vector path, whose summation order
-    follows the memory layout of the matrix, so it gets row-major weights:
-    then no result depends on whether the net's arrays are row-major or
-    views of a flat vector in crossbar order.  Larger batches take the
-    matrix-matrix path, which gives the same bits for either layout.
-    """
+    """The weights of ``layer`` for a product with ``batch`` rows.  BLAS's
+    matrix-vector path, taken for one row, sums in the matrix's memory order,
+    so it gets row-major weights and no product depends on the layout."""
     return layer.weights if batch > 1 else np.ascontiguousarray(layer.weights)
 
 
@@ -176,9 +167,8 @@ def backward(net: DenseNet, cache: list[np.ndarray], y,
     """Gradients of bce_loss(forward(net, X), y) for every layer.
 
     ``cache`` must come from a forward pass of the same parameters.
-    Returns [(dW, db), ...] in layer order.  With ``out``, such a list of
-    arrays (for example :func:`unflatten` of a flat gradient vector), the
-    gradients are written into its arrays, which are returned.
+    Returns [(dW, db), ...] in layer order, written into the arrays of
+    ``out`` if given (say :func:`unflatten` of a flat gradient).
     """
     y_hat = cache[-1]
     y = np.asarray(y, dtype=float).reshape(y_hat.shape)
@@ -202,12 +192,10 @@ class AdamState:
     """Standard Adam accumulators with bias correction, kept as flat vectors.
 
     ``params`` holds every parameter of the net in the crossbar order of
-    :func:`flatten`: layer by layer, ``W.T`` row-major, then the bias.
-    The net's arrays are views into it (each weight matrix the transpose
-    of its contiguous ``W.T`` block), so :meth:`update` changes them all
-    with whole-vector operations.  ``m`` and ``v`` are laid out the same
-    way, and so is a flat gradient passed to :meth:`update` or
-    :func:`adam_step`.
+    :func:`flatten`; the net's weight and bias arrays are views into it
+    (see :func:`unflatten`), so :meth:`update` changes them all with
+    whole-vector operations.  ``m`` and ``v`` are laid out the same way, and
+    so is a flat gradient passed to :meth:`update` or :func:`adam_step`.
     """
 
     lr: float = 0.01
@@ -264,23 +252,6 @@ def adam_step(net: DenseNet, grads, state: AdamState) -> DenseNet:
         state._adopt(net)
     state.update(grads if isinstance(grads, np.ndarray) else flatten(grads))
     return net
-
-
-def finite_difference_gradients(net: DenseNet, X, y, h: float = 1e-5):
-    """Central-difference gradients of the loss; the independent oracle for
-    :func:`backward`.  O(parameters) forward passes, test-scale only."""
-    grads = [(np.zeros_like(layer.weights), np.zeros_like(layer.bias)) for layer in net.layers]
-    for layer, pair in zip(net.layers, grads):
-        for param, d in zip((layer.weights, layer.bias), pair):
-            for idx in np.ndindex(param.shape):
-                orig = param[idx]
-                param[idx] = orig + h
-                up = bce_loss(forward(net, X)[0], y)
-                param[idx] = orig - h
-                down = bce_loss(forward(net, X)[0], y)
-                param[idx] = orig
-                d[idx] = (up - down) / (2.0 * h)
-    return grads
 
 
 def predict(net: DenseNet, X) -> np.ndarray:

@@ -8,21 +8,16 @@ hardware would compute.  Weights whose devices were substituted by stuck
 failures get their gradients zeroed for that batch.  The weight range used
 by the conversion is re-taken from the current weights every batch.
 
-The step runs on flat vectors in one order, the crossbar order of
-:func:`nn.flatten`: each layer's crossbar matrix ``[W.T; b]`` row-major,
-layer after layer.  It is the order of the clean parameters
-``nn.AdamState.params``, which the net's arrays view, of Adam's
-accumulators and of the flat gradient, and it is the device order of
-:meth:`TransferPlan.apply_devices`.  So one device apply per batch yields
-every layer's transfer straight from ``params``, and
-:class:`EffectiveParams` writes ``phi + eps`` into a preallocated vector
-that a net of views reads; the backward pass writes into a preallocated
-flat gradient, whose stuck positions are zeroed before Adam takes it as it
-is.  The draws are unchanged: each batch makes one ``plan.draw(1, rng)``
-call on the noise stream, which draws layer by layer as the per-layer
-pipeline always has (the stream contract of :class:`TransferPlan`), so a
-given seed trains the same parameters bit for bit.  Checkpoints keep the
-row-major ``(fan_out, fan_in)`` weights of :func:`nn.save_checkpoint`.
+The step runs on flat vectors in the crossbar order of :func:`nn.flatten`,
+the device order of :meth:`TransferPlan.apply_devices`: the clean
+parameters ``nn.AdamState.params`` (which the net's arrays view), Adam's
+accumulators, the effective parameters ``phi + eps`` of
+:class:`EffectiveParams` and the flat gradient that the backward pass
+writes, all preallocated.  Each batch makes one ``plan.draw(1, rng)`` call
+on the noise stream, which draws layer by layer as the per-layer pipeline
+always has (the stream contract of :class:`TransferPlan`), so a given seed
+trains the same parameters bit for bit.  Checkpoints keep row-major
+``(fan_out, fan_in)`` weights.
 """
 
 from __future__ import annotations
@@ -149,10 +144,8 @@ class EffectiveParams:
 
     ``params`` is the clean flat vector (``nn.AdamState.params``); ``eps``
     and ``mask`` hold the last transfer's noise ``phi' - phi`` and its stuck
-    positions, and ``grad`` the last :meth:`gradient`, all in the same
-    crossbar order, and ``net`` is a net of views into the effective
-    vector.  ``eps``, ``grad`` and the effective vector are allocated once,
-    so a training step allocates no per-layer arrays.
+    positions, and ``grad`` the last :meth:`gradient`, all in its crossbar
+    order; ``net`` is a net of views into the effective vector.
     """
 
     def __init__(self, sizes, params: np.ndarray):
@@ -251,11 +244,8 @@ def _train(config: TrainingConfig, train_set, plan: TransferPlan | None, batch_h
     shuffle_rng = _stream(config.seed, _STREAM_SHUFFLE)
     noisy = None if plan is None else EffectiveParams(net.sizes, state.params)
     seen = net if noisy is None else noisy.net
-    if noisy is None:
-        grad = np.empty_like(state.params)
-        grads = nn.unflatten(net.sizes, grad)
-    else:
-        grad = noisy.grad
+    grad = np.empty_like(state.params) if noisy is None else noisy.grad
+    grads = nn.unflatten(net.sizes, grad)
     # A diverging net overflows before its outputs turn NaN.  The NaN check
     # and the final-parameter check report it, so numpy's warnings are off.
     with np.errstate(over="ignore", invalid="ignore"):

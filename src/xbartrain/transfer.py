@@ -314,8 +314,8 @@ class TransferPlan:
         # The table every lookup gathers from, and each device's row offset
         # into it, plus then minus: draw gathers every disturbance at once.
         self._flat = self._bias[0][0].flat
-        self._offsets = np.array([np.concatenate([pair[pol].offsets for pair in self._bias])
-                                  for pol in range(2)])[:, None]
+        self._offsets = np.concatenate([[plus.offsets, minus.offsets]
+                                        for plus, minus in self._bias], axis=1)[:, None]
         sizes = [math.prod(layout.weight_shape) for layout in self.layouts]
         # Where each layout's devices start and end in the device order, and
         # for every device the positions of its layout's (min, max - min,
@@ -330,8 +330,7 @@ class TransferPlan:
 
         A component is stuck where its uniform ``u < x + y``: in HRS where
         ``u < x`` and in LRS otherwise.  ``stuck_values`` stays zero where
-        no component is stuck.  A sampler with nothing to draw is not
-        called, which leaves ``rng`` as an empty draw would.
+        no component is stuck; a sampler with nothing to draw is not called.
         """
         devices = self._spans[-1][1]
         stuck = np.empty((2, n, devices), dtype=bool)
@@ -356,7 +355,7 @@ class TransferPlan:
                             rng, size=count - n_hrs)
             for pol, bias in enumerate(self._bias[k]):
                 normals[pol, :, :, start:stop] = rng.standard_normal((2, *shape))
-                picks[pol, :, start:stop] = bias.picks(rng, n)
+                picks[pol, :, start:stop] = rng.integers(0, bias.bounds, size=shape)
         picks += self._offsets
         return TransferNoise(stuck, values, normals, self._flat[picks])
 

@@ -218,11 +218,10 @@ class BiasDisturbanceDb:
         # from the all-zero last table row.
         rows = np.where(n_d == 0, len(self._table) - 1, key_idx)
         bounds = self._lengths[key_idx]
-        # A scalar bound draws the same picks as an array of equal bounds,
-        # and faster.
+        # One scalar bound draws what equal array bounds draw, and faster.
         uniform = bounds.size and bounds.min() == bounds.max()
         return BiasLookup(self._table.ravel(), rows * self._table.shape[1],
-                          int(bounds.flat[0]) if uniform else bounds[None])
+                          int(bounds.flat[0]) if uniform else bounds)
 
 
 class BiasLookup(NamedTuple):
@@ -230,26 +229,18 @@ class BiasLookup(NamedTuple):
     than per draw: the padded table as one vector, the offset of the row
     each entry gathers from (the all-zero row for n_d == 0 entries, whose
     draws are exactly zero), and the sizes of the groups the entries' picks
-    are drawn from: one ``int`` when they are all equal, else a
-    ``(1, *shape)`` array.
+    are drawn from, as one ``int`` when they are all equal.
     """
 
     flat: np.ndarray
     offsets: np.ndarray
     bounds: int | np.ndarray
 
-    def picks(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-        """The ``(n, *shape)`` positions within their groups of ``n``
-        draws per entry; it consumes ``rng`` exactly as ``n`` single
-        draws."""
-        if isinstance(self.bounds, int):
-            return rng.integers(0, self.bounds, size=(n, *self.offsets.shape))
-        return rng.integers(0, self.bounds if n == 1 else self.bounds.repeat(n, axis=0))
-
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """An ``(n, *shape)`` stack of ``n`` draws of one disturbance per
         entry; it consumes ``rng`` exactly as ``n`` single draws."""
-        return self.flat[self.offsets + self.picks(rng, n)]
+        picks = rng.integers(0, self.bounds, size=(n, *self.offsets.shape))
+        return self.flat[self.offsets + picks]
 
 
 @dataclass(frozen=True)

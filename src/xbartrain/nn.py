@@ -167,20 +167,19 @@ def backward(net: DenseNet, cache: list[np.ndarray], y,
     """Gradients of bce_loss(forward(net, X), y) for every layer.
 
     ``cache`` must come from a forward pass of the same parameters.
-    Returns [(dW, db), ...] in layer order, written into the arrays of
-    ``out`` if given (say :func:`unflatten` of a flat gradient).
+    Returns [(dW, db), ...] in layer order, each ``dW`` the transpose of a
+    contiguous ``dW.T``; with ``out`` (say :func:`unflatten` of a flat
+    gradient) they are written into its arrays.
     """
     y_hat = cache[-1]
     y = np.asarray(y, dtype=float).reshape(y_hat.shape)
     batch = y_hat.shape[0]
     delta = (y_hat - y) / batch  # d(mean BCE)/dz through the output sigmoid
-    grads = [None] * len(net.layers) if out is None else out
+    grads = [(None, None)] * len(net.layers) if out is None else list(out)
     for l in range(len(net.layers) - 1, -1, -1):
-        if out is None:
-            grads[l] = (delta.T @ cache[l], delta.sum(axis=0))
-        else:
-            np.matmul(cache[l].T, delta, out=grads[l][0].T)
-            delta.sum(axis=0, out=grads[l][1])
+        dw, db = grads[l]
+        grads[l] = (np.matmul(cache[l].T, delta, out=None if dw is None else dw.T).T,
+                    delta.sum(axis=0, out=db))
         if l > 0:
             a = cache[l]
             delta = (delta @ _blas_weights(net.layers[l], batch)) * a * (1.0 - a)

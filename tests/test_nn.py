@@ -171,6 +171,26 @@ def random_grads(net, seed, steps):
             for _ in range(steps)]
 
 
+class TestLayoutIndependence:
+    @pytest.mark.parametrize("batch", [1, 2, 107])
+    def test_bits_do_not_depend_on_the_weight_layout(self, batch):
+        # AdamState.for_net rebinds the copy's arrays to views of one flat
+        # vector in crossbar order, so its weights are transposed views.
+        for seed in range(20):
+            net = random_net(seed, sizes=(2, 5, 3, 1))
+            flat_net = net.copy()
+            nn.AdamState.for_net(flat_net)
+            rng = np.random.default_rng(100 + seed)
+            X = rng.uniform(-2, 2, size=(batch, 2))
+            y = rng.integers(0, 2, size=batch)
+            _, cache_a = nn.forward(net, X)
+            _, cache_b = nn.forward(flat_net, X)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(cache_a, cache_b))
+            for (aw, ab), (bw, bb) in zip(nn.backward(net, cache_a, y),
+                                          nn.backward(flat_net, cache_b, y)):
+                assert aw.tobytes() == bw.tobytes() and ab.tobytes() == bb.tobytes()
+
+
 class TestFlatAdam:
     @pytest.mark.parametrize("hyperparameters", [{}, {"lr": 0.05, "beta1": 0.8}])
     def test_bitwise_equal_to_per_array_update(self, hyperparameters):

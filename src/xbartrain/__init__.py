@@ -32,7 +32,6 @@ from .transfer import (
 )
 from .nn import AdamState, DenseNet, LayerParams, adam_step, backward, bce_loss, forward
 from .training import (
-    EpsilonSample,
     SourceToggles,
     TrainingConfig,
     EffectiveParams,

@@ -295,13 +295,17 @@ def _count_transfers(plan: TransferPlan, net: nn.DenseNet, tally, transfers: int
     numpy calls that hold the GIL, so a thread pool ran them slower, not
     faster.
 
-    A layer whose weight range ``max - min`` overflows raises
-    ``ValueError`` before any draw: its conversion would give infinite
-    weights, and labels counted from them would mean nothing.
+    A layer whose weight range ``max - min`` overflows, or whose weights
+    and biases are all zero, raises ``ValueError`` naming it before any
+    draw: the conversion of the first would give infinite weights, and the
+    second has no range to convert with.
     """
     crossbars = [layer_to_crossbar(layer.weights, layer.bias) for layer in net.layers]
     for k, crossbar in enumerate(crossbars, start=1):
         lo, hi = float(crossbar.min()), float(crossbar.max())
+        if lo == hi == 0.0:
+            raise ValueError(f"layer {k} of {len(crossbars)}: cannot snapshot an all-zero "
+                             f"weight matrix")
         if not math.isfinite(hi - lo):
             raise ValueError(f"layer {k} of {len(crossbars)}: the weight range "
                              f"[{lo:g}, {hi:g}] overflows: max - min is not finite")
@@ -562,6 +566,9 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be >= 1, got {value}")
         if self.model_seed < 0:
             raise ValueError(f"model_seed must be >= 0, got {self.model_seed}")
+        if self.training.architecture[0] != 2:
+            raise ValueError(f"architecture must start with 2, the half-moons input, "
+                             f"got {list(self.training.architecture)}")
         if not 0 <= self.noise_std < math.inf:
             raise ValueError(f"dataset.noise_std must be finite and >= 0, got {self.noise_std}")
         if self.grid.nx * self.grid.ny > MAX_GRID_POINTS:

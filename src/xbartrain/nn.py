@@ -194,7 +194,7 @@ class AdamState:
     :func:`flatten`; the net's weight and bias arrays are views into it
     (see :func:`unflatten`), so :meth:`update` changes them all with
     whole-vector operations.  ``m`` and ``v`` are laid out the same way, and
-    so is a flat gradient passed to :meth:`update` or :func:`adam_step`.
+    so is a flat gradient passed to :meth:`update`.
     """
 
     lr: float = 0.01
@@ -241,15 +241,15 @@ class AdamState:
 def adam_step(net: DenseNet, grads, state: AdamState) -> DenseNet:
     """One in-place Adam update of every parameter.
 
-    ``grads`` is the per-layer ``[(dW, db), ...]`` of :func:`backward`, or
-    one flat gradient vector laid out like ``state.params``, which is used
-    as it is.  ``net`` is updated through ``state.params``; a net whose
-    arrays are not views into it (another net, or arrays replaced since) is
-    adopted first.
+    ``grads`` is the per-layer ``[(dW, db), ...]`` of :func:`backward`.
+    ``net`` is updated through ``state.params``; a net whose arrays are not
+    views into it (another net, or arrays replaced since) is adopted first.
+    A caller that holds a flat gradient, such as training's step with its
+    reused ``grad`` buffer, calls :meth:`AdamState.update` instead.
     """
     if not all(l.weights.base is state.params and l.bias.base is state.params for l in net.layers):
         state._adopt(net)
-    state.update(grads if isinstance(grads, np.ndarray) else flatten(grads))
+    state.update(flatten(grads))
     return net
 
 

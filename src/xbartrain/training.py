@@ -18,6 +18,12 @@ on the noise stream, which draws layer by layer as the per-layer pipeline
 always has (the stream contract of :class:`TransferPlan`), so a given seed
 trains the same parameters bit for bit.  Checkpoints keep row-major
 ``(fan_out, fan_in)`` weights.
+
+Observers see the step through ``batch_hook(epoch, step, net, noisy,
+loss)``: ``noisy`` is the step's :class:`EffectiveParams`, whose flat
+``eps``, ``mask`` and ``ranges`` are the transfer the step trained on, or
+``None`` when training injects no noise.  Its buffers are reused every
+step, so a hook that keeps one must copy it.
 """
 
 from __future__ import annotations
@@ -28,12 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn
-from .transfer import (
-    TileLayout,
-    TransferPlan,
-    WeightRangeSnapshot,
-    layouts_for_architecture,
-)
+from .transfer import TileLayout, TransferPlan, layouts_for_architecture
 from .variability import (
     BiasDisturbanceDb,
     LinearStdModel,
@@ -45,7 +46,6 @@ __all__ = [
     "SourceToggles",
     "TrainingConfig",
     "TrainingDiverged",
-    "EpsilonSample",
     "EffectiveParams",
     "sample_epsilon",
     "train_hardware_aware",
@@ -111,31 +111,12 @@ class TrainingConfig:
         if len(arch) < 2 or min(arch) < 1 or arch[-1] != 1:
             raise ValueError(f"architecture must be positive sizes ending in 1, got {list(arch)}")
         object.__setattr__(self, "tile", tuple(int(s) for s in self.tile))
-        if len(self.tile) != 2:
-            raise ValueError(f"tile must be (rows, cols), got {self.tile}")
+        if len(self.tile) != 2 or min(self.tile) < 1:
+            raise ValueError(f"tile must be two positive sizes (rows, cols), got {list(self.tile)}")
 
     def steps(self, n_points: int) -> int:
         """The optimizer steps of a run over ``n_points`` training points."""
         return self.epochs * -(-n_points // self.batch_size)
-
-
-@dataclass
-class EpsilonSample:
-    """One per-batch transfer draw: additive weight noise plus stuck masks.
-
-    ``weight_eps[l] + layer.weights`` equals the transferred weights, i.e.
-    the stored term is (phi' - phi); adding it in the forward pass
-    reproduces phi' while gradients bypass it entirely.  The arrays are
-    views of the flat buffers of the :class:`EffectiveParams` that drew
-    them, shaped like the layer's weights and bias, so a ``batch_hook``
-    that keeps one must copy it.
-    """
-
-    weight_eps: list[np.ndarray]
-    bias_eps: list[np.ndarray]
-    weight_mask: list[np.ndarray]
-    bias_mask: list[np.ndarray]
-    snapshots: list[WeightRangeSnapshot]
 
 
 class EffectiveParams:
@@ -145,25 +126,31 @@ class EffectiveParams:
     ``params`` is the clean flat vector (``nn.AdamState.params``); ``eps``
     and ``mask`` hold the last transfer's noise ``phi' - phi`` and its stuck
     positions, and ``grad`` the last :meth:`gradient`, all in its crossbar
-    order; ``net`` is a net of views into the effective vector.
+    order; ``ranges`` is the ``(3, layouts)`` array of the last transfer's
+    weight-range snapshots (min, max, max-abs) from
+    :meth:`TransferPlan.apply_devices`; ``net`` is a net of views into the
+    effective vector.  A training run's ``batch_hook(epoch, step, net,
+    noisy, loss)`` receives this object as ``noisy`` every step: its arrays
+    are overwritten or replaced by the next step, so a hook that keeps one
+    must copy it.
     """
 
     def __init__(self, sizes, params: np.ndarray):
-        self.sizes = list(sizes)
         self.params = params
         self.eps = np.zeros_like(params)
         self.mask = np.zeros(params.shape, dtype=bool)
         self.grad = np.zeros_like(params)
-        self._grads = nn.unflatten(self.sizes, self.grad)
-        self._ranges = None
+        self.ranges = None
+        self._grads = nn.unflatten(sizes, self.grad)
         self._effective = params.copy()
         self.net = nn.DenseNet([nn.LayerParams(w, b)
-                                for w, b in nn.unflatten(self.sizes, self._effective)])
+                                for w, b in nn.unflatten(sizes, self._effective)])
 
     def transfer(self, plan: TransferPlan, noise) -> None:
         """Set ``eps`` and ``mask`` from one transfer of the current
-        parameters, drawn as ``noise`` by ``plan.draw(1, ...)``."""
-        phi_prime, stuck, self._ranges = plan.apply_devices(self.params, noise)
+        parameters, drawn as ``noise`` by ``plan.draw(1, ...)``, and
+        ``ranges`` from the snapshots it converted with."""
+        phi_prime, stuck, self.ranges = plan.apply_devices(self.params, noise)
         np.subtract(phi_prime[0], self.params, out=self.eps)
         self.mask = stuck[0]
 
@@ -185,13 +172,6 @@ class EffectiveParams:
         self.grad[self.mask] = 0.0
         return self.grad
 
-    def sample(self) -> EpsilonSample:
-        """The last transfer as an :class:`EpsilonSample` of views."""
-        eps = nn.unflatten(self.sizes, self.eps)
-        mask = nn.unflatten(self.sizes, self.mask)
-        return EpsilonSample([w for w, _ in eps], [b for _, b in eps],
-                             [w for w, _ in mask], [b for _, b in mask],
-                             [WeightRangeSnapshot(*map(float, r)) for r in self._ranges.T])
 
 def sample_epsilon(
     net: nn.DenseNet,
@@ -200,15 +180,20 @@ def sample_epsilon(
     x: float,
     y: float,
     rng: np.random.Generator,
-) -> EpsilonSample:
+) -> EffectiveParams:
     """Simulate one transfer of every layer (bias row included) and return
-    the additive noise relative to the current weights."""
+    it as the :class:`EffectiveParams` of a copy of the net's parameters:
+    the additive noise ``eps``, the stuck ``mask`` and the snapshot
+    ``ranges``, flat in crossbar order (:func:`nn.unflatten` gives them per
+    layer).  It is what a training step passes to ``batch_hook(epoch,
+    step, net, noisy, loss)`` as ``noisy``, where the buffers are reused
+    every step, so a hook that keeps one must copy it."""
     plan = TransferPlan(layouts, model, x, y)
     if len(net.layers) != len(plan.layouts):
         raise ValueError(f"{len(net.layers)} layers but {len(plan.layouts)} layouts")
     params = EffectiveParams(net.sizes, nn.flatten((l.weights, l.bias) for l in net.layers))
     params.transfer(plan, plan.draw(1, rng))
-    return params.sample()
+    return params
 
 
 def _effective_model(model: VariabilityModel, sources: SourceToggles) -> VariabilityModel:
@@ -232,9 +217,15 @@ def _train(config: TrainingConfig, train_set, plan: TransferPlan | None, batch_h
     """Shared loop.  With a ``plan``, every batch sees one transfer drawn by
     ``plan.draw(1, noise_rng)``; ``plan`` is None for plain training (also
     used when every source is disabled, which makes the noisy loop
-    degenerate to the plain one exactly).  A ``batch_hook`` may write into
-    the net's arrays but not rebind them: Adam updates the flat vector they
-    view."""
+    degenerate to the plain one exactly).
+
+    ``batch_hook(epoch, step, net, noisy, loss)`` is called after each
+    step's backward pass and before its Adam update, with the clean
+    ``net``, the step's :class:`EffectiveParams` as ``noisy`` (``None``
+    without a plan) and the noisy batch loss.  ``noisy`` is the same object
+    every step and its buffers are reused, so a hook that keeps an array
+    must copy it.  A hook may write into the net's arrays but not rebind
+    them: Adam updates the flat vector they view."""
     X = np.asarray(train_set.points, dtype=float)
     labels = np.asarray(train_set.labels, dtype=float)
     if X.shape[0] == 0:
@@ -268,8 +259,7 @@ def _train(config: TrainingConfig, train_set, plan: TransferPlan | None, batch_h
                 else:
                     noisy.gradient(cache, yb)
                 if batch_hook is not None:
-                    sample = None if noisy is None else noisy.sample()
-                    batch_hook(epoch, step, net, sample, nn.bce_loss(y_hat, yb))
+                    batch_hook(epoch, step, net, noisy, nn.bce_loss(y_hat, yb))
                 state.update(grad)
     # The steps only check their outputs for NaN, so an infinite parameter
     # that never made one still has to be caught here.

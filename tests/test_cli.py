@@ -14,6 +14,7 @@ import pytest
 
 from xbartrain import cli, experiments, nn
 from xbartrain.cli import main
+from xbartrain.transfer import TransferPlan
 from xbartrain.variability import ConductanceRange, load_model, save_model
 
 from conftest import zero_noise_model
@@ -304,6 +305,64 @@ class TestErrorPaths:
         assert capsys.readouterr().err == ("error: layer 1 of 2: the weight range "
                                            "[-1e+308, 1e+308] overflows: max - min is not finite\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "heatmap"])
+    def test_all_zero_layer_exits_2_before_any_draw(self, tmp_path, capsys, monkeypatch, command):
+        def draw(*args, **kwargs):
+            raise AssertionError("drew transfers of a net that cannot be transferred")
+
+        monkeypatch.setattr(TransferPlan, "draw", draw)
+        doc = json.loads(CHECKPOINT.read_text())
+        doc["layers"][1]["weights"] = [0.0] * len(doc["layers"][1]["weights"])
+        doc["layers"][1]["bias"] = [0.0]
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(doc))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"transfers": 40, "heatmap": {"repetitions": 20}}))
+        out = tmp_path / "o"
+        rc = main([command, "--checkpoint", str(checkpoint), "--config", str(config),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: layer 2 of 2: cannot snapshot an all-zero "
+                                           "weight matrix\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "heatmap"])
+    @pytest.mark.parametrize("sizes", [[2, 8, 2], [3, 8, 1]], ids=["two_outputs", "three_inputs"])
+    def test_checkpoint_of_another_width_exits_2_before_any_draw(self, config_path, tmp_path,
+                                                                 capsys, monkeypatch, command,
+                                                                 sizes):
+        def draw(*args, **kwargs):
+            raise AssertionError("drew transfers of a net of the wrong width")
+
+        monkeypatch.setattr(TransferPlan, "draw", draw)
+        checkpoint = tmp_path / "net.json"
+        nn.save_checkpoint(nn.DenseNet.init(sizes, np.random.default_rng(0)), checkpoint)
+        out = tmp_path / "o"
+        rc = main([command, "--checkpoint", str(checkpoint), "--config", str(config_path),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {checkpoint}: layer_sizes must start with 2, the half-moons "
+            f"input, and end with 1, the one output, got {sizes}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["train", "--regular"], ["train", "--hardware-aware"],
+                                         ["run"]], ids=["regular", "hardware_aware", "run"])
+    @pytest.mark.parametrize("update, message", [
+        ({"architecture": [3, 8, 1]},
+         "architecture must start with 2, the half-moons input, got [3, 8, 1]"),
+        ({"tile": [0, 8]}, "tile must be two positive sizes (rows, cols), got [0, 8]"),
+    ], ids=["three_inputs", "empty_tile"])
+    def test_config_field_exits_2_before_training(self, tmp_path, capsys, trained, command,
+                                                  update, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, **update)))
+        rc = main([*command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: config file {path}: {message}\n"
+        assert trained == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_regular_divergence_is_raised_at_any_thread_count(self, config_path, tmp_path,

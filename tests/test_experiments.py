@@ -159,6 +159,19 @@ class TestOverflowingRange:
             heatmap(overflowing_net(), synthetic_model, LAYOUTS, 0.005, 0.005,
                     GridSpec(nx=4, ny=3), repetitions=20, seed=0)
 
+    @pytest.mark.parametrize("count", ["evaluate", "heatmap"])
+    def test_all_zero_layer_is_named_before_any_draw(self, synthetic_model, no_draws, count):
+        net = symmetric_net()
+        net.layers[1].weights[:] = 0.0  # its bias is zero too
+        with pytest.raises(ValueError, match="^layer 2 of 2: cannot snapshot an all-zero "
+                                             "weight matrix$"):
+            if count == "evaluate":
+                evaluate_transfers(net, synthetic_model, LAYOUTS, 0.005, 0.005,
+                                   make_half_moons(10, seed=23), 40, seed=0)
+            else:
+                heatmap(net, synthetic_model, LAYOUTS, 0.005, 0.005, GridSpec(nx=4, ny=3),
+                        repetitions=20, seed=0)
+
     def test_wide_finite_range_is_accepted(self, synthetic_model):
         net = symmetric_net()
         net.layers[1].weights[0, :2] = [8e307, -8e307]

@@ -1,4 +1,5 @@
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,6 +45,17 @@ def effective(net):
     return params
 
 
+def per_layer(params):
+    """The transfer held by the flat buffers of ``params`` (an
+    ``EffectiveParams``), per layer: the weight and bias noise and masks as
+    views, and the weight-range snapshots."""
+    sizes = params.net.sizes
+    eps, mask = nn.unflatten(sizes, params.eps), nn.unflatten(sizes, params.mask)
+    return SimpleNamespace(weight_eps=[w for w, _ in eps], bias_eps=[b for _, b in eps],
+                           weight_mask=[w for w, _ in mask], bias_mask=[b for _, b in mask],
+                           snapshots=[WeightRangeSnapshot(*map(float, r)) for r in params.ranges.T])
+
+
 def transferred(net, model, x, seed):
     """Effective parameters of ``net`` after one transfer drawn at ``seed``."""
     params = effective(net)
@@ -56,7 +68,8 @@ def transferred(net, model, x, seed):
 class TestSampleEpsilon:
     def test_zero_noise_symmetric_epsilon_vanishes(self, zero_model):
         net = symmetric_net()
-        sample = sample_epsilon(net, LAYOUTS, zero_model, 0.0, 0.0, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        sample = per_layer(sample_epsilon(net, LAYOUTS, zero_model, 0.0, 0.0, rng))
         for ew, eb, mw, mb in zip(sample.weight_eps, sample.bias_eps,
                                   sample.weight_mask, sample.bias_mask):
             assert np.max(np.abs(ew)) <= 1e-12
@@ -65,14 +78,15 @@ class TestSampleEpsilon:
 
     def test_all_stuck_masks_everything(self, zero_model):
         net = symmetric_net()
-        sample = sample_epsilon(net, LAYOUTS, zero_model, 1.0, 0.0, np.random.default_rng(1))
+        rng = np.random.default_rng(1)
+        sample = per_layer(sample_epsilon(net, LAYOUTS, zero_model, 1.0, 0.0, rng))
         assert all(m.all() for m in sample.weight_mask)
         assert all(m.all() for m in sample.bias_mask)
 
     def test_fixed_seed_reproducible(self, synthetic_model):
         net = symmetric_net()
-        a = sample_epsilon(net, LAYOUTS, synthetic_model, 0.005, 0.005, np.random.default_rng(2))
-        b = sample_epsilon(net, LAYOUTS, synthetic_model, 0.005, 0.005, np.random.default_rng(2))
+        a, b = (per_layer(sample_epsilon(net, LAYOUTS, synthetic_model, 0.005, 0.005,
+                                         np.random.default_rng(2))) for _ in range(2))
         for ea, eb in zip(a.weight_eps, b.weight_eps):
             assert ea.tobytes() == eb.tobytes()
 
@@ -85,7 +99,8 @@ class TestSampleEpsilon:
     def test_snapshots_cover_bias_row(self, synthetic_model):
         net = symmetric_net()
         net.layers[0].bias[3] = 5.0  # bias dominates the layer range
-        sample = sample_epsilon(net, LAYOUTS, synthetic_model, 0.0, 0.0, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        sample = per_layer(sample_epsilon(net, LAYOUTS, synthetic_model, 0.0, 0.0, rng))
         assert sample.snapshots[0].phi_max == 5.0
 
     def test_golden_stream(self):
@@ -98,7 +113,7 @@ class TestSampleEpsilon:
         rng = np.random.default_rng(11)
         digest = hashlib.sha256()
         for _ in range(50):
-            sample = sample_epsilon(net, LAYOUTS, model, 0.05, 0.05, rng)
+            sample = per_layer(sample_epsilon(net, LAYOUTS, model, 0.05, 0.05, rng))
             for arr in (*sample.weight_eps, *sample.bias_eps, *sample.weight_mask, *sample.bias_mask):
                 digest.update(arr.tobytes())
         assert digest.hexdigest() == "c7ec622d885afd83f64db8aea65b035db2c20229bbdf462ead4b361dea7235b2"
@@ -124,7 +139,7 @@ class TestHwForward:
     def test_equivalent_to_shifted_net(self, synthetic_model):
         net = symmetric_net()
         params = transferred(net, synthetic_model, 0.005, 5)
-        sample = params.sample()
+        sample = per_layer(params)
         X = np.random.default_rng(6).uniform(-1, 2, size=(8, 2))
         y_hw, _ = nn.forward(params.net, X)
         shifted = nn.DenseNet([
@@ -145,7 +160,7 @@ class TestMaskedBackward:
 
     @staticmethod
     def layer_gradients(params, cache, y):
-        return nn.unflatten(params.sizes, params.gradient(cache, y))
+        return nn.unflatten(params.net.sizes, params.gradient(cache, y))
 
     def test_no_mask_equals_backward(self):
         net, X, y = self._setup(7)
@@ -184,7 +199,7 @@ class TestMaskedBackward:
         # moves the clean parameters under the fixed epsilon.
         net, X, y = self._setup(10)
         params = transferred(net, synthetic_model, 0.05, 11)
-        sample = params.sample()
+        sample = per_layer(params)
         _, cache = nn.forward(params.net, X)
         grads = self.layer_gradients(params, cache, y)
 
@@ -249,7 +264,8 @@ class TestTrainingLoops:
         data = tiny_moons()
         digests = []
 
-        def hook(epoch, step, net, sample, loss):
+        def hook(epoch, step, net, params, loss):
+            sample = per_layer(params)
             blob = b"".join(e.tobytes() for e in sample.weight_eps)
             digests.append(hashlib.sha256(blob).hexdigest())
 
@@ -257,12 +273,37 @@ class TestTrainingLoops:
         assert len(digests) == 2 * 6
         assert len(set(digests)) == len(digests)
 
+    @pytest.mark.parametrize("kind, sources, noisy", [
+        ("regular", SourceToggles(), False),
+        ("hardware_aware", SourceToggles(False, False, False), False),
+        ("hardware_aware", SourceToggles(), True),
+    ], ids=["regular", "every_source_off", "hardware_aware"])
+    def test_hook_receives_the_step_effective_params(self, synthetic_model, kind, sources, noisy):
+        cfg, data = TrainingConfig(epochs=2, seed=6, batch_size=32, sources=sources), tiny_moons()
+        payloads = []
+
+        def hook(epoch, step, net, params, loss):
+            payloads.append(params)
+
+        if kind == "regular":
+            train_regular(cfg, data, batch_hook=hook)
+        else:
+            train_hardware_aware(cfg, data, model=synthetic_model, batch_hook=hook)
+        assert len(payloads) == cfg.steps(len(data))
+        if noisy:
+            # One object whose buffers every step reuses.
+            assert isinstance(payloads[0], EffectiveParams)
+            assert all(params is payloads[0] for params in payloads)
+        else:
+            assert all(params is None for params in payloads)
+
     def test_range_reevaluated_every_batch(self, synthetic_model):
         cfg = TrainingConfig(epochs=2, seed=7, batch_size=32)
         data = tiny_moons()
         seen = []
 
-        def hook(epoch, step, net, sample, loss):
+        def hook(epoch, step, net, params, loss):
+            sample = per_layer(params)
             # The snapshot in the sample must equal one freshly taken from
             # the weights entering this batch (i.e. after the previous
             # batch's update).
@@ -282,8 +323,9 @@ class TestTrainingLoops:
         data = tiny_moons(n=512)
         hits, total = 0, 0
 
-        def hook(epoch, step, net, sample, loss):
+        def hook(epoch, step, net, params, loss):
             nonlocal hits, total
+            sample = per_layer(params)
             hits += sample.weight_mask[0].sum() + sample.bias_mask[0].sum()
             total += sample.weight_mask[0].size + sample.bias_mask[0].size
 
@@ -311,7 +353,7 @@ class TestTrainingLoops:
         data = make_half_moons(512, noise_std=0.1, seed=30)
         epoch_losses = {}
 
-        def hook(epoch, step, net, sample, loss):
+        def hook(epoch, step, net, params, loss):
             epoch_losses.setdefault(epoch, []).append(loss)
 
         train_regular(cfg, data, batch_hook=hook)
@@ -371,12 +413,13 @@ class TestGoldenTraining:
         assert self.digest(net) == self.SHAPES[name]
 
     def test_batch_hook_samples(self, moons_split, synthetic_model):
-        # Every step's EpsilonSample as the hook sees it, over a stuck-heavy
+        # Every step's transfer as the hook sees it, over a stuck-heavy
         # run: noise, both masks and the snapshots.
         h = hashlib.sha256()
         steps = []
 
-        def hook(epoch, step, net, sample, loss):
+        def hook(epoch, step, net, params, loss):
+            sample = per_layer(params)
             steps.append(step)
             for arr in (*sample.weight_eps, *sample.bias_eps, *sample.weight_mask,
                         *sample.bias_mask):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fields, nn
 from .datasets import LabeledSet, make_half_moons
-from .training import TrainingConfig, SourceToggles, train_hardware_aware, train_regular
+from .training import TrainingConfig, SourceToggles, _stream, train_hardware_aware, train_regular
 from .transfer import (TileLayout, TransferNoise, TransferPlan, layer_to_crossbar,
                        layouts_for_architecture)
 from .variability import VariabilityModel, load_model, make_synthetic_model
@@ -108,10 +108,6 @@ class RobustnessReport:
     @property
     def fractions(self) -> np.ndarray:
         return self.counts / self.transfers
-
-
-def _transfer_rng(seed: int, tag: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), tag, int(index)]))
 
 
 # ``expit(z) > 0.5`` exactly when ``z >= _Z0``, the double after
@@ -295,34 +291,23 @@ def _count_transfers(plan: TransferPlan, net: nn.DenseNet, tally, transfers: int
     numpy calls that hold the GIL, so a thread pool ran them slower, not
     faster.
 
-    A layer whose weight range ``max - min`` overflows, or whose weights
-    and biases are all zero, raises ``ValueError`` naming it before any
-    draw: the conversion of the first would give infinite weights, and the
-    second has no range to convert with.
+    The net must pass :meth:`TransferPlan.devices` and ``ranges``, and no
+    layer's ``max - min`` may overflow (its transfers would be infinite):
+    each raises ``ValueError`` naming the layer before any draw.
     """
-    crossbars = [layer_to_crossbar(layer.weights, layer.bias) for layer in net.layers]
-    for k, crossbar in enumerate(crossbars, start=1):
-        lo, hi = float(crossbar.min()), float(crossbar.max())
-        if lo == hi == 0.0:
-            raise ValueError(f"layer {k} of {len(crossbars)}: cannot snapshot an all-zero "
-                             f"weight matrix")
-        if not math.isfinite(hi - lo):
-            raise ValueError(f"layer {k} of {len(crossbars)}: the weight range "
-                             f"[{lo:g}, {hi:g}] overflows: max - min is not finite")
-    shapes = [crossbar.shape for crossbar in crossbars]
-    if shapes != [layout.weight_shape for layout in plan.layouts]:
-        raise ValueError(f"crossbar shapes {shapes} do not match the layouts")
-    phi = np.concatenate([crossbar.ravel() for crossbar in crossbars])
-    ends = np.cumsum([crossbar.size for crossbar in crossbars])
+    phi = plan.devices(layer_to_crossbar(layer.weights, layer.bias) for layer in net.layers)
+    lo, hi, _, span = plan.ranges(phi)
+    for k in range(span.size):
+        if not math.isfinite(span[k]):
+            raise ValueError(f"layer {k + 1} of {span.size}: the weight range "
+                             f"[{lo[k]:g}, {hi[k]:g}] overflows: max - min is not finite")
     total = 0  # the first job's counts replace it with an int64 array
     for g in range(-(-transfers // group)):
         starts = range(g * group, min((g + 1) * group, transfers), per_stream)
-        draws = [plan.draw(min(per_stream, transfers - t), _transfer_rng(seed, tag, t // per_stream))
+        draws = [plan.draw(min(per_stream, transfers - t), _stream(seed, tag, t // per_stream))
                  for t in starts]
         phi_prime = plan.apply_devices(phi, TransferNoise.concatenate(draws))[0]
-        stacks = [phi_prime[:, stop - math.prod(shape):stop].reshape(-1, *shape)
-                  for stop, shape in zip(ends, shapes)]
-        total += tally([(stack[:, :-1], stack[:, -1:]) for stack in stacks])
+        total += tally([(stack[:, :-1], stack[:, -1:]) for stack in plan.matrices(phi_prime)])
     return total
 
 
@@ -427,8 +412,9 @@ class GridSpec:
             raise ValueError("heatmap.extent must have x_min < x_max and y_min < y_max with "
                              "finite widths, got "
                              f"{[self.x_min, self.x_max, self.y_min, self.y_max]}")
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError("grid resolution must be positive")
+        for key in ("nx", "ny"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"heatmap.{key} must be >= 1, got {getattr(self, key)}")
 
     def centers(self) -> tuple[np.ndarray, np.ndarray]:
         xs = self.x_min + (np.arange(self.nx) + 0.5) * (self.x_max - self.x_min) / self.nx
@@ -566,9 +552,6 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be >= 1, got {value}")
         if self.model_seed < 0:
             raise ValueError(f"model_seed must be >= 0, got {self.model_seed}")
-        if self.training.architecture[0] != 2:
-            raise ValueError(f"architecture must start with 2, the half-moons input, "
-                             f"got {list(self.training.architecture)}")
         if not 0 <= self.noise_std < math.inf:
             raise ValueError(f"dataset.noise_std must be finite and >= 0, got {self.noise_std}")
         if self.grid.nx * self.grid.ny > MAX_GRID_POINTS:
@@ -646,9 +629,12 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 
 def experiment_dataset(config: ExperimentConfig) -> tuple[LabeledSet, LabeledSet]:
-    total = config.n_train + config.n_test
-    seed = np.random.SeedSequence([config.training.seed, _STREAM_DATASET])
-    full = make_half_moons(total, noise_std=config.noise_std, seed=seed)
+    # A finite noise_std can still scale a point past the largest double.
+    with np.errstate(over="ignore"):
+        full = make_half_moons(config.n_train + config.n_test, noise_std=config.noise_std,
+                               seed=_stream(config.training.seed, _STREAM_DATASET))
+    if not np.isfinite(full.points).all():
+        raise ValueError(f"dataset.noise_std must leave the points finite, got {config.noise_std}")
     return full.split(config.n_train)
 
 
@@ -778,9 +764,9 @@ def run_experiment(config, out_dir, config_doc: dict | None = None) -> list[Path
     if not isinstance(config, ExperimentConfig):
         config_doc, config = read_config(config)
     model = config.resolve_model()
+    train_set, test_set = experiment_dataset(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train_set, test_set = experiment_dataset(config)
     layouts = layouts_for_architecture(config.training.architecture, *config.training.tile)
     nn._expit()  # load scipy once, before the fork and outside the timed stages
     results, child_rss = _run_pipelines(config, model, train_set, test_set, layouts)

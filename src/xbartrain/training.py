@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn
-from .transfer import TileLayout, TransferPlan, layouts_for_architecture
+from .transfer import TileLayout, TransferPlan, layer_to_crossbar, layouts_for_architecture
 from .variability import (
     BiasDisturbanceDb,
     LinearStdModel,
@@ -63,8 +63,8 @@ class TrainingDiverged(RuntimeError):
     transferred parameters or outputs, or in the parameters it ends with."""
 
 
-def _stream(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), tag]))
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([int(seed), *key]))
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,9 @@ class TrainingConfig:
         # One sigmoid output: the loss is binary cross-entropy.
         if len(arch) < 2 or min(arch) < 1 or arch[-1] != 1:
             raise ValueError(f"architecture must be positive sizes ending in 1, got {list(arch)}")
+        if arch[0] != 2:
+            raise ValueError(f"architecture must start with 2, the half-moons input, "
+                             f"got {list(arch)}")
         object.__setattr__(self, "tile", tuple(int(s) for s in self.tile))
         if len(self.tile) != 2 or min(self.tile) < 1:
             raise ValueError(f"tile must be two positive sizes (rows, cols), got {list(self.tile)}")
@@ -189,9 +192,8 @@ def sample_epsilon(
     step, net, noisy, loss)`` as ``noisy``, where the buffers are reused
     every step, so a hook that keeps one must copy it."""
     plan = TransferPlan(layouts, model, x, y)
-    if len(net.layers) != len(plan.layouts):
-        raise ValueError(f"{len(net.layers)} layers but {len(plan.layouts)} layouts")
-    params = EffectiveParams(net.sizes, nn.flatten((l.weights, l.bias) for l in net.layers))
+    params = EffectiveParams(net.sizes, plan.devices(layer_to_crossbar(l.weights, l.bias)
+                                                     for l in net.layers))
     params.transfer(plan, plan.draw(1, rng))
     return params
 

@@ -277,12 +277,17 @@ class TransferPlan:
     :func:`_transfer`, is elementwise per device given its layout's
     snapshot values, which are broadcast per device, and vectorized over
     transfers.  :meth:`apply` does the same for a list of crossbar matrices
-    and returns one :class:`TransferOutcome` per matrix; the Monte-Carlo
-    counts draw several streams and apply their stacked draws to a net's
-    crossbar matrices at once, and :func:`simulate_transfer` transfers one
-    matrix.  Training keeps its parameters ``AdamState.params`` in this
-    device order (see :func:`xbartrain.nn.flatten`) and passes them to
-    :meth:`apply_devices` as they are.
+    and returns one :class:`TransferOutcome` per matrix.  Training passes
+    its parameters ``AdamState.params``, kept in this order (see
+    :func:`xbartrain.nn.flatten`), to :meth:`apply_devices` as they are.
+
+    The plan owns the rules that every path transferring a net shares:
+    :meth:`devices` (crossbar matrices to the device vector) for
+    :meth:`apply`, ``experiments._count_transfers`` and
+    ``training.sample_epsilon``; :meth:`matrices` (per-layout views) for
+    :meth:`apply` and ``_count_transfers``; and :meth:`ranges` (each
+    layout's weight range, or the error naming one that cannot be
+    converted) for :meth:`apply_devices` and ``_count_transfers``.
 
     Stream contract: :meth:`draw` draws layout by layout.  For each layout
     it draws the stuck uniforms, HRS values and LRS values of the plus then
@@ -317,11 +322,10 @@ class TransferPlan:
         self._offsets = np.concatenate([[plus.offsets, minus.offsets]
                                         for plus, minus in self._bias], axis=1)[:, None]
         sizes = [math.prod(layout.weight_shape) for layout in self.layouts]
-        # Where each layout's devices start and end in the device order, and
-        # for every device the positions of its layout's (min, max - min,
-        # max-abs) in apply_devices' flattened (4, layouts) snapshot array.
-        self._starts = np.cumsum([0, *sizes])
-        self._spans = list(zip(self._starts[:-1].tolist(), self._starts[1:].tolist()))
+        # Where each layout's devices start (and the last ends) in the device
+        # order, and for every device the positions of its layout's (min,
+        # max - min, max-abs) in the flattened (4, layouts) array of ranges.
+        self._starts = np.cumsum([0, *sizes]).tolist()
         self._per_device = (np.array([0, 3, 2])[:, None] * len(sizes)
                             + np.repeat(np.arange(len(sizes)), sizes))
 
@@ -332,13 +336,13 @@ class TransferPlan:
         ``u < x`` and in LRS otherwise.  ``stuck_values`` stays zero where
         no component is stuck; a sampler with nothing to draw is not called.
         """
-        devices = self._spans[-1][1]
+        devices = self._starts[-1]
         stuck = np.empty((2, n, devices), dtype=bool)
         values = np.zeros((2, n, devices))
         normals = np.empty((2, 2, n, devices))
         picks = np.empty((2, n, devices), dtype=np.int64)
         stuck_model = self.model.stuck_model
-        for k, (start, stop) in enumerate(self._spans):
+        for k, (start, stop) in enumerate(zip(self._starts[:-1], self._starts[1:])):
             shape = (n, stop - start)
             for pol in range(2):
                 u = rng.random(shape)
@@ -359,17 +363,26 @@ class TransferPlan:
         picks += self._offsets
         return TransferNoise(stuck, values, normals, self._flat[picks])
 
-    def apply_devices(self, phi, noise: TransferNoise):
-        """The transfers that ``noise`` draws, applied to the flat device
-        vector ``phi`` of every layout.
+    def devices(self, crossbars) -> np.ndarray:
+        """The device vector of the crossbar matrices, one per layout."""
+        crossbars = [np.asarray(phi, dtype=float) for phi in crossbars]
+        shapes = [phi.shape for phi in crossbars]
+        expected = [layout.weight_shape for layout in self.layouts]
+        if shapes != expected:
+            raise ValueError(f"crossbar shapes {shapes} do not match the layouts {expected}")
+        return np.concatenate([phi.ravel() for phi in crossbars])
 
-        Returns ``(phi_prime, stuck_mask, ranges)``: ``(n, devices)``
-        arrays in the order of ``phi``, and the ``(3, layouts)`` array of
-        each layout's snapshot values (min, max, max-abs) that the
-        conversion used.  A layout whose matrix cannot be snapshot raises
-        the error of :meth:`WeightRangeSnapshot.of_matrix`.
-        """
-        phi = np.asarray(phi, dtype=float)
+    def matrices(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each layout's ``(n, rows, cols)`` view of an ``(n, devices)`` array."""
+        return [flat[:, start:stop].reshape(-1, *layout.weight_shape)
+                for start, stop, layout in zip(self._starts, self._starts[1:], self.layouts)]
+
+    def ranges(self, phi: np.ndarray) -> np.ndarray:
+        """The ``(4, layouts)`` min, max, max-abs and ``max - min`` of each
+        layout in the device vector ``phi``.  A layout that is all zero or
+        not finite has no range to convert with and raises ``ValueError``
+        as ``layer K of N``; a finite one whose ``max - min`` overflows
+        gets an infinite span, and so an infinite transfer."""
         if phi.shape != self._per_device.shape[1:]:
             raise ValueError(f"phi shape {phi.shape} does not match the "
                              f"{self._per_device.shape[1]} devices of the layouts")
@@ -378,13 +391,21 @@ class TransferPlan:
         np.minimum.reduceat(phi, self._starts[:-1], out=lo)
         np.maximum.reduceat(phi, self._starts[:-1], out=hi)
         np.maximum(-lo, hi, out=absmax)  # = max(|lo|, |hi|) as lo <= hi
-        if not 0.0 < absmax.min() < math.inf:
-            for segment in np.split(phi, self._starts[1:-1]):
-                WeightRangeSnapshot.of_matrix(segment)
-        # Overflows only where a per-matrix snapshot's float subtraction
-        # gives inf, which the effective weights then report.
+        for k, value in enumerate(absmax.tolist(), start=1):
+            if not 0.0 < value < math.inf:
+                kind = "an all-zero" if value == 0.0 else "a non-finite"
+                raise ValueError(f"layer {k} of {lo.size}: cannot snapshot {kind} weight matrix")
         with np.errstate(over="ignore"):
             np.subtract(hi, lo, out=span)
+        return ranges
+
+    def apply_devices(self, phi, noise: TransferNoise):
+        """The transfers that ``noise`` draws, applied to the flat device
+        vector ``phi`` of every layout: ``(phi_prime, stuck_mask,
+        ranges)``, the first two ``(n, devices)`` arrays in the order of
+        ``phi``, the last the first three rows of :meth:`ranges`."""
+        phi = np.asarray(phi, dtype=float)
+        ranges = self.ranges(phi)
         lo, span, absmax = ranges.take(self._per_device)
         phi_prime = _transfer(phi, lo, span, absmax, noise, self.model)
         return phi_prime, noise.stuck[0] | noise.stuck[1], ranges[:3]
@@ -393,18 +414,9 @@ class TransferPlan:
         """The transfers of the crossbar matrices ``crossbars``, one per
         layout, that ``noise`` draws: one :class:`TransferOutcome` of
         ``(n, rows, cols)`` arrays per matrix, with its snapshot."""
-        crossbars = [np.asarray(phi, dtype=float) for phi in crossbars]
-        shapes = [phi.shape for phi in crossbars]
-        if shapes != [layout.weight_shape for layout in self.layouts]:
-            raise ValueError(f"crossbar shapes {shapes} do not match the layouts "
-                             f"{[layout.weight_shape for layout in self.layouts]}")
-        phi_prime, stuck, ranges = self.apply_devices(
-            np.concatenate([phi.ravel() for phi in crossbars]), noise)
-        n = phi_prime.shape[0]
-        return [TransferOutcome(phi_prime[:, start:stop].reshape(n, *shape),
-                                stuck[:, start:stop].reshape(n, *shape),
-                                WeightRangeSnapshot(*map(float, ranges[:, k])))
-                for k, ((start, stop), shape) in enumerate(zip(self._spans, shapes))]
+        phi_prime, stuck, ranges = self.apply_devices(self.devices(crossbars), noise)
+        return [TransferOutcome(w, mask, WeightRangeSnapshot(*map(float, snap)))
+                for w, mask, snap in zip(self.matrices(phi_prime), self.matrices(stuck), ranges.T)]
 
 
 def simulate_transfer(

@@ -208,7 +208,7 @@ class TestRun:
 
 class TestErrorPaths:
     @pytest.mark.parametrize("change, message", [
-        (zero_output_layer, "cannot snapshot an all-zero weight matrix"),
+        (zero_output_layer, "layer 2 of 2: cannot snapshot an all-zero weight matrix"),
         (overflowing_first_layer,
          "training diverged: the transferred parameters of layer 1 of 2 are not finite"),
     ], ids=["all_zero", "non_finite"])
@@ -440,15 +440,36 @@ class TestErrorPaths:
         ({"heatmap": {"nx": 100000, "ny": 100000}}, "heatmap.nx * heatmap.ny"),
         ({"heatmap": {"extent": [-1.5, math.inf, -1.0, 1.5]}}, "heatmap.extent"),
         ({"heatmap": {"extent": [-1e308, 1e308, -1.0, 1.5]}}, "heatmap.extent"),
+        pytest.param({"heatmap": {"nx": 0}},
+                     "config file {path}: heatmap.nx must be >= 1, got 0\n", id="nx-zero"),
+        pytest.param({"heatmap": {"ny": -3}},
+                     "config file {path}: heatmap.ny must be >= 1, got -3\n", id="ny-negative"),
     ])
     def test_invalid_value_exits_2_before_training(self, tmp_path, capsys, trained, update, key):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(dict(TINY_CONFIG, **update)))
         rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert key in capsys.readouterr().err
+        assert key.format(path=path) in capsys.readouterr().err
         assert trained == []
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["train", "--regular"], ["run"]], ids=["train", "run"])
+    def test_noise_that_overflows_the_points_exits_2_before_training(self, tmp_path, command):
+        # 1e308 passes the reader, being finite and >= 0, but scales some
+        # normal draws past the largest double.  A fresh interpreter, whose
+        # warning registry has shown nothing yet.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, dataset={"noise_std": 1e308})))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "xbartrain.cli", *command, "--config", str(path),
+             "--out", str(out)], cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "default"})
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: dataset.noise_std must leave the points finite, "
+                               "got 1e+308\n")
+        assert not out.exists()
 
     def test_zero_transfers_override_exits_2_before_training(self, config_path, tmp_path, capsys,
                                                               trained):

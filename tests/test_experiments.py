@@ -22,7 +22,6 @@ from xbartrain.experiments import (
     _GridTiles,
     _margin,
     _predict_transferred,
-    _transfer_rng,
     evaluate_transfers,
     experiment_config_from_dict,
     experiment_dataset,
@@ -33,6 +32,7 @@ from xbartrain.experiments import (
     run_experiment,
     write_heatmap_csv,
 )
+from xbartrain.training import _stream
 from xbartrain.transfer import TransferPlan, layouts_for_architecture
 
 from conftest import crossbars, layer_stacks, reference_predict
@@ -108,7 +108,7 @@ class TestEvaluateTransfers:
         counts = np.zeros(len(test_set), dtype=np.int64)
         for k in range(-(-transfers // CHUNK)):
             n = min(CHUNK, transfers - k * CHUNK)
-            outcomes = plan.apply(crossbars(net), plan.draw(n, _transfer_rng(10, 100, k)))
+            outcomes = plan.apply(crossbars(net), plan.draw(n, _stream(10, 100, k)))
             counts += np.sum(reference_predict(layer_stacks(outcomes), test_set.points)
                              == test_set.labels, axis=0)
         report = evaluate_transfers(net, synthetic_model, LAYOUTS, 0.01, 0.01, test_set,
@@ -164,6 +164,19 @@ class TestOverflowingRange:
         net = symmetric_net()
         net.layers[1].weights[:] = 0.0  # its bias is zero too
         with pytest.raises(ValueError, match="^layer 2 of 2: cannot snapshot an all-zero "
+                                             "weight matrix$"):
+            if count == "evaluate":
+                evaluate_transfers(net, synthetic_model, LAYOUTS, 0.005, 0.005,
+                                   make_half_moons(10, seed=23), 40, seed=0)
+            else:
+                heatmap(net, synthetic_model, LAYOUTS, 0.005, 0.005, GridSpec(nx=4, ny=3),
+                        repetitions=20, seed=0)
+
+    @pytest.mark.parametrize("count", ["evaluate", "heatmap"])
+    def test_non_finite_layer_is_named_before_any_draw(self, synthetic_model, no_draws, count):
+        net = symmetric_net()
+        net.layers[0].weights[3, 1] = np.nan
+        with pytest.raises(ValueError, match="^layer 1 of 2: cannot snapshot a non-finite "
                                              "weight matrix$"):
             if count == "evaluate":
                 evaluate_transfers(net, synthetic_model, LAYOUTS, 0.005, 0.005,
@@ -470,7 +483,7 @@ class TestHeatmap:
         plan = TransferPlan(LAYOUTS, synthetic_model, 0.01, 0.01)
         ones = np.zeros(grid.nx * grid.ny, dtype=np.int64)
         for i in range(repetitions):
-            outcomes = plan.apply(crossbars(net), plan.draw(1, _transfer_rng(8, 101, i)))
+            outcomes = plan.apply(crossbars(net), plan.draw(1, _stream(8, 101, i)))
             ones += reference_predict(layer_stacks(outcomes), grid.points())[0]
         hm = heatmap(net, synthetic_model, LAYOUTS, 0.01, 0.01, grid,
                      repetitions=repetitions, seed=8, workers=workers)
@@ -607,6 +620,10 @@ class TestConfig:
         ({"architecture": [2, 8, 3]}, "architecture"),
         ({"architecture": [2, 0, 1]}, "architecture"),
         ({"heatmap": {"nx": 1001, "ny": 1000}}, r"heatmap\.nx \* heatmap\.ny"),
+        pytest.param({"heatmap": {"nx": 0}}, r"^config: heatmap\.nx must be >= 1, got 0$",
+                     id="nx-zero"),
+        pytest.param({"heatmap": {"ny": -1}}, r"^config: heatmap\.ny must be >= 1, got -1$",
+                     id="ny-negative"),
     ])
     def test_out_of_range_values_rejected(self, doc, key):
         with pytest.raises(ConfigError, match=key):

@@ -31,11 +31,11 @@ from xbartrain.experiments import (
     _margin,
     _predict_transferred,
     _sigmoid,
-    _transfer_rng,
     experiment_config_from_dict,
     heatmap,
     robustness_table,
 )
+from xbartrain.training import _stream
 from xbartrain.transfer import (
     TileLayout,
     TransferPlan,
@@ -455,7 +455,7 @@ class TestTiledHeatmap:
         layouts = layouts_for_architecture(sizes)
         plan = TransferPlan(layouts, synthetic_model, 0.01, 0.01)
         ones = sum(reference_predict(
-            layer_stacks(plan.apply(crossbars(net), plan.draw(1, _transfer_rng(seed, 101, i)))),
+            layer_stacks(plan.apply(crossbars(net), plan.draw(1, _stream(seed, 101, i)))),
             grid.points()
         )[0].astype(np.int64) for i in range(repetitions))
         hm = heatmap(net, synthetic_model, layouts, 0.01, 0.01, grid, repetitions, seed)

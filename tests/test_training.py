@@ -477,6 +477,12 @@ class TestErrorPaths:
             train_hardware_aware(TrainingConfig(epochs=1, batch_size=32), tiny_moons(),
                                  model=synthetic_model)
 
+    def test_input_width_other_than_two_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^architecture must start with 2, the half-moons "
+                                             r"input, got \[3, 8, 1\]$"):
+            train_regular(TrainingConfig(architecture=(3, 8, 1), epochs=1),
+                          make_half_moons(20, seed=0))
+
     @pytest.mark.parametrize("hardware_aware", [False, True], ids=["regular", "hardware_aware"])
     def test_infinite_final_parameters_raise(self, synthetic_model, hardware_aware):
         # The hook of the last step makes a weight infinite; Adam keeps it

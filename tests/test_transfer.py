@@ -451,6 +451,25 @@ class TestTransferPlan:
         noises = self.assert_layers_transfer_alone(plan, net, n, 21)
         assert all(noise.stuck.any() for noise in noises)
 
+    @pytest.mark.parametrize("arch", [[2, 8, 1], [2, 5, 3, 1]])
+    @pytest.mark.parametrize("n", [1, 32])
+    def test_device_views_are_the_outcomes(self, synthetic_model, n, arch):
+        # The device vector is the net's parameters in crossbar order, and
+        # each layout's view of apply_devices' result is apply's outcome.
+        net = nn.DenseNet.init(arch, np.random.default_rng(26))
+        plan = TransferPlan(layouts_for_architecture(arch), synthetic_model, 0.05, 0.05)
+        noise = plan.draw(n, np.random.default_rng(27))
+        phi = plan.devices(crossbars(net))
+        assert np.array_equal(phi, nn.flatten((l.weights, l.bias) for l in net.layers))
+        phi_prime, stuck, ranges = plan.apply_devices(phi, noise)
+        outcomes = plan.apply(crossbars(net), noise)
+        views = zip(plan.matrices(phi_prime), plan.matrices(stuck), ranges.T, outcomes)
+        for view, mask, snapshot, outcome in views:
+            assert view.shape == outcome.phi_prime.shape == (n, *outcome.phi_prime.shape[1:])
+            assert view.tobytes() == outcome.phi_prime.tobytes()
+            assert mask.tobytes() == outcome.stuck_mask.tobytes()
+            assert WeightRangeSnapshot(*snapshot) == outcome.snapshot
+
     @pytest.mark.parametrize("x, seed, clean", [(0.01, 0, [False, True]),
                                                 (0.01, 1, [True, False]),
                                                 (0.0, 23, [True, True])])

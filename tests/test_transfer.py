@@ -463,9 +463,10 @@ class TestTransferPlan:
         assert np.array_equal(phi, nn.flatten((l.weights, l.bias) for l in net.layers))
         phi_prime, stuck, ranges = plan.apply_devices(phi, noise)
         outcomes = plan.apply(crossbars(net), noise)
-        views = zip(plan.matrices(phi_prime), plan.matrices(stuck), ranges.T, outcomes)
-        for view, mask, snapshot, outcome in views:
-            assert view.shape == outcome.phi_prime.shape == (n, *outcome.phi_prime.shape[1:])
+        views = zip(plan.layouts, plan.matrices(phi_prime), plan.matrices(stuck), ranges.T,
+                    outcomes)
+        for layout, view, mask, snapshot, outcome in views:
+            assert view.shape == outcome.phi_prime.shape == (n, *layout.weight_shape)
             assert view.tobytes() == outcome.phi_prime.tobytes()
             assert mask.tobytes() == outcome.stuck_mask.tobytes()
             assert WeightRangeSnapshot(*snapshot) == outcome.snapshot

@@ -42,14 +42,13 @@ from .variability import (
 )
 
 
-def _add_common(parser: argparse.ArgumentParser, *, transfers=True, threads=True):
+def _add_common(parser: argparse.ArgumentParser, *, evaluates=True):
     parser.add_argument("--config", type=Path, required=True, help="experiment config JSON")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    if transfers:
+    parser.add_argument("--out", type=Path, required=True, help="output directory")
+    if evaluates:
         parser.add_argument("--transfers", type=int, default=None,
                             help="override the number of simulated transfers")
-    parser.add_argument("--out", type=Path, required=True, help="output directory")
-    if threads:
         parser.add_argument("--threads", type=int, default=None,
                             help="run: at 2 or more (the default), the regular network's "
                                  "pipeline runs in a second process beside the HA one; "
@@ -211,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--hardware-aware", action="store_true")
     group.add_argument("--regular", action="store_true")
-    _add_common(p, transfers=False, threads=False)
+    _add_common(p, evaluates=False)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="robustness report for a trained checkpoint")

@@ -19,6 +19,8 @@ class LabeledSet:
         labels = np.asarray(self.labels, dtype=int)
         if points.ndim != 2 or points.shape[1] != 2:
             raise ValueError(f"points must be (n, 2), got {points.shape}")
+        if not np.isfinite(points).all():
+            raise ValueError("points must be finite")
         if labels.shape != (points.shape[0],):
             raise ValueError("labels length must match points")
         if not np.all((labels == 0) | (labels == 1)):
@@ -47,8 +49,8 @@ def make_half_moons(n: int, noise_std: float = 0.1, seed: int = 0) -> LabeledSet
     """
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
-    if noise_std < 0:
-        raise ValueError(f"noise_std must be >= 0, got {noise_std}")
+    if not 0 <= noise_std < np.inf:
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     rng = np.random.default_rng(seed)
     n0 = n - n // 2
     n1 = n // 2

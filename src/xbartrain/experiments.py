@@ -356,31 +356,23 @@ class RobustnessBin:
     percent: float
 
 
-def robustness_table(
-    report: RobustnessReport, bin_edges=DEFAULT_BIN_EDGES
-) -> list[RobustnessBin]:
-    """Bin test points by correct-percentage across transfers.
+def robustness_table(report: RobustnessReport) -> list[RobustnessBin]:
+    """Bin test points by correct-percentage across transfers, at the
+    :data:`DEFAULT_BIN_EDGES`.
 
-    The top edge is an exact bin (points every transfer classified
+    The top edge, 100, is an exact bin (points every transfer classified
     correctly); interior bins are half-open [low, high); everything below
-    the last edge lands in a final "<edge" bin.  Counts always sum to the
-    test-set size, because the top edge is at least 100.
+    the last edge lands in a final "<edge" bin, so the counts sum to the
+    test-set size.
     """
-    edges = [float(e) for e in bin_edges]
-    if not (edges and edges[0] >= 100.0 and all(hi > lo for hi, lo in zip(edges, edges[1:]))):
-        raise ValueError(f"bin edges must be strictly decreasing from at least 100, got {bin_edges}")
+    edges = DEFAULT_BIN_EDGES
     pct = report.counts * 100.0 / report.transfers
-    bins = [RobustnessBin(_fmt_edge(edges[0]), int(np.sum(pct == edges[0])), 0.0)]
-    for hi, lo in zip(edges[:-1], edges[1:]):
-        label = f"{_fmt_edge(lo)}<=x<{_fmt_edge(hi)}"
-        bins.append(RobustnessBin(label, int(np.sum((pct >= lo) & (pct < hi))), 0.0))
-    bins.append(RobustnessBin(f"x<{_fmt_edge(edges[-1])}", int(np.sum(pct < edges[-1])), 0.0))
+    bins = [(f"{edges[0]:g}", pct == edges[0])]
+    bins += [(f"{lo:g}<=x<{hi:g}", (pct >= lo) & (pct < hi)) for hi, lo in zip(edges, edges[1:])]
+    bins.append((f"x<{edges[-1]:g}", pct < edges[-1]))
     n = len(report.counts)
-    return [RobustnessBin(b.label, b.count, 100.0 * b.count / n) for b in bins]
-
-
-def _fmt_edge(edge: float) -> str:
-    return f"{edge:g}"
+    counts = [(label, int(np.count_nonzero(mask))) for label, mask in bins]
+    return [RobustnessBin(label, count, 100.0 * count / n) for label, count in counts]
 
 
 def robustness_curve(report: RobustnessReport) -> tuple[np.ndarray, np.ndarray]:
@@ -396,29 +388,30 @@ def robustness_curve(report: RobustnessReport) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Cell-centered evaluation grid over the data space."""
+    """Cell-centered evaluation grid over the data space: ``nx`` by ``ny``
+    cells over ``extent``, the rectangle ``(x_min, x_max, y_min, y_max)``,
+    kept as a tuple."""
 
-    x_min: float = -1.5
-    x_max: float = 2.5
-    y_min: float = -1.0
-    y_max: float = 1.5
+    extent: tuple[float, float, float, float] = (-1.5, 2.5, -1.0, 1.5)
     nx: int = 200
     ny: int = 200
 
     def __post_init__(self):
+        extent = tuple(self.extent)
         # lo < hi with a finite hi - lo holds only for finite lo and hi.
-        if not all(lo < hi and math.isfinite(hi - lo)
-                   for lo, hi in ((self.x_min, self.x_max), (self.y_min, self.y_max))):
-            raise ValueError("heatmap.extent must have x_min < x_max and y_min < y_max with "
-                             "finite widths, got "
-                             f"{[self.x_min, self.x_max, self.y_min, self.y_max]}")
+        if len(extent) != 4 or not all(lo < hi and math.isfinite(hi - lo)
+                                       for lo, hi in (extent[:2], extent[2:])):
+            raise ValueError("heatmap.extent must hold 4 numbers with x_min < x_max and "
+                             f"y_min < y_max and finite widths, got {list(extent)}")
+        object.__setattr__(self, "extent", extent)
         for key in ("nx", "ny"):
             if getattr(self, key) < 1:
                 raise ValueError(f"heatmap.{key} must be >= 1, got {getattr(self, key)}")
 
     def centers(self) -> tuple[np.ndarray, np.ndarray]:
-        xs = self.x_min + (np.arange(self.nx) + 0.5) * (self.x_max - self.x_min) / self.nx
-        ys = self.y_min + (np.arange(self.ny) + 0.5) * (self.y_max - self.y_min) / self.ny
+        x_min, x_max, y_min, y_max = self.extent
+        xs = x_min + (np.arange(self.nx) + 0.5) * (x_max - x_min) / self.nx
+        ys = y_min + (np.arange(self.ny) + 0.5) * (y_max - y_min) / self.ny
         return xs, ys
 
     def points(self) -> np.ndarray:
@@ -430,7 +423,6 @@ class GridSpec:
 @dataclass(frozen=True)
 class HeatmapGrid:
     grid: GridSpec
-    repetitions: int
     mean: np.ndarray  # (ny, nx), mean of binary classifications
 
     @property
@@ -518,8 +510,7 @@ def heatmap(
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     ones = _count_transfers(TransferPlan(layouts, model, x, y), net, _GridTiles(grid).count_ones,
                             repetitions, seed, _STREAM_HEATMAP, 1, HEATMAP_GROUP)
-    return HeatmapGrid(grid=grid, repetitions=repetitions,
-                       mean=(ones / repetitions).reshape(grid.ny, grid.nx))
+    return HeatmapGrid(grid=grid, mean=(ones / repetitions).reshape(grid.ny, grid.nx))
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +581,7 @@ _DATASET = {
     "noise_std": ("noise_std", fields.real),
 }
 _GRID = {
-    "extent": (("x_min", "x_max", "y_min", "y_max"), fields.list_of(fields.real)),
+    "extent": ("extent", fields.list_of(fields.real)),
     "nx": ("nx", fields.integer),
     "ny": ("ny", fields.integer),
 }
@@ -629,12 +620,14 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 
 def experiment_dataset(config: ExperimentConfig) -> tuple[LabeledSet, LabeledSet]:
-    # A finite noise_std can still scale a point past the largest double.
-    with np.errstate(over="ignore"):
-        full = make_half_moons(config.n_train + config.n_test, noise_std=config.noise_std,
-                               seed=_stream(config.training.seed, _STREAM_DATASET))
-    if not np.isfinite(full.points).all():
-        raise ValueError(f"dataset.noise_std must leave the points finite, got {config.noise_std}")
+    # A finite noise_std can still overflow a point, which LabeledSet rejects.
+    try:
+        with np.errstate(over="ignore"):
+            full = make_half_moons(config.n_train + config.n_test, noise_std=config.noise_std,
+                                   seed=_stream(config.training.seed, _STREAM_DATASET))
+    except ValueError:
+        raise ValueError(f"dataset.noise_std must leave the points finite, "
+                         f"got {config.noise_std}") from None
     return full.split(config.n_train)
 
 
@@ -676,17 +669,16 @@ def write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _timed(stage: str, fn, *args, rate: tuple[int, str] | None = None,
-           lines: list[str] | None = None, **kwargs):
-    """``fn(*args, **kwargs)``, with its wall time printed to stderr as
-    ``stage: T s``, or appended to ``lines`` when given; ``rate = (count,
-    unit)`` appends ``, R unit/s``.  Wall times stay out of the artifacts,
-    which reruns must reproduce byte for byte."""
+def _timed(stage: str, fn, *args, rate: tuple[int, str], lines: list[str] | None = None,
+           **kwargs):
+    """``fn(*args, **kwargs)``, with its wall time and ``rate = (count,
+    unit)`` per second printed to stderr as ``stage: T s, R unit/s``, or
+    appended to ``lines`` when given.  Wall times stay out of the
+    artifacts, which reruns must reproduce byte for byte."""
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     elapsed = time.perf_counter() - start
-    per_s = f", {rate[0] / elapsed:.0f} {rate[1]}/s" if rate else ""
-    line = f"{stage}: {elapsed:.2f} s{per_s}"
+    line = f"{stage}: {elapsed:.2f} s, {rate[0] / elapsed:.0f} {rate[1]}/s"
     if lines is None:
         print(line, file=sys.stderr)
     else:

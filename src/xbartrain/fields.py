@@ -80,10 +80,10 @@ def list_of(convert):
 def section(doc, *tables, required: bool = False) -> list[dict]:
     """Per table, the dataclass keyword arguments of the keys ``doc`` sets.
 
-    A table maps a key to ``(field, conversion)``, or to ``(fields,
-    conversion)`` with one converted value per field.  ``doc`` may hold only
-    the tables' keys, and with ``required`` must hold them all.  Errors are
-    prefixed with the key, so nested ``section`` reads name the whole path.
+    A table maps a key to ``(field, conversion)``: the field is set to the
+    converted value.  ``doc`` may hold only the tables' keys, and with
+    ``required`` must hold them all.  Errors are prefixed with the key, so
+    nested ``section`` reads name the whole path.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object, got {doc!r}")
@@ -99,13 +99,7 @@ def section(doc, *tables, required: bool = False) -> list[dict]:
                     raise ValueError(f"missing key {key!r}")
                 continue
             try:
-                value = convert(doc[key])
-                if not isinstance(name, tuple):
-                    kwargs[name] = value
-                elif len(value) == len(name):
-                    kwargs.update(zip(name, value))
-                else:
-                    raise ValueError(f"expected {len(name)} values, got {len(value)}")
+                kwargs[name] = convert(doc[key])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{key}: {exc}") from exc
         keywords.append(kwargs)

@@ -33,6 +33,11 @@ __all__ = [
 
 BCE_CLAMP = 1e-7
 
+# Adam's decay rates and denominator guard; both trainings use these.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @functools.cache
 def _expit():
@@ -198,9 +203,6 @@ class AdamState:
     """
 
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -209,8 +211,8 @@ class AdamState:
     @classmethod
     def for_net(cls, net: DenseNet, **hyperparameters) -> "AdamState":
         """Zeroed accumulators for ``net``, whose parameter arrays become
-        views into the state's ``params``; unset hyperparameters keep their
-        defaults."""
+        views into the state's ``params``; ``lr`` is the one
+        hyperparameter, and keeps its default when unset."""
         state = cls(**hyperparameters)
         state._adopt(net)
         state.m = np.zeros_like(state.params)
@@ -228,14 +230,14 @@ class AdamState:
         """One in-place Adam update of ``params`` by the flat gradient ``g``."""
         self.step += 1
         t = self.step
-        c1 = 1.0 - self.beta1**t
-        c2 = 1.0 - self.beta2**t
+        c1 = 1.0 - ADAM_BETA1**t
+        c2 = 1.0 - ADAM_BETA2**t
         m, v = self.m, self.v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        self.params -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        self.params -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def adam_step(net: DenseNet, grads, state: AdamState) -> DenseNet:

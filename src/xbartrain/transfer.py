@@ -192,7 +192,7 @@ def perturb_conductance(g, n_d, model: "VariabilityModel", rng: np.random.Genera
             f"target conductances must lie within [{model.range.g_min}, {model.range.g_max}] uS"
         )
     normals = rng.standard_normal((2, *g.shape))
-    return _perturb(g, normals[0], normals[1], model.bias_db.lookup(n_d).sample(rng)[0], model)
+    return _perturb(g, normals[0], normals[1], model.bias_db.sample_matrix(n_d, rng), model)
 
 
 def _perturb(g, tuning, offset, disturbance, model: "VariabilityModel"):
@@ -264,10 +264,9 @@ class TransferNoise(NamedTuple):
 class TransferPlan:
     """The transfer pipeline for a fixed set of crossbars, ready to sample.
 
-    Built once per ``(layouts, model, x, y)``: the stuck fractions and the
-    finiteness of the model are checked and every layout's n_d matrices are
-    resolved against the bias database here, so sampling repeats none of
-    that.
+    Built once per ``(layouts, model, x, y)``: the stuck fractions are
+    checked and every layout's n_d matrices are resolved against the bias
+    database here, so sampling repeats neither.
 
     Devices are numbered in one flat order: each layout's crossbar matrix
     row-major (the bias row of a dense layer last), layout after layout.
@@ -302,25 +301,23 @@ class TransferPlan:
     """
 
     def __init__(self, layouts, model: "VariabilityModel", x: float, y: float):
-        if x < 0 or y < 0:
+        # Written so that a NaN fails them too.
+        if not (x >= 0 and y >= 0):
             raise ValueError(f"stuck fractions must be >= 0, got x={x}, y={y}")
-        if x + y > 1:
+        if not x + y <= 1:
             raise ValueError(f"stuck fractions must satisfy x + y <= 1, got x={x}, y={y}")
-        model.check_finite()
         self.layouts = tuple(layouts)
         self.model = model
         self.x = x
         self.y = y
-        self._bias = [
-            (model.bias_db.lookup(layout.nd_plus.ravel()),
-             model.bias_db.lookup(layout.nd_minus.ravel()))
-            for layout in self.layouts
-        ]
+        lookups = [(model.bias_db.lookup(layout.nd_plus.ravel()),
+                    model.bias_db.lookup(layout.nd_minus.ravel())) for layout in self.layouts]
+        self._bounds = [(plus.bounds, minus.bounds) for plus, minus in lookups]
         # The table every lookup gathers from, and each device's row offset
         # into it, plus then minus: draw gathers every disturbance at once.
-        self._flat = self._bias[0][0].flat
+        self._flat = lookups[0][0].flat
         self._offsets = np.concatenate([[plus.offsets, minus.offsets]
-                                        for plus, minus in self._bias], axis=1)[:, None]
+                                        for plus, minus in lookups], axis=1)[:, None]
         sizes = [math.prod(layout.weight_shape) for layout in self.layouts]
         # Where each layout's devices start (and the last ends) in the device
         # order, and for every device the positions of its layout's (min,
@@ -357,9 +354,9 @@ class TransferPlan:
                     if count > n_hrs:
                         layout_values[layout_stuck ^ hrs] = stuck_model.sample_lrs(
                             rng, size=count - n_hrs)
-            for pol, bias in enumerate(self._bias[k]):
+            for pol, bounds in enumerate(self._bounds[k]):
                 normals[pol, :, :, start:stop] = rng.standard_normal((2, *shape))
-                picks[pol, :, start:stop] = rng.integers(0, bias.bounds, size=shape)
+                picks[pol, :, start:stop] = rng.integers(0, bounds, size=shape)
         picks += self._offsets
         return TransferNoise(stuck, values, normals, self._flat[picks])
 

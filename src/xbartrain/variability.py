@@ -170,10 +170,10 @@ class BiasDisturbanceDb:
             vals = tuple(float(v) for v in values)
             if not vals:
                 raise ValueError(f"empty disturbance list for n_d={k}")
-            if any(abs(v) > BIAS_DISTURBANCE_CAP_US for v in vals):
-                raise ValueError(
-                    f"disturbance beyond +/-{BIAS_DISTURBANCE_CAP_US} uS stored for n_d={k}"
-                )
+            bad = [v for v in vals if not abs(v) <= BIAS_DISTURBANCE_CAP_US]  # NaN included
+            if bad:
+                raise ValueError(f"disturbance {bad[0]} stored for n_d={k} is not finite "
+                                 f"and within +/-{BIAS_DISTURBANCE_CAP_US} uS")
             clean[k] = vals
         if not clean:
             raise ValueError("bias disturbance database is empty")
@@ -204,7 +204,7 @@ class BiasDisturbanceDb:
         Entries with n_d == 0 are exactly zero (the last-programmed device
         sees no subsequent pulses).
         """
-        return self.lookup(n_d).sample(rng)[0]
+        return self.lookup(n_d).sample(rng)
 
     def lookup(self, n_d) -> "BiasLookup":
         """Validate an n_d matrix once and resolve the group each entry
@@ -236,11 +236,10 @@ class BiasLookup(NamedTuple):
     offsets: np.ndarray
     bounds: int | np.ndarray
 
-    def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-        """An ``(n, *shape)`` stack of ``n`` draws of one disturbance per
-        entry; it consumes ``rng`` exactly as ``n`` single draws."""
-        picks = rng.integers(0, self.bounds, size=(n, *self.offsets.shape))
-        return self.flat[self.offsets + picks]
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """One draw: a disturbance per entry, shaped like the n_d matrix,
+        its picks made by one ``rng.integers`` call."""
+        return self.flat[self.offsets + rng.integers(0, self.bounds, size=self.offsets.shape)]
 
 
 @dataclass(frozen=True)
@@ -299,10 +298,8 @@ class VariabilityModel:
                 f"LRS stuck conductances must exceed g_max={self.range.g_max} uS; "
                 f"got {min(bad)} uS"
             )
-
-    def check_finite(self) -> None:
-        """Raise ValueError naming the first non-finite parameter.  Sampling
-        assumes finite parameters and does not check its draws."""
+        # Sampling assumes finite parameters and does not check its draws;
+        # the bias database holds only finite values already.
         for section, (_, table) in _MODEL.items():
             for key, (name, _) in table.items():
                 value = getattr(getattr(self, section), name)
@@ -311,8 +308,6 @@ class VariabilityModel:
                     first = next(i for i, v in enumerate(values) if not math.isfinite(v))
                     index = f"[{first}]" if isinstance(value, tuple) else ""
                     raise ValueError(f"{section}.{key}{index} must be finite, got {values[first]}")
-        if not np.isfinite(self.bias_db._table).all():
-            raise ValueError("bias_db disturbances must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +499,8 @@ def build_bias_db(records) -> BiasDisturbanceDb:
 # ---------------------------------------------------------------------------
 
 # Model-file sections but bias_db: section -> (dataclass, key -> (field,
-# conversion)).  Drives load_model, save_model and check_finite's names.
+# conversion)).  Drives load_model, save_model and the names of
+# VariabilityModel's finiteness errors.
 _REAL = fields.real
 _MODEL = {
     "range": (ConductanceRange, {"g_min": ("g_min", _REAL), "g_max": ("g_max", _REAL)}),
@@ -553,7 +549,6 @@ def load_model(path) -> VariabilityModel:
     try:
         (parts,) = fields.section(doc, table, required=True)
         model = VariabilityModel(**parts)
-        model.check_finite()
     except ValueError as exc:
         raise ModelFormatError(f"model file {path}: {exc}") from exc
     return model

@@ -47,6 +47,9 @@ class TestHalfMoons:
             make_half_moons(1)
         with pytest.raises(ValueError):
             make_half_moons(10, noise_std=-0.5)
+        for noise_std in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="noise_std must be finite"):
+                make_half_moons(10, noise_std=noise_std)
         with pytest.raises(ValueError):
             make_half_moons(10).split(10)
 
@@ -59,4 +62,7 @@ class TestLabeledSet:
             LabeledSet(np.zeros((3, 2)), np.zeros(2, dtype=int))
         with pytest.raises(ValueError):
             LabeledSet(np.zeros((3, 2)), np.array([0, 1, 2]))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="points must be finite"):
+                LabeledSet([[bad, 0.0]], [0])
 

@@ -131,6 +131,13 @@ class TestEvaluateTransfers:
         with pytest.raises(ValueError):
             evaluate_transfers(net, synthetic_model, LAYOUTS, 0.0, 0.0, test_set, 0, seed=0)
 
+    @pytest.mark.parametrize("x, y", [(np.nan, 0.0), (0.0, np.nan)])
+    def test_nan_stuck_fraction_rejected(self, synthetic_model, x, y):
+        # A NaN fraction used to pass both range checks and count as 0.
+        net, test_set = symmetric_net(), make_half_moons(10, seed=23)
+        with pytest.raises(ValueError, match="stuck fractions"):
+            evaluate_transfers(net, synthetic_model, LAYOUTS, x, y, test_set, 64, seed=0)
+
 
 def overflowing_net():
     """symmetric_net with a finite first layer whose max - min overflows."""
@@ -330,7 +337,7 @@ class RecordingForward:
 class TestTiles:
     # 40 x 16 cells of 0.1 x 0.125: five columns of tiles, of which the
     # middle one, cells -0.35 <= x0 <= 0.35, holds the line x0 = 0.
-    GRID = GridSpec(x_min=-2.0, x_max=2.0, y_min=-1.0, y_max=1.0, nx=40, ny=16)
+    GRID = GridSpec(extent=(-2.0, 2.0, -1.0, 1.0), nx=40, ny=16)
 
     @pytest.fixture
     def forward(self, monkeypatch):
@@ -414,11 +421,6 @@ class TestRobustnessTable:
         by_label = {b.label: b for b in table}
         assert by_label["95<=x<100"].count == 159
         assert by_label["95<=x<100"].percent == pytest.approx(79.5)
-
-    def test_bad_edges_rejected(self):
-        report = RobustnessReport(counts=np.array([10]), transfers=10)
-        with pytest.raises(ValueError):
-            robustness_table(report, bin_edges=(50, 90, 100))
 
 
 class TestRobustnessCurve:
@@ -520,7 +522,7 @@ class TestHeatmap:
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            GridSpec(x_min=1.0, x_max=0.0)
+            GridSpec(extent=(1.0, 0.0, -1.0, 1.5))
         with pytest.raises(ValueError):
             GridSpec(nx=0)
 

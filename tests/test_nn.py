@@ -192,7 +192,7 @@ class TestLayoutIndependence:
 
 
 class TestFlatAdam:
-    @pytest.mark.parametrize("hyperparameters", [{}, {"lr": 0.05, "beta1": 0.8}])
+    @pytest.mark.parametrize("hyperparameters", [{}, {"lr": 0.05}])
     def test_bitwise_equal_to_per_array_update(self, hyperparameters):
         net = random_net(20, sizes=(2, 5, 3, 1))
         grad_seq = random_grads(net, 21, 20)

@@ -221,6 +221,12 @@ class TestPerturbConductance:
                 np.full((2, 2), 200.0), np.zeros(4, dtype=int), model, np.random.default_rng(0)
             )
 
+    def test_non_finite_model_rejected_before_sampling(self):
+        with pytest.raises(ValueError, match=r"^std_model\.slope must be finite, got nan$"):
+            model = model_with(std=LinearStdModel(np.nan, 1.0))
+            perturb_conductance(np.full(4, 200.0), np.zeros(4, dtype=int), model,
+                                np.random.default_rng(0))
+
 
 class TestApplyStuck:
     """Stuck substitution, seen through one plan draw of one matrix."""
@@ -273,6 +279,9 @@ class TestApplyStuck:
             TransferPlan(layouts, model, 0.7, 0.4)
         with pytest.raises(ValueError):
             TransferPlan(layouts, model, -0.1, 0.0)
+        for x, y in ((np.nan, 0.0), (0.0, np.nan)):
+            with pytest.raises(ValueError, match="stuck fractions"):
+                TransferPlan(layouts, model, x, y)
 
 
 class TestSimulateTransfer:
@@ -318,8 +327,8 @@ class TestSimulateTransfer:
         phi[1, 2] = np.inf
         with pytest.raises(ValueError, match="finite"):
             simulate_transfer(phi, layout, zero_model, 0.0, 0.0, np.random.default_rng(0))
-        model = model_with(stuck=StuckModel(10.0, 100.0, (np.nan,)))
         with pytest.raises(ValueError, match="stuck_model"):
+            model = model_with(stuck=StuckModel(10.0, 100.0, (np.nan,)))
             simulate_transfer(symmetric_matrix((3, 8), seed=9), layout, model, 0.0, 1.0,
                               np.random.default_rng(0))
 

@@ -26,7 +26,7 @@ from .experiments import (
     write_json,
     write_table_csv,
 )
-from .training import TrainingDiverged, train_hardware_aware, train_regular
+from .training import ProducerReport, TrainingDiverged, train_hardware_aware, train_regular
 from .transfer import layouts_for_architecture
 from .variability import (
     ConductanceRange,
@@ -49,10 +49,12 @@ def _add_common(parser: argparse.ArgumentParser, *, evaluates=True):
     if evaluates:
         parser.add_argument("--transfers", type=int, default=None,
                             help="override the number of simulated transfers")
-        parser.add_argument("--threads", type=int, default=None,
-                            help="run: at 2 or more (the default), the regular network's "
-                                 "pipeline runs in a second process beside the HA one; "
-                                 "evaluate and heatmap accept it and run on one thread")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="processes (default 2). At 2 or more, run trains and judges the "
+                             "regular network in a second process beside the HA one, and "
+                             "train --hardware-aware draws its training noise ahead in a "
+                             "second process pinned to its own CPU. train --regular, evaluate "
+                             "and heatmap run in one process. No output depends on it")
 
 
 def _override(config: ExperimentConfig, args) -> ExperimentConfig:
@@ -122,9 +124,12 @@ def cmd_train(args) -> int:
     nn._expit()  # load scipy here, not inside the timed training
     steps = (config.training.steps(len(train_set)), "steps")
     if args.hardware_aware:
-        name = "hardware_aware"
+        name, producer = "hardware_aware", ProducerReport()
         net = _timed(f"{name} training", train_hardware_aware, config.training, train_set,
-                     model=model, rate=steps)
+                     model=model, workers=config.threads, report=producer, rate=steps)
+        if producer.blocks:
+            print(f"noise producer: {producer.cpu_s:.2f} s CPU, trainer drew "
+                  f"{producer.drawn_here} of {producer.blocks} blocks", file=sys.stderr)
     else:
         name = "regular"
         net = _timed(f"{name} training", train_regular, config.training, train_set, rate=steps)

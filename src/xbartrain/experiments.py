@@ -529,9 +529,13 @@ class ExperimentConfig:
     transfers: int = 10000
     grid: GridSpec = field(default_factory=GridSpec)
     heatmap_repetitions: int = 1000
-    # Processes for run_experiment: from 2 on, the regular network's
-    # pipeline runs in a forked child beside the HA one (see
-    # _run_pipelines).  Evaluation and the heatmap count on one thread.
+    # Processes.  From 2 on, `run` (run_experiment) runs the regular
+    # network's pipeline in a forked child beside the HA one (see
+    # _run_pipelines), and `train --hardware-aware` draws the training
+    # noise ahead in a forked producer pinned to its own CPU (see
+    # training._train).  `run` keeps its HA draws in process, since its
+    # second CPU holds the regular pipeline.  `train --regular`,
+    # `evaluate` and `heatmap` run in one process.  No output depends on it.
     threads: int = 2
 
     def __post_init__(self):

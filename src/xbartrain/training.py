@@ -13,11 +13,22 @@ the device order of :meth:`TransferPlan.apply_devices`: the clean
 parameters ``nn.AdamState.params`` (which the net's arrays view), Adam's
 accumulators, the effective parameters ``phi + eps`` of
 :class:`EffectiveParams` and the flat gradient that the backward pass
-writes, all preallocated.  Each batch makes one ``plan.draw(1, rng)`` call
-on the noise stream, which draws layer by layer as the per-layer pipeline
-always has (the stream contract of :class:`TransferPlan`), so a given seed
-trains the same parameters bit for bit.  Checkpoints keep row-major
-``(fan_out, fan_in)`` weights.
+writes, all preallocated.  Each batch takes the draws of one
+``plan.draw(1, rng)`` call on the noise stream, which draws layer by layer
+as the per-layer pipeline always has (the stream contract of
+:class:`TransferPlan`), so a given seed trains the same parameters bit for
+bit.  Checkpoints keep row-major ``(fan_out, fan_in)`` weights.
+
+At ``workers`` 2 or more, on an affinity mask of at least two CPUs, a
+forked producer process pinned to one CPU of the mask makes those calls
+ahead of the trainer, in the same order, and sends them in blocks of
+``_BLOCK_STEPS`` steps, each with the generator state after it; the
+trainer's thread keeps the other CPUs.  Take-over rule: at a block
+boundary the trainer waits at most ``_WAIT_MS`` for the producer's block
+(not at all if it drew the previous block itself).  It uses a block that
+arrives after setting its generator to the block's end state, and
+otherwise draws the block itself and discards the producer's copy when it
+comes, so the draws, and the trained bits, never depend on the timing.
 
 Observers see the step through ``batch_hook(epoch, step, net, noisy,
 loss)``: ``noisy`` is the step's :class:`EffectiveParams`, whose flat
@@ -28,13 +39,25 @@ step, so a hook that keeps one must copy it.
 
 from __future__ import annotations
 
+import fcntl
 import math
+import os
+import pickle
+import select
+import signal
+import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import nn
-from .transfer import TileLayout, TransferPlan, layer_to_crossbar, layouts_for_architecture
+from .transfer import (
+    TileLayout,
+    TransferNoise,
+    TransferPlan,
+    layer_to_crossbar,
+    layouts_for_architecture,
+)
 from .variability import (
     BiasDisturbanceDb,
     LinearStdModel,
@@ -43,6 +66,7 @@ from .variability import (
 )
 
 __all__ = [
+    "ProducerReport",
     "SourceToggles",
     "TrainingConfig",
     "TrainingDiverged",
@@ -56,6 +80,16 @@ __all__ = [
 _STREAM_INIT = 1
 _STREAM_SHUFFLE = 2
 _STREAM_NOISE = 3
+
+# Training steps per block of noise that the producer process sends, and
+# how long the trainer waits for a block before it draws the block itself.
+_BLOCK_STEPS = 32
+_WAIT_MS = 3
+_HEADER = struct.Struct("<Q")  # the byte length of the message that follows
+# A block of the default 2-8-1 net is about 70 KB, more than a default pipe
+# holds; at 1 MiB, Linux's default limit for a pipe, the producer can run
+# many blocks ahead instead of waiting for each read.
+_PIPE_BYTES = 1 << 20
 
 
 class TrainingDiverged(RuntimeError):
@@ -208,6 +242,129 @@ def _effective_model(model: VariabilityModel, sources: SourceToggles) -> Variabi
     )
 
 
+@dataclass
+class ProducerReport:
+    """What the noise producer of one training run did: the CPU seconds of
+    its process (from ``os.wait4``), the blocks of draws that the trainer
+    took and how many of those it drew itself.  ``blocks`` stays 0 when no
+    producer ran."""
+
+    cpu_s: float = 0.0
+    blocks: int = 0
+    drawn_here: int = 0
+
+
+def _draws_here(plan: TransferPlan, rng: np.random.Generator):
+    while True:
+        yield plan.draw(1, rng)
+
+
+def _noise(plan: TransferPlan, rng: np.random.Generator, steps: int, workers: int,
+           report: ProducerReport):
+    """The iterator of every step's :class:`TransferNoise`: drawn here, or
+    at ``workers`` 2 or more on a mask of two CPUs or more, by a producer
+    process (see :func:`_produced`).  Either way it yields the draws of
+    successive ``plan.draw(1, rng)`` calls."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if workers < 2 or len(cpus) < 2:
+        return _draws_here(plan, rng)
+    return _produced(plan, rng, steps, cpus[-1], report)
+
+
+def _send(fd: int, message: bytes) -> None:
+    view = memoryview(message)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read(fd: int, size: int) -> bytearray | None:
+    """``size`` bytes from ``fd``, or None at the end of the pipe."""
+    buf = bytearray(size)
+    view, got = memoryview(buf), 0
+    while got < size:
+        n = os.readv(fd, [view[got:]])
+        if n == 0:
+            return None
+        got += n
+    return buf
+
+
+def _produce(plan: TransferPlan, rng: np.random.Generator, steps: int, cpu: int, read_fd: int,
+             write_fd: int):
+    """The producer process: pinned to ``cpu``, it draws the ``steps``
+    steps' noise as :func:`_draws_here` would and writes it to
+    ``write_fd``, one message per block of :data:`_BLOCK_STEPS` steps
+    holding the block's index, its stacked draws and the generator state
+    after it.  It leaves only through ``os._exit``."""
+    try:
+        os.close(read_fd)
+        os.sched_setaffinity(0, {cpu})
+        for index, start in enumerate(range(0, steps, _BLOCK_STEPS)):
+            block = [plan.draw(1, rng) for _ in range(min(_BLOCK_STEPS, steps - start))]
+            payload = pickle.dumps((index, tuple(TransferNoise.concatenate(block)),
+                                    rng.bit_generator.state), protocol=pickle.HIGHEST_PROTOCOL)
+            _send(write_fd, _HEADER.pack(len(payload)) + payload)
+    finally:
+        os._exit(0)
+
+
+def _produced(plan: TransferPlan, rng: np.random.Generator, steps: int, cpu: int,
+              report: ProducerReport):
+    """Every step's noise from a forked :func:`_produce` pinned to ``cpu``,
+    with the trainer taking over any block that is late (see the module
+    docstring).  This thread runs on the rest of its mask until the
+    iterator is closed, which kills and reaps the producer, records its
+    CPU time in ``report`` and restores the mask."""
+    mask = os.sched_getaffinity(0)
+    read_fd, write_fd = os.pipe()
+    # Forked, not spawned, which would import numpy again.  The child runs
+    # only the generator and pickle, never BLAS, whose threads it lacks.
+    pid = os.fork()
+    if pid == 0:
+        _produce(plan, rng, steps, cpu, read_fd, write_fd)
+    try:
+        os.close(write_fd)
+        try:
+            fcntl.fcntl(read_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        except OSError:  # above the system's limit: blocks wait for reads
+            pass
+        os.sched_setaffinity(0, mask - {cpu})
+        poller = select.poll()
+        poller.register(read_fd, select.POLLIN)
+        live, wait = True, _WAIT_MS
+        for index, start in enumerate(range(0, steps, _BLOCK_STEPS)):
+            n = min(_BLOCK_STEPS, steps - start)
+            block = None
+            while live and block is None and poller.poll(wait):
+                header = _read(read_fd, _HEADER.size)
+                payload = None if header is None else _read(read_fd, *_HEADER.unpack(header))
+                if payload is None:
+                    live = False
+                    break
+                sent, arrays, state = pickle.loads(payload)
+                if sent == index:  # earlier blocks were drawn here: discard them
+                    block = TransferNoise(*arrays)
+            report.blocks += 1
+            if block is None:
+                report.drawn_here += 1
+                wait = 0
+                for _ in range(n):
+                    yield plan.draw(1, rng)
+                continue
+            rng.bit_generator.state = state
+            wait = _WAIT_MS
+            stuck, values, normals, disturbance = block
+            for t in range(n):
+                yield TransferNoise(stuck[:, t:t + 1], values[:, t:t + 1],
+                                    normals[:, :, t:t + 1], disturbance[:, t:t + 1])
+    finally:
+        os.close(read_fd)
+        os.kill(pid, signal.SIGKILL)
+        usage = os.wait4(pid, 0)[2]
+        os.sched_setaffinity(0, mask)
+        report.cpu_s = usage.ru_utime + usage.ru_stime
+
+
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
     perm = rng.permutation(n)
     for start in range(0, n, batch_size):
@@ -215,11 +372,21 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def _train(config: TrainingConfig, train_set, plan: TransferPlan | None, batch_hook,
-           noise_rng: np.random.Generator | None = None):
+           noise_rng: np.random.Generator | None = None, workers: int = 1,
+           report: ProducerReport | None = None):
     """Shared loop.  With a ``plan``, every batch sees one transfer drawn by
     ``plan.draw(1, noise_rng)``; ``plan`` is None for plain training (also
     used when every source is disabled, which makes the noisy loop
     degenerate to the plain one exactly).
+
+    The steps take their draws from one iterator (:func:`_noise`).  At
+    ``workers`` 2 or more, on a mask of two CPUs or more, a producer process
+    pinned to one of them makes the calls ahead; at each block boundary the
+    trainer waits at most ``_WAIT_MS`` for its block, and draws a late
+    block itself (the take-over rule of the module docstring), so the draws
+    are the same at any ``workers``.  The iterator is closed on every exit,
+    which kills and reaps the producer and restores this thread's mask;
+    ``report`` receives what the producer did.
 
     ``batch_hook(epoch, step, net, noisy, loss)`` is called after each
     step's backward pass and before its Adam update, with the clean
@@ -239,30 +406,36 @@ def _train(config: TrainingConfig, train_set, plan: TransferPlan | None, batch_h
     seen = net if noisy is None else noisy.net
     grad = np.empty_like(state.params) if noisy is None else noisy.grad
     grads = nn.unflatten(net.sizes, grad)
+    noise = None if plan is None else _noise(plan, noise_rng, config.steps(X.shape[0]), workers,
+                                             report or ProducerReport())
     # A diverging net overflows before its outputs turn NaN.  The NaN check
     # and the final-parameter check report it, so numpy's warnings are off.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            for step, idx in enumerate(_batches(X.shape[0], config.batch_size, shuffle_rng)):
-                Xb, yb = X.take(idx, axis=0), labels[idx]
-                if noisy is not None:
-                    noisy.transfer(plan, plan.draw(1, noise_rng))
-                    noisy.update()
-                y_hat, cache = nn.forward(seen, Xb)
-                # The loss clamps the outputs before its logs and the labels are
-                # 0 or 1, so it is non-finite exactly where an output is NaN; it
-                # is computed only for the hook.
-                if np.isnan(y_hat).any():
-                    raise TrainingDiverged(
-                        f"training diverged: non-finite loss at epoch {epoch}, batch {step}"
-                    )
-                if noisy is None:
-                    nn.backward(net, cache, yb, out=grads)
-                else:
-                    noisy.gradient(cache, yb)
-                if batch_hook is not None:
-                    batch_hook(epoch, step, net, noisy, nn.bce_loss(y_hat, yb))
-                state.update(grad)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(config.epochs):
+                for step, idx in enumerate(_batches(X.shape[0], config.batch_size, shuffle_rng)):
+                    Xb, yb = X.take(idx, axis=0), labels[idx]
+                    if noisy is not None:
+                        noisy.transfer(plan, next(noise))
+                        noisy.update()
+                    y_hat, cache = nn.forward(seen, Xb)
+                    # The loss clamps the outputs before its logs and the labels
+                    # are 0 or 1, so it is non-finite exactly where an output is
+                    # NaN; it is computed only for the hook.
+                    if np.isnan(y_hat).any():
+                        raise TrainingDiverged(
+                            f"training diverged: non-finite loss at epoch {epoch}, batch {step}"
+                        )
+                    if noisy is None:
+                        nn.backward(net, cache, yb, out=grads)
+                    else:
+                        noisy.gradient(cache, yb)
+                    if batch_hook is not None:
+                        batch_hook(epoch, step, net, noisy, nn.bce_loss(y_hat, yb))
+                    state.update(grad)
+    finally:
+        if noise is not None:
+            noise.close()
     # The steps only check their outputs for NaN, so an infinite parameter
     # that never made one still has to be caught here.
     if not np.isfinite(state.params).all():
@@ -275,16 +448,21 @@ def train_hardware_aware(
     train_set,
     model: VariabilityModel,
     batch_hook=None,
+    workers: int = 1,
+    report: ProducerReport | None = None,
 ) -> nn.DenseNet:
     """Noise-injected training; returns the clean weights (noise is never
-    baked into the parameters)."""
+    baked into the parameters).  At ``workers`` 2 or more a producer
+    process draws the noise ahead (see :func:`_train`), which changes no
+    bit of the result; ``report`` then receives what it did."""
     x = config.hrs_fraction if config.sources.stuck else 0.0
     y = config.lrs_fraction if config.sources.stuck else 0.0
     if not (config.sources.tuning or config.sources.bias or x + y > 0):
         return _train(config, train_set, None, batch_hook)
     layouts = layouts_for_architecture(config.architecture, *config.tile)
     plan = TransferPlan(layouts, _effective_model(model, config.sources), x, y)
-    return _train(config, train_set, plan, batch_hook, _stream(config.seed, _STREAM_NOISE))
+    return _train(config, train_set, plan, batch_hook, _stream(config.seed, _STREAM_NOISE),
+                  workers, report)
 
 
 def train_regular(config: TrainingConfig, train_set, batch_hook=None) -> nn.DenseNet:

@@ -481,10 +481,12 @@ def build_bias_db(records) -> BiasDisturbanceDb:
 
     Records with |delta_g| above :data:`BIAS_DISTURBANCE_CAP_US` are
     discarded; they almost always mark a stuck-device failure rather than
-    crosstalk.
+    crosstalk.  A non-finite delta_g is no measurement, so it raises.
     """
     groups: dict[int, list[float]] = {}
     for n_d, delta_g in records:
+        if not math.isfinite(delta_g):
+            raise ValueError(f"disturbance record (n_d={n_d}, delta_g={delta_g}) is not finite")
         if abs(delta_g) <= BIAS_DISTURBANCE_CAP_US:
             groups.setdefault(n_d, []).append(float(delta_g))
     if not groups:

@@ -19,7 +19,13 @@ from xbartrain.variability import ConductanceRange, load_model, save_model
 
 from conftest import zero_noise_model
 from test_experiments import CHECKPOINT, CRITERION_9_CONFIG
-from test_training import init_then, overflowing_first_layer, zero_output_layer
+from test_training import (
+    TWO_CPUS,
+    assert_no_children,
+    init_then,
+    overflowing_first_layer,
+    zero_output_layer,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -146,7 +152,11 @@ class TestTrainEvaluateHeatmap:
         for flag, name in (("--hardware-aware", "hardware_aware"), ("--regular", "regular")):
             assert main(["train", flag, "--config", str(config_path), "--out", str(out)]) == 0
             captured = capsys.readouterr()
-            assert re.fullmatch(rf"{name} training: \d+\.\d\d s, \d+ steps/s\n", captured.err)
+            # At the default threads 2 an HA run on two CPUs has a producer.
+            producer = (r"noise producer: \d+\.\d\d s CPU, trainer drew \d+ of \d+ blocks\n"
+                        if name == "hardware_aware" and len(os.sched_getaffinity(0)) >= 2 else "")
+            assert re.fullmatch(rf"{name} training: \d+\.\d\d s, \d+ steps/s\n{producer}",
+                                captured.err)
             assert re.fullmatch(rf"{name}: train accuracy \d\.\d{{4}}, test accuracy \d\.\d{{4}}\n"
                                 rf"wrote \S+{name}\.json\n", captured.out)
         common = ["--config", str(config_path), "--checkpoint", str(out / "regular.json")]
@@ -157,6 +167,20 @@ class TestTrainEvaluateHeatmap:
         assert sorted(p.name for p in (out / "eval").iterdir()) == ["curve.csv", "report.json",
                                                                     "table.csv"]
         assert [p.name for p in (out / "hm").iterdir()] == ["heatmap.csv"]
+
+    def test_hardware_aware_checkpoint_is_the_same_at_any_threads(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, epochs=200)))  # 400 steps, 13 blocks
+        written = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert main(["train", "--hardware-aware", "--config", str(path), "--out", str(out),
+                         "--threads", threads]) == 0
+            written[threads] = (out / "hardware_aware.json").read_bytes()
+            produced = "noise producer: " in capsys.readouterr().err
+            assert produced == (threads == "2" and TWO_CPUS)
+        assert written["1"] == written["2"]
+        assert_no_children()
 
     def test_seed_override_changes_result(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -219,6 +243,16 @@ class TestErrorPaths:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_failed_hardware_aware_training_leaves_no_producer(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, learning_rate=1e308)))
+        rc = main(["train", "--hardware-aware", "--config", str(path), "--out",
+                   str(tmp_path / "out"), "--threads", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: training diverged: the transferred "
+                                           "parameters of layer 1 of 2 are not finite\n")
+        assert_no_children()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_hardware_aware_failure_in_run_exits_2(self, tmp_path, capsys, threads):

@@ -1,13 +1,16 @@
 import hashlib
+import os
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from xbartrain import nn
+from xbartrain import nn, training
 from xbartrain.datasets import LabeledSet, make_half_moons
 from xbartrain.training import (
     EffectiveParams,
+    ProducerReport,
     SourceToggles,
     TrainingConfig,
     TrainingDiverged,
@@ -232,6 +235,16 @@ def tiny_moons(n=96, seed=21):
     return make_half_moons(n, noise_std=0.1, seed=seed)
 
 
+# Whether training at workers 2 forks a noise producer here.
+TWO_CPUS = len(os.sched_getaffinity(0)) >= 2
+
+
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestTrainingLoops:
     def test_zero_variability_bitwise_equivalence(self, synthetic_model):
         cfg = TrainingConfig(epochs=25, seed=3, batch_size=32,
@@ -382,13 +395,73 @@ class TestGoldenTraining:
             h.update(layer.bias.tobytes())
         return h.hexdigest()
 
+    HARDWARE_AWARE = {
+        "SMALL": "b5573c1343d2ad7a932cea176c1ae9c74106893939fa3df089910654284f16dd",
+        "STUCK_HEAVY": "83d7b92f5527cc8ceb888c6f0059546090bd24cff2d8476a433757adcc27408b",
+    }
+
     def test_hardware_aware(self, moons_split, synthetic_model):
         net = train_hardware_aware(self.SMALL, moons_split[0], model=synthetic_model)
-        assert self.digest(net) == "b5573c1343d2ad7a932cea176c1ae9c74106893939fa3df089910654284f16dd"
+        assert self.digest(net) == self.HARDWARE_AWARE["SMALL"]
 
     def test_hardware_aware_stuck_heavy(self, moons_split, synthetic_model):
         net = train_hardware_aware(self.STUCK_HEAVY, moons_split[0], model=synthetic_model)
-        assert self.digest(net) == "83d7b92f5527cc8ceb888c6f0059546090bd24cff2d8476a433757adcc27408b"
+        assert self.digest(net) == self.HARDWARE_AWARE["STUCK_HEAVY"]
+
+    @pytest.mark.parametrize("name", list(HARDWARE_AWARE))
+    def test_hardware_aware_with_producer(self, moons_split, synthetic_model, name):
+        config, report = getattr(self, name), ProducerReport()
+        net = train_hardware_aware(config, moons_split[0], model=synthetic_model, workers=2,
+                                   report=report)
+        assert self.digest(net) == self.HARDWARE_AWARE[name]
+        if TWO_CPUS:
+            assert report.blocks == -(-config.steps(len(moons_split[0])) // training._BLOCK_STEPS)
+            assert report.cpu_s > 0
+        assert_no_children()
+
+    def test_stalled_producer_is_taken_over(self, monkeypatch, moons_split, synthetic_model):
+        # The producer draws its first block and then never sends it.
+        monkeypatch.setattr(training, "_send", lambda fd, message: time.sleep(3600))
+        report = ProducerReport()
+        net = train_hardware_aware(self.SMALL, moons_split[0], model=synthetic_model, workers=2,
+                                   report=report)
+        assert self.digest(net) == self.HARDWARE_AWARE["SMALL"]
+        assert report.drawn_here == report.blocks == (35 if TWO_CPUS else 0)
+        assert_no_children()
+
+    def test_producer_that_stops_is_taken_over(self, monkeypatch, moons_split,
+                                               synthetic_model):
+        # The trainer waits as long as it takes for each block; the producer
+        # sends 5 blocks and exits, so the trainer draws the other 13 itself,
+        # from its generator as the producer's last block left it.
+        send, sent = training._send, []
+
+        def five_blocks(fd, message):
+            if len(sent) == 5:
+                os._exit(0)
+            sent.append(message)
+            send(fd, message)
+
+        monkeypatch.setattr(training, "_send", five_blocks)
+        monkeypatch.setattr(training, "_WAIT_MS", 60_000)
+        report = ProducerReport()
+        net = train_hardware_aware(self.STUCK_HEAVY, moons_split[0], model=synthetic_model,
+                                   workers=2, report=report)
+        assert self.digest(net) == self.HARDWARE_AWARE["STUCK_HEAVY"]
+        assert (report.blocks, report.drawn_here) == ((18, 13) if TWO_CPUS else (0, 0))
+        assert_no_children()
+
+    def test_one_cpu_mask_forks_nothing(self, monkeypatch, moons_split, synthetic_model):
+        def fork():
+            raise AssertionError("forked on a one-CPU mask")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", fork)
+        report = ProducerReport()
+        net = train_hardware_aware(self.SMALL, moons_split[0], model=synthetic_model, workers=2,
+                                   report=report)
+        assert self.digest(net) == self.HARDWARE_AWARE["SMALL"]
+        assert report == ProducerReport()
 
     def test_regular(self, moons_split):
         net = train_regular(self.SMALL, moons_split[0])
@@ -503,6 +576,32 @@ class TestErrorPaths:
                                                    "are not finite$"):
             train(cfg, data, batch_hook=poison, **extra)
         assert calls == steps
+
+
+class TestProducerLifetime:
+    @pytest.mark.parametrize("error", [ValueError, TrainingDiverged, KeyboardInterrupt])
+    def test_error_mid_run_leaves_no_producer(self, synthetic_model, error):
+        mask, masks = os.sched_getaffinity(0), []
+
+        def stop(epoch, step, net, noisy, loss):
+            masks.append(os.sched_getaffinity(0))
+            if epoch == 3:
+                raise error("stopped")
+
+        with pytest.raises(error, match="^stopped$"):
+            train_hardware_aware(TrainingConfig(epochs=10, batch_size=32), tiny_moons(),
+                                 model=synthetic_model, batch_hook=stop, workers=2)
+        assert_no_children()
+        assert os.sched_getaffinity(0) == mask
+        # While it trained, the producer held the mask's last CPU.
+        assert masks[0] == (mask - {max(mask)} if TWO_CPUS else mask)
+
+    def test_workers_1_stays_in_process(self, monkeypatch, synthetic_model):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked at workers 1"))
+        report = ProducerReport()
+        train_hardware_aware(TrainingConfig(epochs=2, batch_size=32), tiny_moons(),
+                             model=synthetic_model, report=report)
+        assert report == ProducerReport()
 
 
 class TestCrossbarOrder:

@@ -226,6 +226,13 @@ class TestBiasDb:
         with pytest.raises(ValueError, match="n_d=1 is not finite"):
             BiasDisturbanceDb({1: (np.nan, 1.0)})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_record_is_named(self, value):
+        # Beside a valid record, so that no empty database hides it.
+        with pytest.raises(ValueError, match=rf"^disturbance record \(n_d=1, "
+                                             rf"delta_g={value}\) is not finite$"):
+            build_bias_db([(1, value), (1, 2.0)])
+
     def test_last_device_sees_no_disturbance(self):
         db = build_bias_db([(0, 3.0), (1, -4.0)])
         rng = np.random.default_rng(0)

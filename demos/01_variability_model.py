@@ -21,6 +21,7 @@ from xbartrain import (
     save_model,
     shapiro_wilk,
 )
+from xbartrain.transfer import TileLayout, TransferPlan
 from xbartrain.variability import StuckModel, TuningRecord, VariabilityModel
 
 rng = np.random.default_rng(7)
@@ -63,18 +64,28 @@ bias_records.append((5, 120.0))  # an LRS failure masquerading as crosstalk
 db = build_bias_db(bias_records)
 print(f"\nbias database:     {len(db.groups)} n_d groups "
       f"({sum(len(v) for v in db.groups.values())} records kept)")
-draws = db.sample_matrix(np.full(2000, 20), rng)
-print(f"n_d=20 draws:      mean {np.mean(draws):+.2f} uS (accumulated drift)")
-zero_draws = db.sample_matrix(np.zeros(2000, dtype=int), rng)
-print(f"n_d=0 draws:       always {float(np.abs(zero_draws).max())} (last-programmed device)")
 
-# --- 3. Bundle, save, reload -------------------------------------------------
+# The fitted sources bundle into one model, and a transfer plan over it
+# draws each device's disturbance at its n_d.  One row of 32 weights
+# programmed as a single 64-device tile holds every n_d from 63 (the first
+# device programmed) down to 0 (the last); 2000 transfers give 2000 draws
+# per device.
 model = VariabilityModel(
     std_model=std_model,
     offset_model=offset_model,
     bias_db=db,
     stuck_model=StuckModel(lrs_samples=tuple(rng.uniform(450, 1150, size=40))),
 )
+layout = TileLayout.for_weight_matrix(1, 32, rows=1, cols=64)
+nd = np.stack([layout.nd_plus, layout.nd_minus])[:, 0]  # (plus/minus, device)
+plan = TransferPlan([layout], model, x=0.0, y=0.0)
+disturbance = plan.draw(2000, rng).disturbance.transpose(1, 0, 2)  # (transfer, plus/minus, device)
+draws = disturbance[:, nd == 20]
+print(f"n_d=20 draws:      mean {np.mean(draws):+.2f} uS (accumulated drift)")
+zero_draws = disturbance[:, nd == 0]
+print(f"n_d=0 draws:       always {float(np.abs(zero_draws).max())} (last-programmed device)")
+
+# --- 3. Save and reload the bundle -------------------------------------------
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "model.json"
     save_model(model, path)

@@ -9,8 +9,8 @@ units.
 
 import numpy as np
 
-from xbartrain import make_synthetic_model, simulate_transfer, split_signed, to_conductance
-from xbartrain.transfer import TileLayout, WeightRangeSnapshot
+from xbartrain import make_synthetic_model, split_signed, to_conductance
+from xbartrain.transfer import TileLayout, TransferPlan, WeightRangeSnapshot
 
 rng = np.random.default_rng(3)
 model = make_synthetic_model()
@@ -40,28 +40,31 @@ print(f"\nconductance targets span [{g_plus.min():.0f}, {g_plus.max():.0f}] uS "
 print("\nn_d of each plus-device (3x8 matrix spans two tiles):\n", layout.nd_plus)
 
 # --- One full transfer -------------------------------------------------------
-outcome = simulate_transfer(phi, layout, model, x=0.05, y=0.05, rng=rng)
-err = outcome.phi_prime - phi
-print("\ntransferred weights (x = y = 5% stuck for visibility):\n",
-      outcome.phi_prime.round(3))
-print("\nstuck positions:\n", outcome.stuck_mask)
+# A plan fixes the crossbars, the model and the stuck fractions; draw makes
+# the weight-independent random draws and apply converts the weights.
+plan = TransferPlan([layout], model, x=0.05, y=0.05)
+(outcome,) = plan.apply([phi], plan.draw(1, rng))
+phi_prime = outcome.phi_prime[0]
+err = phi_prime - phi
+print("\ntransferred weights (x = y = 5% stuck for visibility):\n", phi_prime.round(3))
+print("\nstuck positions:\n", outcome.stuck_mask[0])
 print(f"\nper-weight error: median |err| {np.median(np.abs(err)):.4f}, "
       f"max |err| {np.abs(err).max():.3f}")
 print("stuck weights dominate the error tail; an LRS substitution can push a")
 print("weight far outside its original range, exactly like a real failure.")
 
 # --- Monte-Carlo view --------------------------------------------------------
-draws = np.stack([
-    simulate_transfer(phi, layout, model, 0.005, 0.005, rng).phi_prime for _ in range(2000)
-])
-spread = draws.std(axis=0)
+# One draw call makes all 2000 transfers, which apply converts at once.
+plan = TransferPlan([layout], model, x=0.005, y=0.005)
+(outcome,) = plan.apply([phi], plan.draw(2000, rng))
+spread = outcome.phi_prime.std(axis=0)
 print(f"\nacross 2000 transfers at x = y = 0.5%: mean per-weight std "
       f"{spread.mean():.4f} (weight units)")
 
 # With stuck failures off, the position dependence shows cleanly: earlier
 # devices sit through more programming pulses and wander further.
-calm = np.stack([
-    simulate_transfer(phi, layout, model, 0.0, 0.0, rng).phi_prime for _ in range(2000)
-]).std(axis=0)
+plan = TransferPlan([layout], model, x=0.0, y=0.0)
+(outcome,) = plan.apply([phi], plan.draw(2000, rng))
+calm = outcome.phi_prime.std(axis=0)
 print(f"without stuck failures: first-programmed weight std {calm[0, 0]:.4f} vs "
       f"last-programmed {calm[-1, -1]:.4f}")

@@ -50,11 +50,10 @@ def _add_common(parser: argparse.ArgumentParser, *, evaluates=True):
         parser.add_argument("--transfers", type=int, default=None,
                             help="override the number of simulated transfers")
     parser.add_argument("--threads", type=int, default=None,
-                        help="processes (default 2). At 2 or more, run trains and judges the "
-                             "regular network in a second process beside the HA one, and "
-                             "train --hardware-aware draws its training noise ahead in a "
-                             "second process pinned to its own CPU. train --regular, evaluate "
-                             "and heatmap run in one process. No output depends on it")
+                        help="processes (default 2). At 2 or more, on two CPUs or more, run "
+                             "runs the regular network's pipeline and train --hardware-aware "
+                             "draws its training noise in a second process; everything else "
+                             "runs in one. No output depends on it")
 
 
 def _override(config: ExperimentConfig, args) -> ExperimentConfig:

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import fields, nn
 from .datasets import LabeledSet, make_half_moons
-from .training import TrainingConfig, SourceToggles, _stream, train_hardware_aware, train_regular
+from .training import (TrainingConfig, SourceToggles, _second_cpu, _stream, train_hardware_aware,
+                       train_regular)
 from .transfer import (TileLayout, TransferNoise, TransferPlan, layer_to_crossbar,
                        layouts_for_architecture)
 from .variability import VariabilityModel, load_model, make_synthetic_model
@@ -84,6 +85,13 @@ GRID_TILE = 8
 # cell, about 0.3 GB at the bound; a grid too large for memory would only
 # fail after both networks are trained.
 MAX_GRID_POINTS = 1_000_000
+
+# Upper bound on the points of the data set, n_train + n_test, that a config
+# may ask for.  A point takes 16 bytes, and evaluate_transfers labels each
+# test point under CHUNK transfers at once, 32 bytes more: under 0.1 GB at
+# the bound.  A set too large for memory would end in numpy's allocation
+# error, not a message naming the field.
+MAX_DATASET_POINTS = 1_000_000
 
 DEFAULT_BIN_EDGES = (100.0, 95.0, 90.0, 80.0, 70.0, 60.0, 50.0)
 
@@ -529,13 +537,10 @@ class ExperimentConfig:
     transfers: int = 10000
     grid: GridSpec = field(default_factory=GridSpec)
     heatmap_repetitions: int = 1000
-    # Processes.  From 2 on, `run` (run_experiment) runs the regular
-    # network's pipeline in a forked child beside the HA one (see
-    # _run_pipelines), and `train --hardware-aware` draws the training
-    # noise ahead in a forked producer pinned to its own CPU (see
-    # training._train).  `run` keeps its HA draws in process, since its
-    # second CPU holds the regular pipeline.  `train --regular`,
-    # `evaluate` and `heatmap` run in one process.  No output depends on it.
+    # Processes.  At 2 or more, on an affinity mask of two CPUs or more
+    # (training._second_cpu), `run` runs the regular network's pipeline and
+    # `train --hardware-aware` draws its training noise in a second
+    # process; everything else runs in one.  No output depends on it.
     threads: int = 2
 
     def __post_init__(self):
@@ -549,6 +554,9 @@ class ExperimentConfig:
             raise ValueError(f"model_seed must be >= 0, got {self.model_seed}")
         if not 0 <= self.noise_std < math.inf:
             raise ValueError(f"dataset.noise_std must be finite and >= 0, got {self.noise_std}")
+        if self.n_train + self.n_test > MAX_DATASET_POINTS:
+            raise ValueError(f"dataset.n_train + dataset.n_test must be <= {MAX_DATASET_POINTS}, "
+                             f"got {self.n_train} + {self.n_test}")
         if self.grid.nx * self.grid.ny > MAX_GRID_POINTS:
             raise ValueError(f"heatmap.nx * heatmap.ny must be <= {MAX_GRID_POINTS}, "
                              f"got {self.grid.nx} * {self.grid.ny}")
@@ -724,13 +732,15 @@ def _run_pipelines(config: ExperimentConfig, *args) -> tuple[dict, float | None]
     """:func:`_pipeline`'s result per network, HA first, and the child
     process's peak RSS in MB, or None without one.
 
-    At ``config.threads`` 1 both pipelines run here, one after the other.
-    At 2 or more the regular one runs in a forked child while this process
-    runs the HA one; they share nothing but their inputs, so each result is
-    the one a serial run gives.  An exception in either pipeline is raised
-    here once the child is done, and the child never outlives the call.
+    Where :func:`training._second_cpu` gives no CPU for a second process
+    (``config.threads`` 1, or a one-CPU mask) both pipelines run here, one
+    after the other.  Otherwise the regular one runs in a forked child
+    while this process runs the HA one; they share nothing but their
+    inputs, so each result is the one a serial run gives.  An exception in
+    either pipeline is raised here once the child is done, and the child
+    never outlives the call.
     """
-    if config.threads < 2:
+    if _second_cpu(config.threads) is None:
         return {name: _pipeline(name, config, *args) for name in ("hardware_aware", "regular")}, None
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -754,8 +764,8 @@ def run_experiment(config, out_dir, config_doc: dict | None = None) -> list[Path
     transfers or repetitions per second of each, go to stderr, not into
     them.  The stage lines are printed once both pipelines are done, in
     the order of a run that trains both nets before it judges either; a
-    last line gives the peak resident memory of this process and, at
-    ``threads`` 2 or more, of the child (see :func:`_run_pipelines`).
+    last line gives the peak resident memory of this process and of the
+    child, where there is one (see :func:`_run_pipelines`).
     """
     if not isinstance(config, ExperimentConfig):
         config_doc, config = read_config(config)

@@ -19,16 +19,17 @@ as the per-layer pipeline always has (the stream contract of
 :class:`TransferPlan`), so a given seed trains the same parameters bit for
 bit.  Checkpoints keep row-major ``(fan_out, fan_in)`` weights.
 
-At ``workers`` 2 or more, on an affinity mask of at least two CPUs, a
-forked producer process pinned to one CPU of the mask makes those calls
-ahead of the trainer, in the same order, and sends them in blocks of
+At ``workers`` 2 or more, on an affinity mask of at least two CPUs
+(:func:`_second_cpu`), a producer process forked by multiprocessing and
+pinned to the mask's last CPU makes those calls ahead of the trainer, in
+the same order, and sends them down a one-way pipe in blocks of
 ``_BLOCK_STEPS`` steps, each with the generator state after it; the
 trainer's thread keeps the other CPUs.  Take-over rule: at a block
 boundary the trainer waits at most ``_WAIT_MS`` for the producer's block
 (not at all if it drew the previous block itself).  It uses a block that
 arrives after setting its generator to the block's end state, and
-otherwise draws the block itself and discards the producer's copy when it
-comes, so the draws, and the trained bits, never depend on the timing.
+otherwise draws the block itself and discards the producer's copy when
+it comes, so the draws, and the trained bits, never depend on the timing.
 
 Observers see the step through ``batch_hook(epoch, step, net, noisy,
 loss)``: ``noisy`` is the step's :class:`EffectiveParams`, whose flat
@@ -39,13 +40,11 @@ step, so a hook that keeps one must copy it.
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
 import math
 import os
-import pickle
-import select
-import signal
-import struct
+import resource
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -81,11 +80,15 @@ _STREAM_INIT = 1
 _STREAM_SHUFFLE = 2
 _STREAM_NOISE = 3
 
+# Upper bound on each width of `architecture`.  Evaluation holds 1 MiB per
+# unit of a layer's width and a few KB per device (a 2-256-256-1 `run` peaks
+# at 0.79 GB); a wider net could end in numpy's allocation error mid-run.
+MAX_WIDTH = 256
+
 # Training steps per block of noise that the producer process sends, and
 # how long the trainer waits for a block before it draws the block itself.
 _BLOCK_STEPS = 32
 _WAIT_MS = 3
-_HEADER = struct.Struct("<Q")  # the byte length of the message that follows
 # A block of the default 2-8-1 net is about 70 KB, more than a default pipe
 # holds; at 1 MiB, Linux's default limit for a pipe, the producer can run
 # many blocks ahead instead of waiting for each read.
@@ -147,6 +150,8 @@ class TrainingConfig:
         if arch[0] != 2:
             raise ValueError(f"architecture must start with 2, the half-moons input, "
                              f"got {list(arch)}")
+        if max(arch) > MAX_WIDTH:
+            raise ValueError(f"architecture widths must be <= {MAX_WIDTH}, got {list(arch)}")
         object.__setattr__(self, "tile", tuple(int(s) for s in self.tile))
         if len(self.tile) != 2 or min(self.tile) < 1:
             raise ValueError(f"tile must be two positive sizes (rows, cols), got {list(self.tile)}")
@@ -166,10 +171,8 @@ class EffectiveParams:
     order; ``ranges`` is the ``(3, layouts)`` array of the last transfer's
     weight-range snapshots (min, max, max-abs) from
     :meth:`TransferPlan.apply_devices`; ``net`` is a net of views into the
-    effective vector.  A training run's ``batch_hook(epoch, step, net,
-    noisy, loss)`` receives this object as ``noisy`` every step: its arrays
-    are overwritten or replaced by the next step, so a hook that keeps one
-    must copy it.
+    effective vector.  It is the ``noisy`` of a training run's
+    ``batch_hook`` (see the module docstring).
     """
 
     def __init__(self, sizes, params: np.ndarray):
@@ -222,9 +225,7 @@ def sample_epsilon(
     it as the :class:`EffectiveParams` of a copy of the net's parameters:
     the additive noise ``eps``, the stuck ``mask`` and the snapshot
     ``ranges``, flat in crossbar order (:func:`nn.unflatten` gives them per
-    layer).  It is what a training step passes to ``batch_hook(epoch,
-    step, net, noisy, loss)`` as ``noisy``, where the buffers are reused
-    every step, so a hook that keeps one must copy it."""
+    layer), as a training step passes it to ``batch_hook`` as ``noisy``."""
     plan = TransferPlan(layouts, model, x, y)
     params = EffectiveParams(net.sizes, plan.devices(layer_to_crossbar(l.weights, l.bias)
                                                      for l in net.layers))
@@ -244,14 +245,23 @@ def _effective_model(model: VariabilityModel, sources: SourceToggles) -> Variabi
 
 @dataclass
 class ProducerReport:
-    """What the noise producer of one training run did: the CPU seconds of
-    its process (from ``os.wait4``), the blocks of draws that the trainer
-    took and how many of those it drew itself.  ``blocks`` stays 0 when no
-    producer ran."""
+    """What the noise producer of one training run did: its CPU seconds
+    (the growth of ``RUSAGE_CHILDREN`` from its start until it is reaped),
+    the blocks of draws that the trainer took and how many of those it
+    drew itself.  ``blocks`` stays 0 when no producer ran."""
 
     cpu_s: float = 0.0
     blocks: int = 0
     drawn_here: int = 0
+
+
+def _second_cpu(workers: int) -> int | None:
+    """The last CPU of this process's affinity mask, for a second process
+    (the noise producer of :func:`_produced`, ``run``'s regular pipeline),
+    at ``workers`` 2 or more on a mask of two CPUs or more; otherwise None,
+    as a second process would only share a CPU with this one."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    return cpus[-1] if workers >= 2 and len(cpus) >= 2 else None
 
 
 def _draws_here(plan: TransferPlan, rng: np.random.Generator):
@@ -261,89 +271,62 @@ def _draws_here(plan: TransferPlan, rng: np.random.Generator):
 
 def _noise(plan: TransferPlan, rng: np.random.Generator, steps: int, workers: int,
            report: ProducerReport):
-    """The iterator of every step's :class:`TransferNoise`: drawn here, or
-    at ``workers`` 2 or more on a mask of two CPUs or more, by a producer
-    process (see :func:`_produced`).  Either way it yields the draws of
-    successive ``plan.draw(1, rng)`` calls."""
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    if workers < 2 or len(cpus) < 2:
-        return _draws_here(plan, rng)
-    return _produced(plan, rng, steps, cpus[-1], report)
+    """The iterator of every step's :class:`TransferNoise`, the draws of
+    successive ``plan.draw(1, rng)`` calls: made here, or by a producer
+    process (:func:`_produced`) on :func:`_second_cpu` where there is one."""
+    cpu = _second_cpu(workers)
+    return _draws_here(plan, rng) if cpu is None else _produced(plan, rng, steps, cpu, report)
 
 
-def _send(fd: int, message: bytes) -> None:
-    view = memoryview(message)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read(fd: int, size: int) -> bytearray | None:
-    """``size`` bytes from ``fd``, or None at the end of the pipe."""
-    buf = bytearray(size)
-    view, got = memoryview(buf), 0
-    while got < size:
-        n = os.readv(fd, [view[got:]])
-        if n == 0:
-            return None
-        got += n
-    return buf
-
-
-def _produce(plan: TransferPlan, rng: np.random.Generator, steps: int, cpu: int, read_fd: int,
-             write_fd: int):
+def _produce(plan: TransferPlan, rng: np.random.Generator, steps: int, cpu: int, reader, writer):
     """The producer process: pinned to ``cpu``, it draws the ``steps``
-    steps' noise as :func:`_draws_here` would and writes it to
-    ``write_fd``, one message per block of :data:`_BLOCK_STEPS` steps
-    holding the block's index, its stacked draws and the generator state
-    after it.  It leaves only through ``os._exit``."""
+    steps' noise as :func:`_draws_here` would and sends ``writer`` one
+    message per block of :data:`_BLOCK_STEPS` steps: the block's index, its
+    stacked draws and the generator state after it.  It leaves only through
+    ``os._exit``, as multiprocessing's bootstrap would print the traceback
+    of a child stopped by Ctrl-C or a closed pipe."""
     try:
-        os.close(read_fd)
+        reader.close()
         os.sched_setaffinity(0, {cpu})
         for index, start in enumerate(range(0, steps, _BLOCK_STEPS)):
             block = [plan.draw(1, rng) for _ in range(min(_BLOCK_STEPS, steps - start))]
-            payload = pickle.dumps((index, tuple(TransferNoise.concatenate(block)),
-                                    rng.bit_generator.state), protocol=pickle.HIGHEST_PROTOCOL)
-            _send(write_fd, _HEADER.pack(len(payload)) + payload)
+            writer.send((index, TransferNoise.concatenate(block), rng.bit_generator.state))
     finally:
         os._exit(0)
 
 
 def _produced(plan: TransferPlan, rng: np.random.Generator, steps: int, cpu: int,
               report: ProducerReport):
-    """Every step's noise from a forked :func:`_produce` pinned to ``cpu``,
-    with the trainer taking over any block that is late (see the module
-    docstring).  This thread runs on the rest of its mask until the
+    """Every step's noise from a :func:`_produce` process pinned to
+    ``cpu``, with the trainer taking over any late block (see the module
+    docstring).  The process is forked, not spawned, which would import
+    numpy again; it runs only the generator and pickle, never BLAS, whose
+    threads it lacks.  This thread runs on the rest of its mask until the
     iterator is closed, which kills and reaps the producer, records its
     CPU time in ``report`` and restores the mask."""
+    import multiprocessing  # here: evaluate and heatmap never pay its import
+
+    context = multiprocessing.get_context("fork")
     mask = os.sched_getaffinity(0)
-    read_fd, write_fd = os.pipe()
-    # Forked, not spawned, which would import numpy again.  The child runs
-    # only the generator and pickle, never BLAS, whose threads it lacks.
-    pid = os.fork()
-    if pid == 0:
-        _produce(plan, rng, steps, cpu, read_fd, write_fd)
+    reader, writer = context.Pipe(duplex=False)
+    with contextlib.suppress(OSError):  # above the system's limit: blocks wait for reads
+        fcntl.fcntl(reader.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    producer = context.Process(target=_produce, args=(plan, rng, steps, cpu, reader, writer))
+    producer.start()
     try:
-        os.close(write_fd)
-        try:
-            fcntl.fcntl(read_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        except OSError:  # above the system's limit: blocks wait for reads
-            pass
+        writer.close()
         os.sched_setaffinity(0, mask - {cpu})
-        poller = select.poll()
-        poller.register(read_fd, select.POLLIN)
         live, wait = True, _WAIT_MS
         for index, start in enumerate(range(0, steps, _BLOCK_STEPS)):
             n = min(_BLOCK_STEPS, steps - start)
             block = None
-            while live and block is None and poller.poll(wait):
-                header = _read(read_fd, _HEADER.size)
-                payload = None if header is None else _read(read_fd, *_HEADER.unpack(header))
-                if payload is None:
+            while live and block is None and reader.poll(wait / 1000):
+                try:
+                    sent, noise, state = reader.recv()
+                    block = noise if sent == index else None  # earlier ones were drawn here
+                except EOFError:  # the producer stopped
                     live = False
-                    break
-                sent, arrays, state = pickle.loads(payload)
-                if sent == index:  # earlier blocks were drawn here: discard them
-                    block = TransferNoise(*arrays)
             report.blocks += 1
             if block is None:
                 report.drawn_here += 1
@@ -358,11 +341,12 @@ def _produced(plan: TransferPlan, rng: np.random.Generator, steps: int, cpu: int
                 yield TransferNoise(stuck[:, t:t + 1], values[:, t:t + 1],
                                     normals[:, :, t:t + 1], disturbance[:, t:t + 1])
     finally:
-        os.close(read_fd)
-        os.kill(pid, signal.SIGKILL)
-        usage = os.wait4(pid, 0)[2]
+        reader.close()
+        producer.kill()
+        producer.join()
         os.sched_setaffinity(0, mask)
-        report.cpu_s = usage.ru_utime + usage.ru_stime
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        report.cpu_s = after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -379,14 +363,10 @@ def _train(config: TrainingConfig, train_set, plan: TransferPlan | None, batch_h
     used when every source is disabled, which makes the noisy loop
     degenerate to the plain one exactly).
 
-    The steps take their draws from one iterator (:func:`_noise`).  At
-    ``workers`` 2 or more, on a mask of two CPUs or more, a producer process
-    pinned to one of them makes the calls ahead; at each block boundary the
-    trainer waits at most ``_WAIT_MS`` for its block, and draws a late
-    block itself (the take-over rule of the module docstring), so the draws
-    are the same at any ``workers``.  The iterator is closed on every exit,
-    which kills and reaps the producer and restores this thread's mask;
-    ``report`` receives what the producer did.
+    The steps take their draws from :func:`_noise`, the same at any
+    ``workers`` (the take-over rule of the module docstring).  Its iterator
+    is closed on every exit, which kills and reaps any producer and
+    restores this thread's mask; ``report`` receives what the producer did.
 
     ``batch_hook(epoch, step, net, noisy, loss)`` is called after each
     step's backward pass and before its Adam update, with the clean

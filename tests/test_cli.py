@@ -208,7 +208,9 @@ class TestRun:
         out = tmp_path / "artifacts"
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
         *lines, rss = capsys.readouterr().err.splitlines()
-        assert re.fullmatch(r"peak rss: parent \d+\.\d MB, child \d+\.\d MB", rss)
+        # At the default threads 2 the regular pipeline has a child on two CPUs.
+        child = r", child \d+\.\d MB" if TWO_CPUS else ""
+        assert re.fullmatch(rf"peak rss: parent \d+\.\d MB{child}", rss)
         stages = [line.split(": ", 1)[0] for line in lines]
         assert stages == ["hardware_aware training", "regular training",
                           "hardware_aware evaluation", "hardware_aware heatmap",
@@ -220,6 +222,25 @@ class TestRun:
                      "--threads", "1"]) == 0
         assert re.fullmatch(r"peak rss: parent \d+\.\d MB",
                             capsys.readouterr().err.splitlines()[-1])
+
+    def test_one_cpu_mask_forks_nothing(self, config_path, tmp_path, capsys, monkeypatch):
+        def tree(out):
+            return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        def fork():
+            raise AssertionError("forked on a one-CPU mask")
+
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "1"),
+                     "--threads", "1"]) == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", fork)
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "2"),
+                     "--threads", "2"]) == 0
+        assert re.fullmatch(r"peak rss: parent \d+\.\d MB",
+                            capsys.readouterr().err.splitlines()[-1])
+        serial = tree(tmp_path / "1")
+        assert len(serial) == 10
+        assert tree(tmp_path / "2") == serial
 
     def test_evaluation_and_heatmap_rates_go_to_stderr(self, config_path, tmp_path, capsys):
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
@@ -477,6 +498,13 @@ class TestErrorPaths:
         pytest.param({"heatmap": {"nx": 0}}, "heatmap.nx must be >= 1, got 0\n", id="nx-zero"),
         pytest.param({"heatmap": {"ny": -3}}, "heatmap.ny must be >= 1, got -3\n",
                      id="ny-negative"),
+        # Each would end in numpy's allocation error.
+        pytest.param({"epochs": 1, "dataset": {"n_train": 1e11}}, "dataset.n_train",
+                     id="n_train-huge"),
+        pytest.param({"epochs": 1, "dataset": {"n_test": 1e11}}, "dataset.n_test",
+                     id="n_test-huge"),
+        pytest.param({"epochs": 1, "architecture": [2, 100000000000, 1]}, "architecture",
+                     id="width-huge"),
     ])
     def test_invalid_value_exits_2_before_training(self, tmp_path, capsys, trained, update, key):
         path = tmp_path / "config.json"

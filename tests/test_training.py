@@ -1,6 +1,7 @@
 import hashlib
 import os
 import time
+from multiprocessing.connection import Connection
 from types import SimpleNamespace
 
 import numpy as np
@@ -421,7 +422,7 @@ class TestGoldenTraining:
 
     def test_stalled_producer_is_taken_over(self, monkeypatch, moons_split, synthetic_model):
         # The producer draws its first block and then never sends it.
-        monkeypatch.setattr(training, "_send", lambda fd, message: time.sleep(3600))
+        monkeypatch.setattr(Connection, "send", lambda self, message: time.sleep(3600))
         report = ProducerReport()
         net = train_hardware_aware(self.SMALL, moons_split[0], model=synthetic_model, workers=2,
                                    report=report)
@@ -434,15 +435,15 @@ class TestGoldenTraining:
         # The trainer waits as long as it takes for each block; the producer
         # sends 5 blocks and exits, so the trainer draws the other 13 itself,
         # from its generator as the producer's last block left it.
-        send, sent = training._send, []
+        send, sent = Connection.send, []
 
-        def five_blocks(fd, message):
+        def five_blocks(self, message):
             if len(sent) == 5:
                 os._exit(0)
             sent.append(message)
-            send(fd, message)
+            send(self, message)
 
-        monkeypatch.setattr(training, "_send", five_blocks)
+        monkeypatch.setattr(Connection, "send", five_blocks)
         monkeypatch.setattr(training, "_WAIT_MS", 60_000)
         report = ProducerReport()
         net = train_hardware_aware(self.STUCK_HEAVY, moons_split[0], model=synthetic_model,
@@ -580,7 +581,7 @@ class TestErrorPaths:
 
 class TestProducerLifetime:
     @pytest.mark.parametrize("error", [ValueError, TrainingDiverged, KeyboardInterrupt])
-    def test_error_mid_run_leaves_no_producer(self, synthetic_model, error):
+    def test_error_mid_run_leaves_no_producer(self, capfd, synthetic_model, error):
         mask, masks = os.sched_getaffinity(0), []
 
         def stop(epoch, step, net, noisy, loss):
@@ -595,6 +596,25 @@ class TestProducerLifetime:
         assert os.sched_getaffinity(0) == mask
         # While it trained, the producer held the mask's last CPU.
         assert masks[0] == (mask - {max(mask)} if TWO_CPUS else mask)
+        # The killed producer, which shares fd 2, wrote nothing there.
+        assert capfd.readouterr().err == ""
+
+    def test_producer_with_a_broken_pipe_writes_nothing(self, capfd, monkeypatch,
+                                                         synthetic_model):
+        # The producer leaves through os._exit, where multiprocessing's
+        # bootstrap would print the error's traceback on the shared fd 2.
+        # The trainer waits until the pipe closes, then draws every block.
+        def broken(self, message):
+            raise BrokenPipeError("closed")
+
+        monkeypatch.setattr(Connection, "send", broken)
+        monkeypatch.setattr(training, "_WAIT_MS", 60_000)
+        report = ProducerReport()
+        train_hardware_aware(TrainingConfig(epochs=2, batch_size=32), tiny_moons(),
+                             model=synthetic_model, workers=2, report=report)
+        assert report.drawn_here == report.blocks == (1 if TWO_CPUS else 0)
+        assert capfd.readouterr().err == ""
+        assert_no_children()
 
     def test_workers_1_stays_in_process(self, monkeypatch, synthetic_model):
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked at workers 1"))

@@ -26,7 +26,13 @@ from .experiments import (
     write_json,
     write_table_csv,
 )
-from .training import ProducerReport, TrainingDiverged, train_hardware_aware, train_regular
+from .training import (
+    ProducerReport,
+    TrainingDiverged,
+    check_architecture,
+    train_hardware_aware,
+    train_regular,
+)
 from .transfer import layouts_for_architecture
 from .variability import (
     ConductanceRange,
@@ -73,9 +79,7 @@ def _load_checkpoint(args):
     config = _override(load_experiment_config(args.config), args)
     model = config.resolve_model()
     net = nn.load_checkpoint(args.checkpoint)
-    if net.sizes[0] != 2 or net.sizes[-1] != 1:
-        raise ValueError(f"checkpoint {args.checkpoint}: layer_sizes must start with 2, the "
-                         f"half-moons input, and end with 1, the one output, got {net.sizes}")
+    check_architecture(net.sizes, f"checkpoint {args.checkpoint}: layer_sizes")
     layouts = layouts_for_architecture(net.sizes, *config.training.tile)
     return config, model, net, layouts
 

@@ -24,12 +24,11 @@ At ``workers`` 2 or more, on an affinity mask of at least two CPUs
 pinned to the mask's last CPU makes those calls ahead of the trainer, in
 the same order, and sends them down a one-way pipe in blocks of
 ``_BLOCK_STEPS`` steps, each with the generator state after it; the
-trainer's thread keeps the other CPUs.  Take-over rule: at a block
-boundary the trainer waits at most ``_WAIT_MS`` for the producer's block
-(not at all if it drew the previous block itself).  It uses a block that
-arrives after setting its generator to the block's end state, and
-otherwise draws the block itself and discards the producer's copy when
-it comes, so the draws, and the trained bits, never depend on the timing.
+trainer's thread keeps the other CPUs.  One rule hands the draws over: the
+trainer takes the producer's blocks in order until one has not arrived
+within ``_WAIT_MS`` or the producer has stopped, and from then on makes
+every call itself, from the generator state of the last block it took.
+So the draws, and the trained bits, never depend on the timing.
 
 Observers see the step through ``batch_hook(epoch, step, net, noisy,
 loss)``: ``noisy`` is the step's :class:`EffectiveParams`, whose flat
@@ -51,6 +50,7 @@ import numpy as np
 
 from . import nn
 from .transfer import (
+    DEFAULT_TILE,
     TileLayout,
     TransferNoise,
     TransferPlan,
@@ -80,15 +80,19 @@ _STREAM_INIT = 1
 _STREAM_SHUFFLE = 2
 _STREAM_NOISE = 3
 
-# Upper bound on each width of `architecture`.  Evaluation holds 1 MiB per
-# unit of a layer's width and a few KB per device (a 2-256-256-1 `run` peaks
-# at 0.79 GB); a wider net could end in numpy's allocation error mid-run.
-MAX_WIDTH = 256
+# Upper bound on the sum of a net's widths after the input.  Evaluation
+# holds one (CHUNK, POINT_BLOCK, width) buffer per layer, 1 MiB per unit, and
+# a few KB per device, whose count the sum bounds too: a 2-256-256-1 `run`,
+# at the bound, peaks at 0.79 GB.  A larger net could end in numpy's
+# allocation error after training.
+MAX_UNITS = 513
 
 # Training steps per block of noise that the producer process sends, and
-# how long the trainer waits for a block before it draws the block itself.
+# the wait for a block beyond which the trainer draws the rest itself: a
+# stall bound above the first block's 9-10 ms after the fork (2 vCPU), as a
+# producer with a CPU of its own only draws and so stays ahead.
 _BLOCK_STEPS = 32
-_WAIT_MS = 3
+_WAIT_MS = 100
 # A block of the default 2-8-1 net is about 70 KB, more than a default pipe
 # holds; at 1 MiB, Linux's default limit for a pipe, the producer can run
 # many blocks ahead instead of waiting for each read.
@@ -102,6 +106,19 @@ class TrainingDiverged(RuntimeError):
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *key]))
+
+
+def check_architecture(sizes, name: str) -> None:
+    """Raise a ValueError naming ``name`` unless ``sizes`` are 2 inputs, the
+    half-moons points; 1 sigmoid output, as the loss is binary cross-entropy;
+    and positive widths that sum to at most :data:`MAX_UNITS` after the input."""
+    sizes = list(sizes)
+    if not sizes or sizes[0] != 2 or sizes[-1] != 1:
+        raise ValueError(f"{name} must start with 2, the half-moons input, and end with 1, "
+                         f"the one output, got {sizes}")
+    if min(sizes) < 1 or sum(sizes[1:]) > MAX_UNITS:
+        raise ValueError(f"{name} must be positive sizes whose widths after the input sum to "
+                         f"<= {MAX_UNITS}, got {sizes}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +143,7 @@ class TrainingConfig:
     lrs_fraction: float = 0.005
     sources: SourceToggles = field(default_factory=SourceToggles)
     seed: int = 0
-    tile: tuple[int, int] = (8, 8)
+    tile: tuple[int, int] = DEFAULT_TILE
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -143,15 +160,7 @@ class TrainingConfig:
         if self.hrs_fraction + self.lrs_fraction > 1:
             raise ValueError("hrs_fraction + lrs_fraction must be <= 1")
         object.__setattr__(self, "architecture", tuple(int(s) for s in self.architecture))
-        arch = self.architecture
-        # One sigmoid output: the loss is binary cross-entropy.
-        if len(arch) < 2 or min(arch) < 1 or arch[-1] != 1:
-            raise ValueError(f"architecture must be positive sizes ending in 1, got {list(arch)}")
-        if arch[0] != 2:
-            raise ValueError(f"architecture must start with 2, the half-moons input, "
-                             f"got {list(arch)}")
-        if max(arch) > MAX_WIDTH:
-            raise ValueError(f"architecture widths must be <= {MAX_WIDTH}, got {list(arch)}")
+        check_architecture(self.architecture, "architecture")
         object.__setattr__(self, "tile", tuple(int(s) for s in self.tile))
         if len(self.tile) != 2 or min(self.tile) < 1:
             raise ValueError(f"tile must be two positive sizes (rows, cols), got {list(self.tile)}")
@@ -247,8 +256,8 @@ def _effective_model(model: VariabilityModel, sources: SourceToggles) -> Variabi
 class ProducerReport:
     """What the noise producer of one training run did: its CPU seconds
     (the growth of ``RUSAGE_CHILDREN`` from its start until it is reaped),
-    the blocks of draws that the trainer took and how many of those it
-    drew itself.  ``blocks`` stays 0 when no producer ran."""
+    the blocks of the run's draws and how many of those the trainer drew
+    itself.  ``blocks`` stays 0 when no producer ran."""
 
     cpu_s: float = 0.0
     blocks: int = 0
@@ -264,46 +273,47 @@ def _second_cpu(workers: int) -> int | None:
     return cpus[-1] if workers >= 2 and len(cpus) >= 2 else None
 
 
-def _draws_here(plan: TransferPlan, rng: np.random.Generator):
+def _noise(plan: TransferPlan, rng: np.random.Generator, steps: int, workers: int,
+           report: ProducerReport):
+    """The iterator of every step's :class:`TransferNoise`, the draws of
+    successive ``plan.draw(1, rng)`` calls: those of a producer process
+    (:func:`_produced`) on :func:`_second_cpu` where there is one, up to its
+    first late block, then the calls made here (the module docstring)."""
+    cpu = _second_cpu(workers)
+    if cpu is not None:
+        yield from _produced(plan, rng, steps, cpu, report)
     while True:
         yield plan.draw(1, rng)
 
 
-def _noise(plan: TransferPlan, rng: np.random.Generator, steps: int, workers: int,
-           report: ProducerReport):
-    """The iterator of every step's :class:`TransferNoise`, the draws of
-    successive ``plan.draw(1, rng)`` calls: made here, or by a producer
-    process (:func:`_produced`) on :func:`_second_cpu` where there is one."""
-    cpu = _second_cpu(workers)
-    return _draws_here(plan, rng) if cpu is None else _produced(plan, rng, steps, cpu, report)
-
-
 def _produce(plan: TransferPlan, rng: np.random.Generator, steps: int, cpu: int, reader, writer):
-    """The producer process: pinned to ``cpu``, it draws the ``steps``
-    steps' noise as :func:`_draws_here` would and sends ``writer`` one
-    message per block of :data:`_BLOCK_STEPS` steps: the block's index, its
-    stacked draws and the generator state after it.  It leaves only through
-    ``os._exit``, as multiprocessing's bootstrap would print the traceback
-    of a child stopped by Ctrl-C or a closed pipe."""
+    """The producer process: pinned to ``cpu``, it makes the ``steps``
+    steps' ``plan.draw(1, rng)`` calls and sends ``writer`` one message per
+    block of :data:`_BLOCK_STEPS` steps: the block's stacked draws and the
+    generator state after it.  It leaves only through ``os._exit``, as
+    multiprocessing's bootstrap would print the traceback of a child
+    stopped by Ctrl-C or a closed pipe."""
     try:
         reader.close()
         os.sched_setaffinity(0, {cpu})
-        for index, start in enumerate(range(0, steps, _BLOCK_STEPS)):
+        for start in range(0, steps, _BLOCK_STEPS):
             block = [plan.draw(1, rng) for _ in range(min(_BLOCK_STEPS, steps - start))]
-            writer.send((index, TransferNoise.concatenate(block), rng.bit_generator.state))
+            writer.send((TransferNoise.concatenate(block), rng.bit_generator.state))
     finally:
         os._exit(0)
 
 
 def _produced(plan: TransferPlan, rng: np.random.Generator, steps: int, cpu: int,
               report: ProducerReport):
-    """Every step's noise from a :func:`_produce` process pinned to
-    ``cpu``, with the trainer taking over any late block (see the module
-    docstring).  The process is forked, not spawned, which would import
-    numpy again; it runs only the generator and pickle, never BLAS, whose
-    threads it lacks.  This thread runs on the rest of its mask until the
-    iterator is closed, which kills and reaps the producer, records its
-    CPU time in ``report`` and restores the mask."""
+    """The steps' noise from a :func:`_produce` process pinned to ``cpu``,
+    block by block in order, each setting ``rng`` to the state after it.
+    It returns at the first block that has not arrived within
+    :data:`_WAIT_MS` or when the producer has stopped.  The process is
+    forked, not spawned, which would import numpy again; it runs only the
+    generator and pickle, never BLAS, whose threads it lacks.  This thread
+    runs on the rest of its mask until the iterator returns or is closed,
+    which kills and reaps the producer, records what it did in ``report``
+    and restores the mask."""
     import multiprocessing  # here: evaluate and heatmap never pay its import
 
     context = multiprocessing.get_context("fork")
@@ -314,30 +324,20 @@ def _produced(plan: TransferPlan, rng: np.random.Generator, steps: int, cpu: int
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     producer = context.Process(target=_produce, args=(plan, rng, steps, cpu, reader, writer))
     producer.start()
+    report.blocks = report.drawn_here = -(-steps // _BLOCK_STEPS)
     try:
         writer.close()
         os.sched_setaffinity(0, mask - {cpu})
-        live, wait = True, _WAIT_MS
-        for index, start in enumerate(range(0, steps, _BLOCK_STEPS)):
-            n = min(_BLOCK_STEPS, steps - start)
-            block = None
-            while live and block is None and reader.poll(wait / 1000):
-                try:
-                    sent, noise, state = reader.recv()
-                    block = noise if sent == index else None  # earlier ones were drawn here
-                except EOFError:  # the producer stopped
-                    live = False
-            report.blocks += 1
-            if block is None:
-                report.drawn_here += 1
-                wait = 0
-                for _ in range(n):
-                    yield plan.draw(1, rng)
-                continue
-            rng.bit_generator.state = state
-            wait = _WAIT_MS
+        for _ in range(report.blocks):
+            if not reader.poll(_WAIT_MS / 1000):
+                return
+            try:
+                block, rng.bit_generator.state = reader.recv()
+            except EOFError:  # the producer stopped
+                return
+            report.drawn_here -= 1
             stuck, values, normals, disturbance = block
-            for t in range(n):
+            for t in range(stuck.shape[1]):
                 yield TransferNoise(stuck[:, t:t + 1], values[:, t:t + 1],
                                     normals[:, :, t:t + 1], disturbance[:, t:t + 1])
     finally:
@@ -356,17 +356,11 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def _train(config: TrainingConfig, train_set, plan: TransferPlan | None, batch_hook,
-           noise_rng: np.random.Generator | None = None, workers: int = 1,
-           report: ProducerReport | None = None):
-    """Shared loop.  With a ``plan``, every batch sees one transfer drawn by
-    ``plan.draw(1, noise_rng)``; ``plan`` is None for plain training (also
-    used when every source is disabled, which makes the noisy loop
-    degenerate to the plain one exactly).
-
-    The steps take their draws from :func:`_noise`, the same at any
-    ``workers`` (the take-over rule of the module docstring).  Its iterator
-    is closed on every exit, which kills and reaps any producer and
-    restores this thread's mask; ``report`` receives what the producer did.
+           noise=None):
+    """Shared loop.  With a ``plan``, every batch sees one transfer, whose
+    draws it takes from ``noise``, an iterator of :func:`_noise`; both are
+    None for plain training (also used when every source is disabled, which
+    makes the noisy loop degenerate to the plain one exactly).
 
     ``batch_hook(epoch, step, net, noisy, loss)`` is called after each
     step's backward pass and before its Adam update, with the clean
@@ -386,36 +380,30 @@ def _train(config: TrainingConfig, train_set, plan: TransferPlan | None, batch_h
     seen = net if noisy is None else noisy.net
     grad = np.empty_like(state.params) if noisy is None else noisy.grad
     grads = nn.unflatten(net.sizes, grad)
-    noise = None if plan is None else _noise(plan, noise_rng, config.steps(X.shape[0]), workers,
-                                             report or ProducerReport())
     # A diverging net overflows before its outputs turn NaN.  The NaN check
     # and the final-parameter check report it, so numpy's warnings are off.
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for epoch in range(config.epochs):
-                for step, idx in enumerate(_batches(X.shape[0], config.batch_size, shuffle_rng)):
-                    Xb, yb = X.take(idx, axis=0), labels[idx]
-                    if noisy is not None:
-                        noisy.transfer(plan, next(noise))
-                        noisy.update()
-                    y_hat, cache = nn.forward(seen, Xb)
-                    # The loss clamps the outputs before its logs and the labels
-                    # are 0 or 1, so it is non-finite exactly where an output is
-                    # NaN; it is computed only for the hook.
-                    if np.isnan(y_hat).any():
-                        raise TrainingDiverged(
-                            f"training diverged: non-finite loss at epoch {epoch}, batch {step}"
-                        )
-                    if noisy is None:
-                        nn.backward(net, cache, yb, out=grads)
-                    else:
-                        noisy.gradient(cache, yb)
-                    if batch_hook is not None:
-                        batch_hook(epoch, step, net, noisy, nn.bce_loss(y_hat, yb))
-                    state.update(grad)
-    finally:
-        if noise is not None:
-            noise.close()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            for step, idx in enumerate(_batches(X.shape[0], config.batch_size, shuffle_rng)):
+                Xb, yb = X.take(idx, axis=0), labels[idx]
+                if noisy is not None:
+                    noisy.transfer(plan, next(noise))
+                    noisy.update()
+                y_hat, cache = nn.forward(seen, Xb)
+                # The loss clamps the outputs before its logs and the labels
+                # are 0 or 1, so it is non-finite exactly where an output is
+                # NaN; it is computed only for the hook.
+                if np.isnan(y_hat).any():
+                    raise TrainingDiverged(
+                        f"training diverged: non-finite loss at epoch {epoch}, batch {step}"
+                    )
+                if noisy is None:
+                    nn.backward(net, cache, yb, out=grads)
+                else:
+                    noisy.gradient(cache, yb)
+                if batch_hook is not None:
+                    batch_hook(epoch, step, net, noisy, nn.bce_loss(y_hat, yb))
+                state.update(grad)
     # The steps only check their outputs for NaN, so an infinite parameter
     # that never made one still has to be caught here.
     if not np.isfinite(state.params).all():
@@ -433,16 +421,19 @@ def train_hardware_aware(
 ) -> nn.DenseNet:
     """Noise-injected training; returns the clean weights (noise is never
     baked into the parameters).  At ``workers`` 2 or more a producer
-    process draws the noise ahead (see :func:`_train`), which changes no
-    bit of the result; ``report`` then receives what it did."""
+    process draws the noise ahead until one of its blocks is late, and this
+    process draws the rest (see the module docstring), which changes no bit
+    of the result; ``report`` then receives what the producer did."""
     x = config.hrs_fraction if config.sources.stuck else 0.0
     y = config.lrs_fraction if config.sources.stuck else 0.0
     if not (config.sources.tuning or config.sources.bias or x + y > 0):
         return _train(config, train_set, None, batch_hook)
     layouts = layouts_for_architecture(config.architecture, *config.tile)
     plan = TransferPlan(layouts, _effective_model(model, config.sources), x, y)
-    return _train(config, train_set, plan, batch_hook, _stream(config.seed, _STREAM_NOISE),
-                  workers, report)
+    noise = _noise(plan, _stream(config.seed, _STREAM_NOISE), config.steps(len(train_set.points)),
+                   workers, report or ProducerReport())
+    with contextlib.closing(noise):  # on every exit: any producer is reaped, the mask restored
+        return _train(config, train_set, plan, batch_hook, noise)
 
 
 def train_regular(config: TrainingConfig, train_set, batch_hook=None) -> nn.DenseNet:

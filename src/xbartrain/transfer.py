@@ -37,6 +37,9 @@ __all__ = [
     "layouts_for_architecture",
 ]
 
+# Devices per crossbar tile, (rows, cols), wherever no tile is given.
+DEFAULT_TILE = (8, 8)
+
 
 @dataclass(frozen=True)
 class WeightRangeSnapshot:
@@ -88,7 +91,8 @@ class TileLayout:
     nd_minus: np.ndarray
 
     @classmethod
-    def for_weight_matrix(cls, n_rows: int, n_cols: int, rows: int = 8, cols: int = 8) -> "TileLayout":
+    def for_weight_matrix(cls, n_rows: int, n_cols: int, rows: int = DEFAULT_TILE[0],
+                          cols: int = DEFAULT_TILE[1]) -> "TileLayout":
         if n_rows < 1 or n_cols < 1:
             raise ValueError(f"weight matrix shape must be positive, got {(n_rows, n_cols)}")
         if rows < 1 or cols < 1:
@@ -443,7 +447,8 @@ def layer_to_crossbar(weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return np.concatenate([weights.T, np.asarray(bias, dtype=float)[None, :]])
 
 
-def layouts_for_architecture(sizes, rows: int = 8, cols: int = 8) -> list[TileLayout]:
+def layouts_for_architecture(sizes, rows: int = DEFAULT_TILE[0],
+                             cols: int = DEFAULT_TILE[1]) -> list[TileLayout]:
     """One TileLayout per dense layer of a feed-forward architecture."""
     sizes = list(sizes)
     if len(sizes) < 2:

@@ -14,6 +14,7 @@ import pytest
 
 from xbartrain import cli, experiments, nn
 from xbartrain.cli import main
+from xbartrain.training import MAX_UNITS
 from xbartrain.transfer import TransferPlan
 from xbartrain.variability import ConductanceRange, load_model, save_model
 
@@ -383,10 +384,14 @@ class TestErrorPaths:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "heatmap"])
-    @pytest.mark.parametrize("sizes", [[2, 8, 2], [3, 8, 1]], ids=["two_outputs", "three_inputs"])
+    @pytest.mark.parametrize("sizes, rule", [
+        ([2, 8, 2], "start with 2, the half-moons input, and end with 1, the one output"),
+        ([3, 8, 1], "start with 2, the half-moons input, and end with 1, the one output"),
+        ([2, 1000, 1], f"be positive sizes whose widths after the input sum to <= {MAX_UNITS}"),
+    ], ids=["two_outputs", "three_inputs", "too_wide"])
     def test_checkpoint_of_another_width_exits_2_before_any_draw(self, config_path, tmp_path,
                                                                  capsys, monkeypatch, command,
-                                                                 sizes):
+                                                                 sizes, rule):
         def draw(*args, **kwargs):
             raise AssertionError("drew transfers of a net of the wrong width")
 
@@ -398,15 +403,14 @@ class TestErrorPaths:
                    "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == (
-            f"error: checkpoint {checkpoint}: layer_sizes must start with 2, the half-moons "
-            f"input, and end with 1, the one output, got {sizes}\n")
+            f"error: checkpoint {checkpoint}: layer_sizes must {rule}, got {sizes}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["train", "--regular"], ["train", "--hardware-aware"],
                                          ["run"]], ids=["regular", "hardware_aware", "run"])
     @pytest.mark.parametrize("update, message", [
-        ({"architecture": [3, 8, 1]},
-         "architecture must start with 2, the half-moons input, got [3, 8, 1]"),
+        ({"architecture": [3, 8, 1]}, "architecture must start with 2, the half-moons input, and "
+                                      "end with 1, the one output, got [3, 8, 1]"),
         ({"tile": [0, 8]}, "tile must be two positive sizes (rows, cols), got [0, 8]"),
     ], ids=["three_inputs", "empty_tile"])
     def test_config_field_exits_2_before_training(self, tmp_path, capsys, trained, command,
@@ -505,6 +509,8 @@ class TestErrorPaths:
                      id="n_test-huge"),
         pytest.param({"epochs": 1, "architecture": [2, 100000000000, 1]}, "architecture",
                      id="width-huge"),
+        pytest.param({"epochs": 1, "architecture": [2, 256, 256, 256, 1]}, "architecture",
+                     id="depth-huge"),
     ])
     def test_invalid_value_exits_2_before_training(self, tmp_path, capsys, trained, update, key):
         path = tmp_path / "config.json"

@@ -452,6 +452,30 @@ class TestGoldenTraining:
         assert (report.blocks, report.drawn_here) == ((18, 13) if TWO_CPUS else (0, 0))
         assert_no_children()
 
+    def test_producer_late_on_one_block_is_taken_over_for_good(self, monkeypatch, moons_split,
+                                                                synthetic_model):
+        # The producer sleeps 0.6 s before it sends block 2, which the trainer
+        # reaches after about 0.13 s and waits 0.1 s for.  Then it sends the
+        # rest, and the slow hook would let it catch up long before the run
+        # ends, but the trainer draws every step from block 2 on itself.
+        send, sent = Connection.send, []
+
+        def late_block_2(self, message):
+            if len(sent) == 2:
+                time.sleep(0.6)
+            sent.append(None)
+            send(self, message)
+
+        monkeypatch.setattr(Connection, "send", late_block_2)
+        monkeypatch.setattr(training, "_WAIT_MS", 100)
+        report = ProducerReport()
+        net = train_hardware_aware(self.STUCK_HEAVY, moons_split[0], model=synthetic_model,
+                                   workers=2, report=report,
+                                   batch_hook=lambda *args: time.sleep(0.002))
+        assert self.digest(net) == self.HARDWARE_AWARE["STUCK_HEAVY"]
+        assert (report.blocks, report.drawn_here) == ((18, 18 - 2) if TWO_CPUS else (0, 0))
+        assert_no_children()
+
     def test_one_cpu_mask_forks_nothing(self, monkeypatch, moons_split, synthetic_model):
         def fork():
             raise AssertionError("forked on a one-CPU mask")
@@ -553,7 +577,8 @@ class TestErrorPaths:
 
     def test_input_width_other_than_two_is_rejected(self):
         with pytest.raises(ValueError, match=r"^architecture must start with 2, the half-moons "
-                                             r"input, got \[3, 8, 1\]$"):
+                                             r"input, and end with 1, the one output, "
+                                             r"got \[3, 8, 1\]$"):
             train_regular(TrainingConfig(architecture=(3, 8, 1), epochs=1),
                           make_half_moons(20, seed=0))
 

@@ -57,9 +57,9 @@ def _add_common(parser: argparse.ArgumentParser, *, evaluates=True):
                             help="override the number of simulated transfers")
     parser.add_argument("--threads", type=int, default=None,
                         help="processes (default 2). At 2 or more, on two CPUs or more, run "
-                             "runs the regular network's pipeline and train --hardware-aware "
-                             "draws its training noise in a second process; everything else "
-                             "runs in one. No output depends on it")
+                             "runs the regular network's pipeline, train --hardware-aware "
+                             "draws its training noise, and evaluate and heatmap count half "
+                             "of their transfers in a second process. No output depends on it")
 
 
 def _override(config: ExperimentConfig, args) -> ExperimentConfig:
@@ -150,7 +150,8 @@ def cmd_evaluate(args) -> int:
     report = _timed(
         "evaluation", evaluate_transfers,
         net, model, layouts, config.training.hrs_fraction, config.training.lrs_fraction,
-        test_set, config.transfers, config.training.seed, rate=(config.transfers, "transfers"),
+        test_set, config.transfers, config.training.seed, workers=config.threads,
+        rate=(config.transfers, "transfers"),
     )
     args.out.mkdir(parents=True, exist_ok=True)
     write_json(args.out / "report.json", {
@@ -174,7 +175,7 @@ def cmd_heatmap(args) -> int:
         "heatmap", heatmap,
         net, model, layouts, config.training.hrs_fraction, config.training.lrs_fraction,
         config.grid, repetitions=repetitions, seed=config.training.seed,
-        rate=(repetitions, "repetitions"),
+        workers=config.threads, rate=(repetitions, "repetitions"),
     )
     args.out.mkdir(parents=True, exist_ok=True)
     write_heatmap_csv(args.out / "heatmap.csv", hm)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import resource
 import sys
 import time
@@ -149,7 +150,7 @@ def _sigmoid(a, out):
 _SIGMOID_EPS = 16
 
 
-def _predict_transferred(layers, X) -> np.ndarray:
+def _predict_transferred(layers, X, margin=None) -> np.ndarray:
     """Class labels, shape ``(n, points)``, of ``n`` transferred networks
     given as per-layer ``(w, b)`` stacks, ``(n, fan_in, fan_out)`` weights
     and ``(n, 1, fan_out)`` biases.
@@ -167,7 +168,8 @@ def _predict_transferred(layers, X) -> np.ndarray:
     than scipy's ``expit`` with numpy's AVX-512 ``exp``.  A block is
     labelled from this fast output only when every ``|z_fast - _Z0|``
     exceeds the :func:`_margin` of the transfer for inputs of magnitude
-    ``max|X|``, which bounds the distance between ``z_fast`` and the
+    ``max|X|`` (or ``margin``, the ``(n,)`` margins of a bound at least
+    ``max|X|``), which bounds the distance between ``z_fast`` and the
     reference ``z`` (see :func:`heatmap`), so that ``z`` is on the same
     side of ``_Z0``.  Otherwise (a NaN gap included) the block is forwarded
     again with scipy's :func:`expit` for all ``n`` transfers.  Only this
@@ -181,7 +183,8 @@ def _predict_transferred(layers, X) -> np.ndarray:
     labels = np.empty((n, points), dtype=bool)
     block = max(1, min(POINT_BLOCK, points))
     buffers = [np.empty((n, block, w.shape[2])) for w, _ in layers]
-    margin = _margin(layers, float(np.abs(X).max(initial=0.0)))[:, None]
+    if margin is None:
+        margin = _margin(layers, float(np.abs(X).max(initial=0.0)))
     gaps = np.empty((n, block))
     for start in range(0, points, block):
         stop = min(start + block, points)
@@ -197,7 +200,7 @@ def _predict_transferred(layers, X) -> np.ndarray:
                 a = z
             np.subtract(a[..., 0], _Z0, out=gap)
             np.abs(gap, out=gap)
-            if (gap > margin).all():
+            if (gap > margin[:, None]).all():
                 break
         np.greater_equal(a[..., 0], _Z0, out=labels[:, start:stop])
     return labels
@@ -224,27 +227,30 @@ def _margin(layers, x_max: float) -> np.ndarray:
 def _output_bounds(layers, boxes) -> tuple[np.ndarray, np.ndarray]:
     """Per transfer and box, shape ``(n, boxes)``, a lower and an upper
     bound on the output pre-activation of the ``(w, b)`` stacks of
-    ``layers`` over each input box, given as the row ``[lo, hi]`` of its
+    ``layers`` over each input box, given as the row ``[lo, hi, 1]`` of its
     corners.  Interval bound propagation: each layer multiplies ``[lo, hi]``
     by ``[[w+, w-], [w-, w+]]``, the positive and negative parts of its
     weights, so that the new ``lo`` takes the low end of every term and
-    ``hi`` the high end, then the sigmoid, which is monotone, maps both."""
+    ``hi`` the high end, and adds ``[b, b]`` (in the first layer, as one
+    more row of the product), then the sigmoid, which is monotone, maps both."""
     a = boxes
     for layer, (w, b) in enumerate(layers):
+        pos, neg = np.maximum(w, 0.0), np.minimum(w, 0.0)
+        rows = [np.concatenate(pair, axis=2) for pair in ((pos, neg), (neg, pos), (b, b))]
         if layer:
             _sigmoid(a, out=a)
-        pos, neg = np.maximum(w, 0.0), np.minimum(w, 0.0)
-        split = np.concatenate([np.concatenate([pos, neg], axis=2),
-                                np.concatenate([neg, pos], axis=2)], axis=1)
-        a = a @ split + np.concatenate([b, b], axis=2)
+            a = a @ np.concatenate(rows[:2], axis=1) + rows[2]
+        else:
+            a = a @ np.concatenate(rows, axis=1)
     return a[..., 0], a[..., 1]
 
 
 class _GridTiles:
     """The cells of a :class:`GridSpec` in square tiles of
     :data:`GRID_TILE` cells per side, with the box of cell centres each
-    tile spans.  The cells are held tile by tile, row-major within a tile,
-    so that a tile's cells are one run of the arrays; ``rank[i]`` is the
+    tile spans, as the rows ``[lo, hi, 1]`` of :func:`_output_bounds`.  The
+    cells are held tile by tile, row-major within a tile, so that a tile's
+    cells are the run of ``sizes`` cells from ``starts``; ``rank[i]`` is the
     place of the cell with row-major index ``i``.  Built once per
     :func:`heatmap` call."""
 
@@ -256,10 +262,12 @@ class _GridTiles:
         self.rank = np.argsort(order)
         self.points = grid.points()[order]
         self.sizes = np.bincount(cell_tile)
+        self.starts = np.cumsum(self.sizes) - self.sizes
         self.x_max = float(max(np.abs(xs).max(), np.abs(ys).max()))
         corners = [np.meshgrid(*(f.reduceat(v, np.arange(0, len(v), GRID_TILE)) for v in (xs, ys)))
                    for f in (np.minimum, np.maximum)]
-        self.boxes = np.column_stack([c.ravel() for corner in corners for c in corner])
+        self.boxes = np.column_stack([c.ravel() for corner in corners for c in corner]
+                                     + [np.ones(len(self.sizes))])
 
     def count_ones(self, layers) -> np.ndarray:
         """Per cell, row-major, how many of the transfers whose ``(w, b)``
@@ -268,19 +276,57 @@ class _GridTiles:
         the tiles it leaves undecided go through
         :func:`_predict_transferred` for that transfer alone."""
         lo, hi = _output_bounds(layers, self.boxes)
-        margin = _margin(layers, self.x_max)[:, None]
-        ones = lo - margin > _Z0
-        undecided = ~(ones | (hi + margin < _Z0))
+        margin = _margin(layers, self.x_max)
+        ones = lo - margin[:, None] > _Z0
+        undecided = ~(ones | (hi + margin[:, None] < _Z0))
         counts = np.repeat(np.count_nonzero(ones, axis=0), self.sizes)
         for t in np.flatnonzero(undecided.any(axis=1)):
-            cells = np.flatnonzero(np.repeat(undecided[t], self.sizes))
+            tiles = np.flatnonzero(undecided[t])
+            sizes = self.sizes[tiles]
+            # Each tile's run of cells: its start plus 0, 1, ... size - 1.
+            cells = np.arange(sizes.sum()) + np.repeat(self.starts[tiles] - sizes.cumsum() + sizes,
+                                                       sizes)
             alone = [(w[t:t + 1], b[t:t + 1]) for w, b in layers]
-            counts[cells] += _predict_transferred(alone, self.points[cells])[0]
+            counts[cells] += _predict_transferred(alone, self.points.take(cells, axis=0),
+                                                  margin=margin[t:t + 1])[0]
         return counts[self.rank]
 
 
+def _count_apart(count, streams: int, cpu: int) -> np.ndarray:
+    """``count(0, cut) + count(cut, streams)``, ``cut = streams // 2``, the
+    second term from a helper forked onto ``cpu`` (``os.fork`` takes about
+    2 ms, multiprocessing 13-17 ms) while this thread runs on the rest of
+    its mask.  The helper sends its int64 counts down a pipe and leaves
+    only through ``os._exit``; on every way out it is killed and reaped and
+    the mask restored."""
+    cut, mask = streams // 2, os.sched_getaffinity(0)
+    reader, writer = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(reader)
+            os.sched_setaffinity(0, {cpu})
+            with open(writer, "wb") as pipe:
+                pipe.write(count(cut, streams).astype(np.int64).tobytes())
+        finally:
+            os._exit(0)
+    try:
+        os.close(writer)
+        os.sched_setaffinity(0, mask - {cpu})
+        total = count(0, cut)
+        with open(reader, "rb", closefd=False) as pipe:
+            later = pipe.read(total.size * 8)
+        return total + (np.frombuffer(later, np.int64) if len(later) == total.size * 8
+                        else count(cut, streams))
+    finally:
+        os.close(reader)
+        os.kill(pid, 9)  # SIGKILL; importing the signal module takes about 1 ms
+        os.waitpid(pid, 0)
+        os.sched_setaffinity(0, mask)
+
+
 def _count_transfers(plan: TransferPlan, net: nn.DenseNet, tally, transfers: int, seed: int,
-                     tag: int, per_stream: int, group: int) -> np.ndarray:
+                     tag: int, per_stream: int, group: int, workers: int = 1) -> np.ndarray:
     """The sum over jobs of ``tally(layers)``, an integer count per point
     of a job's stacked transfers given as their per-layer ``(w, b)``
     stacks ``layers``, over ``transfers`` transfers of ``net``: the one
@@ -289,15 +335,22 @@ def _count_transfers(plan: TransferPlan, net: nn.DenseNet, tally, transfers: int
     Stream rule: transfer ``t`` is drawn from its stream
     ``SeedSequence([seed, tag, t // per_stream])``, where one
     ``plan.draw`` call draws the stream's ``per_stream`` transfers (the
-    last stream may hold fewer).  Job ``g`` holds transfers ``g*group`` up
-    to the next job's, a whole number of streams: it stacks their draws
-    and applies them to the device vector of the net's crossbar matrices
-    with one ``plan.apply_devices``, which is elementwise over transfers,
-    so each transfer is the one that its stream's draw alone gives.
-    ``tally`` labels each transfer independently of the others in the
-    stack.  The jobs run in order on the calling thread: each is many small
-    numpy calls that hold the GIL, so a thread pool ran them slower, not
-    faster.
+    last stream may hold fewer).  A job holds up to ``group`` transfers, a
+    whole number of streams: it stacks their draws and applies them to the
+    device vector of the net's crossbar matrices with one
+    ``plan.apply_devices``, which is elementwise over transfers, so each
+    transfer is the one that its stream's draw alone gives.  ``tally``
+    labels each transfer independently of the others in the stack.
+
+    Split rule: where :func:`training._second_cpu` gives a CPU for
+    ``workers`` and there are 2 streams or more, a helper process counts
+    the later half of the streams, cut at a whole stream, while this thread
+    counts the first (:func:`_count_apart`; each job is many small numpy
+    calls that hold the GIL, so a second thread ran them slower, not
+    faster); if fewer bytes than the
+    helper's counts arrive, this thread counts its streams too.  Each half
+    runs its jobs in order from its first stream; the counts, integer sums
+    of per-transfer labels, are the same at any ``workers``.
 
     The net must pass :meth:`TransferPlan.devices` and ``ranges``, and no
     layer's ``max - min`` may overflow (its transfers would be infinite):
@@ -309,14 +362,22 @@ def _count_transfers(plan: TransferPlan, net: nn.DenseNet, tally, transfers: int
         if not math.isfinite(span[k]):
             raise ValueError(f"layer {k + 1} of {span.size}: the weight range "
                              f"[{lo[k]:g}, {hi[k]:g}] overflows: max - min is not finite")
-    total = 0  # the first job's counts replace it with an int64 array
-    for g in range(-(-transfers // group)):
-        starts = range(g * group, min((g + 1) * group, transfers), per_stream)
-        draws = [plan.draw(min(per_stream, transfers - t), _stream(seed, tag, t // per_stream))
-                 for t in starts]
-        phi_prime = plan.apply_devices(phi, TransferNoise.concatenate(draws))[0]
-        total += tally([(stack[:, :-1], stack[:, -1:]) for stack in plan.matrices(phi_prime)])
-    return total
+
+    def count(first: int, stop: int) -> np.ndarray:
+        """The counts of streams ``first`` up to ``stop``."""
+        stop = min(stop * per_stream, transfers)
+        total = 0  # the first job's counts replace it with an int64 array
+        for start in range(first * per_stream, stop, group):
+            end = min(start + group, stop)
+            draws = [plan.draw(min(per_stream, end - t), _stream(seed, tag, t // per_stream))
+                     for t in range(start, end, per_stream)]
+            phi_prime = plan.apply_devices(phi, TransferNoise.concatenate(draws))[0]
+            total += tally([(stack[:, :-1], stack[:, -1:]) for stack in plan.matrices(phi_prime)])
+        return total
+
+    streams = -(-transfers // per_stream)
+    cpu = _second_cpu(workers) if streams >= 2 else None
+    return count(0, streams) if cpu is None else _count_apart(count, streams, cpu)
 
 
 def evaluate_transfers(
@@ -337,13 +398,9 @@ def evaluate_transfers(
     ``k`` (the last one may be shorter) is drawn by one
     :meth:`TransferPlan.draw` call from
     stream ``SeedSequence([seed, 100, k])`` and classified in one stacked
-    forward pass.  Drawing a chunk at once gives a different Monte-Carlo
-    sample than drawing its transfers one by one, as versions before the
-    chunked engine did.
-
-    ``workers`` is ignored: the chunks run in order on the calling thread.
-    It stays accepted because the layer timings in ``perfbench/layers.py``
-    pass it.
+    forward pass.  At ``workers`` 2 or more, on two CPUs or more, a helper
+    process counts the later half of the chunks (the split rule of
+    :func:`_count_transfers`); the counts do not depend on ``workers``.
     """
     if transfers < 1:
         raise ValueError(f"transfers must be >= 1, got {transfers}")
@@ -353,7 +410,7 @@ def evaluate_transfers(
         return np.sum(_predict_transferred(layers, points) == labels, axis=0)
 
     counts = _count_transfers(TransferPlan(layouts, model, x, y), net, correct, transfers, seed,
-                              _STREAM_EVAL, CHUNK, CHUNK)
+                              _STREAM_EVAL, CHUNK, CHUNK, workers)
     return RobustnessReport(counts=counts, transfers=transfers)
 
 
@@ -460,8 +517,8 @@ def heatmap(
     ``per_stream = 1`` and ``group =`` :data:`HEATMAP_GROUP`: repetition
     ``i`` is drawn alone by ``plan.draw(1, ...)`` from stream
     ``SeedSequence([seed, 101, i])``, so the grid equals forwarding each
-    repetition alone.  ``workers`` is ignored, as by
-    :func:`evaluate_transfers`, and stays accepted for the same reason.
+    repetition alone.  At ``workers`` 2 or more, a helper process may count
+    half of them (the split rule of :func:`_count_transfers`).
 
     Tile rule: the grid splits into tiles of :data:`GRID_TILE` x
     :data:`GRID_TILE` cells, each spanning the box ``[xs[i0], xs[i1]] x
@@ -489,7 +546,8 @@ def heatmap(
 
     - Layer ``l`` sums, per unit ``j``, at most ``k = 2 fan_in + 1``
       products (the bounds multiply ``[lo, hi]``, twice the fan-in, the
-      forwards the inputs, and all add the bias), whose magnitudes add
+      forwards the inputs, and all add the bias, one more product, with 1,
+      where the first layer of the bounds folds it in), whose magnitudes add
       up to at most ``A S_j + |b_j|``, with ``S_j = sum_i |w_ij|`` and
       ``A`` a bound on the inputs.  Their rounding is at most
       ``gamma_k (A S_j + |b_j|)``, plus ``k eta`` for underflow, ``eta``
@@ -517,7 +575,7 @@ def heatmap(
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     ones = _count_transfers(TransferPlan(layouts, model, x, y), net, _GridTiles(grid).count_ones,
-                            repetitions, seed, _STREAM_HEATMAP, 1, HEATMAP_GROUP)
+                            repetitions, seed, _STREAM_HEATMAP, 1, HEATMAP_GROUP, workers)
     return HeatmapGrid(grid=grid, mean=(ones / repetitions).reshape(grid.ny, grid.nx))
 
 
@@ -538,9 +596,9 @@ class ExperimentConfig:
     grid: GridSpec = field(default_factory=GridSpec)
     heatmap_repetitions: int = 1000
     # Processes.  At 2 or more, on an affinity mask of two CPUs or more
-    # (training._second_cpu), `run` runs the regular network's pipeline and
-    # `train --hardware-aware` draws its training noise in a second
-    # process; everything else runs in one.  No output depends on it.
+    # (training._second_cpu), a second process runs `run`'s regular pipeline,
+    # the training noise of `train --hardware-aware` or half of the counting
+    # of `evaluate` and `heatmap`.  No output depends on it.
     threads: int = 2
 
     def __post_init__(self):

@@ -183,6 +183,26 @@ class TestTrainEvaluateHeatmap:
         assert written["1"] == written["2"]
         assert_no_children()
 
+    def test_evaluation_and_heatmap_are_the_same_at_any_threads(self, tmp_path, monkeypatch):
+        # Three chunks of transfers and 41 repetitions, so that at threads 2
+        # on two CPUs each command counts half of them in a helper process.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, transfers=3 * experiments.CHUNK,
+                                        heatmap={"nx": 37, "ny": 23, "repetitions": 41})))
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        written = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            for command in ("evaluate", "heatmap"):
+                assert main([command, "--config", str(path), "--checkpoint", str(CHECKPOINT),
+                             "--out", str(out), "--threads", threads]) == 0
+            written[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert len(forks) == (2 if threads == "2" and TWO_CPUS else 0)
+        assert sorted(written["1"]) == ["curve.csv", "heatmap.csv", "report.json", "table.csv"]
+        assert written["1"] == written["2"]
+        assert_no_children()
+
     def test_seed_override_changes_result(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["train", "--regular", "--config", str(config_path), "--out", str(out1),

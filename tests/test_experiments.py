@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from xbartrain.training import _stream
 from xbartrain.transfer import TransferPlan, layouts_for_architecture
 
 from conftest import crossbars, layer_stacks, reference_predict
+from test_training import TWO_CPUS, assert_no_children
 
 LAYOUTS = layouts_for_architecture([2, 8, 1])
 
@@ -329,9 +331,9 @@ class RecordingForward:
     def __init__(self):
         self.calls = []
 
-    def __call__(self, layers, X):
+    def __call__(self, layers, X, margin=None):
         self.calls.append((len(layers[0][0]), np.array(X)))
-        return _predict_transferred(layers, X)
+        return _predict_transferred(layers, X, margin=margin)
 
 
 class TestTiles:
@@ -558,11 +560,84 @@ class TestGoldenDefaultHeatmap:
         assert digest == "84728d6ef2651a0818bf748e7101747115829ab46035ab1601d45ef1e48fd767"
 
 
+class TestCountSplit:
+    # 37 x 23 cells, so the last row and column of tiles are partial, and
+    # 41 repetitions, so each half of the split ends in a short job.  The
+    # benchmark's net leaves the tiles on its class boundary undecided.
+    GRID = GridSpec(nx=37, ny=23)
+
+    def heatmap(self, model, workers=1, repetitions=41):
+        return heatmap(nn.load_checkpoint(CHECKPOINT), model, LAYOUTS, 0.005, 0.005, self.GRID,
+                       repetitions, seed=4, workers=workers).mean.tobytes()
+
+    @staticmethod
+    def count_forks(monkeypatch):
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
+
+    def test_split_counts_equal_serial_counts(self, monkeypatch, synthetic_model):
+        forward = RecordingForward()
+        monkeypatch.setattr("xbartrain.experiments._predict_transferred", forward)
+        serial = self.heatmap(synthetic_model)
+        assert forward.calls  # some tiles went through the forward
+        forks = self.count_forks(monkeypatch)
+        assert self.heatmap(synthetic_model, workers=2) == serial
+        assert len(forks) == int(TWO_CPUS)
+        assert_no_children()
+
+    def test_helper_that_writes_nothing_leaves_serial_counts(self, capfd, monkeypatch,
+                                                             synthetic_model):
+        serial = self.heatmap(synthetic_model)
+        here, count_ones = os.getpid(), _GridTiles.count_ones
+
+        def only_here(tiles, layers):
+            if os.getpid() != here:
+                raise RuntimeError("the helper fails before it writes")
+            return count_ones(tiles, layers)
+
+        monkeypatch.setattr(_GridTiles, "count_ones", only_here)
+        assert self.heatmap(synthetic_model, workers=2) == serial
+        # The helper left through os._exit: it printed no traceback.
+        assert capfd.readouterr().err == ""
+        assert_no_children()
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_error_in_the_caller_leaves_no_helper(self, monkeypatch, synthetic_model, error):
+        mask, here, masks = os.sched_getaffinity(0), os.getpid(), []
+        count_ones = _GridTiles.count_ones
+
+        def stop(tiles, layers):
+            if os.getpid() == here:
+                masks.append(os.sched_getaffinity(0))
+                if len(masks) == 2:
+                    raise error("stopped")
+            return count_ones(tiles, layers)
+
+        monkeypatch.setattr(_GridTiles, "count_ones", stop)
+        with pytest.raises(error, match="^stopped$"):
+            self.heatmap(synthetic_model, workers=2)
+        assert_no_children()
+        assert os.sched_getaffinity(0) == mask
+        # While it counted, the helper held the mask's last CPU.
+        assert masks[0] == (mask - {max(mask)} if TWO_CPUS else mask)
+
+    @pytest.mark.parametrize("cpus, repetitions", [({0}, 41), (None, 1)],
+                             ids=["one-cpu", "one-stream"])
+    def test_forks_nothing(self, monkeypatch, synthetic_model, cpus, repetitions):
+        serial = self.heatmap(synthetic_model, repetitions=repetitions)
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        assert self.heatmap(synthetic_model, workers=2, repetitions=repetitions) == serial
+
+
 class TestGoldenEvaluation:
     # sha256 of evaluate_transfers' int64 counts, recorded with the
     # per-chunk count job (numpy 2.4.6, scipy 1.17.1, OpenBLAS, x86-64):
     # one transfer, a short chunk, a full chunk plus a short one, and two
-    # full chunks plus a short one.
+    # full chunks plus a short one.  At workers 2 on two CPUs, the last two
+    # count their later chunks in a helper process.
     DIGESTS = {
         1: "083718eaf9fd4cd1f143de0d1db6226d55ccb40e51ab67c160f3f17f8f4884dd",
         CHUNK - 1: "45904929ead9a8529d8133f5fc05d8da74d8c1e13daf8f87e9120eff8779d07e",

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import fields, nn
 from .datasets import LabeledSet, make_half_moons
-from .training import (TrainingConfig, SourceToggles, _second_cpu, _stream, train_hardware_aware,
-                       train_regular)
+from .training import (TrainingConfig, SourceToggles, _forked, _second_cpu, _stream,
+                       train_hardware_aware, train_regular)
 from .transfer import (TileLayout, TransferNoise, TransferPlan, layer_to_crossbar,
                        layouts_for_architecture)
 from .variability import VariabilityModel, load_model, make_synthetic_model
@@ -292,39 +292,6 @@ class _GridTiles:
         return counts[self.rank]
 
 
-def _count_apart(count, streams: int, cpu: int) -> np.ndarray:
-    """``count(0, cut) + count(cut, streams)``, ``cut = streams // 2``, the
-    second term from a helper forked onto ``cpu`` (``os.fork`` takes about
-    2 ms, multiprocessing 13-17 ms) while this thread runs on the rest of
-    its mask.  The helper sends its int64 counts down a pipe and leaves
-    only through ``os._exit``; on every way out it is killed and reaped and
-    the mask restored."""
-    cut, mask = streams // 2, os.sched_getaffinity(0)
-    reader, writer = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(reader)
-            os.sched_setaffinity(0, {cpu})
-            with open(writer, "wb") as pipe:
-                pipe.write(count(cut, streams).astype(np.int64).tobytes())
-        finally:
-            os._exit(0)
-    try:
-        os.close(writer)
-        os.sched_setaffinity(0, mask - {cpu})
-        total = count(0, cut)
-        with open(reader, "rb", closefd=False) as pipe:
-            later = pipe.read(total.size * 8)
-        return total + (np.frombuffer(later, np.int64) if len(later) == total.size * 8
-                        else count(cut, streams))
-    finally:
-        os.close(reader)
-        os.kill(pid, 9)  # SIGKILL; importing the signal module takes about 1 ms
-        os.waitpid(pid, 0)
-        os.sched_setaffinity(0, mask)
-
-
 def _count_transfers(plan: TransferPlan, net: nn.DenseNet, tally, transfers: int, seed: int,
                      tag: int, per_stream: int, group: int, workers: int = 1) -> np.ndarray:
     """The sum over jobs of ``tally(layers)``, an integer count per point
@@ -343,14 +310,14 @@ def _count_transfers(plan: TransferPlan, net: nn.DenseNet, tally, transfers: int
     labels each transfer independently of the others in the stack.
 
     Split rule: where :func:`training._second_cpu` gives a CPU for
-    ``workers`` and there are 2 streams or more, a helper process counts
-    the later half of the streams, cut at a whole stream, while this thread
-    counts the first (:func:`_count_apart`; each job is many small numpy
-    calls that hold the GIL, so a second thread ran them slower, not
-    faster); if fewer bytes than the
-    helper's counts arrive, this thread counts its streams too.  Each half
-    runs its jobs in order from its first stream; the counts, integer sums
-    of per-transfer labels, are the same at any ``workers``.
+    ``workers`` and there are 2 streams or more, a helper process forked
+    there (:func:`training._forked`) counts the later half of the streams,
+    cut at a whole stream, while this thread counts the first (each job is
+    many small numpy calls that hold the GIL, so a second thread ran them
+    slower, not faster); if the helper sends no counts, this thread counts
+    its streams too.  Each half runs its jobs in order from its first
+    stream; the counts, integer sums of per-transfer labels, are the same
+    at any ``workers``.
 
     The net must pass :meth:`TransferPlan.devices` and ``ranges``, and no
     layer's ``max - min`` may overflow (its transfers would be infinite):
@@ -377,7 +344,13 @@ def _count_transfers(plan: TransferPlan, net: nn.DenseNet, tally, transfers: int
 
     streams = -(-transfers // per_stream)
     cpu = _second_cpu(workers) if streams >= 2 else None
-    return count(0, streams) if cpu is None else _count_apart(count, streams, cpu)
+    if cpu is None:
+        return count(0, streams)
+    cut = streams // 2
+    with _forked(cpu, lambda: [count(cut, streams)]) as sent:
+        total = count(0, cut)
+        later = next(sent, None)
+    return total + (count(cut, streams) if later is None else later)
 
 
 def evaluate_transfers(
@@ -781,33 +754,37 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _measured(fn, *args):
-    """``fn(*args)`` and the peak resident memory of the process that ran it."""
-    return fn(*args), _peak_rss_mb()
-
-
 def _run_pipelines(config: ExperimentConfig, *args) -> tuple[dict, float | None]:
     """:func:`_pipeline`'s result per network, HA first, and the child
     process's peak RSS in MB, or None without one.
 
     Where :func:`training._second_cpu` gives no CPU for a second process
     (``config.threads`` 1, or a one-CPU mask) both pipelines run here, one
-    after the other.  Otherwise the regular one runs in a forked child
-    while this process runs the HA one; they share nothing but their
-    inputs, so each result is the one a serial run gives.  An exception in
-    either pipeline is raised here once the child is done, and the child
-    never outlives the call.
+    after the other.  Otherwise the regular one runs in a child on that CPU
+    (:func:`training._forked`) while this process runs the HA one; they
+    share nothing but their inputs, so each result is the one a serial run
+    gives.  The child's exception is raised here, or ``ChildProcessError``
+    if it sent nothing.  On any exception here, the HA pipeline's too, this
+    process kills the child at once: it never outlives the call.
     """
-    if _second_cpu(config.threads) is None:
+    cpu = _second_cpu(config.threads)
+    if cpu is None:
         return {name: _pipeline(name, config, *args) for name in ("hardware_aware", "regular")}, None
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-        regular = pool.submit(_measured, _pipeline, "regular", config, *args)
+    def regular():
+        try:
+            yield True, _pipeline("regular", config, *args)
+        except Exception as exc:
+            yield False, exc
+
+    rss = []
+    with _forked(cpu, regular, reaped=lambda usage: rss.append(usage.ru_maxrss / 1024.0)) as sent:
         results = {"hardware_aware": _pipeline("hardware_aware", config, *args)}
-        results["regular"], child_rss = regular.result()
-    return results, child_rss
+        ok, value = next(sent, (False, ChildProcessError("the regular pipeline sent no result")))
+    if not ok:
+        raise value
+    results["regular"] = value
+    return results, rss[0]
 
 
 def run_experiment(config, out_dir, config_doc: dict | None = None) -> list[Path]:

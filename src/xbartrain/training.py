@@ -20,7 +20,7 @@ as the per-layer pipeline always has (the stream contract of
 bit.  Checkpoints keep row-major ``(fan_out, fan_in)`` weights.
 
 At ``workers`` 2 or more, on an affinity mask of at least two CPUs
-(:func:`_second_cpu`), a producer process forked by multiprocessing and
+(:func:`_second_cpu`), a producer process forked by :func:`_forked` and
 pinned to the mask's last CPU makes those calls ahead of the trainer, in
 the same order, and sends them down a one-way pipe in blocks of
 ``_BLOCK_STEPS`` steps, each with the generator state after it; the
@@ -43,7 +43,8 @@ import contextlib
 import fcntl
 import math
 import os
-import resource
+import pickle
+import select
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -255,8 +256,8 @@ def _effective_model(model: VariabilityModel, sources: SourceToggles) -> Variabi
 @dataclass
 class ProducerReport:
     """What the noise producer of one training run did: its CPU seconds
-    (the growth of ``RUSAGE_CHILDREN`` from its start until it is reaped),
-    the blocks of the run's draws and how many of those the trainer drew
+    (from ``os.wait4`` on the producer alone, once it is reaped), the
+    blocks of the run's draws and how many of those the trainer drew
     itself.  ``blocks`` stays 0 when no producer ran."""
 
     cpu_s: float = 0.0
@@ -266,88 +267,109 @@ class ProducerReport:
 
 def _second_cpu(workers: int) -> int | None:
     """The last CPU of this process's affinity mask, for a second process
-    (the noise producer of :func:`_produced`, ``run``'s regular pipeline,
-    the counting helper of ``experiments._count_apart``), at ``workers`` 2
-    or more on a mask of two CPUs or more; otherwise None, as a second
-    process would only share a CPU with this one."""
+    forked by :func:`_forked` (the noise producer of :func:`_noise`,
+    ``run``'s regular pipeline, the counting helper of
+    ``experiments._count_transfers``), at ``workers`` 2 or more on a mask
+    of two CPUs or more; otherwise None, as a second process would only
+    share a CPU with this one."""
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     return cpus[-1] if workers >= 2 and len(cpus) >= 2 else None
+
+
+def _send(pipe, message) -> None:
+    """Write ``message`` to the file ``pipe`` as a pickle after its 8-byte length."""
+    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    pipe.write(len(data).to_bytes(8, "little") + data)
+    pipe.flush()
+
+
+def _received(fd: int, wait_ms: int):
+    """The messages of :func:`_send` on the pipe ``fd``, up to its end or the
+    first that has not begun to arrive within ``wait_ms`` (if not negative)."""
+
+    def read(size: int) -> bytearray:  # fewer bytes only where the pipe ends
+        data = bytearray()
+        while len(data) < size and (chunk := os.read(fd, size - len(data))):
+            data += chunk
+        return data
+
+    poller = select.poll()  # not select.select, which fails on an fd above 1023
+    poller.register(fd, select.POLLIN)
+    while poller.poll(wait_ms):  # a negative wait has no bound
+        size = int.from_bytes(read(8), "little")
+        data = read(size)
+        if not size or len(data) < size:
+            return
+        yield pickle.loads(data)
+
+
+@contextlib.contextmanager
+def _forked(cpu: int, work, wait_ms: int = -1, reaped=None):
+    """Run ``work()`` in a child forked (not spawned, which would import
+    numpy again) onto ``cpu``, and yield an iterator over the messages it
+    yields (:func:`_received`) while this thread runs on the rest of its
+    mask.  The child sends each through :func:`_send` down an ``os.pipe``
+    and leaves only through ``os._exit``, so it prints no traceback.  On
+    every way out the child is killed and reaped and the mask restored, and
+    ``reaped``, if given, receives its resource usage from ``os.wait4``."""
+    mask = os.sched_getaffinity(0)
+    reader, writer = os.pipe()
+    try:
+        with contextlib.suppress(OSError):  # above the system's limit: sends wait for reads
+            fcntl.fcntl(reader, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        pid = os.fork()
+    except BaseException:
+        os.close(reader)
+        os.close(writer)
+        raise
+    if pid == 0:
+        try:
+            os.close(reader)
+            os.sched_setaffinity(0, {cpu})
+            with open(writer, "wb") as pipe:
+                for message in work():
+                    _send(pipe, message)
+        finally:
+            os._exit(0)
+    try:
+        os.close(writer)
+        os.sched_setaffinity(0, mask - {cpu})
+        yield _received(reader, wait_ms)
+    finally:
+        os.close(reader)
+        os.kill(pid, 9)  # SIGKILL; importing the signal module takes about 1 ms
+        usage = os.wait4(pid, 0)[2]
+        os.sched_setaffinity(0, mask)
+        if reaped is not None:
+            reaped(usage)
 
 
 def _noise(plan: TransferPlan, rng: np.random.Generator, steps: int, workers: int,
            report: ProducerReport):
     """The iterator of every step's :class:`TransferNoise`, the draws of
     successive ``plan.draw(1, rng)`` calls: those of a producer process
-    (:func:`_produced`) on :func:`_second_cpu` where there is one, up to its
-    first late block, then the calls made here (the module docstring)."""
+    (:func:`_forked`) on :func:`_second_cpu` where there is one, up to its
+    first late block or its end, then the calls made here (the module
+    docstring).  ``report`` receives what the producer did."""
     cpu = _second_cpu(workers)
     if cpu is not None:
-        yield from _produced(plan, rng, steps, cpu, report)
+        def produce():
+            for start in range(0, steps, _BLOCK_STEPS):
+                block = [plan.draw(1, rng) for _ in range(min(_BLOCK_STEPS, steps - start))]
+                yield TransferNoise.concatenate(block), rng.bit_generator.state
+
+        def reaped(usage):
+            report.cpu_s = usage.ru_utime + usage.ru_stime
+
+        report.blocks = report.drawn_here = -(-steps // _BLOCK_STEPS)
+        with _forked(cpu, produce, _WAIT_MS, reaped) as blocks:
+            for (stuck, values, normals, disturbance), rng.bit_generator.state in blocks:
+                report.drawn_here -= 1
+                for t in range(stuck.shape[1]):
+                    yield TransferNoise(stuck[:, t:t + 1], values[:, t:t + 1],
+                                        normals[:, :, t:t + 1], disturbance[:, t:t + 1])
     while True:
         yield plan.draw(1, rng)
-
-
-def _produce(plan: TransferPlan, rng: np.random.Generator, steps: int, cpu: int, reader, writer):
-    """The producer process: pinned to ``cpu``, it makes the ``steps``
-    steps' ``plan.draw(1, rng)`` calls and sends ``writer`` one message per
-    block of :data:`_BLOCK_STEPS` steps: the block's stacked draws and the
-    generator state after it.  It leaves only through ``os._exit``, as
-    multiprocessing's bootstrap would print the traceback of a child
-    stopped by Ctrl-C or a closed pipe."""
-    try:
-        reader.close()
-        os.sched_setaffinity(0, {cpu})
-        for start in range(0, steps, _BLOCK_STEPS):
-            block = [plan.draw(1, rng) for _ in range(min(_BLOCK_STEPS, steps - start))]
-            writer.send((TransferNoise.concatenate(block), rng.bit_generator.state))
-    finally:
-        os._exit(0)
-
-
-def _produced(plan: TransferPlan, rng: np.random.Generator, steps: int, cpu: int,
-              report: ProducerReport):
-    """The steps' noise from a :func:`_produce` process pinned to ``cpu``,
-    block by block in order, each setting ``rng`` to the state after it.
-    It returns at the first block that has not arrived within
-    :data:`_WAIT_MS` or when the producer has stopped.  The process is
-    forked, not spawned, which would import numpy again; it runs only the
-    generator and pickle, never BLAS, whose threads it lacks.  This thread
-    runs on the rest of its mask until the iterator returns or is closed,
-    which kills and reaps the producer, records what it did in ``report``
-    and restores the mask."""
-    import multiprocessing  # here: evaluate and heatmap never pay its import
-
-    context = multiprocessing.get_context("fork")
-    mask = os.sched_getaffinity(0)
-    reader, writer = context.Pipe(duplex=False)
-    with contextlib.suppress(OSError):  # above the system's limit: blocks wait for reads
-        fcntl.fcntl(reader.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    producer = context.Process(target=_produce, args=(plan, rng, steps, cpu, reader, writer))
-    producer.start()
-    report.blocks = report.drawn_here = -(-steps // _BLOCK_STEPS)
-    try:
-        writer.close()
-        os.sched_setaffinity(0, mask - {cpu})
-        for _ in range(report.blocks):
-            if not reader.poll(_WAIT_MS / 1000):
-                return
-            try:
-                block, rng.bit_generator.state = reader.recv()
-            except EOFError:  # the producer stopped
-                return
-            report.drawn_here -= 1
-            stuck, values, normals, disturbance = block
-            for t in range(stuck.shape[1]):
-                yield TransferNoise(stuck[:, t:t + 1], values[:, t:t + 1],
-                                    normals[:, :, t:t + 1], disturbance[:, t:t + 1])
-    finally:
-        reader.close()
-        producer.kill()
-        producer.join()
-        os.sched_setaffinity(0, mask)
-        after = resource.getrusage(resource.RUSAGE_CHILDREN)
-        report.cpu_s = after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):

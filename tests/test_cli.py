@@ -1,11 +1,10 @@
 import json
 import math
-import multiprocessing
 import os
 import re
 import subprocess
 import sys
-from concurrent.futures.process import BrokenProcessPool
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -307,7 +306,25 @@ class TestErrorPaths:
         assert rc == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             "error: training diverged: the transferred parameters of layer 1 of 2 are not finite")
-        assert multiprocessing.active_children() == []
+        assert_no_children()
+
+    def test_hardware_aware_failure_in_run_kills_the_regular_child(self, tmp_path, capfd,
+                                                                  monkeypatch):
+        # The regular pipeline would take 30 s; the HA one fails in its first
+        # steps, and the error does not wait for the child, which writes
+        # nothing on the shared fd 2.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, learning_rate=1e308)))
+        monkeypatch.setattr(experiments, "train_regular", lambda *a, **k: time.sleep(30))
+        mask, start = os.sched_getaffinity(0), time.monotonic()
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                   "--threads", "2"])
+        assert rc == 2
+        assert time.monotonic() - start < 10
+        assert capfd.readouterr().err == ("error: training diverged: the transferred "
+                                          "parameters of layer 1 of 2 are not finite\n")
+        assert_no_children()
+        assert os.sched_getaffinity(0) == mask
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_regular_failure_in_run_exits_2(self, config_path, tmp_path, capsys, monkeypatch,
@@ -322,7 +339,7 @@ class TestErrorPaths:
                    "--threads", threads])
         assert rc == 2
         assert capsys.readouterr().err.splitlines()[-1] == "error: regular training failed"
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     @pytest.mark.parametrize("epochs, message", [
         (1, "the final parameters are not finite"),
@@ -364,7 +381,7 @@ class TestErrorPaths:
         assert rc == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             "error: training diverged: non-finite loss at epoch 1, batch 1")
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     @pytest.mark.parametrize("command", ["evaluate", "heatmap"])
     def test_overflowing_weight_range_exits_2(self, tmp_path, capsys, command):
@@ -453,14 +470,14 @@ class TestErrorPaths:
         with pytest.raises(RuntimeError, match="training diverged: non-finite loss at epoch 1, "
                                                "batch 1"):
             experiments.run_experiment(config, tmp_path / "out")
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     def test_child_that_dies_is_reported(self, config_path, tmp_path, monkeypatch):
         monkeypatch.setattr(experiments, "train_regular", lambda *a, **k: os._exit(3))
         config = replace(experiments.load_experiment_config(config_path), threads=2)
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(ChildProcessError):
             experiments.run_experiment(config, tmp_path / "out")
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     def test_missing_model_file_exits_2_and_names_path(self, tmp_path, capsys):
         config = dict(TINY_CONFIG, model_path=str(tmp_path / "ghost_model.json"))

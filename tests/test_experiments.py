@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -33,7 +34,7 @@ from xbartrain.experiments import (
     run_experiment,
     write_heatmap_csv,
 )
-from xbartrain.training import _stream
+from xbartrain.training import TrainingConfig, _stream, train_hardware_aware
 from xbartrain.transfer import TransferPlan, layouts_for_architecture
 
 from conftest import crossbars, layer_stacks, reference_predict
@@ -630,6 +631,31 @@ class TestCountSplit:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
         assert self.heatmap(synthetic_model, workers=2, repetitions=repetitions) == serial
+
+
+
+@pytest.mark.skipif(not TWO_CPUS, reason="a one-CPU mask forks nothing")
+class TestForkFailure:
+    @pytest.mark.parametrize("job", ["heatmap", "hardware_aware_training"])
+    def test_failed_fork_leaves_no_fd_child_or_mask(self, monkeypatch, synthetic_model, job):
+        def fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        net, data = nn.load_checkpoint(CHECKPOINT), make_half_moons(96, noise_std=0.1, seed=21)
+        calls = {
+            "heatmap": lambda: heatmap(net, synthetic_model, LAYOUTS, 0.005, 0.005,
+                                       GridSpec(nx=37, ny=23), 41, seed=4, workers=2),
+            "hardware_aware_training": lambda: train_hardware_aware(
+                TrainingConfig(epochs=2, batch_size=32), data, model=synthetic_model, workers=2),
+        }
+        fds, mask = len(os.listdir("/proc/self/fd")), os.sched_getaffinity(0)
+        monkeypatch.setattr(os, "fork", fork)
+        for _ in range(3):
+            with pytest.raises(OSError, match="Resource temporarily unavailable"):
+                calls[job]()
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert os.sched_getaffinity(0) == mask
+        assert_no_children()
 
 
 class TestGoldenEvaluation:

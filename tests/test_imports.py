@@ -1,14 +1,18 @@
-"""Where the package loads scipy and multiprocessing.
+"""Where the package loads scipy, and that it never loads multiprocessing.
 
 ``scipy.special`` takes about 0.25 s and 19 MB to import, and only the
 training forward and ``fit-model``'s Shapiro-Wilk test call into it.  So
 importing the package, ``evaluate``, ``heatmap`` and
 ``gen-synthetic-model`` must not load it, while ``train`` and ``run`` load
-it before their first timed stage (``run`` before it forks).  Only a
-second process needs ``multiprocessing``, whose import takes 5-7 ms
-without scipy loaded (2 vCPU, Python 3.11), so those four must not load it
-either.  Each check runs in a fresh interpreter, because this one has
-loaded both already.
+it before their first timed stage (``run`` before it forks).  Every second
+process is forked by ``training._forked`` with ``os.fork`` and an
+``os.pipe``, so no command, ``train`` and ``run`` included, loads
+``multiprocessing`` (5-7 ms to import without scipy loaded, 2 vCPU,
+Python 3.11) or the process pool of ``concurrent.futures``
+(``concurrent.futures.process``).  ``scipy.special`` loads the
+``concurrent.futures`` package itself, through ``numpy.testing``, so only
+the commands that never load scipy keep out all of it.  Each check runs in
+a fresh interpreter, because this one may have loaded them already.
 """
 
 import json
@@ -19,11 +23,10 @@ import sys
 import pytest
 
 from test_cli import CHECKPOINT, SRC, TINY_CONFIG
-from test_training import TWO_CPUS
 
-# Prints whether scipy and multiprocessing are loaded after ``main(ARGS)``,
-# and the scipy.special state that the wrapped entry points saw when they
-# were called.
+# Prints whether scipy, multiprocessing or a process pool, and the
+# concurrent.futures package are loaded after ``main(ARGS)``, and the
+# scipy.special state that the wrapped entry points saw when they were called.
 SCRIPT = """
 import json, sys
 from xbartrain import cli, experiments
@@ -44,7 +47,10 @@ for name in ("train_hardware_aware", "train_regular"):
 wrap(experiments, "_run_pipelines")
 rc = cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"rc": rc, "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules),
-                  "multiprocessing": "multiprocessing" in sys.modules, "seen": seen}))
+                  "multiprocessing": any(m in sys.modules for m in
+                                         ("multiprocessing", "concurrent.futures.process")),
+                  "futures": "concurrent.futures" in sys.modules,
+                  "seen": seen}))
 """
 
 
@@ -61,7 +67,7 @@ def run_cli(tmp_path, *args) -> dict:
 
 def test_importing_the_package_loads_no_scipy(tmp_path):
     code = "import sys, xbartrain, xbartrain.cli; print(sorted(m for m in sys.modules " \
-           "if m.split('.')[0] in ('scipy', 'multiprocessing')))"
+           "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
                           text=True, check=True)
@@ -75,19 +81,20 @@ def test_importing_the_package_loads_no_scipy(tmp_path):
 ], ids=lambda args: args[0])
 def test_commands_that_never_load_scipy(tmp_path, args):
     assert run_cli(tmp_path, *args) == {"rc": 0, "scipy": False, "multiprocessing": False,
-                                        "seen": []}
+                                        "futures": False, "seen": []}
 
 
 @pytest.mark.parametrize("flag, name", [("--hardware-aware", "train_hardware_aware"),
                                         ("--regular", "train_regular")])
 def test_train_loads_scipy_before_training(tmp_path, flag, name):
     result = run_cli(tmp_path, "train", flag, "--config", "CONFIG", "--out", "OUT")
-    # At the default threads 2 an HA run on two CPUs forks a noise producer.
-    forks = flag == "--hardware-aware" and TWO_CPUS
-    assert result == {"rc": 0, "scipy": True, "multiprocessing": forks, "seen": [[name, True]]}
+    # At the default threads 2 an HA run on two CPUs forks a noise producer,
+    # without multiprocessing.
+    assert result == {"rc": 0, "scipy": True, "multiprocessing": False, "futures": True,
+                      "seen": [[name, True]]}
 
 
 def test_run_loads_scipy_before_it_forks(tmp_path):
     result = run_cli(tmp_path, "run", "--config", "CONFIG", "--threads", "2", "--out", "OUT")
-    assert result == {"rc": 0, "scipy": True, "multiprocessing": TWO_CPUS,
+    assert result == {"rc": 0, "scipy": True, "multiprocessing": False, "futures": True,
                       "seen": [["_run_pipelines", True]]}

@@ -1,7 +1,6 @@
 import hashlib
 import os
 import time
-from multiprocessing.connection import Connection
 from types import SimpleNamespace
 
 import numpy as np
@@ -422,7 +421,7 @@ class TestGoldenTraining:
 
     def test_stalled_producer_is_taken_over(self, monkeypatch, moons_split, synthetic_model):
         # The producer draws its first block and then never sends it.
-        monkeypatch.setattr(Connection, "send", lambda self, message: time.sleep(3600))
+        monkeypatch.setattr(training, "_send", lambda pipe, message: time.sleep(3600))
         report = ProducerReport()
         net = train_hardware_aware(self.SMALL, moons_split[0], model=synthetic_model, workers=2,
                                    report=report)
@@ -435,15 +434,15 @@ class TestGoldenTraining:
         # The trainer waits as long as it takes for each block; the producer
         # sends 5 blocks and exits, so the trainer draws the other 13 itself,
         # from its generator as the producer's last block left it.
-        send, sent = Connection.send, []
+        send, sent = training._send, []
 
-        def five_blocks(self, message):
+        def five_blocks(pipe, message):
             if len(sent) == 5:
                 os._exit(0)
             sent.append(message)
-            send(self, message)
+            send(pipe, message)
 
-        monkeypatch.setattr(Connection, "send", five_blocks)
+        monkeypatch.setattr(training, "_send", five_blocks)
         monkeypatch.setattr(training, "_WAIT_MS", 60_000)
         report = ProducerReport()
         net = train_hardware_aware(self.STUCK_HEAVY, moons_split[0], model=synthetic_model,
@@ -458,15 +457,15 @@ class TestGoldenTraining:
         # reaches after about 0.13 s and waits 0.1 s for.  Then it sends the
         # rest, and the slow hook would let it catch up long before the run
         # ends, but the trainer draws every step from block 2 on itself.
-        send, sent = Connection.send, []
+        send, sent = training._send, []
 
-        def late_block_2(self, message):
+        def late_block_2(pipe, message):
             if len(sent) == 2:
                 time.sleep(0.6)
             sent.append(None)
-            send(self, message)
+            send(pipe, message)
 
-        monkeypatch.setattr(Connection, "send", late_block_2)
+        monkeypatch.setattr(training, "_send", late_block_2)
         monkeypatch.setattr(training, "_WAIT_MS", 100)
         report = ProducerReport()
         net = train_hardware_aware(self.STUCK_HEAVY, moons_split[0], model=synthetic_model,
@@ -626,13 +625,13 @@ class TestProducerLifetime:
 
     def test_producer_with_a_broken_pipe_writes_nothing(self, capfd, monkeypatch,
                                                          synthetic_model):
-        # The producer leaves through os._exit, where multiprocessing's
-        # bootstrap would print the error's traceback on the shared fd 2.
-        # The trainer waits until the pipe closes, then draws every block.
-        def broken(self, message):
+        # The producer leaves through os._exit, so the error prints no
+        # traceback on the shared fd 2.  The trainer waits until the pipe
+        # closes, then draws every block.
+        def broken(pipe, message):
             raise BrokenPipeError("closed")
 
-        monkeypatch.setattr(Connection, "send", broken)
+        monkeypatch.setattr(training, "_send", broken)
         monkeypatch.setattr(training, "_WAIT_MS", 60_000)
         report = ProducerReport()
         train_hardware_aware(TrainingConfig(epochs=2, batch_size=32), tiny_moons(),

@@ -633,7 +633,6 @@ class TestCountSplit:
         assert self.heatmap(synthetic_model, workers=2, repetitions=repetitions) == serial
 
 
-
 @pytest.mark.skipif(not TWO_CPUS, reason="a one-CPU mask forks nothing")
 class TestForkFailure:
     @pytest.mark.parametrize("job", ["heatmap", "hardware_aware_training"])

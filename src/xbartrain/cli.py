@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -56,10 +57,10 @@ def _add_common(parser: argparse.ArgumentParser, *, evaluates=True):
         parser.add_argument("--transfers", type=int, default=None,
                             help="override the number of simulated transfers")
     parser.add_argument("--threads", type=int, default=None,
-                        help="processes (default 2). At 2 or more, on two CPUs or more, run "
-                             "runs the regular network's pipeline, train --hardware-aware "
-                             "draws its training noise, and evaluate and heatmap count half "
-                             "of their transfers in a second process. No output depends on it")
+                        help="processes (default 2). At 2 or more, on two CPUs or more, "
+                             "hardware-aware training draws its noise, and evaluation and the "
+                             "heatmap count half of their transfers, in a second process (run "
+                             "does all three). No output depends on it")
 
 
 def _override(config: ExperimentConfig, args) -> ExperimentConfig:
@@ -71,6 +72,20 @@ def _override(config: ExperimentConfig, args) -> ExperimentConfig:
     if getattr(args, "threads", None) is not None:
         config = replace(config, threads=args.threads)
     return config
+
+
+@contextlib.contextmanager
+def _out_dir(path: Path):
+    """Make the output directory ``path`` before the command's work, so that
+    a bad ``--out`` fails at once; a failed command leaves no new, empty one."""
+    new = not path.exists()
+    path.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        if new and not any(path.iterdir()):
+            path.rmdir()
+        raise
 
 
 def _load_checkpoint(args):
@@ -123,21 +138,21 @@ def cmd_train(args) -> int:
     config = _override(load_experiment_config(args.config), args)
     model = config.resolve_model()
     train_set, test_set = experiment_dataset(config)
-    args.out.mkdir(parents=True, exist_ok=True)
     nn._expit()  # load scipy here, not inside the timed training
     steps = (config.training.steps(len(train_set)), "steps")
-    if args.hardware_aware:
-        name, producer = "hardware_aware", ProducerReport()
-        net = _timed(f"{name} training", train_hardware_aware, config.training, train_set,
-                     model=model, workers=config.threads, report=producer, rate=steps)
-        if producer.blocks:
-            print(f"noise producer: {producer.cpu_s:.2f} s CPU, trainer drew "
-                  f"{producer.drawn_here} of {producer.blocks} blocks", file=sys.stderr)
-    else:
-        name = "regular"
-        net = _timed(f"{name} training", train_regular, config.training, train_set, rate=steps)
-    path = args.out / f"{name}.json"
-    nn.save_checkpoint(net, path)
+    with _out_dir(args.out):
+        if args.hardware_aware:
+            name, producer = "hardware_aware", ProducerReport()
+            net = _timed(f"{name} training", train_hardware_aware, config.training, train_set,
+                         model=model, workers=config.threads, report=producer, rate=steps)
+            if producer.blocks:
+                print(f"noise producer: {producer.cpu_s:.2f} s CPU, trainer drew "
+                      f"{producer.drawn_here} of {producer.blocks} blocks", file=sys.stderr)
+        else:
+            name = "regular"
+            net = _timed("regular training", train_regular, config.training, train_set, rate=steps)
+        path = args.out / f"{name}.json"
+        nn.save_checkpoint(net, path)
     print(f"{name}: train accuracy {nn.accuracy(net, train_set.points, train_set.labels):.4f}, "
           f"test accuracy {nn.accuracy(net, test_set.points, test_set.labels):.4f}")
     print(f"wrote {path}")
@@ -147,20 +162,20 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     config, model, net, layouts = _load_checkpoint(args)
     _, test_set = experiment_dataset(config)
-    report = _timed(
-        "evaluation", evaluate_transfers,
-        net, model, layouts, config.training.hrs_fraction, config.training.lrs_fraction,
-        test_set, config.transfers, config.training.seed, workers=config.threads,
-        rate=(config.transfers, "transfers"),
-    )
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_json(args.out / "report.json", {
-        "transfers": report.transfers,
-        "counts": report.counts.tolist(),
-        "fractions": report.fractions.tolist(),
-    })
-    write_table_csv(args.out / "table.csv", robustness_table(report))
-    write_curve_csv(args.out / "curve.csv", *robustness_curve(report))
+    with _out_dir(args.out):
+        report = _timed(
+            "evaluation", evaluate_transfers,
+            net, model, layouts, config.training.hrs_fraction, config.training.lrs_fraction,
+            test_set, config.transfers, config.training.seed, workers=config.threads,
+            rate=(config.transfers, "transfers"),
+        )
+        write_json(args.out / "report.json", {
+            "transfers": report.transfers,
+            "counts": report.counts.tolist(),
+            "fractions": report.fractions.tolist(),
+        })
+        write_table_csv(args.out / "table.csv", robustness_table(report))
+        write_curve_csv(args.out / "curve.csv", *robustness_curve(report))
     share = float(np.mean(report.fractions >= 0.95))
     print(f"{report.transfers} transfers: {100 * share:.1f}% of test points classified "
           f"correctly by >= 95% of transfers")
@@ -171,14 +186,14 @@ def cmd_evaluate(args) -> int:
 def cmd_heatmap(args) -> int:
     config, model, net, layouts = _load_checkpoint(args)
     repetitions = args.transfers if args.transfers is not None else config.heatmap_repetitions
-    hm = _timed(
-        "heatmap", heatmap,
-        net, model, layouts, config.training.hrs_fraction, config.training.lrs_fraction,
-        config.grid, repetitions=repetitions, seed=config.training.seed,
-        workers=config.threads, rate=(repetitions, "repetitions"),
-    )
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_heatmap_csv(args.out / "heatmap.csv", hm)
+    with _out_dir(args.out):
+        hm = _timed(
+            "heatmap", heatmap,
+            net, model, layouts, config.training.hrs_fraction, config.training.lrs_fraction,
+            config.grid, repetitions=repetitions, seed=config.training.seed,
+            workers=config.threads, rate=(repetitions, "repetitions"),
+        )
+        write_heatmap_csv(args.out / "heatmap.csv", hm)
     print(f"wrote {args.out}/heatmap.csv ({config.grid.nx}x{config.grid.ny} cells, "
           f"{repetitions} transfers)")
     return 0
@@ -186,7 +201,8 @@ def cmd_heatmap(args) -> int:
 
 def cmd_run(args) -> int:
     config_doc, config = read_config(args.config)
-    written = run_experiment(_override(config, args), args.out, config_doc=config_doc)
+    with _out_dir(args.out):
+        written = run_experiment(_override(config, args), args.out, config_doc=config_doc)
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -243,7 +259,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, TrainingDiverged) as exc:
+    except (OSError, ValueError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

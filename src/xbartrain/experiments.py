@@ -568,9 +568,9 @@ class ExperimentConfig:
     grid: GridSpec = field(default_factory=GridSpec)
     heatmap_repetitions: int = 1000
     # Processes.  At 2 or more, on an affinity mask of two CPUs or more
-    # (training._second_cpu), a second process runs `run`'s regular pipeline,
-    # the training noise of `train --hardware-aware` or half of the counting
-    # of `evaluate` and `heatmap`.  No output depends on it.
+    # (training._second_cpu), a second process draws the noise of
+    # hardware-aware training or counts half of the transfers of
+    # evaluate_transfers and heatmap.  No output depends on it.
     threads: int = 2
 
     def __post_init__(self):
@@ -711,79 +711,16 @@ def write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _timed(stage: str, fn, *args, rate: tuple[int, str], lines: list[str] | None = None,
-           **kwargs):
+def _timed(stage: str, fn, *args, rate: tuple[int, str], **kwargs):
     """``fn(*args, **kwargs)``, with its wall time and ``rate = (count,
-    unit)`` per second printed to stderr as ``stage: T s, R unit/s``, or
-    appended to ``lines`` when given.  Wall times stay out of the
-    artifacts, which reruns must reproduce byte for byte."""
+    unit)`` per second printed to stderr as ``stage: T s, R unit/s``.
+    Wall times stay out of the artifacts, which reruns must reproduce byte
+    for byte."""
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     elapsed = time.perf_counter() - start
-    line = f"{stage}: {elapsed:.2f} s, {rate[0] / elapsed:.0f} {rate[1]}/s"
-    if lines is None:
-        print(line, file=sys.stderr)
-    else:
-        lines.append(line)
+    print(f"{stage}: {elapsed:.2f} s, {rate[0] / elapsed:.0f} {rate[1]}/s", file=sys.stderr)
     return result
-
-
-def _pipeline(name: str, config: ExperimentConfig, model: VariabilityModel, train_set: LabeledSet,
-              test_set: LabeledSet, layouts: list[TileLayout]):
-    """Train the ``name`` network of :func:`run_experiment`
-    (``hardware_aware`` or ``regular``), evaluate its transfers and draw
-    its heatmap.  Returns the net, its report, its heatmap and its three
-    stage lines (see :func:`_timed`), in that order."""
-    tc, lines = config.training, []
-    train, extra = ((train_hardware_aware, {"model": model}) if name == "hardware_aware"
-                    else (train_regular, {}))
-    net = _timed(f"{name} training", train, tc, train_set, **extra,
-                 rate=(tc.steps(len(train_set)), "steps"), lines=lines)
-    report = _timed(f"{name} evaluation", evaluate_transfers, net, model, layouts, tc.hrs_fraction,
-                    tc.lrs_fraction, test_set, config.transfers, tc.seed,
-                    rate=(config.transfers, "transfers"), lines=lines)
-    hm = _timed(f"{name} heatmap", heatmap, net, model, layouts, tc.hrs_fraction, tc.lrs_fraction,
-                config.grid, repetitions=config.heatmap_repetitions, seed=tc.seed,
-                rate=(config.heatmap_repetitions, "repetitions"), lines=lines)
-    return net, report, hm, lines
-
-
-def _peak_rss_mb() -> float:
-    """This process's peak resident memory in MB (``ru_maxrss`` is in KiB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-def _run_pipelines(config: ExperimentConfig, *args) -> tuple[dict, float | None]:
-    """:func:`_pipeline`'s result per network, HA first, and the child
-    process's peak RSS in MB, or None without one.
-
-    Where :func:`training._second_cpu` gives no CPU for a second process
-    (``config.threads`` 1, or a one-CPU mask) both pipelines run here, one
-    after the other.  Otherwise the regular one runs in a child on that CPU
-    (:func:`training._forked`) while this process runs the HA one; they
-    share nothing but their inputs, so each result is the one a serial run
-    gives.  The child's exception is raised here, or ``ChildProcessError``
-    if it sent nothing.  On any exception here, the HA pipeline's too, this
-    process kills the child at once: it never outlives the call.
-    """
-    cpu = _second_cpu(config.threads)
-    if cpu is None:
-        return {name: _pipeline(name, config, *args) for name in ("hardware_aware", "regular")}, None
-
-    def regular():
-        try:
-            yield True, _pipeline("regular", config, *args)
-        except Exception as exc:
-            yield False, exc
-
-    rss = []
-    with _forked(cpu, regular, reaped=lambda usage: rss.append(usage.ru_maxrss / 1024.0)) as sent:
-        results = {"hardware_aware": _pipeline("hardware_aware", config, *args)}
-        ok, value = next(sent, (False, ChildProcessError("the regular pipeline sent no result")))
-    if not ok:
-        raise value
-    results["regular"] = value
-    return results, rss[0]
 
 
 def run_experiment(config, out_dir, config_doc: dict | None = None) -> list[Path]:
@@ -791,15 +728,12 @@ def run_experiment(config, out_dir, config_doc: dict | None = None) -> list[Path
 
     ``config`` is an :class:`ExperimentConfig` or a path to a JSON config
     file.  Writes report.json, manifest.json, and per-network table.csv,
-    curve.csv, heatmap.csv and checkpoint.json under ``out_dir``.  The same
-    config always produces byte-identical artifacts, at any
-    ``config.threads``, so the wall time of each stage (training,
-    evaluation and heatmap of each network), and the training steps,
-    transfers or repetitions per second of each, go to stderr, not into
-    them.  The stage lines are printed once both pipelines are done, in
-    the order of a run that trains both nets before it judges either; a
-    last line gives the peak resident memory of this process and of the
-    child, where there is one (see :func:`_run_pipelines`).
+    curve.csv, heatmap.csv and checkpoint.json under ``out_dir``.  The
+    stages run in turn at ``workers = config.threads``: HA training, regular
+    training, then per network :func:`evaluate_transfers` and
+    :func:`heatmap`.  A config's artifacts are byte-identical at any
+    ``config.threads``, so each stage's wall time and rate go to stderr,
+    not into them, and last this process's peak resident memory.
     """
     if not isinstance(config, ExperimentConfig):
         config_doc, config = read_config(config)
@@ -807,17 +741,23 @@ def run_experiment(config, out_dir, config_doc: dict | None = None) -> list[Path
     train_set, test_set = experiment_dataset(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    layouts = layouts_for_architecture(config.training.architecture, *config.training.tile)
-    nn._expit()  # load scipy once, before the fork and outside the timed stages
-    results, child_rss = _run_pipelines(config, model, train_set, test_set, layouts)
-    stage_lines = [lines[0] for *_, lines in results.values()]
-    stage_lines += [line for *_, lines in results.values() for line in lines[1:]]
-    for line in stage_lines:
-        print(line, file=sys.stderr)
+    tc, workers = config.training, config.threads
+    layouts = layouts_for_architecture(tc.architecture, *tc.tile)
+    nn._expit()  # load scipy once, before the first fork and outside the timed stages
+    steps = (tc.steps(len(train_set)), "steps")
+    nets = {"hardware_aware": _timed("hardware_aware training", train_hardware_aware, tc,
+                                     train_set, model=model, workers=workers, rate=steps),
+            "regular": _timed("regular training", train_regular, tc, train_set, rate=steps)}
 
     written: list[Path] = []
     report_networks = {}
-    for name, (net, report, hm, _) in results.items():
+    for name, net in nets.items():
+        report = _timed(f"{name} evaluation", evaluate_transfers, net, model, layouts,
+                        tc.hrs_fraction, tc.lrs_fraction, test_set, config.transfers, tc.seed,
+                        workers=workers, rate=(config.transfers, "transfers"))
+        hm = _timed(f"{name} heatmap", heatmap, net, model, layouts, tc.hrs_fraction,
+                    tc.lrs_fraction, config.grid, config.heatmap_repetitions, tc.seed,
+                    workers=workers, rate=(config.heatmap_repetitions, "repetitions"))
         sub = out / name
         sub.mkdir(exist_ok=True)
         nn.save_checkpoint(net, sub / "checkpoint.json")
@@ -853,6 +793,6 @@ def run_experiment(config, out_dir, config_doc: dict | None = None) -> list[Path
         "artifacts": sorted(str(p.relative_to(out)) for p in written),
     })
     written.append(out / "manifest.json")
-    child = f", child {child_rss:.1f} MB" if child_rss is not None else ""
-    print(f"peak rss: parent {_peak_rss_mb():.1f} MB{child}", file=sys.stderr)
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # from KiB
+    print(f"peak rss: parent {rss:.1f} MB", file=sys.stderr)
     return written

@@ -267,11 +267,10 @@ class ProducerReport:
 
 def _second_cpu(workers: int) -> int | None:
     """The last CPU of this process's affinity mask, for a second process
-    forked by :func:`_forked` (the noise producer of :func:`_noise`,
-    ``run``'s regular pipeline, the counting helper of
-    ``experiments._count_transfers``), at ``workers`` 2 or more on a mask
-    of two CPUs or more; otherwise None, as a second process would only
-    share a CPU with this one."""
+    forked by :func:`_forked` (the noise producer of :func:`_noise`, the
+    counting helper of ``experiments._count_transfers``), at ``workers`` 2
+    or more on a mask of two CPUs or more; otherwise None, as a second
+    process would only share a CPU with this one."""
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     return cpus[-1] if workers >= 2 and len(cpus) >= 2 else None
 

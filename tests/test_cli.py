@@ -228,20 +228,33 @@ class TestRun:
         out = tmp_path / "artifacts"
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
         *lines, rss = capsys.readouterr().err.splitlines()
-        # At the default threads 2 the regular pipeline has a child on two CPUs.
-        child = r", child \d+\.\d MB" if TWO_CPUS else ""
-        assert re.fullmatch(rf"peak rss: parent \d+\.\d MB{child}", rss)
+        assert re.fullmatch(r"peak rss: parent \d+\.\d MB", rss)
         stages = [line.split(": ", 1)[0] for line in lines]
         assert stages == ["hardware_aware training", "regular training",
                           "hardware_aware evaluation", "hardware_aware heatmap",
                           "regular evaluation", "regular heatmap"]
         assert all(re.fullmatch(r"[a-z_ ]+: \d+\.\d\d s, \d+ [a-z]+/s", line) for line in lines)
 
-    def test_one_thread_reports_no_child_rss(self, config_path, tmp_path, capsys):
-        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out"),
-                     "--threads", "1"]) == 0
-        assert re.fullmatch(r"peak rss: parent \d+\.\d MB",
-                            capsys.readouterr().err.splitlines()[-1])
+    def test_two_threads_fork_only_through_the_stages(self, tmp_path, monkeypatch):
+        # Three chunks of transfers and 2 repetitions, so that at threads 2
+        # on two CPUs the HA training forks its noise producer and each
+        # evaluation and heatmap a counting helper: 5 forks, none by run.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, transfers=3 * experiments.CHUNK,
+                                        heatmap={"nx": 6, "ny": 4, "repetitions": 2})))
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        trees = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert main(["run", "--config", str(path), "--out", str(out),
+                         "--threads", threads]) == 0
+            trees[threads] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                              if p.is_file()}
+            assert len(forks) == (5 if threads == "2" and TWO_CPUS else 0)
+        assert len(trees["1"]) == 10
+        assert trees["1"] == trees["2"]
+        assert_no_children()
 
     def test_one_cpu_mask_forks_nothing(self, config_path, tmp_path, capsys, monkeypatch):
         def tree(out):
@@ -306,13 +319,13 @@ class TestErrorPaths:
         assert rc == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             "error: training diverged: the transferred parameters of layer 1 of 2 are not finite")
+        assert not (tmp_path / "out").exists()
         assert_no_children()
 
-    def test_hardware_aware_failure_in_run_kills_the_regular_child(self, tmp_path, capfd,
-                                                                  monkeypatch):
-        # The regular pipeline would take 30 s; the HA one fails in its first
-        # steps, and the error does not wait for the child, which writes
-        # nothing on the shared fd 2.
+    def test_hardware_aware_failure_in_run_ends_it_before_regular_training(self, tmp_path,
+                                                                          capfd, monkeypatch):
+        # Regular training would take 30 s; HA training fails in its first
+        # steps, and run stops there, with its noise producer reaped.
         path = tmp_path / "config.json"
         path.write_text(json.dumps(dict(TINY_CONFIG, learning_rate=1e308)))
         monkeypatch.setattr(experiments, "train_regular", lambda *a, **k: time.sleep(30))
@@ -329,8 +342,6 @@ class TestErrorPaths:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_regular_failure_in_run_exits_2(self, config_path, tmp_path, capsys, monkeypatch,
                                             threads):
-        # At 2 threads the regular pipeline, and so this error, is in the
-        # child process.
         def fail(*args, **kwargs):
             raise ValueError("regular training failed")
 
@@ -356,7 +367,7 @@ class TestErrorPaths:
             rc = main(["train", "--regular", "--config", str(path), "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: training diverged: {message}\n"
-        assert not (out / "regular.json").exists()
+        assert not out.exists()
 
     def test_diverged_training_prints_no_numpy_warning(self, tmp_path):
         # A fresh interpreter, whose warning registry has shown nothing yet.
@@ -460,6 +471,28 @@ class TestErrorPaths:
         assert trained == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["train", "--regular"], ["train", "--hardware-aware"],
+        ["evaluate", "--checkpoint", str(CHECKPOINT)], ["heatmap", "--checkpoint", str(CHECKPOINT)],
+        ["run"], ["gen-synthetic-model"],
+    ], ids=["train_regular", "train_hardware_aware", "evaluate", "heatmap", "run",
+            "gen_synthetic_model"])
+    def test_out_that_cannot_be_written_exits_2_before_any_work(self, config_path, tmp_path,
+                                                                capsys, monkeypatch, trained,
+                                                                command):
+        for name in ("evaluate_transfers", "heatmap"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: trained.append(name))
+        if command == ["gen-synthetic-model"]:
+            out = tmp_path  # a directory where the model file belongs
+        else:
+            out = tmp_path / "out"
+            out.write_text("")  # a file where the output directory belongs
+            command = [*command, "--config", str(config_path)]
+        rc = main([*command, "--out", str(out)])
+        assert rc == 2
+        assert re.fullmatch(rf"error: .*{re.escape(str(out))}.*\n", capsys.readouterr().err)
+        assert trained == []
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_regular_divergence_is_raised_at_any_thread_count(self, config_path, tmp_path,
                                                               monkeypatch, threads):
@@ -469,13 +502,6 @@ class TestErrorPaths:
         config = replace(experiments.load_experiment_config(config_path), threads=threads)
         with pytest.raises(RuntimeError, match="training diverged: non-finite loss at epoch 1, "
                                                "batch 1"):
-            experiments.run_experiment(config, tmp_path / "out")
-        assert_no_children()
-
-    def test_child_that_dies_is_reported(self, config_path, tmp_path, monkeypatch):
-        monkeypatch.setattr(experiments, "train_regular", lambda *a, **k: os._exit(3))
-        config = replace(experiments.load_experiment_config(config_path), threads=2)
-        with pytest.raises(ChildProcessError):
             experiments.run_experiment(config, tmp_path / "out")
         assert_no_children()
 

@@ -4,7 +4,7 @@
 training forward and ``fit-model``'s Shapiro-Wilk test call into it.  So
 importing the package, ``evaluate``, ``heatmap`` and
 ``gen-synthetic-model`` must not load it, while ``train`` and ``run`` load
-it before their first timed stage (``run`` before it forks).  Every second
+it before their first timed stage, and so before the first fork.  Every second
 process is forked by ``training._forked`` with ``os.fork`` and an
 ``os.pipe``, so no command, ``train`` and ``run`` included, loads
 ``multiprocessing`` (5-7 ms to import without scipy loaded, 2 vCPU,
@@ -44,7 +44,7 @@ def wrap(module, name):
 
 for name in ("train_hardware_aware", "train_regular"):
     wrap(cli, name)
-wrap(experiments, "_run_pipelines")
+wrap(experiments, "train_hardware_aware")
 rc = cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"rc": rc, "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules),
                   "multiprocessing": any(m in sys.modules for m in
@@ -97,4 +97,4 @@ def test_train_loads_scipy_before_training(tmp_path, flag, name):
 def test_run_loads_scipy_before_it_forks(tmp_path):
     result = run_cli(tmp_path, "run", "--config", "CONFIG", "--threads", "2", "--out", "OUT")
     assert result == {"rc": 0, "scipy": True, "multiprocessing": False, "futures": True,
-                      "seen": [["_run_pipelines", True]]}
+                      "seen": [["train_hardware_aware", True]]}

@@ -28,8 +28,8 @@ The set:
   wrote, on the default grid with the same repetitions and threads, so
   that a second decision boundary is compared on a full grid;
 - ``run`` on the config of acceptance criterion 9 (determinism), once on
-  1 thread and once on 2, where the regular network's pipeline runs in a
-  child process.
+  1 thread and once on 2, where its hardware-aware training, evaluations
+  and heatmaps each use a second process.
 
 Each command's standard output is kept too, as ``stdout/NN.txt`` with the
 side's output directory written as ``OUT``, since ``fit-model`` reports

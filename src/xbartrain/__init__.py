@@ -49,5 +49,4 @@ from .experiments import (
     heatmap,
     robustness_curve,
     robustness_table,
-    run_experiment,
 )

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
+import json
+import resource
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +17,6 @@ import numpy as np
 from . import __version__, nn
 from .experiments import (
     ExperimentConfig,
-    _timed,
     evaluate_transfers,
     experiment_dataset,
     heatmap,
@@ -21,7 +24,6 @@ from .experiments import (
     read_config,
     robustness_curve,
     robustness_table,
-    run_experiment,
     write_curve_csv,
     write_heatmap_csv,
     write_json,
@@ -88,6 +90,45 @@ def _out_dir(path: Path):
         raise
 
 
+def _timed(stage: str, fn, *args, rate: tuple[int, str], **kwargs):
+    """``fn(*args, **kwargs)``, with its wall time and ``rate = (count,
+    unit)`` per second printed to stderr as ``stage: T s, R unit/s``.
+    Wall times stay out of the artifacts, which reruns must reproduce byte
+    for byte."""
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    elapsed = time.perf_counter() - start
+    print(f"{stage}: {elapsed:.2f} s, {rate[0] / elapsed:.0f} {rate[1]}/s", file=sys.stderr)
+    return result
+
+
+# The stages of train, evaluate, heatmap and run, each timed.  Each names
+# its stage function at call time, so a wrapper set on this module sees
+# every command's call.
+def _train(name: str, config: ExperimentConfig, model, train_set, report=None):
+    """The ``hardware_aware`` net of ``config``, filling ``report`` in, or its ``regular`` one."""
+    nn._expit()  # load scipy here, outside the timed training and before any fork
+    steps = (config.training.steps(len(train_set)), "steps")
+    if name == "hardware_aware":
+        return _timed(f"{name} training", train_hardware_aware, config.training, train_set,
+                      model=model, workers=config.threads, report=report, rate=steps)
+    return _timed(f"{name} training", train_regular, config.training, train_set, rate=steps)
+
+
+def _evaluate(stage: str, config: ExperimentConfig, model, net, layouts, test_set):
+    tc = config.training
+    return _timed(stage, evaluate_transfers, net, model, layouts, tc.hrs_fraction,
+                  tc.lrs_fraction, test_set, config.transfers, tc.seed, workers=config.threads,
+                  rate=(config.transfers, "transfers"))
+
+
+def _heatmap(stage: str, config: ExperimentConfig, model, net, layouts, repetitions: int):
+    tc = config.training
+    return _timed(stage, heatmap, net, model, layouts, tc.hrs_fraction, tc.lrs_fraction,
+                  config.grid, repetitions=repetitions, seed=tc.seed, workers=config.threads,
+                  rate=(repetitions, "repetitions"))
+
+
 def _load_checkpoint(args):
     """Config, variability model, network and crossbar layouts for a
     command that evaluates a trained checkpoint."""
@@ -129,6 +170,8 @@ def cmd_fit_model(args) -> int:
 
 
 def cmd_gen_synthetic_model(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     save_model(make_synthetic_model(args.seed), args.out)
     print(f"wrote {args.out}")
     return 0
@@ -138,19 +181,13 @@ def cmd_train(args) -> int:
     config = _override(load_experiment_config(args.config), args)
     model = config.resolve_model()
     train_set, test_set = experiment_dataset(config)
-    nn._expit()  # load scipy here, not inside the timed training
-    steps = (config.training.steps(len(train_set)), "steps")
+    name = "hardware_aware" if args.hardware_aware else "regular"
+    producer = ProducerReport()
     with _out_dir(args.out):
-        if args.hardware_aware:
-            name, producer = "hardware_aware", ProducerReport()
-            net = _timed(f"{name} training", train_hardware_aware, config.training, train_set,
-                         model=model, workers=config.threads, report=producer, rate=steps)
-            if producer.blocks:
-                print(f"noise producer: {producer.cpu_s:.2f} s CPU, trainer drew "
-                      f"{producer.drawn_here} of {producer.blocks} blocks", file=sys.stderr)
-        else:
-            name = "regular"
-            net = _timed("regular training", train_regular, config.training, train_set, rate=steps)
+        net = _train(name, config, model, train_set, producer)
+        if producer.blocks:
+            print(f"noise producer: {producer.cpu_s:.2f} s CPU, trainer drew "
+                  f"{producer.drawn_here} of {producer.blocks} blocks", file=sys.stderr)
         path = args.out / f"{name}.json"
         nn.save_checkpoint(net, path)
     print(f"{name}: train accuracy {nn.accuracy(net, train_set.points, train_set.labels):.4f}, "
@@ -163,12 +200,7 @@ def cmd_evaluate(args) -> int:
     config, model, net, layouts = _load_checkpoint(args)
     _, test_set = experiment_dataset(config)
     with _out_dir(args.out):
-        report = _timed(
-            "evaluation", evaluate_transfers,
-            net, model, layouts, config.training.hrs_fraction, config.training.lrs_fraction,
-            test_set, config.transfers, config.training.seed, workers=config.threads,
-            rate=(config.transfers, "transfers"),
-        )
+        report = _evaluate("evaluation", config, model, net, layouts, test_set)
         write_json(args.out / "report.json", {
             "transfers": report.transfers,
             "counts": report.counts.tolist(),
@@ -187,12 +219,7 @@ def cmd_heatmap(args) -> int:
     config, model, net, layouts = _load_checkpoint(args)
     repetitions = args.transfers if args.transfers is not None else config.heatmap_repetitions
     with _out_dir(args.out):
-        hm = _timed(
-            "heatmap", heatmap,
-            net, model, layouts, config.training.hrs_fraction, config.training.lrs_fraction,
-            config.grid, repetitions=repetitions, seed=config.training.seed,
-            workers=config.threads, rate=(repetitions, "repetitions"),
-        )
+        hm = _heatmap("heatmap", config, model, net, layouts, repetitions)
         write_heatmap_csv(args.out / "heatmap.csv", hm)
     print(f"wrote {args.out}/heatmap.csv ({config.grid.nx}x{config.grid.ny} cells, "
           f"{repetitions} transfers)")
@@ -200,9 +227,57 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_run(args) -> int:
+    """Train both networks, then evaluate each and draw its heatmap, writing
+    report.json, manifest.json and per network checkpoint.json, table.csv,
+    curve.csv and heatmap.csv under ``--out``, byte-identical at any
+    ``--threads``.  Stage times and the peak RSS go to stderr."""
     config_doc, config = read_config(args.config)
-    with _out_dir(args.out):
-        written = run_experiment(_override(config, args), args.out, config_doc=config_doc)
+    config, out = _override(config, args), args.out
+    written, networks = [], {}
+    with _out_dir(out):
+        model = config.resolve_model()
+        train_set, test_set = experiment_dataset(config)
+        layouts = layouts_for_architecture(config.training.architecture, *config.training.tile)
+        nets = {name: _train(name, config, model, train_set)
+                for name in ("hardware_aware", "regular")}
+        for name, net in nets.items():
+            report = _evaluate(f"{name} evaluation", config, model, net, layouts, test_set)
+            hm = _heatmap(f"{name} heatmap", config, model, net, layouts,
+                          config.heatmap_repetitions)
+            sub = out / name
+            sub.mkdir(exist_ok=True)
+            nn.save_checkpoint(net, sub / "checkpoint.json")
+            write_table_csv(sub / "table.csv", robustness_table(report))
+            write_curve_csv(sub / "curve.csv", *robustness_curve(report))
+            write_heatmap_csv(sub / "heatmap.csv", hm)
+            written += [sub / "checkpoint.json", sub / "table.csv", sub / "curve.csv",
+                        sub / "heatmap.csv"]
+            networks[name] = {
+                "counts": report.counts.tolist(),
+                "fractions": report.fractions.tolist(),
+                "clean_accuracy": nn.accuracy(net, test_set.points, test_set.labels),
+            }
+        write_json(out / "report.json", {
+            "transfers": config.transfers,
+            "test_size": len(test_set),
+            "points": test_set.points.tolist(),
+            "labels": test_set.labels.tolist(),
+            "networks": networks,
+        })
+        written.append(out / "report.json")
+        canonical = json.dumps(config_doc, sort_keys=True)
+        write_json(out / "manifest.json", {
+            "tool": "xbartrain",
+            "version": __version__,
+            "seed": config.training.seed,
+            "transfers": config.transfers,
+            "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+            "config": config_doc,
+            "artifacts": sorted(str(p.relative_to(out)) for p in written),
+        })
+        written.append(out / "manifest.json")
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # from KiB
+    print(f"peak rss: parent {rss:.1f} MB", file=sys.stderr)
     for path in written:
         print(f"wrote {path}")
     return 0

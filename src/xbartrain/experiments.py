@@ -9,12 +9,8 @@ exercise over a grid spanning the data space.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-import resource
-import sys
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,10 +18,8 @@ import numpy as np
 
 from . import fields, nn
 from .datasets import LabeledSet, make_half_moons
-from .training import (TrainingConfig, SourceToggles, _forked, _second_cpu, _stream,
-                       train_hardware_aware, train_regular)
-from .transfer import (TileLayout, TransferNoise, TransferPlan, layer_to_crossbar,
-                       layouts_for_architecture)
+from .training import TrainingConfig, SourceToggles, _forked, _second_cpu, _stream
+from .transfer import TileLayout, TransferNoise, TransferPlan, layer_to_crossbar
 from .variability import VariabilityModel, load_model, make_synthetic_model
 
 __all__ = [
@@ -39,7 +33,6 @@ __all__ = [
     "robustness_table",
     "robustness_curve",
     "heatmap",
-    "run_experiment",
     "load_experiment_config",
     "read_config",
 ]
@@ -552,7 +545,7 @@ def heatmap(
 
 
 # ---------------------------------------------------------------------------
-# Experiment orchestration
+# Experiment configuration and artifacts
 # ---------------------------------------------------------------------------
 
 
@@ -709,90 +702,3 @@ def write_heatmap_csv(path: Path, hm: HeatmapGrid) -> None:
 
 def write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _timed(stage: str, fn, *args, rate: tuple[int, str], **kwargs):
-    """``fn(*args, **kwargs)``, with its wall time and ``rate = (count,
-    unit)`` per second printed to stderr as ``stage: T s, R unit/s``.
-    Wall times stay out of the artifacts, which reruns must reproduce byte
-    for byte."""
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    elapsed = time.perf_counter() - start
-    print(f"{stage}: {elapsed:.2f} s, {rate[0] / elapsed:.0f} {rate[1]}/s", file=sys.stderr)
-    return result
-
-
-def run_experiment(config, out_dir, config_doc: dict | None = None) -> list[Path]:
-    """Full pipeline: train both networks, evaluate N transfers, write artifacts.
-
-    ``config`` is an :class:`ExperimentConfig` or a path to a JSON config
-    file.  Writes report.json, manifest.json, and per-network table.csv,
-    curve.csv, heatmap.csv and checkpoint.json under ``out_dir``.  The
-    stages run in turn at ``workers = config.threads``: HA training, regular
-    training, then per network :func:`evaluate_transfers` and
-    :func:`heatmap`.  A config's artifacts are byte-identical at any
-    ``config.threads``, so each stage's wall time and rate go to stderr,
-    not into them, and last this process's peak resident memory.
-    """
-    if not isinstance(config, ExperimentConfig):
-        config_doc, config = read_config(config)
-    model = config.resolve_model()
-    train_set, test_set = experiment_dataset(config)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tc, workers = config.training, config.threads
-    layouts = layouts_for_architecture(tc.architecture, *tc.tile)
-    nn._expit()  # load scipy once, before the first fork and outside the timed stages
-    steps = (tc.steps(len(train_set)), "steps")
-    nets = {"hardware_aware": _timed("hardware_aware training", train_hardware_aware, tc,
-                                     train_set, model=model, workers=workers, rate=steps),
-            "regular": _timed("regular training", train_regular, tc, train_set, rate=steps)}
-
-    written: list[Path] = []
-    report_networks = {}
-    for name, net in nets.items():
-        report = _timed(f"{name} evaluation", evaluate_transfers, net, model, layouts,
-                        tc.hrs_fraction, tc.lrs_fraction, test_set, config.transfers, tc.seed,
-                        workers=workers, rate=(config.transfers, "transfers"))
-        hm = _timed(f"{name} heatmap", heatmap, net, model, layouts, tc.hrs_fraction,
-                    tc.lrs_fraction, config.grid, config.heatmap_repetitions, tc.seed,
-                    workers=workers, rate=(config.heatmap_repetitions, "repetitions"))
-        sub = out / name
-        sub.mkdir(exist_ok=True)
-        nn.save_checkpoint(net, sub / "checkpoint.json")
-        write_table_csv(sub / "table.csv", robustness_table(report))
-        write_curve_csv(sub / "curve.csv", *robustness_curve(report))
-        write_heatmap_csv(sub / "heatmap.csv", hm)
-        written += [sub / "checkpoint.json", sub / "table.csv", sub / "curve.csv", sub / "heatmap.csv"]
-        report_networks[name] = {
-            "counts": report.counts.tolist(),
-            "fractions": report.fractions.tolist(),
-            "clean_accuracy": nn.accuracy(net, test_set.points, test_set.labels),
-        }
-
-    write_json(out / "report.json", {
-        "transfers": config.transfers,
-        "test_size": len(test_set),
-        "points": test_set.points.tolist(),
-        "labels": test_set.labels.tolist(),
-        "networks": report_networks,
-    })
-    written.append(out / "report.json")
-
-    from . import __version__
-
-    canonical = json.dumps(config_doc, sort_keys=True) if config_doc is not None else ""
-    write_json(out / "manifest.json", {
-        "tool": "xbartrain",
-        "version": __version__,
-        "seed": config.training.seed,
-        "transfers": config.transfers,
-        "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
-        "config": config_doc,
-        "artifacts": sorted(str(p.relative_to(out)) for p in written),
-    })
-    written.append(out / "manifest.json")
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # from KiB
-    print(f"peak rss: parent {rss:.1f} MB", file=sys.stderr)
-    return written

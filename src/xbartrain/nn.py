@@ -46,11 +46,10 @@ def _expit():
     ``scipy.special`` is imported here, on the first call, rather than with
     the package: the import takes about 0.25 s and 19 MB per process, and
     ``evaluate``, ``heatmap`` and ``gen-synthetic-model`` never call it.
-    Training does, through :func:`forward`, so ``train`` and
-    ``experiments.run_experiment`` call this before their first timed
-    stage (``run_experiment`` also before it forks), which keeps the import
-    out of the stage times.  ``fit-model``'s Shapiro-Wilk test imports
-    ``scipy.special`` itself.
+    Training does, through :func:`forward`, so ``train`` and ``run`` call
+    this before each training stage, and so before it forks, which keeps
+    the import out of the stage times.  ``fit-model``'s Shapiro-Wilk test
+    imports ``scipy.special`` itself.
     """
     from scipy.special import expit
 

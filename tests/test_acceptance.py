@@ -11,14 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xbartrain import nn
+from xbartrain import cli, nn
 from xbartrain.datasets import make_half_moons
 from xbartrain.experiments import (
     GridSpec,
     evaluate_transfers,
     heatmap,
     robustness_curve,
-    run_experiment,
 )
 from xbartrain.training import (
     EffectiveParams,
@@ -354,8 +353,8 @@ def test_criterion_9_determinism(tmp_path, synthetic_model):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
-    run_experiment(config_path, out1)
-    run_experiment(config_path, out2)
+    assert cli.main(["run", "--config", str(config_path), "--out", str(out1)]) == 0
+    assert cli.main(["run", "--config", str(config_path), "--out", str(out2)]) == 0
     rel = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
     artifacts_identical = all((out1 / r).read_bytes() == (out2 / r).read_bytes() for r in rel)
 

@@ -80,3 +80,7 @@ def test_commands_call_through_cli_bindings(tmp_path, monkeypatch):
     assert cli.main(["evaluate", *checkpoint, "--config", str(config), "--out", str(out / "e")]) == 0
     assert cli.main(["heatmap", *checkpoint, "--config", str(config), "--out", str(out / "h")]) == 0
     assert called == ["train_hardware_aware", "train_regular", "evaluate_transfers", "heatmap"]
+    called.clear()
+    assert cli.main(["run", *common, "--threads", "1"]) == 0
+    assert called == ["train_hardware_aware", "train_regular", "evaluate_transfers", "heatmap",
+                      "evaluate_transfers", "heatmap"]

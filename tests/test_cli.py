@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -224,6 +225,21 @@ class TestRun:
         assert manifest["config"]["seed"] == 9
         assert len(manifest["config_sha256"]) == 64
 
+    def test_manifest_and_stdout_name_every_artifact(self, config_path, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        names = [f"{net}/{f}" for net in ("hardware_aware", "regular")
+                 for f in ("checkpoint.json", "table.csv", "curve.csv", "heatmap.csv")]
+        names += ["report.json", "manifest.json"]
+        assert capsys.readouterr().out.splitlines() == [f"wrote {out / n}" for n in names]
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
+                      if p.is_file()) == sorted(names)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] == sorted(names[:-1])
+        assert manifest["config"] == TINY_CONFIG
+        assert manifest["config_sha256"] == hashlib.sha256(
+            json.dumps(TINY_CONFIG, sort_keys=True).encode()).hexdigest()
+
     def test_stage_times_go_to_stderr(self, config_path, tmp_path, capsys):
         out = tmp_path / "artifacts"
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
@@ -328,7 +344,7 @@ class TestErrorPaths:
         # steps, and run stops there, with its noise producer reaped.
         path = tmp_path / "config.json"
         path.write_text(json.dumps(dict(TINY_CONFIG, learning_rate=1e308)))
-        monkeypatch.setattr(experiments, "train_regular", lambda *a, **k: time.sleep(30))
+        monkeypatch.setattr(cli, "train_regular", lambda *a, **k: time.sleep(30))
         mask, start = os.sched_getaffinity(0), time.monotonic()
         rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
                    "--threads", "2"])
@@ -345,7 +361,7 @@ class TestErrorPaths:
         def fail(*args, **kwargs):
             raise ValueError("regular training failed")
 
-        monkeypatch.setattr(experiments, "train_regular", fail)
+        monkeypatch.setattr(cli, "train_regular", fail)
         rc = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out"),
                    "--threads", threads])
         assert rc == 2
@@ -383,8 +399,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_regular_divergence_in_run_exits_2(self, config_path, tmp_path, capsys, monkeypatch,
                                                threads):
-        train = experiments.train_regular
-        monkeypatch.setattr(experiments, "train_regular",
+        train = cli.train_regular
+        monkeypatch.setattr(cli, "train_regular",
                             lambda config, *a, **k: train(replace(config, lr=1e308), *a, **k))
         with np.errstate(all="ignore"):
             rc = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out"),
@@ -493,18 +509,6 @@ class TestErrorPaths:
         assert re.fullmatch(rf"error: .*{re.escape(str(out))}.*\n", capsys.readouterr().err)
         assert trained == []
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_regular_divergence_is_raised_at_any_thread_count(self, config_path, tmp_path,
-                                                              monkeypatch, threads):
-        train = experiments.train_regular
-        monkeypatch.setattr(experiments, "train_regular",
-                            lambda config, *a, **k: train(replace(config, lr=1e308), *a, **k))
-        config = replace(experiments.load_experiment_config(config_path), threads=threads)
-        with pytest.raises(RuntimeError, match="training diverged: non-finite loss at epoch 1, "
-                                               "batch 1"):
-            experiments.run_experiment(config, tmp_path / "out")
-        assert_no_children()
-
     def test_missing_model_file_exits_2_and_names_path(self, tmp_path, capsys):
         config = dict(TINY_CONFIG, model_path=str(tmp_path / "ghost_model.json"))
         path = tmp_path / "config.json"
@@ -547,9 +551,8 @@ class TestErrorPaths:
     def trained(self, monkeypatch):
         """Records every training call instead of training."""
         calls = []
-        for module in (cli, experiments):
-            monkeypatch.setattr(module, "train_hardware_aware", lambda *a, **k: calls.append("ha"))
-            monkeypatch.setattr(module, "train_regular", lambda *a, **k: calls.append("regular"))
+        monkeypatch.setattr(cli, "train_hardware_aware", lambda *a, **k: calls.append("ha"))
+        monkeypatch.setattr(cli, "train_regular", lambda *a, **k: calls.append("regular"))
         return calls
 
     @pytest.mark.parametrize("update, key", [
@@ -691,12 +694,14 @@ class TestErrorPaths:
         (csv_case("bias", "x,1.0"), "bias.csv:303: n_d"),
         (csv_case("tuning", "d0,125.0,inf"), "tuning.csv:74: read_uS"),
         (csv_case("stuck", "LRS,"), "stuck.csv:42: g_uS"),
+        (lambda tmp_path: ["gen-synthetic-model", "--seed", "-1",
+                           "--out", str(tmp_path / "model.json")], "--seed"),
     ], ids=["learning_rate-nan", "learning_rate-negative", "noise_std-nan", "seed-negative",
             "model_seed-negative", "n_train-zero", "n_test-zero", "model_path-number",
             "bias_db-string", "bias_db-bool", "lrs_samples-string", "lrs_samples-bool",
             "model-unknown-key", "model-unknown-section", "weights-bool", "weights-string",
             "layer_sizes-mismatch", "bias-csv-nan", "bias-csv-text", "bias-csv-n_d",
-            "tuning-csv-inf", "stuck-csv-empty"])
+            "tuning-csv-inf", "stuck-csv-empty", "model-seed-negative"])
     def test_malformed_input_exits_2_and_names_key(self, tmp_path, capsys, trained, monkeypatch,
                                                      build, key):
         for name in ("evaluate_transfers", "heatmap"):

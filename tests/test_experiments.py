@@ -2,7 +2,6 @@ import errno
 import hashlib
 import json
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +9,7 @@ import pytest
 from scipy.special import expit
 
 from xbartrain import nn
+from xbartrain.cli import main
 from xbartrain.datasets import LabeledSet, make_half_moons
 from xbartrain.experiments import (
     _Z0,
@@ -31,7 +31,6 @@ from xbartrain.experiments import (
     load_experiment_config,
     robustness_curve,
     robustness_table,
-    run_experiment,
     write_heatmap_csv,
 )
 from xbartrain.training import TrainingConfig, _stream, train_hardware_aware
@@ -774,8 +773,8 @@ class TestRunExperiment:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(TINY_CONFIG))
         out = tmp_path / "out"
-        written = run_experiment(config_path, out)
-        names = {p.relative_to(out).as_posix() for p in written}
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        names = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
         assert {"report.json", "manifest.json"} <= names
         for net in ("hardware_aware", "regular"):
             for f in ("checkpoint.json", "table.csv", "curve.csv", "heatmap.csv"):
@@ -800,8 +799,8 @@ class TestRunExperiment:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(TINY_CONFIG))
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        run_experiment(config_path, out1)
-        run_experiment(config_path, out2)
+        assert main(["run", "--config", str(config_path), "--out", str(out1)]) == 0
+        assert main(["run", "--config", str(config_path), "--out", str(out2)]) == 0
         files1 = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
         files2 = sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
         assert files1 == files2
@@ -809,11 +808,13 @@ class TestRunExperiment:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
     def test_one_and_two_processes_write_the_same_tree(self, tmp_path, capsys):
-        config = experiment_config_from_dict(CRITERION_9_CONFIG)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(CRITERION_9_CONFIG))
         trees, stages = {}, {}
         for threads in (1, 2):
             out = tmp_path / str(threads)
-            run_experiment(replace(config, threads=threads), out, config_doc=CRITERION_9_CONFIG)
+            assert main(["run", "--config", str(config_path), "--out", str(out),
+                         "--threads", str(threads)]) == 0
             trees[threads] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
                               if p.is_file()}
             *lines, _ = capsys.readouterr().err.splitlines()

@@ -107,7 +107,7 @@ def _timed(stage: str, fn, *args, rate: tuple[int, str], **kwargs):
 # every command's call.
 def _train(name: str, config: ExperimentConfig, model, train_set, report=None):
     """The ``hardware_aware`` net of ``config``, filling ``report`` in, or its ``regular`` one."""
-    nn._expit()  # load scipy here, outside the timed training and before any fork
+    nn._expit()  # load scipy's expit ufunc here, outside the timed training and before any fork
     steps = (config.training.steps(len(train_set)), "steps")
     if name == "hardware_aware":
         return _timed(f"{name} training", train_hardware_aware, config.training, train_set,
@@ -230,7 +230,7 @@ def cmd_run(args) -> int:
     """Train both networks, then evaluate each and draw its heatmap, writing
     report.json, manifest.json and per network checkpoint.json, table.csv,
     curve.csv and heatmap.csv under ``--out``, byte-identical at any
-    ``--threads``.  Stage times and the peak RSS go to stderr."""
+    ``--threads``.  Stage times and peak RSS (parent, largest child) go to stderr."""
     config_doc, config = read_config(args.config)
     config, out = _override(config, args), args.out
     written, networks = [], {}
@@ -276,8 +276,9 @@ def cmd_run(args) -> int:
             "artifacts": sorted(str(p.relative_to(out)) for p in written),
         })
         written.append(out / "manifest.json")
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # from KiB
-    print(f"peak rss: parent {rss:.1f} MB", file=sys.stderr)
+    rss = [resource.getrusage(who).ru_maxrss / 1024.0  # from KiB
+           for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+    print(f"peak rss: parent {rss[0]:.1f} MB, children {rss[1]:.1f} MB", file=sys.stderr)
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -119,9 +119,9 @@ _Z0 = float.fromhex("0x1.8000000000001p-53")
 
 
 def expit(a, out=None):
-    """scipy's ``expit``, the exact sigmoid of the fallback forward of
-    :func:`_predict_transferred`, loaded on the first call (see
-    :func:`nn._expit`)."""
+    """scipy's ``expit`` ufunc, the exact sigmoid of the fallback forward of
+    :func:`_predict_transferred`, loaded on the first call by
+    :func:`nn._expit` without importing ``scipy.special``."""
     return nn._expit()(a, out=out)
 
 
@@ -165,9 +165,9 @@ def _predict_transferred(layers, X, margin=None) -> np.ndarray:
     reference ``z`` (see :func:`heatmap`), so that ``z`` is on the same
     side of ``_Z0``.  Otherwise (a NaN gap included) the block is forwarded
     again with scipy's :func:`expit` for all ``n`` transfers.  Only this
-    fallback loads scipy, and it is rare: on the frozen default checkpoint
-    (perfbench/inputs), ``evaluate`` at 2000 transfers took it 0 times at
-    64 seeds and ``heatmap`` at 100 repetitions 0 times at 10 seeds.
+    fallback loads scipy (``expit`` alone), and it is rare: on the frozen
+    default checkpoint (perfbench/inputs), ``evaluate`` at 2000 transfers
+    took it 0 times at 64 seeds, ``heatmap`` at 100 repetitions 0 at 10.
     """
     X = np.asarray(X, dtype=float)
     points = len(X)

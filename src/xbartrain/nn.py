@@ -7,7 +7,10 @@ including the output, binary cross-entropy loss.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,18 +44,28 @@ ADAM_EPS = 1e-8
 
 @functools.cache
 def _expit():
-    """scipy's ``expit``, the sigmoid of :func:`forward`.
+    """scipy's ``expit``, the sigmoid of :func:`forward`, loaded on the first call.
 
-    ``scipy.special`` is imported here, on the first call, rather than with
-    the package: the import takes about 0.25 s and 19 MB per process, and
-    ``evaluate``, ``heatmap`` and ``gen-synthetic-model`` never call it.
-    Training does, through :func:`forward`, so ``train`` and ``run`` call
-    this before each training stage, and so before it forks, which keeps
-    the import out of the stage times.  ``fit-model``'s Shapiro-Wilk test
-    imports ``scipy.special`` itself.
+    Only scipy's compiled ``special/_special_ufuncs`` is loaded, from its
+    file, not ``scipy/special/__init__.py`` (0.2 s and 17 MB, with
+    ``numpy.testing`` and ``concurrent.futures``).  Its ``expit`` is the ufunc
+    that ``from scipy.special import expit`` gives, since that import (in
+    ``fit-model`` or the tests) reuses the module: every bit is the same.
+    Older scipy keeps ``expit`` in ``_ufuncs``; there ``scipy.special`` is
+    imported.  ``train`` and ``run`` call this before each training stage,
+    and so before it forks; ``evaluate``, ``heatmap`` and
+    ``gen-synthetic-model`` never do.
     """
-    from scipy.special import expit
-
+    name, scipy = "scipy.special._special_ufuncs", importlib.util.find_spec("scipy")
+    path = scipy and Path(scipy.submodule_search_locations[0], "special",
+                          "_special_ufuncs" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if name not in sys.modules and path and path.is_file():
+        loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+        spec = importlib.util.spec_from_loader(name, loader)
+        loader.exec_module(sys.modules.setdefault(name, importlib.util.module_from_spec(spec)))
+    expit = getattr(sys.modules.get(name), "expit", None)
+    if expit is None:
+        from scipy.special import expit
     return expit
 
 

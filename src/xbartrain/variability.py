@@ -327,7 +327,7 @@ def _shapiro_coefficients(n: int) -> np.ndarray:
         # Closed form: the weight vector is the normalized expected order
         # statistics (-1, 0, 1)/sqrt(2).
         return np.array([-np.sqrt(0.5), 0.0, np.sqrt(0.5)])
-    from scipy import special  # only fit-model needs scipy; see nn._expit
+    from scipy import special  # only fit-model imports scipy.special; see nn._expit
 
     i = np.arange(1, n + 1)
     m = special.ndtri((i - 0.375) / (n + 0.25))

@@ -1,6 +1,8 @@
-"""tools/bench_pairs.py: seed lists and the per-workload summary of pairs."""
+"""tools/bench_pairs.py: seed lists, the per-workload summary of pairs, and
+pairs of whole ``run`` processes (with the processes stubbed out)."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -53,3 +55,62 @@ def test_checkouts_that_are_not_siblings_exit_2(tmp_path, capsys, parent):
     for path in (tmp_path / parent, tmp_path / "change"):
         assert str(path.resolve()) in err
     assert not out.exists()
+
+
+def fake_runs(monkeypatch, stderr, files):
+    """Stub out the ``xbartrain run`` processes: each writes ``files[tree]``
+    under its ``--out`` and prints ``stderr[tree]``; returns the call log."""
+    calls = []
+
+    def run(cmd, cwd, env, capture_output, text):
+        out = Path(cmd[cmd.index("--out") + 1])
+        tree = Path(cwd).name
+        calls.append((tree, env["PYTHONPATH"], out.parent))
+        (out / "sub").mkdir(parents=True)
+        for name, data in files[tree].items():
+            (out / name).write_bytes(data)
+        return subprocess.CompletedProcess(cmd, 0, "", stderr[tree])
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    return calls
+
+
+def test_run_pairs_alternate_and_summarize_wall_time_and_rss(tmp_path, monkeypatch):
+    stderr = {"parent": "regular heatmap: 0.16 s, 6373 repetitions/s\n"
+                        "peak rss: parent 70.0 MB, children 40.0 MB\n",
+              "change": "peak rss: parent 51.8 MB, children 36.4 MB\n"}
+    files = {"parent": {"report.json": b"1", "sub/heatmap.csv": b"2"},
+             "change": {"report.json": b"1", "sub/heatmap.csv": b"2"}}
+    calls = fake_runs(monkeypatch, stderr, files)
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    summary = bench_pairs.run_pairs(trees, tmp_path / "config.json", 2, 3)
+    assert [tree for tree, _, _ in calls] == ["parent", "change", "change", "parent",
+                                              "parent", "change"]
+    assert all(path == str(trees[tree] / "src") for tree, path, _ in calls)
+    assert all(tmp_path not in out.parents for _, _, out in calls)  # outside both trees
+    assert summary["operations"] == {"parent": {"attempted": 3, "failed": 0},
+                                     "change": {"attempted": 3, "failed": 0}}
+    assert summary["identical_trees"] == "3/3"
+    assert set(summary["metrics"]) == {"wall_s", "parent_rss_mb", "children_rss_mb"}
+    assert summary["metrics"]["parent_rss_mb"]["parent_runs"] == [70.0] * 3
+    assert summary["metrics"]["parent_rss_mb"]["change_wins"] == "3/3"
+    assert summary["metrics"]["children_rss_mb"]["change"]["median"] == 36.4
+
+
+def test_run_pairs_leave_out_a_figure_one_side_lacks_and_count_differing_trees(
+        tmp_path, monkeypatch):
+    stderr = {"parent": "peak rss: parent 70.0 MB\n",
+              "change": "peak rss: parent 51.8 MB, children 36.4 MB\n"}
+    files = {"parent": {"report.json": b"1"}, "change": {"report.json": b"2"}}
+    fake_runs(monkeypatch, stderr, files)
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    summary = bench_pairs.run_pairs(trees, tmp_path / "config.json", 2, 2)
+    assert set(summary["metrics"]) == {"wall_s", "parent_rss_mb"}
+    assert summary["identical_trees"] == "0/2"
+
+
+def test_a_failed_run_stops_the_set(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda cmd, **kwargs:
+                        subprocess.CompletedProcess(cmd, 2, "", "error: --out: exists\n"))
+    with pytest.raises(SystemExit, match="exit 2: error: --out: exists"):
+        bench_pairs.run_process(tmp_path, tmp_path / "config.json", 2, tmp_path / "out")

@@ -244,7 +244,7 @@ class TestRun:
         out = tmp_path / "artifacts"
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
         *lines, rss = capsys.readouterr().err.splitlines()
-        assert re.fullmatch(r"peak rss: parent \d+\.\d MB", rss)
+        assert re.fullmatch(r"peak rss: parent \d+\.\d MB, children \d+\.\d MB", rss)
         stages = [line.split(": ", 1)[0] for line in lines]
         assert stages == ["hardware_aware training", "regular training",
                           "hardware_aware evaluation", "hardware_aware heatmap",
@@ -285,11 +285,25 @@ class TestRun:
         monkeypatch.setattr(os, "fork", fork)
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "2"),
                      "--threads", "2"]) == 0
-        assert re.fullmatch(r"peak rss: parent \d+\.\d MB",
+        assert re.fullmatch(r"peak rss: parent \d+\.\d MB, children \d+\.\d MB",
                             capsys.readouterr().err.splitlines()[-1])
         serial = tree(tmp_path / "1")
         assert len(serial) == 10
         assert tree(tmp_path / "2") == serial
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_children_peak_rss_is_the_forked_helpers(self, config_path, tmp_path, threads):
+        # A fresh interpreter, which has reaped no child before run.
+        proc = subprocess.run(
+            [sys.executable, "-m", "xbartrain.cli", "run", "--config", str(config_path),
+             "--out", str(tmp_path / "out"), "--threads", threads], cwd=tmp_path,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        parent, children = map(float, re.fullmatch(
+            r"peak rss: parent (\d+\.\d) MB, children (\d+\.\d) MB",
+            proc.stderr.splitlines()[-1]).groups())
+        assert parent > 0
+        assert (children > 0) == (threads == "2" and TWO_CPUS)
 
     def test_evaluation_and_heatmap_rates_go_to_stderr(self, config_path, tmp_path, capsys):
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0

@@ -1,18 +1,18 @@
 """Where the package loads scipy, and that it never loads multiprocessing.
 
-``scipy.special`` takes about 0.25 s and 19 MB to import, and only the
-training forward and ``fit-model``'s Shapiro-Wilk test call into it.  So
-importing the package, ``evaluate``, ``heatmap`` and
-``gen-synthetic-model`` must not load it, while ``train`` and ``run`` load
-it before their first timed stage, and so before the first fork.  Every second
-process is forked by ``training._forked`` with ``os.fork`` and an
-``os.pipe``, so no command, ``train`` and ``run`` included, loads
-``multiprocessing`` (5-7 ms to import without scipy loaded, 2 vCPU,
-Python 3.11) or the process pool of ``concurrent.futures``
-(``concurrent.futures.process``).  ``scipy.special`` loads the
-``concurrent.futures`` package itself, through ``numpy.testing``, so only
-the commands that never load scipy keep out all of it.  Each check runs in
-a fresh interpreter, because this one may have loaded them already.
+Only the training forward and ``fit-model``'s Shapiro-Wilk test call into
+scipy.  Training needs one ufunc, ``expit``, which ``nn._expit`` takes from
+scipy's compiled ``scipy.special._special_ufuncs`` module, loaded from its
+file alone: the full ``scipy.special`` import would cost about 0.2 s and 17
+MB per process and load ``numpy.testing`` and, through it, the
+``concurrent.futures`` package.  So importing the package, ``evaluate``,
+``heatmap`` and ``gen-synthetic-model`` load nothing of scipy, while
+``train`` and ``run`` load that one module before their first timed stage,
+and so before their first fork, and never load ``scipy.special`` itself.
+Every second process is forked by ``training._forked`` with ``os.fork``
+and an ``os.pipe``, so no command loads ``multiprocessing`` (5-7 ms to
+import, 2 vCPU, Python 3.11) or any of ``concurrent.futures``.  Each check
+runs in a fresh interpreter, because this one has loaded them already.
 """
 
 import json
@@ -24,32 +24,35 @@ import pytest
 
 from test_cli import CHECKPOINT, SRC, TINY_CONFIG
 
-# Prints whether scipy, multiprocessing or a process pool, and the
-# concurrent.futures package are loaded after ``main(ARGS)``, and the
-# scipy.special state that the wrapped entry points saw when they were called.
+# Prints the scipy modules loaded after ``main(ARGS)``, whether
+# multiprocessing or a process pool, and the concurrent.futures package are
+# loaded, and whether scipy's expit module was loaded when each wrapped
+# entry point was called and at each ``os.fork``.
 SCRIPT = """
-import json, sys
+import json, os, sys
 from xbartrain import cli
 
-seen = []
+EXPIT = "scipy.special._special_ufuncs"
+seen, forks = [], []
 
 def wrap(module, name):
     fn = getattr(module, name)
 
     def wrapped(*args, **kwargs):
-        seen.append([name, "scipy.special" in sys.modules])
+        (forks if name == "fork" else seen).append([name, EXPIT in sys.modules])
         return fn(*args, **kwargs)
 
     setattr(module, name, wrapped)
 
 for name in ("train_hardware_aware", "train_regular"):
     wrap(cli, name)
+wrap(os, "fork")
 rc = cli.main(json.loads(sys.argv[1]))
-print(json.dumps({"rc": rc, "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules),
+print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
                   "multiprocessing": any(m in sys.modules for m in
                                          ("multiprocessing", "concurrent.futures.process")),
                   "futures": "concurrent.futures" in sys.modules,
-                  "seen": seen}))
+                  "seen": seen, "forks": forks}))
 """
 
 
@@ -79,21 +82,33 @@ def test_importing_the_package_loads_no_scipy(tmp_path):
     ["gen-synthetic-model", "--out", "OUT"],
 ], ids=lambda args: args[0])
 def test_commands_that_never_load_scipy(tmp_path, args):
-    assert run_cli(tmp_path, *args) == {"rc": 0, "scipy": False, "multiprocessing": False,
-                                        "futures": False, "seen": []}
+    result = run_cli(tmp_path, *args)
+    assert not any(loaded for _, loaded in result.pop("forks"))
+    assert result == {"rc": 0, "scipy": [], "multiprocessing": False, "futures": False,
+                      "seen": []}
+
+
+def assert_expit_module_alone(result, seen):
+    """Only scipy's expit module loaded, before any training and any fork."""
+    forks = result.pop("forks")
+    assert all(loaded for _, loaded in forks), forks
+    assert result == {"rc": 0, "scipy": ["scipy.special._special_ufuncs"],
+                      "multiprocessing": False, "futures": False, "seen": seen}
+    return forks
 
 
 @pytest.mark.parametrize("flag, name", [("--hardware-aware", "train_hardware_aware"),
                                         ("--regular", "train_regular")])
 def test_train_loads_scipy_before_training(tmp_path, flag, name):
-    result = run_cli(tmp_path, "train", flag, "--config", "CONFIG", "--out", "OUT")
     # At the default threads 2 an HA run on two CPUs forks a noise producer,
     # without multiprocessing.
-    assert result == {"rc": 0, "scipy": True, "multiprocessing": False, "futures": True,
-                      "seen": [[name, True]]}
+    result = run_cli(tmp_path, "train", flag, "--config", "CONFIG", "--out", "OUT")
+    assert_expit_module_alone(result, [[name, True]])
 
 
 def test_run_loads_scipy_before_it_forks(tmp_path):
     result = run_cli(tmp_path, "run", "--config", "CONFIG", "--threads", "2", "--out", "OUT")
-    assert result == {"rc": 0, "scipy": True, "multiprocessing": False, "futures": True,
-                      "seen": [["train_hardware_aware", True], ["train_regular", True]]}
+    forks = assert_expit_module_alone(
+        result, [["train_hardware_aware", True], ["train_regular", True]])
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert forks  # the producer and the count helpers

@@ -1,10 +1,19 @@
+import importlib.machinery
+import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
 from xbartrain import nn
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def random_net(seed, sizes=(2, 8, 1)):
@@ -53,6 +62,65 @@ class TestForward:
     def test_rejects_non_batch_input(self):
         with pytest.raises(ValueError):
             nn.forward(random_net(0), np.array([1.0, 2.0]))
+
+
+# In a fresh interpreter: nn._expit() on the points in argv[1], saved to
+# argv[2], with the scipy modules loaded by then; then whether it is the
+# ``expit`` of a later ``import scipy.special``.
+EXPIT_SCRIPT = """
+import json, sys
+import numpy as np
+from xbartrain import nn
+
+expit = nn._expit()
+np.save(sys.argv[2], expit(np.load(sys.argv[1])))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import scipy.special
+print(json.dumps({"loaded": loaded, "same": expit is scipy.special.expit}))
+"""
+
+
+class TestExpit:
+    def test_is_scipy_special_expit_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(0)
+        tiny = np.finfo(float).smallest_subnormal
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 710.0, -710.0, tiny, -tiny,
+                 np.finfo(float).tiny / 2, -np.finfo(float).tiny / 2]
+        points = np.concatenate([
+            edges,
+            rng.integers(0, 2**64, size=50_000, dtype=np.uint64).view(float),  # any double
+            rng.normal(0.0, 40.0, size=50_000),  # where the sigmoid bends and saturates
+        ])
+        np.save(tmp_path / "x.npy", points)
+        proc = subprocess.run(
+            [sys.executable, "-c", EXPIT_SCRIPT, str(tmp_path / "x.npy"), str(tmp_path / "y.npy")],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+            text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"loaded": ["scipy.special._special_ufuncs"],
+                                           "same": True}
+        reference = scipy.special.expit(points)
+        assert np.array_equal(np.load(tmp_path / "y.npy").view(np.uint64),
+                              reference.view(np.uint64))
+        assert nn._expit() is scipy.special.expit
+
+    def test_falls_back_to_scipy_special_without_the_module_file(self, tmp_path, monkeypatch):
+        # A scipy whose directory holds no ``special/_special_ufuncs``, as
+        # scipy releases that keep ``expit`` in ``_ufuncs``.
+        name = "scipy.special._special_ufuncs"
+        scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        scipy_spec.submodule_search_locations.append(str(tmp_path))
+        find_spec = importlib.util.find_spec
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda module, *a: scipy_spec if module == "scipy"
+                            else find_spec(module, *a))
+        monkeypatch.delitem(sys.modules, name)
+        nn._expit.cache_clear()
+        try:
+            assert nn._expit() is scipy.special.expit
+            assert name not in sys.modules  # the module file was not loaded
+        finally:
+            nn._expit.cache_clear()
 
 
 class TestBceLoss:

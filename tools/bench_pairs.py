@@ -4,12 +4,20 @@
     python3 tools/bench_pairs.py --parent PATH --workload heatmap:901-910
         [--workload mc_eval:911,912] [--seconds 20] [--change PATH]
         [--note TEXT] --out BENCH_N.json
+    python3 tools/bench_pairs.py --parent PATH --run CONFIG [--pairs 10]
+        [--threads 2] [--change PATH] [--note TEXT] --out BENCH_N.json
 
 For each workload and each of its seeds, one pair runs
 ``python3 perfbench/run.py --workload W --seed N --seconds S --trace 0`` in
 the parent checkout and in the change checkout (by default the one holding
-this script).  Pair i runs the parent first when i is even and the change
-first when i is odd, so that drift on the machine falls on both sides.
+this script).  With ``--run``, each of ``--pairs`` pairs instead times one
+whole ``python3 -m xbartrain.cli run --config CONFIG --threads T`` process
+from each checkout's ``src``, writing to a temporary directory outside both
+checkouts, and reads the peak RSS of the process and of its children from
+the last line of its stderr (``peak rss: parent X MB, children Y MB``; a
+checkout that prints no children figure has none in the summary).  Pair i
+runs the parent first when i is even and the change first when i is odd,
+so that drift on the machine falls on both sides.
 
 The two checkouts must be siblings: directories with the same parent.
 Where a checkout sits moves train_pair by up to 15% on identical code (two
@@ -21,21 +29,36 @@ The output JSON holds the seeds, the order, per workload the operations
 attempted and failed on each side, and per end-to-end metric of
 BENCHMARK.json each side's median, quartiles and runs, the ratio of the
 medians and the pairs the change won; plus the environment that the first
-run reported.  Nothing under ``perfbench/`` is written except its own
-results directory in each checkout.
+run reported.  A ``--run`` set is the workload ``run``, whose metrics are
+``wall_s``, ``parent_rss_mb`` and ``children_rss_mb``, and it records how
+many pairs wrote byte-identical artifact trees.  Nothing under
+``perfbench/`` is written except its own results directory in each
+checkout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ORDER = "pair i of a workload's seed list: parent first when i is even, change first when i is odd"
+ORDER = "pair i of a workload: parent first when i is even, change first when i is odd"
+# The metrics of a --run pair, all better lower.
+RUN_METRICS = {"wall_s": "lower", "parent_rss_mb": "lower", "children_rss_mb": "lower"}
+RSS = re.compile(r"peak rss: parent (\d+\.\d+) MB(?:, children (\d+\.\d+) MB)?")
+
+
+def sides(i: int) -> tuple[str, str]:
+    """The order of pair ``i`` (:data:`ORDER`)."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -61,6 +84,53 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     env = next((json.loads(line.split(": ", 1)[1]) for line in lines
                 if line.startswith("environment: ")), {})
     return json.loads(lines[-1]), env
+
+
+def run_process(tree: Path, config: Path, threads: int, out: Path) -> dict:
+    """One whole ``xbartrain run`` of ``tree``, as a benchmark result line:
+    its wall time, and the peak RSS figures of its last stderr line."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "xbartrain.cli", "run", "--config", str(config), "--out",
+         str(out), "--threads", str(threads)],
+        cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")}, capture_output=True,
+        text=True,
+    )
+    wall = time.perf_counter() - start
+    lines = proc.stderr.strip().splitlines()
+    match = RSS.fullmatch(lines[-1]) if proc.returncode == 0 and lines else None
+    if match is None:
+        raise SystemExit(f"{tree}: run --config {config}: exit {proc.returncode}: "
+                         f"{proc.stderr.strip()[-400:]}")
+    values = {"wall_s": wall, "parent_rss_mb": float(match[1])}
+    if match[2] is not None:
+        values["children_rss_mb"] = float(match[2])
+    return {"attempted": 1, "failed": 0,
+            "metrics": {name: {"value": value} for name, value in values.items()}}
+
+
+def tree_bytes(out: Path) -> dict:
+    return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def run_pairs(trees: dict, config: Path, threads: int, n: int) -> dict:
+    """The summary of ``n`` alternating pairs of whole ``run`` processes,
+    with the number of pairs whose two artifact trees are byte-identical."""
+    pairs, identical = [], 0
+    for i in range(n):
+        pair = {}
+        with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+            for side in sides(i):
+                pair[side] = run_process(trees[side], config, threads, Path(tmp, side))
+            identical += tree_bytes(Path(tmp, "parent")) == tree_bytes(Path(tmp, "change"))
+        pairs.append(pair)
+        wall = {side: pair[side]["metrics"]["wall_s"]["value"] for side in pair}
+        print(f"run pair {i}: wall_s parent {wall['parent']:.2f}, change {wall['change']:.2f}",
+              file=sys.stderr)
+    # A metric only one side prints (a parent without the children figure) is left out.
+    better = {name: direction for name, direction in RUN_METRICS.items()
+              if all(name in p[side]["metrics"] for p in pairs for side in p)}
+    return {**summarize(pairs, better), "identical_trees": f"{identical}/{n}"}
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
@@ -94,9 +164,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
     parser.add_argument("--change", type=Path, default=ROOT, help="change checkout")
-    parser.add_argument("--workload", action="append", required=True,
-                        help="NAME:SEEDS, e.g. heatmap:901-910; repeatable")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload", action="append",
+                      help="NAME:SEEDS, e.g. heatmap:901-910; repeatable")
+    mode.add_argument("--run", type=Path, metavar="CONFIG",
+                      help="time whole xbartrain run processes on this config")
     parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--pairs", type=int, default=10, help="pairs of --run processes")
+    parser.add_argument("--threads", type=int, default=2, help="--threads of --run")
     parser.add_argument("--note", default=None)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -106,31 +181,44 @@ def main(argv=None) -> int:
               f"sibling checkouts; clone both into one directory", file=sys.stderr)
         return 2
 
-    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    if args.run:
+        config = args.run.resolve()
+        doc = {"command": f"python3 -m xbartrain.cli run --config {config} --threads "
+                          f"{args.threads} --out TMP",
+               "pairs": args.pairs, "order": ORDER,
+               "workloads": {"run": run_pairs(trees, config, args.threads, args.pairs)}}
+    else:
+        doc = bench_workloads(trees, args.workload, args.seconds,
+                              json.loads((args.change / "BENCHMARK.json").read_text()))
+    if args.note:
+        doc["note"] = args.note
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+def bench_workloads(trees: dict, specs: list[str], seconds: float, bench: dict) -> dict:
+    """The document of alternating perfbench pairs over each ``NAME:SEEDS`` spec."""
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seeds = {}
-    for spec in args.workload:
+    for spec in specs:
         name, _, text = spec.partition(":")
         seeds[name] = parse_seeds(text)
     doc = {"command": f"python3 perfbench/run.py --workload W --seed N "
-                      f"--seconds {args.seconds:g} --trace 0",
+                      f"--seconds {seconds:g} --trace 0",
            "seeds": seeds, "order": ORDER, "workloads": {}, "environment": None}
     for workload, workload_seeds in seeds.items():
         pairs = []
         for i, seed in enumerate(workload_seeds):
             pair = {}
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                pair[side], env = run_once(trees[side], workload, seed, args.seconds)
+            for side in sides(i):
+                pair[side], env = run_once(trees[side], workload, seed, seconds)
                 doc["environment"] = doc["environment"] or env
             pairs.append(pair)
             rate = {side: pair[side]["metrics"]["transfers_per_s"]["value"] for side in pair}
             print(f"{workload} seed {seed}: transfers_per_s parent {rate['parent']:.1f}, "
                   f"change {rate['change']:.1f}", file=sys.stderr)
         doc["workloads"][workload] = summarize(pairs, better)
-    if args.note:
-        doc["note"] = args.note
-    args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
+    return doc
 
 
 if __name__ == "__main__":

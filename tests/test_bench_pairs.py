@@ -2,6 +2,7 @@
 pairs of whole ``run`` processes (with the processes stubbed out)."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -114,3 +115,17 @@ def test_a_failed_run_stops_the_set(tmp_path, monkeypatch):
                         subprocess.CompletedProcess(cmd, 2, "", "error: --out: exists\n"))
     with pytest.raises(SystemExit, match="exit 2: error: --out: exists"):
         bench_pairs.run_process(tmp_path, tmp_path / "config.json", 2, tmp_path / "out")
+
+
+def test_run_mode_writes_the_config_not_its_path(tmp_path, monkeypatch):
+    stderr = {side: "peak rss: parent 50.0 MB, children 30.0 MB\n" for side in ("parent", "change")}
+    fake_runs(monkeypatch, stderr, {"parent": {"a": b"1"}, "change": {"a": b"1"}})
+    config, out = tmp_path / "config.json", tmp_path / "bench.json"
+    config.write_text('{"epochs": 3}')
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--run", str(config), "--pairs", "1",
+                             "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"] == {"epochs": 3}
+    assert str(tmp_path) not in json.dumps({k: v for k, v in doc.items() if k != "workloads"})
+    assert doc["workloads"]["run"]["identical_trees"] == "1/1"

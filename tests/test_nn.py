@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ import scipy.special
 
 from xbartrain import nn
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from test_cli import SRC
 
 
 def random_net(seed, sizes=(2, 8, 1)):

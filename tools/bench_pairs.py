@@ -29,9 +29,9 @@ The output JSON holds the seeds, the order, per workload the operations
 attempted and failed on each side, and per end-to-end metric of
 BENCHMARK.json each side's median, quartiles and runs, the ratio of the
 medians and the pairs the change won; plus the environment that the first
-run reported.  A ``--run`` set is the workload ``run``, whose metrics are
-``wall_s``, ``parent_rss_mb`` and ``children_rss_mb``, and it records how
-many pairs wrote byte-identical artifact trees.  Nothing under
+run reported.  A ``--run`` set holds the config and the workload ``run``,
+whose metrics are ``wall_s``, ``parent_rss_mb`` and ``children_rss_mb``,
+and how many pairs wrote byte-identical artifact trees.  Nothing under
 ``perfbench/`` is written except its own results directory in each
 checkout.
 """
@@ -160,42 +160,6 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
-    parser.add_argument("--change", type=Path, default=ROOT, help="change checkout")
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--workload", action="append",
-                      help="NAME:SEEDS, e.g. heatmap:901-910; repeatable")
-    mode.add_argument("--run", type=Path, metavar="CONFIG",
-                      help="time whole xbartrain run processes on this config")
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--pairs", type=int, default=10, help="pairs of --run processes")
-    parser.add_argument("--threads", type=int, default=2, help="--threads of --run")
-    parser.add_argument("--note", default=None)
-    parser.add_argument("--out", type=Path, required=True)
-    args = parser.parse_args(argv)
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    if trees["parent"].parent != trees["change"].parent:
-        print(f"error: --parent {trees['parent']} and --change {trees['change']} are not "
-              f"sibling checkouts; clone both into one directory", file=sys.stderr)
-        return 2
-
-    if args.run:
-        config = args.run.resolve()
-        doc = {"command": f"python3 -m xbartrain.cli run --config {config} --threads "
-                          f"{args.threads} --out TMP",
-               "pairs": args.pairs, "order": ORDER,
-               "workloads": {"run": run_pairs(trees, config, args.threads, args.pairs)}}
-    else:
-        doc = bench_workloads(trees, args.workload, args.seconds,
-                              json.loads((args.change / "BENCHMARK.json").read_text()))
-    if args.note:
-        doc["note"] = args.note
-    args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
-
-
 def bench_workloads(trees: dict, specs: list[str], seconds: float, bench: dict) -> dict:
     """The document of alternating perfbench pairs over each ``NAME:SEEDS`` spec."""
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -219,6 +183,44 @@ def bench_workloads(trees: dict, specs: list[str], seconds: float, bench: dict) 
                   f"change {rate['change']:.1f}", file=sys.stderr)
         doc["workloads"][workload] = summarize(pairs, better)
     return doc
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
+    parser.add_argument("--change", type=Path, default=ROOT, help="change checkout")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload", action="append",
+                      help="NAME:SEEDS, e.g. heatmap:901-910; repeatable")
+    mode.add_argument("--run", type=Path, metavar="CONFIG",
+                      help="time whole xbartrain run processes on this config")
+    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--pairs", type=int, default=10, help="pairs of --run processes")
+    parser.add_argument("--threads", type=int, default=2, help="--threads of --run")
+    parser.add_argument("--note", default=None)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be >= 1, got {args.pairs}")
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if trees["parent"].parent != trees["change"].parent:
+        print(f"error: --parent {trees['parent']} and --change {trees['change']} are not "
+              f"sibling checkouts; clone both into one directory", file=sys.stderr)
+        return 2
+
+    if args.run:
+        config = args.run.resolve()
+        doc = {"command": f"python3 -m xbartrain.cli run --config CONFIG --threads "
+                          f"{args.threads} --out TMP",
+               "config": json.loads(config.read_text()), "pairs": args.pairs, "order": ORDER,
+               "workloads": {"run": run_pairs(trees, config, args.threads, args.pairs)}}
+    else:
+        doc = bench_workloads(trees, args.workload, args.seconds,
+                              json.loads((args.change / "BENCHMARK.json").read_text()))
+    if args.note:
+        doc["note"] = args.note
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
 
 
 if __name__ == "__main__":

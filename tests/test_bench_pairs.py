@@ -84,17 +84,16 @@ def test_run_pairs_alternate_and_summarize_wall_time_and_rss(tmp_path, monkeypat
              "change": {"report.json": b"1", "sub/heatmap.csv": b"2"}}
     calls = fake_runs(monkeypatch, stderr, files)
     trees = {side: tmp_path / side for side in ("parent", "change")}
-    summary = bench_pairs.run_pairs(trees, tmp_path / "config.json", 2, 3)
-    assert [tree for tree, _, _ in calls] == ["parent", "change", "change", "parent",
-                                              "parent", "change"]
+    summary = bench_pairs.run_pairs(trees, tmp_path / "config.json")
+    assert [tree for tree, _, _ in calls] == ["parent", "change", "change", "parent"] * 5
     assert all(path == str(trees[tree] / "src") for tree, path, _ in calls)
     assert all(tmp_path not in out.parents for _, _, out in calls)  # outside both trees
-    assert summary["operations"] == {"parent": {"attempted": 3, "failed": 0},
-                                     "change": {"attempted": 3, "failed": 0}}
-    assert summary["identical_trees"] == "3/3"
+    assert summary["operations"] == {"parent": {"attempted": 10, "failed": 0},
+                                     "change": {"attempted": 10, "failed": 0}}
+    assert summary["identical_trees"] == "10/10"
     assert set(summary["metrics"]) == {"wall_s", "parent_rss_mb", "children_rss_mb"}
-    assert summary["metrics"]["parent_rss_mb"]["parent_runs"] == [70.0] * 3
-    assert summary["metrics"]["parent_rss_mb"]["change_wins"] == "3/3"
+    assert summary["metrics"]["parent_rss_mb"]["parent_runs"] == [70.0] * 10
+    assert summary["metrics"]["parent_rss_mb"]["change_wins"] == "10/10"
     assert summary["metrics"]["children_rss_mb"]["change"]["median"] == 36.4
 
 
@@ -105,16 +104,27 @@ def test_run_pairs_leave_out_a_figure_one_side_lacks_and_count_differing_trees(
     files = {"parent": {"report.json": b"1"}, "change": {"report.json": b"2"}}
     fake_runs(monkeypatch, stderr, files)
     trees = {side: tmp_path / side for side in ("parent", "change")}
-    summary = bench_pairs.run_pairs(trees, tmp_path / "config.json", 2, 2)
+    summary = bench_pairs.run_pairs(trees, tmp_path / "config.json")
     assert set(summary["metrics"]) == {"wall_s", "parent_rss_mb"}
-    assert summary["identical_trees"] == "0/2"
+    assert summary["identical_trees"] == "0/10"
+
+
+def test_run_pairs_where_no_side_forked_give_no_children_ratio(tmp_path, monkeypatch):
+    # At one CPU, run forks no helper and both sides print children 0.0 MB.
+    stderr = {side: "peak rss: parent 50.0 MB, children 0.0 MB\n" for side in ("parent", "change")}
+    fake_runs(monkeypatch, stderr, {"parent": {"a": b"1"}, "change": {"a": b"1"}})
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    metrics = bench_pairs.run_pairs(trees, tmp_path / "config.json")["metrics"]
+    assert metrics["children_rss_mb"]["change_over_parent"] is None
+    assert metrics["children_rss_mb"]["change_wins"] == "0/10"
+    assert metrics["parent_rss_mb"]["change_over_parent"] == 1.0
 
 
 def test_a_failed_run_stops_the_set(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda cmd, **kwargs:
                         subprocess.CompletedProcess(cmd, 2, "", "error: --out: exists\n"))
     with pytest.raises(SystemExit, match="exit 2: error: --out: exists"):
-        bench_pairs.run_process(tmp_path, tmp_path / "config.json", 2, tmp_path / "out")
+        bench_pairs.run_process(tmp_path, tmp_path / "config.json", tmp_path / "out")
 
 
 def test_run_mode_writes_the_config_not_its_path(tmp_path, monkeypatch):
@@ -123,9 +133,19 @@ def test_run_mode_writes_the_config_not_its_path(tmp_path, monkeypatch):
     config, out = tmp_path / "config.json", tmp_path / "bench.json"
     config.write_text('{"epochs": 3}')
     assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
-                             str(tmp_path / "change"), "--run", str(config), "--pairs", "1",
+                             str(tmp_path / "change"), "--run", str(config),
                              "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["config"] == {"epochs": 3}
+    assert doc["pairs"] == 10
+    assert "--threads 2 " in doc["command"]
     assert str(tmp_path) not in json.dumps({k: v for k, v in doc.items() if k != "workloads"})
-    assert doc["workloads"]["run"]["identical_trees"] == "1/1"
+    assert doc["workloads"]["run"]["identical_trees"] == "10/10"
+
+
+def test_seconds_with_run_is_an_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", str(tmp_path / "parent"), "--run", "config.json",
+                          "--seconds", "5", "--out", str(tmp_path / "bench.json")])
+    assert exit_info.value.code == 2
+    assert "--seconds applies to --workload runs" in capsys.readouterr().err

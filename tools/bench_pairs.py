@@ -4,15 +4,15 @@
     python3 tools/bench_pairs.py --parent PATH --workload heatmap:901-910
         [--workload mc_eval:911,912] [--seconds 20] [--change PATH]
         [--note TEXT] --out BENCH_N.json
-    python3 tools/bench_pairs.py --parent PATH --run CONFIG [--pairs 10]
-        [--threads 2] [--change PATH] [--note TEXT] --out BENCH_N.json
+    python3 tools/bench_pairs.py --parent PATH --run CONFIG [--change PATH]
+        [--note TEXT] --out BENCH_N.json
 
 For each workload and each of its seeds, one pair runs
 ``python3 perfbench/run.py --workload W --seed N --seconds S --trace 0`` in
 the parent checkout and in the change checkout (by default the one holding
-this script).  With ``--run``, each of ``--pairs`` pairs instead times one
-whole ``python3 -m xbartrain.cli run --config CONFIG --threads T`` process
-from each checkout's ``src``, writing to a temporary directory outside both
+this script).  With ``--run``, each of 10 pairs instead times one whole
+``python3 -m xbartrain.cli run --config CONFIG --threads 2`` process from
+each checkout's ``src``, writing to a temporary directory outside both
 checkouts, and reads the peak RSS of the process and of its children from
 the last line of its stderr (``peak rss: parent X MB, children Y MB``; a
 checkout that prints no children figure has none in the summary).  Pair i
@@ -28,8 +28,8 @@ before running anything.
 The output JSON holds the seeds, the order, per workload the operations
 attempted and failed on each side, and per end-to-end metric of
 BENCHMARK.json each side's median, quartiles and runs, the ratio of the
-medians and the pairs the change won; plus the environment that the first
-run reported.  A ``--run`` set holds the config and the workload ``run``,
+medians (null where the parent's median is 0) and the pairs the change
+won; plus the environment that the first run reported.  A ``--run`` set holds the config and the workload ``run``,
 whose metrics are ``wall_s``, ``parent_rss_mb`` and ``children_rss_mb``,
 and how many pairs wrote byte-identical artifact trees.  Nothing under
 ``perfbench/`` is written except its own results directory in each
@@ -53,6 +53,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ORDER = "pair i of a workload: parent first when i is even, change first when i is odd"
 # The metrics of a --run pair, all better lower.
 RUN_METRICS = {"wall_s": "lower", "parent_rss_mb": "lower", "children_rss_mb": "lower"}
+RUN_PAIRS, RUN_THREADS = 10, 2
 RSS = re.compile(r"peak rss: parent (\d+\.\d+) MB(?:, children (\d+\.\d+) MB)?")
 
 
@@ -86,13 +87,13 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     return json.loads(lines[-1]), env
 
 
-def run_process(tree: Path, config: Path, threads: int, out: Path) -> dict:
+def run_process(tree: Path, config: Path, out: Path) -> dict:
     """One whole ``xbartrain run`` of ``tree``, as a benchmark result line:
     its wall time, and the peak RSS figures of its last stderr line."""
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "xbartrain.cli", "run", "--config", str(config), "--out",
-         str(out), "--threads", str(threads)],
+         str(out), "--threads", str(RUN_THREADS)],
         cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")}, capture_output=True,
         text=True,
     )
@@ -113,15 +114,16 @@ def tree_bytes(out: Path) -> dict:
     return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
 
-def run_pairs(trees: dict, config: Path, threads: int, n: int) -> dict:
-    """The summary of ``n`` alternating pairs of whole ``run`` processes,
-    with the number of pairs whose two artifact trees are byte-identical."""
+def run_pairs(trees: dict, config: Path) -> dict:
+    """The summary of :data:`RUN_PAIRS` alternating pairs of whole ``run``
+    processes, with the number of pairs whose two artifact trees are
+    byte-identical."""
     pairs, identical = [], 0
-    for i in range(n):
+    for i in range(RUN_PAIRS):
         pair = {}
         with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
             for side in sides(i):
-                pair[side] = run_process(trees[side], config, threads, Path(tmp, side))
+                pair[side] = run_process(trees[side], config, Path(tmp, side))
             identical += tree_bytes(Path(tmp, "parent")) == tree_bytes(Path(tmp, "change"))
         pairs.append(pair)
         wall = {side: pair[side]["metrics"]["wall_s"]["value"] for side in pair}
@@ -130,7 +132,7 @@ def run_pairs(trees: dict, config: Path, threads: int, n: int) -> dict:
     # A metric only one side prints (a parent without the children figure) is left out.
     better = {name: direction for name, direction in RUN_METRICS.items()
               if all(name in p[side]["metrics"] for p in pairs for side in p)}
-    return {**summarize(pairs, better), "identical_trees": f"{identical}/{n}"}
+    return {**summarize(pairs, better), "identical_trees": f"{identical}/{RUN_PAIRS}"}
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
@@ -152,7 +154,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
                    for p, c in zip(runs["parent"], runs["change"]))
         summary["metrics"][name] = {
             **stats,
-            "change_over_parent": stats["change"]["median"] / stats["parent"]["median"],
+            "change_over_parent": (stats["change"]["median"] / stats["parent"]["median"]
+                                   if stats["parent"]["median"] else None),
             "change_wins": f"{wins}/{len(pairs)}",
             "parent_runs": runs["parent"],
             "change_runs": runs["change"],
@@ -194,14 +197,12 @@ def main(argv=None) -> int:
                       help="NAME:SEEDS, e.g. heatmap:901-910; repeatable")
     mode.add_argument("--run", type=Path, metavar="CONFIG",
                       help="time whole xbartrain run processes on this config")
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--pairs", type=int, default=10, help="pairs of --run processes")
-    parser.add_argument("--threads", type=int, default=2, help="--threads of --run")
+    parser.add_argument("--seconds", type=float, help="seconds per --workload run (20)")
     parser.add_argument("--note", default=None)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error(f"--pairs must be >= 1, got {args.pairs}")
+    if args.run and args.seconds is not None:
+        parser.error("--seconds applies to --workload runs, not to --run")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     if trees["parent"].parent != trees["change"].parent:
         print(f"error: --parent {trees['parent']} and --change {trees['change']} are not "
@@ -211,11 +212,12 @@ def main(argv=None) -> int:
     if args.run:
         config = args.run.resolve()
         doc = {"command": f"python3 -m xbartrain.cli run --config CONFIG --threads "
-                          f"{args.threads} --out TMP",
-               "config": json.loads(config.read_text()), "pairs": args.pairs, "order": ORDER,
-               "workloads": {"run": run_pairs(trees, config, args.threads, args.pairs)}}
+                          f"{RUN_THREADS} --out TMP",
+               "config": json.loads(config.read_text()), "pairs": RUN_PAIRS, "order": ORDER,
+               "workloads": {"run": run_pairs(trees, config)}}
     else:
-        doc = bench_workloads(trees, args.workload, args.seconds,
+        seconds = 20 if args.seconds is None else args.seconds
+        doc = bench_workloads(trees, args.workload, seconds,
                               json.loads((args.change / "BENCHMARK.json").read_text()))
     if args.note:
         doc["note"] = args.note

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, nn
+from . import __version__, nn, training
 from .experiments import (
     ExperimentConfig,
     evaluate_transfers,
@@ -59,10 +59,10 @@ def _add_common(parser: argparse.ArgumentParser, *, evaluates=True):
         parser.add_argument("--transfers", type=int, default=None,
                             help="override the number of simulated transfers")
     parser.add_argument("--threads", type=int, default=None,
-                        help="processes (default 2). At 2 or more, on two CPUs or more, "
-                             "hardware-aware training draws its noise, and evaluation and the "
-                             "heatmap count half of their transfers, in a second process (run "
-                             "does all three). No output depends on it")
+                        help="processes (default 2). Where the helper rule of training._forked "
+                             "allows one, hardware-aware training draws its noise, and evaluation "
+                             "and the heatmap count half of their transfers, in a second process "
+                             "(run does all three). No output depends on it")
 
 
 def _override(config: ExperimentConfig, args) -> ExperimentConfig:
@@ -127,6 +127,13 @@ def _heatmap(stage: str, config: ExperimentConfig, model, net, layouts, repetiti
     return _timed(stage, heatmap, net, model, layouts, tc.hrs_fraction, tc.lrs_fraction,
                   config.grid, repetitions=repetitions, seed=tc.seed, workers=config.threads,
                   rate=(repetitions, "repetitions"))
+
+
+def _write_evaluation(out: Path, report) -> dict:
+    """Write ``report``'s table.csv and curve.csv to ``out``; return its report.json fields."""
+    write_table_csv(out / "table.csv", robustness_table(report))
+    write_curve_csv(out / "curve.csv", *robustness_curve(report))
+    return {"counts": report.counts.tolist(), "fractions": report.fractions.tolist()}
 
 
 def _load_checkpoint(args):
@@ -201,13 +208,8 @@ def cmd_evaluate(args) -> int:
     _, test_set = experiment_dataset(config)
     with _out_dir(args.out):
         report = _evaluate("evaluation", config, model, net, layouts, test_set)
-        write_json(args.out / "report.json", {
-            "transfers": report.transfers,
-            "counts": report.counts.tolist(),
-            "fractions": report.fractions.tolist(),
-        })
-        write_table_csv(args.out / "table.csv", robustness_table(report))
-        write_curve_csv(args.out / "curve.csv", *robustness_curve(report))
+        write_json(args.out / "report.json",
+                   {"transfers": report.transfers, **_write_evaluation(args.out, report)})
     share = float(np.mean(report.fractions >= 0.95))
     print(f"{report.transfers} transfers: {100 * share:.1f}% of test points classified "
           f"correctly by >= 95% of transfers")
@@ -230,7 +232,7 @@ def cmd_run(args) -> int:
     """Train both networks, then evaluate each and draw its heatmap, writing
     report.json, manifest.json and per network checkpoint.json, table.csv,
     curve.csv and heatmap.csv under ``--out``, byte-identical at any
-    ``--threads``.  Stage times and peak RSS (parent, largest child) go to stderr."""
+    ``--threads``.  Stage times and peak RSS (parent, largest helper) go to stderr."""
     config_doc, config = read_config(args.config)
     config, out = _override(config, args), args.out
     written, networks = [], {}
@@ -247,16 +249,11 @@ def cmd_run(args) -> int:
             sub = out / name
             sub.mkdir(exist_ok=True)
             nn.save_checkpoint(net, sub / "checkpoint.json")
-            write_table_csv(sub / "table.csv", robustness_table(report))
-            write_curve_csv(sub / "curve.csv", *robustness_curve(report))
+            networks[name] = {**_write_evaluation(sub, report),
+                              "clean_accuracy": nn.accuracy(net, test_set.points, test_set.labels)}
             write_heatmap_csv(sub / "heatmap.csv", hm)
             written += [sub / "checkpoint.json", sub / "table.csv", sub / "curve.csv",
                         sub / "heatmap.csv"]
-            networks[name] = {
-                "counts": report.counts.tolist(),
-                "fractions": report.fractions.tolist(),
-                "clean_accuracy": nn.accuracy(net, test_set.points, test_set.labels),
-            }
         write_json(out / "report.json", {
             "transfers": config.transfers,
             "test_size": len(test_set),
@@ -276,8 +273,8 @@ def cmd_run(args) -> int:
             "artifacts": sorted(str(p.relative_to(out)) for p in written),
         })
         written.append(out / "manifest.json")
-    rss = [resource.getrusage(who).ru_maxrss / 1024.0  # from KiB
-           for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+    rss = [kb / 1024.0 for kb in (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                                  training.helper_maxrss_kb)]
     print(f"peak rss: parent {rss[0]:.1f} MB, children {rss[1]:.1f} MB", file=sys.stderr)
     for path in written:
         print(f"wrote {path}")

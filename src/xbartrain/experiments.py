@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fields, nn
 from .datasets import LabeledSet, make_half_moons
-from .training import TrainingConfig, SourceToggles, _forked, _second_cpu, _stream
+from .training import TrainingConfig, SourceToggles, _forked, _stream
 from .transfer import TileLayout, TransferNoise, TransferPlan, layer_to_crossbar
 from .variability import VariabilityModel, load_model, make_synthetic_model
 
@@ -301,15 +301,13 @@ def _count_transfers(plan: TransferPlan, net: nn.DenseNet, tally, transfers: int
     transfer is the one that its stream's draw alone gives.  ``tally``
     labels each transfer independently of the others in the stack.
 
-    Split rule: where :func:`training._second_cpu` gives a CPU for
-    ``workers`` and there are 2 streams or more, a helper process forked
-    there (:func:`training._forked`) counts the later half of the streams,
-    cut at a whole stream, while this thread counts the first (each job is
-    many small numpy calls that hold the GIL, so a second thread ran them
-    slower, not faster); if the helper sends no counts, this thread counts
-    its streams too.  Each half runs its jobs in order from its first
-    stream; the counts, integer sums of per-transfer labels, are the same
-    at any ``workers``.
+    Split rule: this thread counts the first half of the streams, cut at a
+    whole stream, while the helper of :func:`training._forked` (at 2
+    streams or more) counts the later half (each job is many small numpy
+    calls that hold the GIL, so a second thread ran them slower, not
+    faster); if it sends no counts, this thread counts them too.  Each half
+    runs its jobs in order from its first stream; the counts, integer sums
+    of per-transfer labels, are the same at any ``workers``.
 
     The net must pass :meth:`TransferPlan.devices` and ``ranges``, and no
     layer's ``max - min`` may overflow (its transfers would be infinite):
@@ -335,11 +333,8 @@ def _count_transfers(plan: TransferPlan, net: nn.DenseNet, tally, transfers: int
         return total
 
     streams = -(-transfers // per_stream)
-    cpu = _second_cpu(workers) if streams >= 2 else None
-    if cpu is None:
-        return count(0, streams)
     cut = streams // 2
-    with _forked(cpu, lambda: [count(cut, streams)]) as sent:
+    with _forked(workers if streams >= 2 else 1, lambda: [count(cut, streams)]) as sent:
         total = count(0, cut)
         later = next(sent, None)
     return total + (count(cut, streams) if later is None else later)
@@ -363,9 +358,9 @@ def evaluate_transfers(
     ``k`` (the last one may be shorter) is drawn by one
     :meth:`TransferPlan.draw` call from
     stream ``SeedSequence([seed, 100, k])`` and classified in one stacked
-    forward pass.  At ``workers`` 2 or more, on two CPUs or more, a helper
-    process counts the later half of the chunks (the split rule of
-    :func:`_count_transfers`); the counts do not depend on ``workers``.
+    forward pass.  A helper process may count the later half of the
+    chunks (the split rule of :func:`_count_transfers`); the counts do not
+    depend on ``workers``.
     """
     if transfers < 1:
         raise ValueError(f"transfers must be >= 1, got {transfers}")
@@ -482,8 +477,8 @@ def heatmap(
     ``per_stream = 1`` and ``group =`` :data:`HEATMAP_GROUP`: repetition
     ``i`` is drawn alone by ``plan.draw(1, ...)`` from stream
     ``SeedSequence([seed, 101, i])``, so the grid equals forwarding each
-    repetition alone.  At ``workers`` 2 or more, a helper process may count
-    half of them (the split rule of :func:`_count_transfers`).
+    repetition alone.  A helper process may count half of them (the split
+    rule of :func:`_count_transfers`).
 
     Tile rule: the grid splits into tiles of :data:`GRID_TILE` x
     :data:`GRID_TILE` cells, each spanning the box ``[xs[i0], xs[i1]] x
@@ -560,10 +555,9 @@ class ExperimentConfig:
     transfers: int = 10000
     grid: GridSpec = field(default_factory=GridSpec)
     heatmap_repetitions: int = 1000
-    # Processes.  At 2 or more, on an affinity mask of two CPUs or more
-    # (training._second_cpu), a second process draws the noise of
-    # hardware-aware training or counts half of the transfers of
-    # evaluate_transfers and heatmap.  No output depends on it.
+    # Processes.  Where training._forked's helper rule allows one, a second
+    # process draws the noise of hardware-aware training or counts half of
+    # the transfers of evaluate_transfers and heatmap; no output depends on it.
     threads: int = 2
 
     def __post_init__(self):

@@ -19,12 +19,10 @@ as the per-layer pipeline always has (the stream contract of
 :class:`TransferPlan`), so a given seed trains the same parameters bit for
 bit.  Checkpoints keep row-major ``(fan_out, fan_in)`` weights.
 
-At ``workers`` 2 or more, on an affinity mask of at least two CPUs
-(:func:`_second_cpu`), a producer process forked by :func:`_forked` and
-pinned to the mask's last CPU makes those calls ahead of the trainer, in
-the same order, and sends them down a one-way pipe in blocks of
-``_BLOCK_STEPS`` steps, each with the generator state after it; the
-trainer's thread keeps the other CPUs.  One rule hands the draws over: the
+Where the helper rule of :func:`_forked` forks one, a producer process
+makes those calls ahead of the trainer, in the same order, and sends them
+down a one-way pipe in blocks of ``_BLOCK_STEPS`` steps, each with the
+generator state after it.  One rule hands the draws over: the
 trainer takes the producer's blocks in order until one has not arrived
 within ``_WAIT_MS`` or the producer has stopped, and from then on makes
 every call itself, from the generator state of the last block it took.
@@ -98,6 +96,8 @@ _WAIT_MS = 100
 # At 1 MiB, Linux's default limit for a pipe, train_pair ran more steps per
 # second than without the resize in 17 of 22 pairs (2 vCPU; BENCH_30.json).
 _PIPE_BYTES = 1 << 20
+# The largest ``ru_maxrss`` (KiB) of a helper that :func:`_forked` reaped in this process.
+helper_maxrss_kb = 0
 
 
 class TrainingDiverged(RuntimeError):
@@ -255,24 +255,14 @@ def _effective_model(model: VariabilityModel, sources: SourceToggles) -> Variabi
 
 @dataclass
 class ProducerReport:
-    """What the noise producer of one training run did: its CPU seconds
-    (from ``os.wait4`` on the producer alone, once it is reaped), the
-    blocks of the run's draws and how many of those the trainer drew
-    itself.  ``blocks`` stays 0 when no producer ran."""
+    """What the noise producer of one training run did, filled in when it
+    is reaped: its CPU seconds (from ``os.wait4`` on the producer alone),
+    the blocks of the run's draws and how many of those the trainer drew
+    itself.  It stays ``ProducerReport()`` when no producer ran."""
 
     cpu_s: float = 0.0
     blocks: int = 0
     drawn_here: int = 0
-
-
-def _second_cpu(workers: int) -> int | None:
-    """The last CPU of this process's affinity mask, for a second process
-    forked by :func:`_forked` (the noise producer of :func:`_noise`, the
-    counting helper of ``experiments._count_transfers``), at ``workers`` 2
-    or more on a mask of two CPUs or more; otherwise None, as a second
-    process would only share a CPU with this one."""
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    return cpus[-1] if workers >= 2 and len(cpus) >= 2 else None
 
 
 def _send(pipe, message) -> None:
@@ -303,15 +293,27 @@ def _received(fd: int, wait_ms: int):
 
 
 @contextlib.contextmanager
-def _forked(cpu: int, work, wait_ms: int = -1, reaped=None):
-    """Run ``work()`` in a child forked (not spawned, which would import
-    numpy again) onto ``cpu``, and yield an iterator over the messages it
-    yields (:func:`_received`) while this thread runs on the rest of its
-    mask.  The child sends each through :func:`_send` down an ``os.pipe``
-    and leaves only through ``os._exit``, so it prints no traceback.  On
-    every way out the child is killed and reaped and the mask restored, and
-    ``reaped``, if given, receives its resource usage from ``os.wait4``."""
-    mask = os.sched_getaffinity(0)
+def _forked(workers: int, work, wait_ms: int = -1, reaped=None):
+    """Run ``work()`` in a helper, a child forked (not spawned, which would
+    import numpy again) onto the last CPU of this process's affinity mask,
+    and yield an iterator over the messages it yields (:func:`_received`)
+    while this thread runs on the rest of the mask.  The child sends each
+    through :func:`_send` down an ``os.pipe`` and leaves only through
+    ``os._exit``, so it prints no traceback.  On every way out the child is
+    killed and reaped and the mask restored, and ``reaped``, if given,
+    receives its resource usage from ``os.wait4``.
+
+    Helper rule: the child is forked only at ``workers`` 2 or more on a
+    mask of two CPUs or more (else it would share a CPU with this thread);
+    otherwise the iterator is empty, the mask untouched and ``reaped``
+    never called, so a job needs only its path for a helper that sends nothing.
+    """
+    global helper_maxrss_kb
+    mask = os.sched_getaffinity(0) if workers >= 2 and hasattr(os, "sched_getaffinity") else ()
+    if len(mask) < 2:
+        yield iter(())
+        return
+    cpu = max(mask)
     reader, writer = os.pipe()
     try:
         with contextlib.suppress(OSError):  # above the system's limit: sends wait for reads
@@ -339,6 +341,7 @@ def _forked(cpu: int, work, wait_ms: int = -1, reaped=None):
         os.kill(pid, 9)  # SIGKILL; importing the signal module takes about 1 ms
         usage = os.wait4(pid, 0)[2]
         os.sched_setaffinity(0, mask)
+        helper_maxrss_kb = max(helper_maxrss_kb, usage.ru_maxrss)
         if reaped is not None:
             reaped(usage)
 
@@ -346,27 +349,26 @@ def _forked(cpu: int, work, wait_ms: int = -1, reaped=None):
 def _noise(plan: TransferPlan, rng: np.random.Generator, steps: int, workers: int,
            report: ProducerReport):
     """The iterator of every step's :class:`TransferNoise`, the draws of
-    successive ``plan.draw(1, rng)`` calls: those of a producer process
-    (:func:`_forked`) on :func:`_second_cpu` where there is one, up to its
-    first late block or its end, then the calls made here (the module
-    docstring).  ``report`` receives what the producer did."""
-    cpu = _second_cpu(workers)
-    if cpu is not None:
-        def produce():
-            for start in range(0, steps, _BLOCK_STEPS):
-                block = [plan.draw(1, rng) for _ in range(min(_BLOCK_STEPS, steps - start))]
-                yield TransferNoise.concatenate(block), rng.bit_generator.state
+    successive ``plan.draw(1, rng)`` calls: those of the producer process
+    of :func:`_forked`, up to its first late block or its end, then the
+    calls made here (the module docstring).  ``report`` receives what the
+    producer did when it is reaped."""
+    blocks, taken = -(-steps // _BLOCK_STEPS), 0
 
-        def reaped(usage):
-            report.cpu_s = usage.ru_utime + usage.ru_stime
+    def produce():
+        for start in range(0, steps, _BLOCK_STEPS):
+            block = [plan.draw(1, rng) for _ in range(min(_BLOCK_STEPS, steps - start))]
+            yield TransferNoise.concatenate(block), rng.bit_generator.state
 
-        report.blocks = report.drawn_here = -(-steps // _BLOCK_STEPS)
-        with _forked(cpu, produce, _WAIT_MS, reaped) as blocks:
-            for (stuck, values, normals, disturbance), rng.bit_generator.state in blocks:
-                report.drawn_here -= 1
-                for t in range(stuck.shape[1]):
-                    yield TransferNoise(stuck[:, t:t + 1], values[:, t:t + 1],
-                                        normals[:, :, t:t + 1], disturbance[:, t:t + 1])
+    def reaped(usage):
+        report.cpu_s = usage.ru_utime + usage.ru_stime
+        report.blocks, report.drawn_here = blocks, blocks - taken
+
+    with _forked(workers, produce, _WAIT_MS, reaped) as sent:
+        for block, rng.bit_generator.state in sent:
+            taken += 1
+            for t in range(block.stuck.shape[1]):
+                yield TransferNoise(*(draws[:, t:t + 1] for draws in block))
     while True:
         yield plan.draw(1, rng)
 

@@ -233,7 +233,7 @@ def _transfer(phi, phi_min, phi_span, phi_absmax, noise: "TransferNoise",
     """
     crange = model.range
     g = _scale(np.maximum(_POLARITY * phi, 0.0), phi_absmax, crange)[:, None]
-    final = _perturb(g, noise.normals[:, 0], noise.normals[:, 1], noise.disturbance, model)
+    final = _perturb(g, noise.tuning, noise.offset, noise.disturbance, model)
     np.copyto(final, noise.stuck_values, where=noise.stuck)
     return _unscale(final[0], final[1], phi_min, phi_span, crange)
 
@@ -242,15 +242,16 @@ class TransferNoise(NamedTuple):
     """The weight-independent draws of ``n`` transfers of the crossbar
     devices of every layout of a plan, in its device order (see
     :class:`TransferPlan`), on the last axis.  Every array stacks the plus
-    then the minus components on axis 0: ``stuck`` and ``stuck_values``
-    are ``(2, n, devices)``, ``normals`` is ``(2, 2, n, devices)`` with the
-    tuning then the offset normals on axis 1, and ``disturbance`` holds the
-    biasing-disturbance values.  ``stuck_values`` holds the substituted
-    conductance where ``stuck`` is true and zero everywhere else."""
+    then the minus components on axis 0 and the transfers on axis 1, each
+    ``(2, n, devices)``: ``tuning`` and ``offset`` hold the standard-normal
+    tuning and offset draws, and ``disturbance`` the biasing-disturbance
+    values.  ``stuck_values`` holds the substituted conductance where
+    ``stuck`` is true and zero everywhere else."""
 
     stuck: np.ndarray
     stuck_values: np.ndarray
-    normals: np.ndarray
+    tuning: np.ndarray
+    offset: np.ndarray
     disturbance: np.ndarray
 
     @classmethod
@@ -259,10 +260,7 @@ class TransferNoise(NamedTuple):
         stack, their transfers in call order."""
         if len(noises) == 1:
             return noises[0]
-        return cls(np.concatenate([noise.stuck for noise in noises], axis=1),
-                   np.concatenate([noise.stuck_values for noise in noises], axis=1),
-                   np.concatenate([noise.normals for noise in noises], axis=2),
-                   np.concatenate([noise.disturbance for noise in noises], axis=1))
+        return cls(*(np.concatenate(a, axis=1) for a in zip(*noises)))
 
 
 class TransferPlan:
@@ -340,7 +338,7 @@ class TransferPlan:
         devices = self._starts[-1]
         stuck = np.empty((2, n, devices), dtype=bool)
         values = np.zeros((2, n, devices))
-        normals = np.empty((2, 2, n, devices))
+        normals = np.empty((2, 2, n, devices))  # the tuning, then the offset draws
         picks = np.empty((2, n, devices), dtype=np.int64)
         stuck_model = self.model.stuck_model
         for k, (start, stop) in enumerate(zip(self._starts[:-1], self._starts[1:])):
@@ -359,10 +357,10 @@ class TransferPlan:
                         layout_values[layout_stuck ^ hrs] = stuck_model.sample_lrs(
                             rng, size=count - n_hrs)
             for pol, bounds in enumerate(self._bounds[k]):
-                normals[pol, :, :, start:stop] = rng.standard_normal((2, *shape))
+                normals[:, pol, :, start:stop] = rng.standard_normal((2, *shape))
                 picks[pol, :, start:stop] = rng.integers(0, bounds, size=shape)
         picks += self._offsets
-        return TransferNoise(stuck, values, normals, self._flat[picks])
+        return TransferNoise(stuck, values, *normals, self._flat[picks])
 
     def devices(self, crossbars) -> np.ndarray:
         """The device vector of the crossbar matrices, one per layout."""

@@ -291,22 +291,32 @@ class TestRun:
         assert len(serial) == 10
         assert tree(tmp_path / "2") == serial
 
+    @staticmethod
+    def peak_rss(config_path, tmp_path, threads, *launcher):
+        """The parent and children peak RSS, in MB, that ``run`` prints from a
+        fresh interpreter, started through the ``launcher`` command if given."""
+        proc = subprocess.run(
+            [*launcher, sys.executable, "-m", "xbartrain.cli", "run", "--config",
+             str(config_path), "--out", str(tmp_path / "out"), "--threads", threads],
+            cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        return map(float, re.fullmatch(r"peak rss: parent (\d+\.\d) MB, children (\d+\.\d) MB",
+                                       proc.stderr.splitlines()[-1]).groups())
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_children_peak_rss_is_the_forked_helpers(self, config_path, tmp_path, threads):
-        # A fresh interpreter started as its own binary, which has reaped no
-        # child before run. RUSAGE_CHILDREN also counts children reaped before
-        # exec, so through a shell-script shim (as a pyenv python is) the
-        # figure would read about 3 MB at threads 1.
-        proc = subprocess.run(
-            [sys.executable, "-m", "xbartrain.cli", "run", "--config", str(config_path),
-             "--out", str(tmp_path / "out"), "--threads", threads], cwd=tmp_path,
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
-        assert proc.returncode == 0, proc.stderr
-        parent, children = map(float, re.fullmatch(
-            r"peak rss: parent (\d+\.\d) MB, children (\d+\.\d) MB",
-            proc.stderr.splitlines()[-1]).groups())
+        parent, children = self.peak_rss(config_path, tmp_path, threads)
         assert parent > 0
         assert (children > 0) == (threads == "2" and TWO_CPUS)
+
+    def test_children_peak_rss_leaves_out_children_reaped_before_exec(self, config_path,
+                                                                      tmp_path):
+        # The shell reaps ls and then execs the interpreter, which keeps the
+        # shell's RUSAGE_CHILDREN; at threads 1 run forks no helper.
+        _, children = self.peak_rss(config_path, tmp_path, "1",
+                                    "sh", "-c", '/bin/ls >/dev/null; exec "$@"', "sh")
+        assert children == 0.0
 
     def test_evaluation_and_heatmap_rates_go_to_stderr(self, config_path, tmp_path, capsys):
         assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0

@@ -648,6 +648,21 @@ class TestProducerLifetime:
         assert report == ProducerReport()
 
 
+    @pytest.mark.parametrize("workers, cpus", [(1, None), (2, {0})], ids=["workers-1", "one-cpu"])
+    def test_forked_without_a_helper_yields_nothing(self, monkeypatch, workers, cpus):
+        mask, reaped = os.sched_getaffinity(0), []
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pytest.fail("mask set"))
+        with training._forked(workers, lambda: pytest.fail("work ran"),
+                              reaped=reaped.append) as sent:
+            assert list(sent) == []
+        assert reaped == []
+        monkeypatch.undo()
+        assert os.sched_getaffinity(0) == mask
+
+
 class TestCrossbarOrder:
     @pytest.mark.parametrize("arch", [[2, 8, 1], [2, 5, 3, 1], [3, 1]])
     def test_params_are_each_crossbar_row_major(self, arch):

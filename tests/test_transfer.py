@@ -517,6 +517,20 @@ class TestTransferPlan:
         assert np.array_equal(stacked.stuck_mask, np.concatenate([o.stuck_mask for o in alone]))
         assert TransferNoise.concatenate(noises[1:2]) is noises[1]
 
+    def test_concatenated_single_draws_slice_back_to_each_draw(self, synthetic_model):
+        # The noise producer's split: k one-transfer draws, stacked, and each
+        # field sliced at [:, t:t + 1] give back draw t bit for bit.
+        plan = TransferPlan(layouts_for_architecture([2, 8, 1]), synthetic_model, 0.1, 0.1)
+        rng = np.random.default_rng(27)
+        draws = [plan.draw(1, rng) for _ in range(5)]
+        block = TransferNoise.concatenate(draws)
+        assert [field.shape for field in block] == [(2, 5, 33)] * len(TransferNoise._fields)
+        for t, draw in enumerate(draws):
+            sliced = TransferNoise(*(field[:, t:t + 1] for field in block))
+            for got, want in zip(sliced, draw):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+
     def test_draws_do_not_depend_on_weights(self, synthetic_model):
         plan = TransferPlan([self.LAYOUT], synthetic_model, 0.1, 0.1)
         masks = [

@@ -59,10 +59,10 @@ def _add_common(parser: argparse.ArgumentParser, *, evaluates=True):
         parser.add_argument("--transfers", type=int, default=None,
                             help="override the number of simulated transfers")
     parser.add_argument("--threads", type=int, default=None,
-                        help="processes (default 2). Where the helper rule of training._forked "
-                             "allows one, hardware-aware training draws its noise, and evaluation "
-                             "and the heatmap count half of their transfers, in a second process "
-                             "(run does all three). No output depends on it")
+                        help=f"processes (default {ExperimentConfig.threads}). Where the helper "
+                             "rule of training._forked allows one, hardware-aware training draws "
+                             "its noise, and evaluation and the heatmap count half of their "
+                             "transfers, in a second process. No output depends on it")
 
 
 def _override(config: ExperimentConfig, args) -> ExperimentConfig:

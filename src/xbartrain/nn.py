@@ -86,9 +86,6 @@ class LayerParams:
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise ValueError("layer parameters must be finite")
 
-    def copy(self) -> "LayerParams":
-        return LayerParams(self.weights.copy(), self.bias.copy())
-
 
 @dataclass
 class DenseNet:
@@ -122,7 +119,7 @@ class DenseNet:
         return [self.layers[0].weights.shape[1]] + [l.weights.shape[0] for l in self.layers]
 
     def copy(self) -> "DenseNet":
-        return DenseNet([l.copy() for l in self.layers])
+        return DenseNet([LayerParams(l.weights.copy(), l.bias.copy()) for l in self.layers])
 
 
 def flatten(pairs) -> np.ndarray:

@@ -29,10 +29,10 @@ every call itself, from the generator state of the last block it took.
 So the draws, and the trained bits, never depend on the timing.
 
 Observers see the step through ``batch_hook(epoch, step, net, noisy,
-loss)``: ``noisy`` is the step's :class:`EffectiveParams`, whose flat
-``eps``, ``mask`` and ``ranges`` are the transfer the step trained on, or
-``None`` when training injects no noise.  Its buffers are reused every
-step, so a hook that keeps one must copy it.
+loss)``: ``noisy`` is the step's :class:`EffectiveParams`, on which one
+``transfer`` call set the step's flat ``eps``, ``mask`` and ``ranges``
+and its transferred ``net``, or ``None`` when training injects no noise.
+Its buffers are reused every step, so a hook that keeps one must copy it.
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ class EffectiveParams:
     order; ``ranges`` is the ``(3, layouts)`` array of the last transfer's
     weight-range snapshots (min, max, max-abs) from
     :meth:`TransferPlan.apply_devices`; ``net`` is a net of views into the
-    effective vector.  It is the ``noisy`` of a training run's
-    ``batch_hook`` (see the module docstring).
+    effective vector, which :meth:`transfer` recomputes.  It is the
+    ``noisy`` of a training run's ``batch_hook`` (see the module docstring).
     """
 
     def __init__(self, sizes, params: np.ndarray):
@@ -198,11 +198,12 @@ class EffectiveParams:
 
     def transfer(self, plan: TransferPlan, noise) -> None:
         """Set ``eps`` and ``mask`` from one transfer of the current
-        parameters, drawn as ``noise`` by ``plan.draw(1, ...)``, and
-        ``ranges`` from the snapshots it converted with."""
+        parameters, drawn as ``noise`` by ``plan.draw(1, ...)``, ``ranges``
+        from the snapshots it converted with, and ``net`` by :meth:`update`."""
         phi_prime, stuck, self.ranges = plan.apply_devices(self.params, noise)
         np.subtract(phi_prime[0], self.params, out=self.eps)
         self.mask = stuck[0]
+        self.update()
 
     def update(self) -> None:
         """Recompute the effective parameters ``phi + eps``."""
@@ -232,10 +233,10 @@ def sample_epsilon(
     rng: np.random.Generator,
 ) -> EffectiveParams:
     """Simulate one transfer of every layer (bias row included) and return
-    it as the :class:`EffectiveParams` of a copy of the net's parameters:
-    the additive noise ``eps``, the stuck ``mask`` and the snapshot
-    ``ranges``, flat in crossbar order (:func:`nn.unflatten` gives them per
-    layer), as a training step passes it to ``batch_hook`` as ``noisy``."""
+    it as the :class:`EffectiveParams` of a copy of the net's parameters,
+    as a training step passes it to ``batch_hook`` as ``noisy``: its
+    ``transfer`` set the transferred ``net`` and, flat in crossbar order,
+    the additive noise ``eps``, the stuck ``mask`` and the snapshot ``ranges``."""
     plan = TransferPlan(layouts, model, x, y)
     params = EffectiveParams(net.sizes, plan.devices(layer_to_crossbar(l.weights, l.bias)
                                                      for l in net.layers))
@@ -412,7 +413,6 @@ def _train(config: TrainingConfig, train_set, plan: TransferPlan | None, batch_h
                 Xb, yb = X.take(idx, axis=0), labels[idx]
                 if noisy is not None:
                     noisy.transfer(plan, next(noise))
-                    noisy.update()
                 y_hat, cache = nn.forward(seen, Xb)
                 # The loss clamps the outputs before its logs and the labels
                 # are 0 or 1, so it is non-finite exactly where an output is

@@ -204,7 +204,8 @@ class BiasDisturbanceDb:
         Entries with n_d == 0 are exactly zero (the last-programmed device
         sees no subsequent pulses).
         """
-        return self.lookup(n_d).sample(rng)
+        flat, offsets, bounds = self.lookup(n_d)
+        return flat[offsets + rng.integers(0, bounds, size=offsets.shape)]
 
     def lookup(self, n_d) -> "BiasLookup":
         """Validate an n_d matrix once and resolve the group each entry
@@ -235,11 +236,6 @@ class BiasLookup(NamedTuple):
     flat: np.ndarray
     offsets: np.ndarray
     bounds: int | np.ndarray
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """One draw: a disturbance per entry, shaped like the n_d matrix,
-        its picks made by one ``rng.integers`` call."""
-        return self.flat[self.offsets + rng.integers(0, self.bounds, size=self.offsets.shape)]
 
 
 @dataclass(frozen=True)

@@ -143,9 +143,21 @@ def test_run_mode_writes_the_config_not_its_path(tmp_path, monkeypatch):
     assert doc["workloads"]["run"]["identical_trees"] == "10/10"
 
 
-def test_seconds_with_run_is_an_error(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        bench_pairs.main(["--parent", str(tmp_path / "parent"), "--run", "config.json",
-                          "--seconds", "5", "--out", str(tmp_path / "bench.json")])
-    assert exit_info.value.code == 2
-    assert "--seconds applies to --workload runs" in capsys.readouterr().err
+def test_workload_runs_last_the_benchmarks_run_seconds(tmp_path, monkeypatch):
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 7, "end_to_end": [{"name": "transfers_per_s", "better": "higher"}]}))
+    line = json.dumps(result(3, 0, transfers_per_s=50.0))
+    calls = []
+
+    def run(cmd, cwd, capture_output, text):
+        calls.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, line + "\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(change),
+                             "--workload", "mc_eval:1", "--out", str(out)]) == 0
+    assert "--seconds 7 " in json.loads(out.read_text())["command"]
+    assert [cmd[cmd.index("--seconds") + 1] for cmd in calls] == ["7", "7"]

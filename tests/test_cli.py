@@ -749,3 +749,10 @@ class TestErrorPaths:
         rc = main(["run", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "none.json" in capsys.readouterr().err
+
+
+def test_threads_help_gives_the_config_default(monkeypatch):
+    monkeypatch.setattr(experiments.ExperimentConfig, "threads", 3)
+    subcommand = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    threads = next(a for a in subcommand.choices["run"]._actions if a.dest == "threads")
+    assert threads.help.startswith("processes (default 3).")

@@ -319,7 +319,7 @@ class TestBiasPicks:
             assert isinstance(lookup.bounds, int)
         bounds = np.broadcast_to(lookup.bounds, n_d.shape)
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        drawn = lookup.sample(rng)
+        drawn = db.sample_matrix(n_d, rng)
         reference = lookup.flat[lookup.offsets + twin.integers(0, bounds)]
         assert np.array_equal(drawn, reference)
         assert rng.bit_generator.state == twin.bit_generator.state

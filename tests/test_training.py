@@ -64,7 +64,6 @@ def transferred(net, model, x, seed):
     params = effective(net)
     plan = TransferPlan(LAYOUTS, model, x, x)
     params.transfer(plan, plan.draw(1, np.random.default_rng(seed)))
-    params.update()
     return params
 
 
@@ -105,6 +104,13 @@ class TestSampleEpsilon:
         rng = np.random.default_rng(3)
         sample = per_layer(sample_epsilon(net, LAYOUTS, synthetic_model, 0.0, 0.0, rng))
         assert sample.snapshots[0].phi_max == 5.0
+
+    def test_net_is_the_transferred_net(self, synthetic_model):
+        net = nn.DenseNet.init([2, 8, 1], np.random.default_rng(1))
+        sample = sample_epsilon(net, LAYOUTS, synthetic_model, 0.05, 0.05, np.random.default_rng(1))
+        assert np.abs(sample.eps).max() > 0
+        seen = nn.flatten((l.weights, l.bias) for l in sample.net.layers)
+        assert seen.tobytes() == (sample.params + sample.eps).tobytes()
 
     def test_golden_stream(self):
         # Pins the training draws: 50 successive samples at fixed seeds hash

@@ -2,7 +2,7 @@
 """Compare two checkouts on the benchmark in alternating pairs of runs.
 
     python3 tools/bench_pairs.py --parent PATH --workload heatmap:901-910
-        [--workload mc_eval:911,912] [--seconds 20] [--change PATH]
+        [--workload mc_eval:911,912] [--change PATH]
         [--note TEXT] --out BENCH_N.json
     python3 tools/bench_pairs.py --parent PATH --run CONFIG [--change PATH]
         [--note TEXT] --out BENCH_N.json
@@ -10,7 +10,8 @@
 For each workload and each of its seeds, one pair runs
 ``python3 perfbench/run.py --workload W --seed N --seconds S --trace 0`` in
 the parent checkout and in the change checkout (by default the one holding
-this script).  With ``--run``, each of 10 pairs instead times one whole
+this script), ``S`` being the ``run_seconds`` of the change's
+BENCHMARK.json.  With ``--run``, each of 10 pairs instead times one whole
 ``python3 -m xbartrain.cli run --config CONFIG --threads 2`` process from
 each checkout's ``src``, writing to a temporary directory outside both
 checkouts, and reads the peak RSS of the process and of its children from
@@ -163,9 +164,11 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
-def bench_workloads(trees: dict, specs: list[str], seconds: float, bench: dict) -> dict:
-    """The document of alternating perfbench pairs over each ``NAME:SEEDS`` spec."""
+def bench_workloads(trees: dict, specs: list[str], bench: dict) -> dict:
+    """The document of alternating perfbench pairs over each ``NAME:SEEDS``
+    spec, each run as long as ``bench`` (BENCHMARK.json) sets."""
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     seeds = {}
     for spec in specs:
         name, _, text = spec.partition(":")
@@ -197,12 +200,9 @@ def main(argv=None) -> int:
                       help="NAME:SEEDS, e.g. heatmap:901-910; repeatable")
     mode.add_argument("--run", type=Path, metavar="CONFIG",
                       help="time whole xbartrain run processes on this config")
-    parser.add_argument("--seconds", type=float, help="seconds per --workload run (20)")
     parser.add_argument("--note", default=None)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if args.run and args.seconds is not None:
-        parser.error("--seconds applies to --workload runs, not to --run")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     if trees["parent"].parent != trees["change"].parent:
         print(f"error: --parent {trees['parent']} and --change {trees['change']} are not "
@@ -216,8 +216,7 @@ def main(argv=None) -> int:
                "config": json.loads(config.read_text()), "pairs": RUN_PAIRS, "order": ORDER,
                "workloads": {"run": run_pairs(trees, config)}}
     else:
-        seconds = 20 if args.seconds is None else args.seconds
-        doc = bench_workloads(trees, args.workload, seconds,
+        doc = bench_workloads(trees, args.workload,
                               json.loads((args.change / "BENCHMARK.json").read_text()))
     if args.note:
         doc["note"] = args.note

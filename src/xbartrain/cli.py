@@ -232,7 +232,7 @@ def cmd_run(args) -> int:
     """Train both networks, then evaluate each and draw its heatmap, writing
     report.json, manifest.json and per network checkpoint.json, table.csv,
     curve.csv and heatmap.csv under ``--out``, byte-identical at any
-    ``--threads``.  Stage times and peak RSS (parent, largest helper) go to stderr."""
+    ``--threads``.  Stage times go to stderr, before :func:`main`'s peak RSS line."""
     config_doc, config = read_config(args.config)
     config, out = _override(config, args), args.out
     written, networks = [], {}
@@ -273,9 +273,6 @@ def cmd_run(args) -> int:
             "artifacts": sorted(str(p.relative_to(out)) for p in written),
         })
         written.append(out / "manifest.json")
-    rss = [kb / 1024.0 for kb in (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-                                  training.helper_maxrss_kb)]
-    print(f"peak rss: parent {rss[0]:.1f} MB, children {rss[1]:.1f} MB", file=sys.stderr)
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -331,10 +328,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
     except (OSError, ValueError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if hasattr(args, "threads"):  # train, evaluate, heatmap and run, which may fork a helper
+        rss = [kb / 1024.0 for kb in (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                                      training.helper_maxrss_kb)]
+        print(f"peak rss: parent {rss[0]:.1f} MB, children {rss[1]:.1f} MB", file=sys.stderr)
+    return rc
 
 
 if __name__ == "__main__":

@@ -43,24 +43,17 @@ _STREAM_EVAL = 100
 _STREAM_HEATMAP = 101
 _STREAM_DATASET = 102
 
-# Transfers drawn and forwarded together by evaluate_transfers.  Part of the
-# stream contract (chunk k always draws transfers k*CHUNK onwards from its
-# own stream), so it is fixed rather than configurable; it also bounds the
-# memory of a chunk's stacked forward pass.
+# Transfers stacked in one job of _count_transfers, in evaluation and the
+# heatmap alike.  Evaluation draws each job from one stream (chunk k draws
+# transfers k*CHUNK onwards), so CHUNK is part of the stream contract and
+# fixed rather than configurable; it also bounds the memory of a job's
+# stacked forward pass.
 CHUNK = 32
 
 # Points forwarded together by _predict_transferred.  A block's per-layer
 # buffers stay cache-sized for one transfer (4096 x 8 doubles, 256 KiB),
 # and the labels do not depend on the block size.  Not configurable.
 POINT_BLOCK = 4096
-
-# Heatmap repetitions applied and bounded together in one job.  Each
-# repetition is still drawn alone from its own stream and forwarded alone
-# on the tiles its bounds leave undecided, so the group size does not
-# change the heatmap.  On 2 vCPU, groups of 16 ran the heatmap of the
-# default run's nets 7-9% faster on one thread and 13-25% faster on two
-# than groups of 4 or 8, and as fast as groups of 32.  Not configurable.
-HEATMAP_GROUP = 16
 
 # Grid cells per side of the square tiles whose output bounds label whole
 # tiles of the heatmap at once (see heatmap); the last row and column of
@@ -285,7 +278,7 @@ class _GridTiles:
 
 
 def _count_transfers(plan: TransferPlan, net: nn.DenseNet, tally, transfers: int, seed: int,
-                     tag: int, per_stream: int, group: int, workers: int = 1) -> np.ndarray:
+                     tag: int, per_stream: int, workers: int) -> np.ndarray:
     """The sum over jobs of ``tally(layers)``, an integer count per point
     of a job's stacked transfers given as their per-layer ``(w, b)``
     stacks ``layers``, over ``transfers`` transfers of ``net``: the one
@@ -294,8 +287,9 @@ def _count_transfers(plan: TransferPlan, net: nn.DenseNet, tally, transfers: int
     Stream rule: transfer ``t`` is drawn from its stream
     ``SeedSequence([seed, tag, t // per_stream])``, where one
     ``plan.draw`` call draws the stream's ``per_stream`` transfers (the
-    last stream may hold fewer).  A job holds up to ``group`` transfers, a
-    whole number of streams: it stacks their draws and applies them to the
+    last stream may hold fewer).  A job holds up to :data:`CHUNK`
+    transfers, a whole number of streams (``per_stream`` divides
+    :data:`CHUNK`): it stacks their draws and applies them to the
     device vector of the net's crossbar matrices with one
     ``plan.apply_devices``, which is elementwise over transfers, so each
     transfer is the one that its stream's draw alone gives.  ``tally``
@@ -324,8 +318,8 @@ def _count_transfers(plan: TransferPlan, net: nn.DenseNet, tally, transfers: int
         """The counts of streams ``first`` up to ``stop``."""
         stop = min(stop * per_stream, transfers)
         total = 0  # the first job's counts replace it with an int64 array
-        for start in range(first * per_stream, stop, group):
-            end = min(start + group, stop)
+        for start in range(first * per_stream, stop, CHUNK):
+            end = min(start + CHUNK, stop)
             draws = [plan.draw(min(per_stream, end - t), _stream(seed, tag, t // per_stream))
                      for t in range(start, end, per_stream)]
             phi_prime = plan.apply_devices(phi, TransferNoise.concatenate(draws))[0]
@@ -353,14 +347,13 @@ def evaluate_transfers(
 ) -> RobustnessReport:
     """Correct-classification counts per test point over N transfers.
 
-    Counted by :func:`_count_transfers` with ``per_stream = group =``
-    :data:`CHUNK`, tallying the labels equal to the test labels: chunk
-    ``k`` (the last one may be shorter) is drawn by one
-    :meth:`TransferPlan.draw` call from
-    stream ``SeedSequence([seed, 100, k])`` and classified in one stacked
-    forward pass.  A helper process may count the later half of the
-    chunks (the split rule of :func:`_count_transfers`); the counts do not
-    depend on ``workers``.
+    Counted by :func:`_count_transfers` with ``per_stream =``
+    :data:`CHUNK`, so one job is one stream, tallying the labels equal to
+    the test labels: chunk ``k`` (the last one may be shorter) is drawn by
+    one :meth:`TransferPlan.draw` call from stream ``SeedSequence([seed,
+    100, k])`` and classified in one stacked forward pass.  A helper
+    process may count the later half of the chunks (the split rule of
+    :func:`_count_transfers`); the counts do not depend on ``workers``.
     """
     if transfers < 1:
         raise ValueError(f"transfers must be >= 1, got {transfers}")
@@ -370,7 +363,7 @@ def evaluate_transfers(
         return np.sum(_predict_transferred(layers, points) == labels, axis=0)
 
     counts = _count_transfers(TransferPlan(layouts, model, x, y), net, correct, transfers, seed,
-                              _STREAM_EVAL, CHUNK, CHUNK, workers)
+                              _STREAM_EVAL, CHUNK, workers)
     return RobustnessReport(counts=counts, transfers=transfers)
 
 
@@ -474,10 +467,10 @@ def heatmap(
     repetition is one network instance classifying the plane).
 
     The counts of label 1 come from :func:`_count_transfers` with
-    ``per_stream = 1`` and ``group =`` :data:`HEATMAP_GROUP`: repetition
-    ``i`` is drawn alone by ``plan.draw(1, ...)`` from stream
-    ``SeedSequence([seed, 101, i])``, so the grid equals forwarding each
-    repetition alone.  A helper process may count half of them (the split
+    ``per_stream = 1``, so one job is up to :data:`CHUNK` single-repetition
+    streams: repetition ``i`` is drawn alone by ``plan.draw(1, ...)`` from
+    stream ``SeedSequence([seed, 101, i])``, so the grid equals forwarding
+    each repetition alone.  A helper process may count half of them (the split
     rule of :func:`_count_transfers`).
 
     Tile rule: the grid splits into tiles of :data:`GRID_TILE` x
@@ -535,7 +528,7 @@ def heatmap(
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     ones = _count_transfers(TransferPlan(layouts, model, x, y), net, _GridTiles(grid).count_ones,
-                            repetitions, seed, _STREAM_HEATMAP, 1, HEATMAP_GROUP, workers)
+                            repetitions, seed, _STREAM_HEATMAP, 1, workers)
     return HeatmapGrid(grid=grid, mean=(ones / repetitions).reshape(grid.ny, grid.nx))
 
 

@@ -24,6 +24,29 @@ def test_seed_ranges_and_lists():
     assert bench_pairs.parse_seeds("5") == [5]
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("heatmap", "no seeds"), ("heatmap:x", "no seeds"), ("heatmap:5-3", "no seeds"),
+    ("heatmap:", "no seeds"), ("heat_map:1-3", "'heat_map' is not a workload"),
+])
+def test_bad_workload_exits_2_before_any_pair(tmp_path, capsys, monkeypatch, spec, message):
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 7, "workloads": [{"name": "heatmap"}, {"name": "mc_eval"}],
+         "end_to_end": [{"name": "transfers_per_s", "better": "higher"}]}))
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda *args, **kwargs: pytest.fail("a pair ran"))
+    out = tmp_path / "bench.json"
+    # A good spec first, so that the check comes before any pair of it runs.
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(change),
+                             "--workload", "mc_eval:1-2", "--workload", spec,
+                             "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: --workload {spec}: {message}")
+    assert not out.exists()
+
+
 def test_summary_counts_wins_by_direction():
     pairs = [
         {"parent": result(4, 0, wall_s=1.0, transfers_per_s=100.0),
@@ -147,7 +170,8 @@ def test_workload_runs_last_the_benchmarks_run_seconds(tmp_path, monkeypatch):
     change = tmp_path / "change"
     change.mkdir()
     (change / "BENCHMARK.json").write_text(json.dumps(
-        {"run_seconds": 7, "end_to_end": [{"name": "transfers_per_s", "better": "higher"}]}))
+        {"run_seconds": 7, "workloads": [{"name": "mc_eval"}],
+         "end_to_end": [{"name": "transfers_per_s", "better": "higher"}]}))
     line = json.dumps(result(3, 0, transfers_per_s=50.0))
     calls = []
 

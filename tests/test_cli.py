@@ -29,6 +29,8 @@ from test_training import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# The last stderr line of train, evaluate, heatmap and run.
+PEAK_RSS = r"peak rss: parent (\d+\.\d) MB, children (\d+\.\d) MB"
 
 TINY_CONFIG = {
     "seed": 9,
@@ -45,6 +47,17 @@ def config_path(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(TINY_CONFIG))
     return path
+
+
+def peak_rss(tmp_path, *args, launcher=()):
+    """The parent and children peak RSS, in MB, that ``xbartrain *args --out
+    tmp_path/out`` prints from a fresh interpreter, started through the
+    ``launcher`` command if given."""
+    proc = subprocess.run(
+        [*launcher, sys.executable, "-m", "xbartrain.cli", *args, "--out", str(tmp_path / "out")],
+        cwd=tmp_path, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    return map(float, re.fullmatch(PEAK_RSS, proc.stderr.splitlines()[-1]).groups())
 
 
 def write_raw_csvs(tmp_path):
@@ -111,6 +124,14 @@ class TestGenSyntheticModel:
         model = load_model(out)
         assert model.range.g_max == 400.0
 
+    def test_model_commands_print_no_peak_rss(self, tmp_path, capsys):
+        # Neither command forks, so neither reports memory.
+        tuning, bias, stuck = write_raw_csvs(tmp_path)
+        assert main(["fit-model", "--tuning", str(tuning), "--bias", str(bias),
+                     "--stuck", str(stuck), "--out", str(tmp_path / "fitted.json")]) == 0
+        assert main(["gen-synthetic-model", "--out", str(tmp_path / "model.json")]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestTrainEvaluateHeatmap:
     def test_train_regular_writes_checkpoint(self, config_path, tmp_path, capsys):
@@ -156,18 +177,30 @@ class TestTrainEvaluateHeatmap:
             # At the default threads 2 an HA run on two CPUs has a producer.
             producer = (r"noise producer: \d+\.\d\d s CPU, trainer drew \d+ of \d+ blocks\n"
                         if name == "hardware_aware" and len(os.sched_getaffinity(0)) >= 2 else "")
-            assert re.fullmatch(rf"{name} training: \d+\.\d\d s, \d+ steps/s\n{producer}",
-                                captured.err)
+            assert re.fullmatch(rf"{name} training: \d+\.\d\d s, \d+ steps/s\n{producer}"
+                                rf"{PEAK_RSS}\n", captured.err)
             assert re.fullmatch(rf"{name}: train accuracy \d\.\d{{4}}, test accuracy \d\.\d{{4}}\n"
                                 rf"wrote \S+{name}\.json\n", captured.out)
         common = ["--config", str(config_path), "--checkpoint", str(out / "regular.json")]
         assert main(["evaluate", *common, "--out", str(out / "eval")]) == 0
-        assert re.fullmatch(r"evaluation: \d+\.\d\d s, \d+ transfers/s\n", capsys.readouterr().err)
+        assert re.fullmatch(rf"evaluation: \d+\.\d\d s, \d+ transfers/s\n{PEAK_RSS}\n",
+                            capsys.readouterr().err)
         assert main(["heatmap", *common, "--out", str(out / "hm"), "--transfers", "4"]) == 0
-        assert re.fullmatch(r"heatmap: \d+\.\d\d s, \d+ repetitions/s\n", capsys.readouterr().err)
+        assert re.fullmatch(rf"heatmap: \d+\.\d\d s, \d+ repetitions/s\n{PEAK_RSS}\n",
+                            capsys.readouterr().err)
         assert sorted(p.name for p in (out / "eval").iterdir()) == ["curve.csv", "report.json",
                                                                     "table.csv"]
         assert [p.name for p in (out / "hm").iterdir()] == ["heatmap.csv"]
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="a one-CPU mask forks no helper")
+    def test_evaluate_reports_its_helpers_peak_rss(self, tmp_path):
+        # Three chunks, so the helper counts the later one and a half.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, transfers=3 * experiments.CHUNK)))
+        parent, children = peak_rss(tmp_path, "evaluate", "--config", str(path),
+                                    "--checkpoint", str(CHECKPOINT), "--threads", "2")
+        assert parent > 0
+        assert children > 0
 
     def test_hardware_aware_checkpoint_is_the_same_at_any_threads(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -291,22 +324,10 @@ class TestRun:
         assert len(serial) == 10
         assert tree(tmp_path / "2") == serial
 
-    @staticmethod
-    def peak_rss(config_path, tmp_path, threads, *launcher):
-        """The parent and children peak RSS, in MB, that ``run`` prints from a
-        fresh interpreter, started through the ``launcher`` command if given."""
-        proc = subprocess.run(
-            [*launcher, sys.executable, "-m", "xbartrain.cli", "run", "--config",
-             str(config_path), "--out", str(tmp_path / "out"), "--threads", threads],
-            cwd=tmp_path, capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(SRC)})
-        assert proc.returncode == 0, proc.stderr
-        return map(float, re.fullmatch(r"peak rss: parent (\d+\.\d) MB, children (\d+\.\d) MB",
-                                       proc.stderr.splitlines()[-1]).groups())
-
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_children_peak_rss_is_the_forked_helpers(self, config_path, tmp_path, threads):
-        parent, children = self.peak_rss(config_path, tmp_path, threads)
+        parent, children = peak_rss(tmp_path, "run", "--config", str(config_path),
+                                    "--threads", threads)
         assert parent > 0
         assert (children > 0) == (threads == "2" and TWO_CPUS)
 
@@ -314,8 +335,8 @@ class TestRun:
                                                                       tmp_path):
         # The shell reaps ls and then execs the interpreter, which keeps the
         # shell's RUSAGE_CHILDREN; at threads 1 run forks no helper.
-        _, children = self.peak_rss(config_path, tmp_path, "1",
-                                    "sh", "-c", '/bin/ls >/dev/null; exec "$@"', "sh")
+        _, children = peak_rss(tmp_path, "run", "--config", str(config_path), "--threads", "1",
+                               launcher=("sh", "-c", '/bin/ls >/dev/null; exec "$@"', "sh"))
         assert children == 0.0
 
     def test_evaluation_and_heatmap_rates_go_to_stderr(self, config_path, tmp_path, capsys):

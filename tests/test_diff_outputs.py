@@ -52,10 +52,19 @@ def test_regular_heatmap_reads_the_checkpoint_its_side_trained(tmp_path):
 def test_run_is_compared_on_one_and_two_threads(tmp_path):
     out = tmp_path / "out"
     commands = diff_outputs.commands(tmp_path / "tree", tmp_path / "configs", out)
-    assert len(commands) == 9
+    assert len(commands) == 10
     runs = [c for c in commands if c[0] == "run"]
     assert [c[c.index("--threads") + 1] for c in runs] == ["1", "2"]
     assert len({c[c.index("--out") + 1] for c in runs}) == 2
+
+
+def test_checkpoint_heatmap_is_compared_on_one_and_two_threads(tmp_path):
+    out = tmp_path / "out"
+    heatmaps = [c for c in diff_outputs.commands(tmp_path / "tree", tmp_path / "configs", out)
+                if c[0] == "heatmap" and str(tmp_path / "tree" / diff_outputs.CHECKPOINT) in c]
+    assert [c[c.index("--threads") + 1] for c in heatmaps] == ["2", "1"]
+    assert all(c[c.index("--transfers") + 1] == "301" for c in heatmaps)
+    assert len({c[c.index("--out") + 1] for c in heatmaps}) == 2
 
 
 def test_model_commands_read_csvs_written_the_same_on_each_side(tmp_path):

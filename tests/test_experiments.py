@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from xbartrain import nn
+from xbartrain import experiments, nn
 from xbartrain.cli import main
 from xbartrain.datasets import LabeledSet, make_half_moons
 from xbartrain.experiments import (
     _Z0,
     CHUNK,
     GRID_TILE,
-    HEATMAP_GROUP,
     MAX_GRID_POINTS,
     POINT_BLOCK,
     ConfigError,
@@ -479,7 +478,7 @@ class TestHeatmap:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("repetitions", sorted(
-        {1, 3, 4, 5, HEATMAP_GROUP - 1, HEATMAP_GROUP, HEATMAP_GROUP + 1}))
+        {1, 3, 4, 5, 15, 16, 17, CHUNK - 1, CHUNK, CHUNK + 1}))
     def test_groups_equal_repetitions_forwarded_alone(self, synthetic_model, repetitions,
                                                       workers):
         net = symmetric_net()
@@ -602,6 +601,33 @@ class TestCountSplit:
         assert capfd.readouterr().err == ""
         assert_no_children()
 
+    # Evaluation draws a stream per chunk, the heatmap one per repetition.
+    @pytest.mark.parametrize("per_stream", [CHUNK, 1], ids=["evaluate_transfers", "heatmap"])
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 3 * CHUNK + 5])
+    def test_jobs_hold_up_to_chunk_transfers(self, monkeypatch, synthetic_model, per_stream, n):
+        count_transfers, sizes = experiments._count_transfers, []
+
+        def counted(plan, net, tally, *args):
+            def recorded(layers):
+                sizes.append(len(layers[0][0]))
+                return tally(layers)
+            return count_transfers(plan, net, recorded, *args)
+
+        monkeypatch.setattr(experiments, "_count_transfers", counted)
+        net, common = nn.load_checkpoint(CHECKPOINT), (synthetic_model, LAYOUTS, 0.005, 0.005)
+        if per_stream == 1:
+            heatmap(net, *common, GridSpec(nx=5, ny=4), n, seed=4, workers=1)
+        else:
+            evaluate_transfers(net, *common, make_half_moons(20, seed=3), n, seed=4, workers=1)
+
+        def jobs(m):
+            return [CHUNK] * (m // CHUNK) + [m % CHUNK] * (m % CHUNK > 0)
+
+        # At workers 1 this thread counts both halves of the split, each in
+        # jobs of CHUNK from its first stream; a half ends in a shorter job.
+        first = -(-n // per_stream) // 2 * per_stream
+        assert sizes == jobs(first) + jobs(n - first)
+
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
     def test_error_in_the_caller_leaves_no_helper(self, monkeypatch, synthetic_model, error):
         mask, here, masks = os.sched_getaffinity(0), os.getpid(), []
@@ -615,8 +641,9 @@ class TestCountSplit:
             return count_ones(tiles, layers)
 
         monkeypatch.setattr(_GridTiles, "count_ones", stop)
+        # The caller's half of the split holds more than CHUNK repetitions: two jobs.
         with pytest.raises(error, match="^stopped$"):
-            self.heatmap(synthetic_model, workers=2)
+            self.heatmap(synthetic_model, workers=2, repetitions=2 * CHUNK + 5)
         assert_no_children()
         assert os.sched_getaffinity(0) == mask
         # While it counted, the helper held the mask's last CPU.

@@ -24,7 +24,8 @@ The two checkouts must be siblings: directories with the same parent.
 Where a checkout sits moves train_pair by up to 15% on identical code (two
 unrelated checkouts read an 11-14% gap that shrank to 2-6% once the change
 tree was copied beside the parent), so any other pair exits with status 2
-before running anything.
+before running anything.  So does a ``--workload`` whose seeds do not
+parse or are none, or whose name is not a workload of BENCHMARK.json.
 
 The output JSON holds the seeds, the order, per workload the operations
 attempted and failed on each side, and per end-to-end metric of
@@ -69,6 +70,26 @@ def parse_seeds(text: str) -> list[int]:
     for part in text.split(","):
         lo, _, hi = part.partition("-")
         seeds += range(int(lo), int(hi or lo) + 1)
+    if not seeds:
+        raise ValueError(f"no seeds in {text!r}")
+    return seeds
+
+
+def workload_seeds(specs: list[str], bench: dict) -> dict[str, list[int]]:
+    """The seeds of each ``NAME:SEEDS`` spec; ``ValueError`` naming the
+    spec when its seeds do not parse or are none, or NAME is not a
+    workload of ``bench`` (BENCHMARK.json)."""
+    names, seeds = {w["name"] for w in bench["workloads"]}, {}
+    for spec in specs:
+        name, _, text = spec.partition(":")
+        try:
+            seeds[name] = parse_seeds(text)
+        except ValueError:
+            raise ValueError(f"--workload {spec}: no seeds; give NAME:SEEDS, "
+                             f"e.g. heatmap:901-910") from None
+        if name not in names:
+            raise ValueError(f"--workload {spec}: {name!r} is not a workload of BENCHMARK.json "
+                             f"({', '.join(sorted(names))})")
     return seeds
 
 
@@ -164,15 +185,11 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
-def bench_workloads(trees: dict, specs: list[str], bench: dict) -> dict:
-    """The document of alternating perfbench pairs over each ``NAME:SEEDS``
-    spec, each run as long as ``bench`` (BENCHMARK.json) sets."""
+def bench_workloads(trees: dict, seeds: dict[str, list[int]], bench: dict) -> dict:
+    """The document of alternating perfbench pairs over each workload's
+    ``seeds``, each run as long as ``bench`` (BENCHMARK.json) sets."""
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
-    seeds = {}
-    for spec in specs:
-        name, _, text = spec.partition(":")
-        seeds[name] = parse_seeds(text)
     doc = {"command": f"python3 perfbench/run.py --workload W --seed N "
                       f"--seconds {seconds:g} --trace 0",
            "seeds": seeds, "order": ORDER, "workloads": {}, "environment": None}
@@ -216,8 +233,13 @@ def main(argv=None) -> int:
                "config": json.loads(config.read_text()), "pairs": RUN_PAIRS, "order": ORDER,
                "workloads": {"run": run_pairs(trees, config)}}
     else:
-        doc = bench_workloads(trees, args.workload,
-                              json.loads((args.change / "BENCHMARK.json").read_text()))
+        bench = json.loads((args.change / "BENCHMARK.json").read_text())
+        try:
+            seeds = workload_seeds(args.workload, bench)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        doc = bench_workloads(trees, seeds, bench)
     if args.note:
         doc["note"] = args.note
     args.out.write_text(json.dumps(doc, indent=1) + "\n")

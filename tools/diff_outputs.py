@@ -23,7 +23,8 @@ The set:
 - ``train --hardware-aware`` and ``train --regular`` at 300 epochs;
 - ``evaluate`` of ``perfbench/inputs/ha_default_seed0.json`` with seed 7
   and 5000 transfers;
-- ``heatmap`` of the same checkpoint, 301 repetitions on 2 threads;
+- ``heatmap`` of the same checkpoint, 301 repetitions on 2 threads, and
+  again on 1 thread, which counts every job in the command's own process;
 - ``heatmap`` of the regular net that the side's own ``train --regular``
   wrote, on the default grid with the same repetitions and threads, so
   that a second decision boundary is compared on a full grid;
@@ -33,7 +34,7 @@ The set:
 
 Each command's standard output is kept too, as ``stdout/NN.txt`` with the
 side's output directory written as ``OUT``, since ``fit-model`` reports
-its Shapiro-Wilk results only there.  That is 9 commands writing 38
+its Shapiro-Wilk results only there.  That is 10 commands writing 40
 files.
 """
 
@@ -102,6 +103,8 @@ def commands(tree: Path, configs: Path, out: Path) -> list[list[str]]:
         ["train", "--regular", *train],
         ["evaluate", *checkpoint, "--seed", "7", "--transfers", "5000", "--out", str(out / "evaluate")],
         ["heatmap", *checkpoint, *heat, "--out", str(out / "heatmap")],
+        ["heatmap", *checkpoint, "--transfers", "301", "--threads", "1",
+         "--out", str(out / "heatmap_threads_1")],
         ["heatmap", *regular, *heat, "--out", str(out / "heatmap_regular")],
         *(["run", "--config", str(configs / "criterion_9.json"), "--threads", threads,
            "--out", str(out / f"run_threads_{threads}")] for threads in ("1", "2")),

@@ -27,6 +27,7 @@ def test_seed_ranges_and_lists():
 @pytest.mark.parametrize("spec, message", [
     ("heatmap", "no seeds"), ("heatmap:x", "no seeds"), ("heatmap:5-3", "no seeds"),
     ("heatmap:", "no seeds"), ("heat_map:1-3", "'heat_map' is not a workload"),
+    ("mc_eval:3", "mc_eval was given before"),
 ])
 def test_bad_workload_exits_2_before_any_pair(tmp_path, capsys, monkeypatch, spec, message):
     change = tmp_path / "change"

@@ -194,7 +194,7 @@ class TestTrainEvaluateHeatmap:
 
     @pytest.mark.skipif(not TWO_CPUS, reason="a one-CPU mask forks no helper")
     def test_evaluate_reports_its_helpers_peak_rss(self, tmp_path):
-        # Three chunks, so the helper counts the later one and a half.
+        # Three chunks: the helper counts the later two.
         path = tmp_path / "config.json"
         path.write_text(json.dumps(dict(TINY_CONFIG, transfers=3 * experiments.CHUNK)))
         parent, children = peak_rss(tmp_path, "evaluate", "--config", str(path),

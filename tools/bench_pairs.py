@@ -25,7 +25,8 @@ Where a checkout sits moves train_pair by up to 15% on identical code (two
 unrelated checkouts read an 11-14% gap that shrank to 2-6% once the change
 tree was copied beside the parent), so any other pair exits with status 2
 before running anything.  So does a ``--workload`` whose seeds do not
-parse or are none, or whose name is not a workload of BENCHMARK.json.
+parse or are none, or whose name is not a workload of BENCHMARK.json or
+was given before.
 
 The output JSON holds the seeds, the order, per workload the operations
 attempted and failed on each side, and per end-to-end metric of
@@ -78,10 +79,12 @@ def parse_seeds(text: str) -> list[int]:
 def workload_seeds(specs: list[str], bench: dict) -> dict[str, list[int]]:
     """The seeds of each ``NAME:SEEDS`` spec; ``ValueError`` naming the
     spec when its seeds do not parse or are none, or NAME is not a
-    workload of ``bench`` (BENCHMARK.json)."""
+    workload of ``bench`` (BENCHMARK.json) or was given before."""
     names, seeds = {w["name"] for w in bench["workloads"]}, {}
     for spec in specs:
         name, _, text = spec.partition(":")
+        if name in seeds:
+            raise ValueError(f"--workload {spec}: {name} was given before; list its seeds once")
         try:
             seeds[name] = parse_seeds(text)
         except ValueError:

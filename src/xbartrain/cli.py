@@ -115,15 +115,17 @@ def _train(name: str, config: ExperimentConfig, model, train_set, report=None):
     return _timed(f"{name} training", train_regular, config.training, train_set, rate=steps)
 
 
-def _evaluate(stage: str, config: ExperimentConfig, model, net, layouts, test_set):
+def _evaluate(stage: str, config: ExperimentConfig, model, net, test_set):
     tc = config.training
+    layouts = layouts_for_architecture(net.sizes, *tc.tile)
     return _timed(stage, evaluate_transfers, net, model, layouts, tc.hrs_fraction,
                   tc.lrs_fraction, test_set, config.transfers, tc.seed, workers=config.threads,
                   rate=(config.transfers, "transfers"))
 
 
-def _heatmap(stage: str, config: ExperimentConfig, model, net, layouts, repetitions: int):
+def _heatmap(stage: str, config: ExperimentConfig, model, net, repetitions: int):
     tc = config.training
+    layouts = layouts_for_architecture(net.sizes, *tc.tile)
     return _timed(stage, heatmap, net, model, layouts, tc.hrs_fraction, tc.lrs_fraction,
                   config.grid, repetitions=repetitions, seed=tc.seed, workers=config.threads,
                   rate=(repetitions, "repetitions"))
@@ -137,14 +139,13 @@ def _write_evaluation(out: Path, report) -> dict:
 
 
 def _load_checkpoint(args):
-    """Config, variability model, network and crossbar layouts for a
-    command that evaluates a trained checkpoint."""
+    """Config, variability model and network for a command that evaluates
+    a trained checkpoint."""
     config = _override(load_experiment_config(args.config), args)
     model = config.resolve_model()
     net = nn.load_checkpoint(args.checkpoint)
     check_architecture(net.sizes, f"checkpoint {args.checkpoint}: layer_sizes")
-    layouts = layouts_for_architecture(net.sizes, *config.training.tile)
-    return config, model, net, layouts
+    return config, model, net
 
 
 def cmd_fit_model(args) -> int:
@@ -204,10 +205,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config, model, net, layouts = _load_checkpoint(args)
+    config, model, net = _load_checkpoint(args)
     _, test_set = experiment_dataset(config)
     with _out_dir(args.out):
-        report = _evaluate("evaluation", config, model, net, layouts, test_set)
+        report = _evaluate("evaluation", config, model, net, test_set)
         write_json(args.out / "report.json",
                    {"transfers": report.transfers, **_write_evaluation(args.out, report)})
     share = float(np.mean(report.fractions >= 0.95))
@@ -218,10 +219,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    config, model, net, layouts = _load_checkpoint(args)
+    config, model, net = _load_checkpoint(args)
     repetitions = args.transfers if args.transfers is not None else config.heatmap_repetitions
     with _out_dir(args.out):
-        hm = _heatmap("heatmap", config, model, net, layouts, repetitions)
+        hm = _heatmap("heatmap", config, model, net, repetitions)
         write_heatmap_csv(args.out / "heatmap.csv", hm)
     print(f"wrote {args.out}/heatmap.csv ({config.grid.nx}x{config.grid.ny} cells, "
           f"{repetitions} transfers)")
@@ -239,13 +240,11 @@ def cmd_run(args) -> int:
     with _out_dir(out):
         model = config.resolve_model()
         train_set, test_set = experiment_dataset(config)
-        layouts = layouts_for_architecture(config.training.architecture, *config.training.tile)
         nets = {name: _train(name, config, model, train_set)
                 for name in ("hardware_aware", "regular")}
         for name, net in nets.items():
-            report = _evaluate(f"{name} evaluation", config, model, net, layouts, test_set)
-            hm = _heatmap(f"{name} heatmap", config, model, net, layouts,
-                          config.heatmap_repetitions)
+            report = _evaluate(f"{name} evaluation", config, model, net, test_set)
+            hm = _heatmap(f"{name} heatmap", config, model, net, config.heatmap_repetitions)
             sub = out / name
             sub.mkdir(exist_ok=True)
             nn.save_checkpoint(net, sub / "checkpoint.json")

@@ -50,9 +50,9 @@ _STREAM_DATASET = 102
 # stacked forward pass.
 CHUNK = 32
 
-# Points forwarded together by _predict_transferred.  A block's per-layer
-# buffers stay cache-sized for one transfer (4096 x 8 doubles, 256 KiB),
-# and the labels do not depend on the block size.  Not configurable.
+# Points forwarded together by _predict_transferred, which holds at most
+# two consecutive layers' (n, POINT_BLOCK, width) arrays at once; the
+# labels do not depend on the block size.  Not configurable.
 POINT_BLOCK = 4096
 
 # Grid cells per side of the square tiles whose output bounds label whole
@@ -140,14 +140,15 @@ def _predict_transferred(layers, X, margin=None) -> np.ndarray:
     given as per-layer ``(w, b)`` stacks, ``(n, fan_in, fan_out)`` weights
     and ``(n, 1, fan_out)`` biases.
 
-    The points go through the network in blocks of :data:`POINT_BLOCK`.
-    Each layer writes into one ``(n, block, fan_out)`` buffer, allocated
-    once per call and reused for every block, so no fresh array is faulted
-    in per block and memory does not grow with the point count.  The
-    output layer skips its ``expit``: the label is ``z >= _Z0`` on the
-    pre-activation ``z``, which equals ``expit(z) > 0.5`` for every double.
-    The labels are bit-identical to ``expit(a @ w + b)`` over all layers
-    followed by ``> 0.5``.
+    The points go through the network in blocks of :data:`POINT_BLOCK`;
+    each layer's ``(n, block, fan_out)`` output is a new array, and a hidden
+    layer's sigmoid is taken in place, so at most two consecutive layers'
+    arrays are held at once (on the default run's nets, every evaluation
+    call and about 96% of the heatmap's are one block).  The output layer
+    skips its ``expit``: the label is ``z >= _Z0`` on the pre-activation
+    ``z``, which equals ``expit(z) > 0.5`` for every double.  The labels
+    are bit-identical to ``expit(a @ w + b)`` over all layers followed by
+    ``> 0.5``.
 
     The hidden layers first run :func:`_sigmoid`, which is about 4x faster
     than scipy's ``expit`` with numpy's AVX-512 ``exp``.  A block is
@@ -163,31 +164,20 @@ def _predict_transferred(layers, X, margin=None) -> np.ndarray:
     took it 0 times at 64 seeds, ``heatmap`` at 100 repetitions 0 at 10.
     """
     X = np.asarray(X, dtype=float)
-    points = len(X)
-    n = len(layers[0][0])
-    labels = np.empty((n, points), dtype=bool)
-    block = max(1, min(POINT_BLOCK, points))
-    buffers = [np.empty((n, block, w.shape[2])) for w, _ in layers]
+    labels = np.empty((len(layers[0][0]), len(X)), dtype=bool)
     if margin is None:
         margin = _margin(layers, float(np.abs(X).max(initial=0.0)))
-    gaps = np.empty((n, block))
-    for start in range(0, points, block):
-        stop = min(start + block, points)
-        gap = gaps[:, :stop - start]
+    for start in range(0, len(X), POINT_BLOCK):
         for sigmoid in (_sigmoid, expit):
-            a = X[start:stop]
-            for layer, ((w, b), buf) in enumerate(zip(layers, buffers)):
+            a = X[start:start + POINT_BLOCK]
+            for layer, (w, b) in enumerate(layers):
                 if layer:
                     sigmoid(a, out=a)
-                z = buf[:, :stop - start]
-                np.matmul(a, w, out=z)
-                np.add(z, b, out=z)
-                a = z
-            np.subtract(a[..., 0], _Z0, out=gap)
-            np.abs(gap, out=gap)
-            if (gap > margin[:, None]).all():
+                a = np.matmul(a, w)
+                a += b
+            if (np.abs(a[..., 0] - _Z0) > margin[:, None]).all():
                 break
-        np.greater_equal(a[..., 0], _Z0, out=labels[:, start:stop])
+        labels[:, start:start + POINT_BLOCK] = a[..., 0] >= _Z0
     return labels
 
 

@@ -224,16 +224,17 @@ class AdamState:
         hyperparameter, and keeps its default when unset."""
         state = cls(**hyperparameters)
         state._adopt(net)
-        state.m = np.zeros_like(state.params)
-        state.v = np.zeros_like(state.params)
         return state
 
     def _adopt(self, net: DenseNet) -> None:
         """Copy the parameters of ``net`` into a new ``params`` vector and
-        rebind the net's arrays to views of it."""
+        rebind the net's arrays to views of it; ``m`` and ``v`` start at
+        zero unless they already hold one value per parameter."""
         self.params = flatten((l.weights, l.bias) for l in net.layers)
         for layer, (weights, bias) in zip(net.layers, unflatten(net.sizes, self.params)):
             layer.weights, layer.bias = weights, bias
+        if len(self.m) != len(self.params):
+            self.m, self.v = np.zeros_like(self.params), np.zeros_like(self.params)
 
     def update(self, g: np.ndarray) -> None:
         """One in-place Adam update of ``params`` by the flat gradient ``g``."""

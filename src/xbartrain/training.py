@@ -80,10 +80,10 @@ _STREAM_SHUFFLE = 2
 _STREAM_NOISE = 3
 
 # Upper bound on the sum of a net's widths after the input.  Evaluation
-# holds one (CHUNK, POINT_BLOCK, width) buffer per layer, 1 MiB per unit, and
-# a few KB per device, whose count the sum bounds too: a 2-256-256-1 `run`,
-# at the bound, peaks at 0.79 GB.  A larger net could end in numpy's
-# allocation error after training.
+# holds the (CHUNK, POINT_BLOCK, width) arrays of at most two consecutive
+# layers at once, 1 MiB per unit, and a few KB per device, whose count the
+# sum bounds too: a 2-256-256-1 `run`, at the bound, peaks at 0.68 GB.  A
+# larger net could end in numpy's allocation error after training.
 MAX_UNITS = 513
 
 # Training steps per block of noise that the producer process sends, and

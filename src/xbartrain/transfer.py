@@ -86,9 +86,17 @@ class TileLayout:
     right), so the device programmed last in its tile has ``n_d = 0``.
     """
 
-    weight_shape: tuple[int, int]
     nd_plus: np.ndarray
     nd_minus: np.ndarray
+
+    def __post_init__(self):
+        if np.ndim(self.nd_plus) != 2 or np.shape(self.nd_plus) != np.shape(self.nd_minus):
+            raise ValueError(f"nd_plus and nd_minus must be 2-D and of one shape, got "
+                             f"{np.shape(self.nd_plus)} and {np.shape(self.nd_minus)}")
+
+    @property
+    def weight_shape(self) -> tuple[int, int]:
+        return self.nd_plus.shape
 
     @classmethod
     def for_weight_matrix(cls, n_rows: int, n_cols: int, rows: int = DEFAULT_TILE[0],
@@ -98,11 +106,7 @@ class TileLayout:
         if rows < 1 or cols < 1:
             raise ValueError(f"tile shape must be positive, got {(rows, cols)}")
         grid = _nd_grid(n_rows, 2 * n_cols, rows, cols)
-        layout = cls(
-            weight_shape=(n_rows, n_cols),
-            nd_plus=grid[:, 0::2].copy(),
-            nd_minus=grid[:, 1::2].copy(),
-        )
+        layout = cls(nd_plus=grid[:, 0::2].copy(), nd_minus=grid[:, 1::2].copy())
         layout.nd_plus.setflags(write=False)
         layout.nd_minus.setflags(write=False)
         return layout

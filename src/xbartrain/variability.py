@@ -376,10 +376,7 @@ def shapiro_wilk(samples) -> tuple[float, float]:
     w1 = max(1.0 - w, 1e-300)
     if n <= 11:
         gamma = np.polyval([0.459, -2.273], n)
-        y = np.log(w1)
-        if y >= gamma:
-            return w, 0.0
-        y = -np.log(gamma - y)
+        y = -np.log(gamma - np.log(w1))
         mu = np.polyval(_SW_C3, n)
         sigma = np.exp(np.polyval(_SW_C4, n))
     else:

@@ -186,3 +186,45 @@ def test_workload_runs_last_the_benchmarks_run_seconds(tmp_path, monkeypatch):
                              "--workload", "mc_eval:1", "--out", str(out)]) == 0
     assert "--seconds 7 " in json.loads(out.read_text())["command"]
     assert [cmd[cmd.index("--seconds") + 1] for cmd in calls] == ["7", "7"]
+
+
+@pytest.mark.parametrize("parent, change, expected", [
+    ([1.0, 1.0, 1.0, 1.0], [1.2, 1.2, 1.2, 1.2], "within_bound"),
+    ([1.0, 1.0, 1.0, 1.0], [1.5, 1.5, 1.5, 1.5], "beyond_bound"),
+    ([0.5, 1.0, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0], "unresolved"),
+    # A parent spread beyond the bound, but every change run beats every parent run.
+    ([0.5, 1.0, 1.0, 2.0], [0.4, 0.4, 0.4, 0.4], "within_bound"),
+])
+def test_workload_metrics_get_a_verdict_at_their_bound(tmp_path, monkeypatch, capsys,
+                                                       parent, change, expected):
+    change_tree = tmp_path / "change"
+    change_tree.mkdir()
+    (change_tree / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 7, "workloads": [{"name": "mc_eval"}],
+         "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                        {"name": "transfers_per_s", "better": "higher", "bound": 0.25}]}))
+    # transfers_per_s is the reciprocal of wall_s, so it gets the same verdict.
+    walls = {"parent": parent, "change": change}
+
+    def run(cmd, cwd, capture_output, text):
+        wall = walls[Path(cwd).name][int(cmd[cmd.index("--seed") + 1]) - 1]
+        line = json.dumps(result(3, 0, wall_s=wall, transfers_per_s=1 / wall))
+        return subprocess.CompletedProcess(cmd, 0, line + "\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(change_tree),
+                             "--workload", "mc_eval:1-4", "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())["workloads"]["mc_eval"]["metrics"]
+    assert {name: m["verdict"] for name, m in metrics.items()} == {
+        "wall_s": expected, "transfers_per_s": expected}
+    assert capsys.readouterr().err.endswith(
+        f"mc_eval: wall_s {expected}, transfers_per_s {expected}\n")
+
+
+def test_run_pairs_have_no_verdict(tmp_path, monkeypatch):
+    stderr = {side: "peak rss: parent 50.0 MB, children 30.0 MB\n" for side in ("parent", "change")}
+    fake_runs(monkeypatch, stderr, {"parent": {"a": b"1"}, "change": {"a": b"1"}})
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    metrics = bench_pairs.run_pairs(trees, tmp_path / "config.json")["metrics"]
+    assert not any("verdict" in m for m in metrics.values())

@@ -384,6 +384,11 @@ class TestTiles:
 
 
 class TestRobustnessTable:
+    @pytest.mark.parametrize("counts", [[-1, 3], [3, 11]])
+    def test_counts_outside_zero_to_transfers_rejected(self, counts):
+        with pytest.raises(ValueError, match=r"^counts must lie in \[0, transfers\]$"):
+            RobustnessReport(counts=np.array(counts), transfers=10)
+
     def test_all_perfect_goes_to_top_bin(self):
         report = RobustnessReport(counts=np.full(20, 50), transfers=50)
         table = robustness_table(report)
@@ -520,6 +525,11 @@ class TestHeatmap:
         values = np.array([[float(field) for field in row] for row in rows])
         assert np.array_equal(values[:, 2], hm.mean.ravel())
         assert np.array_equal(values[:, 3], hm.std.ravel())
+
+    def test_invalid_repetitions(self, synthetic_model):
+        with pytest.raises(ValueError, match="^repetitions must be >= 1, got 0$"):
+            heatmap(symmetric_net(), synthetic_model, LAYOUTS, 0.0, 0.0, GridSpec(nx=4, ny=3),
+                    repetitions=0, seed=0)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

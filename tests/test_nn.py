@@ -271,6 +271,17 @@ class TestFlatAdam:
             assert a.weights.tobytes() == b.weights.tobytes()
             assert a.bias.tobytes() == b.bias.tobytes()
 
+    def test_state_from_its_defaults_takes_steps(self):
+        net = random_net(24, sizes=(2, 5, 3, 1))
+        grad_seq = random_grads(net, 25, 20)
+        expected = per_array_adam(net.copy(), grad_seq, lr=0.05)
+        state = nn.AdamState(lr=0.05)
+        for grads in grad_seq:
+            nn.adam_step(net, grads, state)
+        for a, b in zip(net.layers, expected.layers):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.bias.tobytes() == b.bias.tobytes()
+
     def test_replaced_arrays_are_adopted(self):
         net = random_net(22, sizes=(2, 5, 3, 1))
         grad_seq = random_grads(net, 23, 6)
@@ -383,6 +394,17 @@ class TestCheckpoint:
         path.write_text("{broken")
         with pytest.raises(ValueError, match="JSON"):
             nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: nn.LayerParams(np.ones(3), np.ones(3)), "weights must be 2-D and bias 1-D"),
+        (lambda: nn.DenseNet.init([2], np.random.default_rng(0)),
+         "architecture needs at least two sizes, got [2]"),
+        (lambda: nn.unflatten([2, 8, 1], np.zeros(32)),
+         "32 parameters do not match layer sizes [2, 8, 1]"),
+    ], ids=["one-dimensional-weights", "one-size", "unflatten-size"])
+    def test_malformed_parts_name_the_fault(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_validation(self):
         with pytest.raises(ValueError):

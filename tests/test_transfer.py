@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from xbartrain.transfer import (
     ConductanceRange,
     TileLayout,
     TransferNoise,
+    TransferOutcome,
     TransferPlan,
     WeightRangeSnapshot,
     from_conductance,
@@ -74,6 +77,11 @@ class TestSnapshots:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             WeightRangeSnapshot.of_matrix(np.zeros((2, 2)))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="^cannot snapshot a weight matrix with non-finite "
+                                             "entries$"):
+            WeightRangeSnapshot.of_matrix(np.array([[-1.0, np.inf]]))
 
     def test_inconsistent_construction_rejected(self):
         with pytest.raises(ValueError):
@@ -172,6 +180,20 @@ class TestTileLayout:
             TileLayout.for_weight_matrix(0, 4)
         with pytest.raises(ValueError):
             layouts_for_architecture([2])
+
+    @pytest.mark.parametrize("tile", [(0, 8), (8, -1)])
+    def test_non_positive_tile_rejected(self, tile):
+        with pytest.raises(ValueError, match=re.escape(f"tile shape must be positive, got {tile}")):
+            TileLayout.for_weight_matrix(3, 8, *tile)
+
+    @pytest.mark.parametrize("plus, minus", [(np.s_[:], np.s_[:2]), (np.s_[0], np.s_[0])],
+                             ids=["two-shapes", "one-dimensional"])
+    def test_nd_matrices_of_two_shapes_or_not_2d_rejected(self, plus, minus):
+        layout = TileLayout.for_weight_matrix(3, 8)
+        nd_plus, nd_minus = layout.nd_plus[plus], layout.nd_minus[minus]
+        with pytest.raises(ValueError, match=re.escape(
+                f"must be 2-D and of one shape, got {nd_plus.shape} and {nd_minus.shape}")):
+            TileLayout(nd_plus, nd_minus)
 
 
 class TestPerturbConductance:
@@ -313,6 +335,12 @@ class TestSimulateTransfer:
         b = simulate_transfer(phi, layout, synthetic_model, 0.005, 0.005, np.random.default_rng(9))
         assert a.phi_prime.tobytes() == b.phi_prime.tobytes()
         assert np.array_equal(a.stuck_mask, b.stuck_mask)
+
+    def test_outcome_shapes_must_agree(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "shape mismatch: phi_prime (3, 8) vs mask (2, 8)")):
+            TransferOutcome(np.zeros((3, 8)), np.zeros((2, 8), dtype=bool),
+                            WeightRangeSnapshot(-1.0, 1.0, 1.0))
 
     def test_shape_and_zero_matrix_errors(self, zero_model):
         layout = TileLayout.for_weight_matrix(3, 8)

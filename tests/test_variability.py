@@ -51,6 +51,13 @@ class TestShapiroWilk:
         with pytest.raises(ValueError):
             shapiro_wilk(np.arange(5001, dtype=float))
 
+    @pytest.mark.parametrize("n", range(4, 12))
+    def test_one_outlier_sample_gets_a_positive_p(self, n):
+        # [0, ..., 0, 1] has the least W at its n, n a_n^2 / (n - 1), and
+        # Royston's small-sample transform still maps it to p > 0.
+        w, p = shapiro_wilk([0.0] * (n - 1) + [1.0])
+        assert w < 0.65 and p > 0.0
+
     def _regen(self, case):
         rng = np.random.default_rng(case["seed"])
         draw = {
@@ -469,6 +476,7 @@ class TestCsvIngestion:
         (read_tuning_csv, "device_id,g_target_uS,read_uS\nd0,inf,1.0\n", ":2: g_target_uS"),
         (read_stuck_csv, "kind,g_uS\nHRS,40\nLRS,-inf\n", ":3: g_uS"),
         (read_stuck_csv, "kind,g_uS\nMID,40\n", ":2: kind: expected HRS or LRS"),
+        (read_bias_csv, "n_d,delta_g_uS\n1,-2.5\n2,1.0,3\n", ":3: expected 2 fields, got 3"),
     ])
     def test_bad_cell_names_line_and_column(self, tmp_path, reader, text, where):
         path = tmp_path / "data.csv"

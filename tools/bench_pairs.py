@@ -31,12 +31,14 @@ was given before.
 The output JSON holds the seeds, the order, per workload the operations
 attempted and failed on each side, and per end-to-end metric of
 BENCHMARK.json each side's median, quartiles and runs, the ratio of the
-medians (null where the parent's median is 0) and the pairs the change
-won; plus the environment that the first run reported.  A ``--run`` set holds the config and the workload ``run``,
-whose metrics are ``wall_s``, ``parent_rss_mb`` and ``children_rss_mb``,
-and how many pairs wrote byte-identical artifact trees.  Nothing under
-``perfbench/`` is written except its own results directory in each
-checkout.
+medians (null where the parent's median is 0), the pairs the change won,
+and the ``verdict`` of the no-regression rule at the metric's ``bound``
+(:func:`verdict`); plus the environment that the first run reported.  A
+``--run`` set holds the config and the workload ``run``, whose metrics are
+``wall_s``, ``parent_rss_mb`` and ``children_rss_mb``, and how many pairs
+wrote byte-identical artifact trees; it has no bounds, so no verdicts.
+Nothing under ``perfbench/`` is written except its own results directory
+in each checkout.
 """
 
 from __future__ import annotations
@@ -160,10 +162,32 @@ def run_pairs(trees: dict, config: Path) -> dict:
     return {**summarize(pairs, better), "identical_trees": f"{identical}/{RUN_PAIRS}"}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def quartiles(runs: list[float]) -> list[float]:
+    """The first quartile, median and third quartile of ``runs``."""
+    return statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1 else runs * 3
+
+
+def verdict(parent: list[float], change: list[float], direction: str, bound: float) -> str:
+    """The no-regression rule on one metric's runs, ``direction`` being the
+    better one: ``unresolved`` where the parent's interquartile spread
+    exceeds ``bound`` times its median, unless every change run beats every
+    parent run; else ``beyond_bound`` where the change's median is worse
+    than the parent's by more than ``bound`` times it; else ``within_bound``."""
+    sign = 1 if direction == "lower" else -1
+    q1, median, q3 = quartiles(parent)
+    beats_every_run = max(sign * c for c in change) < min(sign * p for p in parent)
+    if q3 - q1 > bound * abs(median) and not beats_every_run:
+        return "unresolved"
+    if sign * (quartiles(change)[1] - median) > bound * abs(median):
+        return "beyond_bound"
+    return "within_bound"
+
+
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None
+              ) -> dict:
     """Operations and per-metric statistics of one workload's pairs, each
     ``{"parent": result, "change": result}`` with ``result`` a run's
-    result line."""
+    result line; a metric with a ``bounds`` entry gets its :func:`verdict`."""
     sides = ("parent", "change")
     summary = {"operations": {side: {key: sum(p[side][key] for p in pairs)
                                      for key in ("attempted", "failed")} for side in sides},
@@ -172,8 +196,7 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         runs = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in sides}
         stats = {}
         for side in sides:
-            q1, median, q3 = (statistics.quantiles(runs[side], n=4, method="inclusive")
-                              if len(runs[side]) > 1 else runs[side] * 3)
+            q1, median, q3 = quartiles(runs[side])
             stats[side] = {"median": median, "q1": q1, "q3": q3}
         wins = sum((c < p) if direction == "lower" else (c > p)
                    for p, c in zip(runs["parent"], runs["change"]))
@@ -185,6 +208,9 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "parent_runs": runs["parent"],
             "change_runs": runs["change"],
         }
+        if bounds and name in bounds:
+            summary["metrics"][name]["verdict"] = verdict(runs["parent"], runs["change"],
+                                                          direction, bounds[name])
     return summary
 
 
@@ -192,6 +218,7 @@ def bench_workloads(trees: dict, seeds: dict[str, list[int]], bench: dict) -> di
     """The document of alternating perfbench pairs over each workload's
     ``seeds``, each run as long as ``bench`` (BENCHMARK.json) sets."""
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"] if "bound" in m}
     seconds = bench["run_seconds"]
     doc = {"command": f"python3 perfbench/run.py --workload W --seed N "
                       f"--seconds {seconds:g} --trace 0",
@@ -207,7 +234,10 @@ def bench_workloads(trees: dict, seeds: dict[str, list[int]], bench: dict) -> di
             rate = {side: pair[side]["metrics"]["transfers_per_s"]["value"] for side in pair}
             print(f"{workload} seed {seed}: transfers_per_s parent {rate['parent']:.1f}, "
                   f"change {rate['change']:.1f}", file=sys.stderr)
-        doc["workloads"][workload] = summarize(pairs, better)
+        summary = doc["workloads"][workload] = summarize(pairs, better, bounds)
+        print(f"{workload}: " + ", ".join(f"{name} {m['verdict']}" for name, m
+                                          in summary["metrics"].items() if "verdict" in m),
+              file=sys.stderr)
     return doc
 
 
